@@ -1,6 +1,7 @@
 #include "fl/delta.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -191,6 +192,9 @@ InstanceSnapshot apply(const InstanceSnapshot& snap, const DeltaLog& log) {
                        "client arrival key " << d.client
                                              << " not fresh (next is "
                                              << next_c << ")");
+        DFLP_CHECK_MSG(d.client < std::numeric_limits<NodeKey>::max(),
+                       "client arrival key " << d.client
+                                             << " leaves no next key");
         DFLP_CHECK_MSG(!d.edges.empty(),
                        "client arrival " << d.client
                                          << " must carry at least one edge");
@@ -217,6 +221,9 @@ InstanceSnapshot apply(const InstanceSnapshot& snap, const DeltaLog& log) {
                        "facility open key " << d.facility
                                             << " not fresh (next is "
                                             << next_f << ")");
+        DFLP_CHECK_MSG(d.facility < std::numeric_limits<NodeKey>::max(),
+                       "facility open key " << d.facility
+                                            << " leaves no next key");
         next_f = d.facility + 1;
         new_f_pos.emplace(d.facility, new_facilities.size());
         new_facilities.push_back(&d);

@@ -1,12 +1,13 @@
 #include "fl/ftfp.h"
 
 #include <algorithm>
-#include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.h"
 #include "fl/serialize.h"
+#include "fl/text_scanner.h"
 
 namespace dflp::fl {
 
@@ -184,27 +185,28 @@ std::string ftfp_to_text(const FtfpInstance& inst) {
   return os.str();
 }
 
-FtfpInstance read_ftfp_instance(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  DFLP_CHECK_MSG(is.good() && magic == "dflp-ftfp" && version == 1,
-                 "expected 'dflp-ftfp 1' header, got '" << magic << " "
-                                                        << version << "'");
+namespace {
+
+FtfpInstance scan_ftfp_instance(TextScanner& in) {
+  in.header("dflp-ftfp");
   FtfpInstance inst;
-  inst.base = read_instance(is);
+  inst.base = scan_instance(in);
   inst.requirement.resize(static_cast<std::size_t>(inst.base.num_clients()));
-  for (std::size_t j = 0; j < inst.requirement.size(); ++j) {
-    is >> inst.requirement[j];
-    DFLP_CHECK_MSG(!is.fail(), "truncated requirement vector at client " << j);
-  }
+  for (std::int32_t& r : inst.requirement)
+    r = static_cast<std::int32_t>(in.integer(
+        "requirement", 1, std::numeric_limits<std::int32_t>::max()));
   validate(inst);
   return inst;
 }
 
+}  // namespace
+
+FtfpInstance read_ftfp_instance(std::istream& is) {
+  return scan_all(read_all(is), scan_ftfp_instance);
+}
+
 FtfpInstance ftfp_from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_ftfp_instance(is);
+  return scan_all(text, scan_ftfp_instance);
 }
 
 ReplicatedUfl replicate_demands(const FtfpInstance& inst) {

@@ -101,6 +101,8 @@ class FtfpSolution {
 ///   dflp-ftfp 1
 ///   <embedded dflp-ufl 1 block>
 ///   <r_0> ... <r_{n-1}>
+/// The reader follows the grammar and error format in fl/serialize.h and
+/// reads its stream to EOF.
 void write_ftfp_instance(std::ostream& os, const FtfpInstance& inst);
 [[nodiscard]] std::string ftfp_to_text(const FtfpInstance& inst);
 [[nodiscard]] FtfpInstance read_ftfp_instance(std::istream& is);

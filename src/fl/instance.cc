@@ -44,19 +44,6 @@ Instance InstanceBuilder::build() {
   DFLP_CHECK_MSG(!opening_.empty(), "instance has no facilities");
   DFLP_CHECK_MSG(num_clients_ > 0, "instance has no clients");
 
-  // Reject duplicate (i, j) pairs.
-  {
-    std::vector<std::pair<FacilityId, ClientId>> keys;
-    keys.reserve(edges_.size());
-    for (const auto& e : edges_) keys.emplace_back(e.i, e.j);
-    std::sort(keys.begin(), keys.end());
-    const auto dup = std::adjacent_find(keys.begin(), keys.end());
-    DFLP_CHECK_MSG(dup == keys.end(),
-                   "duplicate edge (facility=" << dup->first
-                                               << ", client=" << dup->second
-                                               << ")");
-  }
-
   Instance inst;
   inst.opening_ = std::move(opening_);
   inst.num_clients_ = num_clients_;
@@ -64,7 +51,11 @@ Instance InstanceBuilder::build() {
   const auto m = static_cast<std::size_t>(inst.opening_.size());
   const auto n = static_cast<std::size_t>(num_clients_);
 
-  // Facility-side CSR, sorted by (cost, client id).
+  // Facility-side CSR, sorted by (cost, client id). Before each list is
+  // sorted, a per-client marker pass rejects duplicate (i, j) pairs; lists
+  // are visited in facility order, so the first hit names the smallest
+  // duplicated facility, and the pass over its list finds its smallest
+  // duplicated client.
   {
     std::vector<std::int32_t> deg(m, 0);
     for (const auto& e : edges_) ++deg[static_cast<std::size_t>(e.i)];
@@ -77,9 +68,20 @@ Instance InstanceBuilder::build() {
     for (const auto& e : edges_)
       inst.facility_edges_[static_cast<std::size_t>(
           cur[static_cast<std::size_t>(e.i)]++)] = {e.j, e.c};
+    std::vector<FacilityId> seen_by(n, kNoFacility);
     for (std::size_t i = 0; i < m; ++i) {
       auto begin = inst.facility_edges_.begin() + inst.facility_offset_[i];
       auto end = inst.facility_edges_.begin() + inst.facility_offset_[i + 1];
+      ClientId dup = -1;
+      for (auto it = begin; it != end; ++it) {
+        FacilityId& seen = seen_by[static_cast<std::size_t>(it->client)];
+        if (seen == static_cast<FacilityId>(i)) {
+          if (dup < 0 || it->client < dup) dup = it->client;
+        }
+        seen = static_cast<FacilityId>(i);
+      }
+      DFLP_CHECK_MSG(dup < 0, "duplicate edge (facility=" << i << ", client="
+                                                          << dup << ")");
       std::sort(begin, end, [](const FacilityEdge& a, const FacilityEdge& b) {
         if (a.cost != b.cost) return a.cost < b.cost;
         return a.client < b.client;
@@ -132,6 +134,10 @@ Instance InstanceBuilder::build() {
     absorb(e.cost);
     cp.total_connection += e.cost;
   }
+  DFLP_CHECK_MSG(std::isfinite(cp.total_opening + cp.total_connection),
+                 "total cost is not finite (opening " << cp.total_opening
+                     << " + connection " << cp.total_connection
+                     << "); solution costs would overflow");
   cp.rho = std::isfinite(cp.min_positive) && cp.max_value > 0.0
                ? cp.max_value / cp.min_positive
                : 1.0;

@@ -1,12 +1,22 @@
 #include "fl/serialize.h"
 
-#include <istream>
+#include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
-#include "common/check.h"
+#include "fl/text_scanner.h"
 
 namespace dflp::fl {
+namespace {
+
+/// Largest dense id or count: ids are int32, and so are the CSR offsets
+/// that bound the edge count.
+constexpr std::int64_t kMaxId = std::numeric_limits<std::int32_t>::max();
+/// Largest stable key or epoch; both are non-negative int64.
+constexpr std::int64_t kMaxKey = std::numeric_limits<std::int64_t>::max();
+
+}  // namespace
 
 void write_instance(std::ostream& os, const Instance& inst) {
   os << "dflp-ufl 1\n";
@@ -29,43 +39,48 @@ std::string to_text(const Instance& inst) {
   return os.str();
 }
 
-Instance read_instance(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  DFLP_CHECK_MSG(is && magic == "dflp-ufl" && version == 1,
-                 "bad header: expected 'dflp-ufl 1', got '" << magic << ' '
-                                                            << version << "'");
-  std::int64_t m = 0;
-  std::int64_t n = 0;
-  std::int64_t edges = 0;
-  is >> m >> n >> edges;
-  DFLP_CHECK_MSG(is && m > 0 && n > 0 && edges >= 0,
-                 "bad dimensions m=" << m << " n=" << n << " E=" << edges);
+Instance scan_instance(TextScanner& in) {
+  in.header("dflp-ufl");
+  const std::int64_t m = in.integer("facility count", 1, kMaxId);
+  const std::int64_t n = in.integer("client count", 1, kMaxId);
+  const std::int64_t edges = in.integer("edge count", 0, kMaxId);
+  if (edges < n)
+    in.fail_token("edges cannot cover " + std::to_string(n) +
+                  " clients, which need one edge each");
+  in.expect_room(m + 3 * edges);
+
+  // Costs are summed as they are read, so that a total that overflows is
+  // reported at the field that tips it; build() re-checks for every caller.
+  Cost total = 0.0;
+  const auto summed_cost = [&in, &total](const char* field) {
+    const Cost c = in.cost(field);
+    total += c;
+    if (!std::isfinite(total))
+      in.fail_token("makes the total cost overflow a double");
+    return c;
+  };
 
   InstanceBuilder builder;
-  for (std::int64_t i = 0; i < m; ++i) {
-    Cost f = 0.0;
-    is >> f;
-    DFLP_CHECK_MSG(is.good() || is.eof(), "truncated opening costs");
-    DFLP_CHECK_MSG(!is.fail(), "malformed opening cost at index " << i);
-    builder.add_facility(f);
-  }
-  for (std::int64_t j = 0; j < n; ++j) builder.add_client();
+  builder.reserve(static_cast<std::int32_t>(m), static_cast<std::int32_t>(n),
+                  static_cast<std::size_t>(edges));
+  for (std::int64_t i = 0; i < m; ++i)
+    (void)builder.add_facility(summed_cost("opening cost"));
+  for (std::int64_t j = 0; j < n; ++j) (void)builder.add_client();
   for (std::int64_t e = 0; e < edges; ++e) {
-    std::int64_t i = 0;
-    std::int64_t j = 0;
-    Cost c = 0.0;
-    is >> i >> j >> c;
-    DFLP_CHECK_MSG(!is.fail(), "malformed edge line " << e);
-    builder.connect(static_cast<FacilityId>(i), static_cast<ClientId>(j), c);
+    const std::int64_t i = in.integer("facility id", 0, m - 1);
+    const std::int64_t j = in.integer("client id", 0, n - 1);
+    builder.connect(static_cast<FacilityId>(i), static_cast<ClientId>(j),
+                    summed_cost("connection cost"));
   }
   return builder.build();
 }
 
+Instance read_instance(std::istream& is) {
+  return scan_all(read_all(is), scan_instance);
+}
+
 Instance from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_instance(is);
+  return scan_all(text, scan_instance);
 }
 
 void write_snapshot(std::ostream& os, const InstanceSnapshot& snap) {
@@ -86,32 +101,30 @@ std::string snapshot_to_text(const InstanceSnapshot& snap) {
   return os.str();
 }
 
-InstanceSnapshot read_snapshot(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  DFLP_CHECK_MSG(is && magic == "dflp-snap" && version == 1,
-                 "bad header: expected 'dflp-snap 1', got '"
-                     << magic << ' ' << version << "'");
-  EpochId epoch = 0;
-  NodeKey next_f = 0;
-  NodeKey next_c = 0;
-  is >> epoch >> next_f >> next_c;
-  DFLP_CHECK_MSG(!is.fail(), "malformed snapshot epoch line");
-  Instance inst = read_instance(is);
+namespace {
+
+InstanceSnapshot scan_snapshot(TextScanner& in) {
+  in.header("dflp-snap");
+  const EpochId epoch = in.integer("epoch", 0, kMaxKey);
+  const NodeKey next_f = in.integer("next facility key", 0, kMaxKey);
+  const NodeKey next_c = in.integer("next client key", 0, kMaxKey);
+  Instance inst = scan_instance(in);
   std::vector<NodeKey> fkeys(static_cast<std::size_t>(inst.num_facilities()));
   std::vector<NodeKey> ckeys(static_cast<std::size_t>(inst.num_clients()));
-  for (NodeKey& k : fkeys) is >> k;
-  DFLP_CHECK_MSG(!is.fail(), "truncated facility keys");
-  for (NodeKey& k : ckeys) is >> k;
-  DFLP_CHECK_MSG(!is.fail(), "truncated client keys");
+  for (NodeKey& k : fkeys) k = in.integer("facility key", 0, kMaxKey);
+  for (NodeKey& k : ckeys) k = in.integer("client key", 0, kMaxKey);
   return InstanceSnapshot::restore(std::move(inst), epoch, std::move(fkeys),
                                    std::move(ckeys), next_f, next_c);
 }
 
+}  // namespace
+
+InstanceSnapshot read_snapshot(std::istream& is) {
+  return scan_all(read_all(is), scan_snapshot);
+}
+
 InstanceSnapshot snapshot_from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_snapshot(is);
+  return scan_all(text, scan_snapshot);
 }
 
 void write_delta_log(std::ostream& os, const DeltaLog& log) {
@@ -152,68 +165,59 @@ std::string delta_log_to_text(const DeltaLog& log) {
   return os.str();
 }
 
-DeltaLog read_delta_log(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  DFLP_CHECK_MSG(is && magic == "dflp-delta-log" && version == 1,
-                 "bad header: expected 'dflp-delta-log 1', got '"
-                     << magic << ' ' << version << "'");
-  std::int64_t count = 0;
-  is >> count;
-  DFLP_CHECK_MSG(!is.fail() && count >= 0, "bad delta count " << count);
+namespace {
 
-  const auto read_edges = [&is](std::int64_t line) {
-    std::int64_t deg = 0;
-    is >> deg;
-    DFLP_CHECK_MSG(!is.fail() && deg >= 0,
-                   "bad edge count on delta line " << line);
-    std::vector<KeyedEdge> edges(static_cast<std::size_t>(deg));
-    for (KeyedEdge& e : edges) is >> e.peer >> e.cost;
-    DFLP_CHECK_MSG(!is.fail(), "truncated edges on delta line " << line);
-    return edges;
-  };
+/// `<deg> (<peer key> <cost>)*`, the edge list of an arrive or open delta.
+std::vector<KeyedEdge> scan_keyed_edges(TextScanner& in) {
+  const std::int64_t deg = in.integer("edge count", 0, kMaxId);
+  in.expect_room(2 * deg);
+  std::vector<KeyedEdge> edges(static_cast<std::size_t>(deg));
+  for (KeyedEdge& e : edges) {
+    e.peer = in.integer("peer key", 0, kMaxKey);
+    e.cost = in.cost("edge cost");
+  }
+  return edges;
+}
 
+DeltaLog scan_delta_log(TextScanner& in) {
+  in.header("dflp-delta-log");
+  const std::int64_t count = in.integer("delta count", 0, kMaxId);
+  in.expect_room(2 * count);
   DeltaLog log;
   for (std::int64_t t = 0; t < count; ++t) {
-    std::string kind;
-    is >> kind;
-    DFLP_CHECK_MSG(!is.fail(), "truncated delta log at entry " << t);
+    const std::string_view kind = in.word("delta kind");
     if (kind == "arrive") {
-      NodeKey c = kNoKey;
-      is >> c;
-      log.append(Delta::client_arrive(c, read_edges(t)));
+      const NodeKey c = in.integer("client key", 0, kMaxKey);
+      log.append(Delta::client_arrive(c, scan_keyed_edges(in)));
     } else if (kind == "depart") {
-      NodeKey c = kNoKey;
-      is >> c;
-      log.append(Delta::client_depart(c));
+      log.append(Delta::client_depart(in.integer("client key", 0, kMaxKey)));
     } else if (kind == "open") {
-      NodeKey f = kNoKey;
-      Cost opening = 0.0;
-      is >> f >> opening;
-      log.append(Delta::facility_open(f, opening, read_edges(t)));
+      const NodeKey f = in.integer("facility key", 0, kMaxKey);
+      const Cost opening = in.cost("opening cost");
+      log.append(Delta::facility_open(f, opening, scan_keyed_edges(in)));
     } else if (kind == "close") {
-      NodeKey f = kNoKey;
-      is >> f;
-      log.append(Delta::facility_close(f));
+      log.append(
+          Delta::facility_close(in.integer("facility key", 0, kMaxKey)));
     } else if (kind == "reprice") {
-      NodeKey f = kNoKey;
-      NodeKey c = kNoKey;
-      Cost cost = 0.0;
-      is >> f >> c >> cost;
-      log.append(Delta::edge_cost_change(f, c, cost));
+      const NodeKey f = in.integer("facility key", 0, kMaxKey);
+      const NodeKey c = in.integer("client key", 0, kMaxKey);
+      log.append(Delta::edge_cost_change(f, c, in.cost("edge cost")));
     } else {
-      DFLP_CHECK_MSG(false, "unknown delta kind '" << kind << "' at entry "
-                                                   << t);
+      in.fail_token("is not a delta kind (arrive, depart, open, close, "
+                    "reprice)");
     }
-    DFLP_CHECK_MSG(!is.fail(), "malformed delta at entry " << t);
   }
   return log;
 }
 
+}  // namespace
+
+DeltaLog read_delta_log(std::istream& is) {
+  return scan_all(read_all(is), scan_delta_log);
+}
+
 DeltaLog delta_log_from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_delta_log(is);
+  return scan_all(text, scan_delta_log);
 }
 
 }  // namespace dflp::fl

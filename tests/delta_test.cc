@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "fl/delta.h"
 #include "fl/instance.h"
 #include "fl/serialize.h"
+#include "respell.h"
 
 namespace dflp::fl {
 namespace {
@@ -172,6 +175,13 @@ TEST(DeltaLog, RejectsInconsistentDeltas) {
   {
     DeltaLog log;  // arrivals must carry an edge
     log.append(Delta::client_arrive(3, {}));
+    EXPECT_THROW((void)apply(snap, log), CheckError);
+  }
+  for (const bool facility : {false, true}) {
+    DeltaLog log;  // the largest key would leave no next key
+    const NodeKey last = std::numeric_limits<NodeKey>::max();
+    log.append(facility ? Delta::facility_open(last, 1.0, {{0, 1.0}})
+                        : Delta::client_arrive(last, {{0, 1.0}}));
     EXPECT_THROW((void)apply(snap, log), CheckError);
   }
 }
@@ -364,16 +374,21 @@ TEST(Serialize, SnapshotRoundTrip) {
   log.append(Delta::client_depart(0));
   const InstanceSnapshot next = apply(snap, log);
 
-  const InstanceSnapshot parsed =
-      snapshot_from_text(snapshot_to_text(next));
-  EXPECT_EQ(parsed.epoch(), next.epoch());
-  EXPECT_EQ(parsed.next_facility_key(), next.next_facility_key());
-  EXPECT_EQ(parsed.next_client_key(), next.next_client_key());
-  expect_same_instance(parsed.instance(), next.instance());
-  for (FacilityId i = 0; i < next.instance().num_facilities(); ++i)
-    EXPECT_EQ(parsed.facility_key(i), next.facility_key(i));
-  for (ClientId j = 0; j < next.instance().num_clients(); ++j)
-    EXPECT_EQ(parsed.client_key(j), next.client_key(j));
+  const std::string text = snapshot_to_text(next);
+  std::vector<std::string> inputs = respellings(text);
+  inputs.insert(inputs.begin(), text);
+  for (const std::string& input : inputs) {
+    SCOPED_TRACE(input);
+    const InstanceSnapshot parsed = snapshot_from_text(input);
+    EXPECT_EQ(parsed.epoch(), next.epoch());
+    EXPECT_EQ(parsed.next_facility_key(), next.next_facility_key());
+    EXPECT_EQ(parsed.next_client_key(), next.next_client_key());
+    expect_same_instance(parsed.instance(), next.instance());
+    for (FacilityId i = 0; i < next.instance().num_facilities(); ++i)
+      EXPECT_EQ(parsed.facility_key(i), next.facility_key(i));
+    for (ClientId j = 0; j < next.instance().num_clients(); ++j)
+      EXPECT_EQ(parsed.client_key(j), next.client_key(j));
+  }
 }
 
 TEST(Serialize, DeltaLogRoundTripAndReplay) {
@@ -385,7 +400,11 @@ TEST(Serialize, DeltaLogRoundTripAndReplay) {
   log.append(Delta::facility_close(2));
   log.append(Delta::edge_cost_change(1, 2, 9.0));
 
-  const DeltaLog parsed = delta_log_from_text(delta_log_to_text(log));
+  const std::string text = delta_log_to_text(log);
+  for (const std::string& respelled : respellings(text))
+    EXPECT_EQ(delta_log_to_text(delta_log_from_text(respelled)), text)
+        << respelled;
+  const DeltaLog parsed = delta_log_from_text(text);
   ASSERT_EQ(parsed.size(), log.size());
   for (std::size_t t = 0; t < log.size(); ++t) {
     const Delta& a = log.deltas()[t];

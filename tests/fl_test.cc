@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "fl/instance.h"
 #include "fl/serialize.h"
 #include "fl/solution.h"
+#include "respell.h"
 
 namespace dflp::fl {
 namespace {
@@ -27,6 +30,27 @@ Instance tiny() {
   b.connect(f1, c1, 4.0);
   b.connect(f1, c2, 1.0);
   return b.build();
+}
+
+/// The CheckError message `parse` throws; a test failure when it throws
+/// nothing.
+std::string error_of(const std::function<void()>& parse) {
+  try {
+    parse();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no CheckError thrown";
+  return {};
+}
+
+/// Expects `text` to be rejected with a message containing `where` (the
+/// line, field and field name) and `what`.
+void expect_ufl_error(const std::string& text, const std::string& where,
+                      const std::string& what) {
+  const std::string msg = error_of([&] { (void)from_text(text); });
+  EXPECT_NE(msg.find(where), std::string::npos) << msg;
+  EXPECT_NE(msg.find(what), std::string::npos) << msg;
 }
 
 TEST(Instance, BasicAccessors) {
@@ -119,6 +143,38 @@ TEST(InstanceBuilder, RejectsDuplicateEdges) {
   b.connect(f, c, 1.0);
   b.connect(f, c, 2.0);
   EXPECT_THROW(b.build(), CheckError);
+}
+
+TEST(InstanceBuilder, DuplicateEdgeErrorNamesSmallestPair) {
+  InstanceBuilder b;
+  for (int i = 0; i < 4; ++i) (void)b.add_facility(1.0);
+  for (int j = 0; j < 8; ++j) (void)b.add_client();
+  for (ClientId j = 0; j < 8; ++j) b.connect(0, j, 1.0);
+  // Duplicates under facilities 3, 1 and 2, added out of order; the
+  // smallest pair is (1, 3).
+  b.connect(3, 0, 2.0);
+  b.connect(3, 0, 3.0);
+  b.connect(1, 7, 2.0);
+  b.connect(2, 5, 2.0);
+  b.connect(1, 7, 3.0);
+  b.connect(2, 5, 3.0);
+  b.connect(1, 3, 2.0);
+  b.connect(1, 3, 3.0);
+  const std::string msg = error_of([&] { (void)b.build(); });
+  EXPECT_NE(msg.find("duplicate edge (facility=1, client=3)"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(InstanceBuilder, RejectsNonFiniteTotalCost) {
+  InstanceBuilder b;
+  const FacilityId f0 = b.add_facility(1e308);
+  const FacilityId f1 = b.add_facility(1e308);
+  const ClientId c = b.add_client();
+  b.connect(f0, c, 1.0);
+  b.connect(f1, c, 1.0);
+  const std::string msg = error_of([&] { (void)b.build(); });
+  EXPECT_NE(msg.find("total cost is not finite"), std::string::npos) << msg;
 }
 
 TEST(InstanceBuilder, RejectsIsolatedClient) {
@@ -268,19 +324,24 @@ TEST(FractionalSolution, HalfAndHalfCoverageIsFeasible) {
 TEST(Serialize, RoundTripPreservesEverything) {
   const Instance inst = tiny();
   const std::string text = to_text(inst);
-  const Instance back = from_text(text);
-  EXPECT_EQ(back.num_facilities(), inst.num_facilities());
-  EXPECT_EQ(back.num_clients(), inst.num_clients());
-  EXPECT_EQ(back.num_edges(), inst.num_edges());
-  for (FacilityId i = 0; i < inst.num_facilities(); ++i)
-    EXPECT_DOUBLE_EQ(back.opening_cost(i), inst.opening_cost(i));
-  for (ClientId j = 0; j < inst.num_clients(); ++j) {
-    const auto a = inst.client_edges(j);
-    const auto b = back.client_edges(j);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].facility, b[k].facility);
-      EXPECT_DOUBLE_EQ(a[k].cost, b[k].cost);
+  std::vector<std::string> inputs = respellings(text);
+  inputs.insert(inputs.begin(), text);
+  for (const std::string& input : inputs) {
+    SCOPED_TRACE(input);
+    const Instance back = from_text(input);
+    EXPECT_EQ(back.num_facilities(), inst.num_facilities());
+    EXPECT_EQ(back.num_clients(), inst.num_clients());
+    EXPECT_EQ(back.num_edges(), inst.num_edges());
+    for (FacilityId i = 0; i < inst.num_facilities(); ++i)
+      EXPECT_DOUBLE_EQ(back.opening_cost(i), inst.opening_cost(i));
+    for (ClientId j = 0; j < inst.num_clients(); ++j) {
+      const auto a = inst.client_edges(j);
+      const auto b = back.client_edges(j);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].facility, b[k].facility);
+        EXPECT_DOUBLE_EQ(a[k].cost, b[k].cost);
+      }
     }
   }
 }
@@ -299,6 +360,87 @@ TEST(Serialize, RejectsGarbage) {
 
 TEST(Serialize, RejectsTruncatedEdges) {
   EXPECT_THROW(from_text("dflp-ufl 1\n1 1 1\n5.0\n"), CheckError);
+  expect_ufl_error("dflp-ufl 1\n1 1 1\n5.0\n0 0",
+                   "line 4, field 3 (connection cost)",
+                   "unexpected end of input");
+}
+
+TEST(Serialize, RejectsIdsBeyondTheInt32Range) {
+  // 2^32 must not narrow to facility 0.
+  expect_ufl_error("dflp-ufl 1\n2 1 1\n1 2\n4294967296 0 1.5\n",
+                   "line 4, field 1 (facility id)",
+                   "'4294967296' is out of range [0, 1]");
+  expect_ufl_error("dflp-ufl 1\n1 2 2\n1\n0 0 1\n0 -1 1\n",
+                   "line 5, field 2 (client id)", "out of range [0, 1]");
+}
+
+TEST(Serialize, RejectsHeaderCountsBeyondTheInt32Range) {
+  // Rejected at the header, before any add_client() call.
+  expect_ufl_error("dflp-ufl 1\n1 3000000000 0\n1\n",
+                   "line 2, field 2 (client count)",
+                   "'3000000000' is out of range [1, 2147483647]");
+}
+
+TEST(Serialize, RejectsMoreClientsThanEdges) {
+  expect_ufl_error("dflp-ufl 1\n1 5 2\n1\n0 0 1\n0 1 1\n",
+                   "line 2, field 3 (edge count)",
+                   "edges cannot cover 5 clients");
+}
+
+TEST(Serialize, RejectsCountsTheInputCannotHold) {
+  expect_ufl_error("dflp-ufl 1\n2000000000 2000000000 2000000000\n1\n",
+                   "line 2, field 3 (edge count)", "bytes are left");
+  // Delta logs: neither an edge count past what a vector can hold nor one
+  // past what the input holds may reach the allocation.
+  for (const char* text :
+       {"dflp-delta-log 1\n1\narrive 0 4000000000000000000\n",
+        "dflp-delta-log 1\n1\narrive 0 1000000 0 1\n"}) {
+    const std::string msg =
+        error_of([&] { (void)delta_log_from_text(text); });
+    EXPECT_NE(msg.find("line 3, field 3 (edge count)"), std::string::npos)
+        << msg;
+  }
+  const std::string msg = error_of([] {
+    (void)delta_log_from_text("dflp-delta-log 1\n1000000\ndepart 1\n");
+  });
+  EXPECT_NE(msg.find("line 2, field 1 (delta count)"), std::string::npos)
+      << msg;
+}
+
+TEST(Serialize, RejectsNonFiniteAndNegativeCostsByLocation) {
+  expect_ufl_error("dflp-ufl 1\n2 1 2\n1 nan\n0 0 1\n1 0 1\n",
+                   "line 3, field 2 (opening cost)",
+                   "'nan' is not a finite non-negative number");
+  expect_ufl_error("dflp-ufl 1\n1 1 1\n1\n0 0 inf\n",
+                   "line 4, field 3 (connection cost)",
+                   "'inf' is not a finite non-negative number");
+  expect_ufl_error("dflp-ufl 1\n1 1 1\n1\n0 0 -2\n",
+                   "line 4, field 3 (connection cost)",
+                   "'-2' is not a finite non-negative number");
+  expect_ufl_error("dflp-ufl 1\n1 1 1\n1e400\n0 0 1\n",
+                   "line 3, field 1 (opening cost)",
+                   "'1e400' is out of the range of a double");
+  // Each cost is finite; their total is not.
+  expect_ufl_error("dflp-ufl 1\n2 1 2\n1e308 1e308\n0 0 1\n1 0 1\n",
+                   "line 3, field 2 (opening cost)",
+                   "'1e308' makes the total cost overflow a double");
+  expect_ufl_error("dflp-ufl 1\n1 1 1\n1\n0 0 1.5x\n",
+                   "line 4, field 3 (connection cost)",
+                   "'1.5x' is not a number");
+}
+
+TEST(Serialize, RejectsDataAfterTheLastField) {
+  const std::string text = to_text(tiny());
+  expect_ufl_error(text + "garbage\n", "line 8, field 1 (end of input)",
+                   "'garbage' follows the last field");
+  EXPECT_THROW((void)from_text(text + to_text(tiny())), CheckError);
+  EXPECT_THROW(
+      (void)snapshot_from_text(
+          snapshot_to_text(InstanceSnapshot::initial(tiny())) + "7"),
+      CheckError);
+  EXPECT_THROW((void)delta_log_from_text("dflp-delta-log 1\n0\nclose 1\n"),
+               CheckError);
+  EXPECT_NO_THROW((void)from_text(text + " \r\n\t\n"));
 }
 
 }  // namespace

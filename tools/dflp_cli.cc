@@ -164,7 +164,11 @@ fl::Instance load_instance(const std::string& path) {
   if (path == "-") return fl::read_instance(std::cin);
   std::ifstream in(path);
   DFLP_CHECK_MSG(in.good(), "cannot open '" << path << "'");
-  return fl::read_instance(in);
+  try {
+    return fl::read_instance(in);
+  } catch (const CheckError& e) {
+    throw CheckError(path + ": " + e.what());
+  }
 }
 
 std::vector<std::pair<std::string, harness::Algo>> algo_registry() {
