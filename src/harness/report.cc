@@ -30,7 +30,7 @@ Table results_table(const std::vector<RunResult>& results) {
 Table stream_table(const std::vector<service::EpochReport>& reports) {
   Table table({"epoch", "events", "clients", "cost", "rounds", "messages",
                "solved", "reused", "opened", "closed", "reassigned",
-               "arrived", "departed", "wall-ms"});
+               "arrived", "departed", "apply-ms", "solve-ms", "wall-ms"});
   for (const service::EpochReport& r : reports) {
     table.row()
         .cell(static_cast<std::int64_t>(r.epoch))
@@ -46,6 +46,8 @@ Table stream_table(const std::vector<service::EpochReport>& reports) {
         .cell(r.recourse.clients_reassigned)
         .cell(r.recourse.clients_arrived)
         .cell(r.recourse.clients_departed)
+        .cell(r.apply_ms, 2)
+        .cell(r.solve_ms, 2)
         .cell(r.total_ms, 2);
   }
   return table;

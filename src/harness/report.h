@@ -17,9 +17,10 @@ namespace dflp::harness {
 
 /// Streaming-epoch columns, one row per commit: epoch | events | clients |
 /// cost | rounds | messages | solved | reused | opened | closed |
-/// reassigned | arrived | departed | wall-ms. The recourse columns
-/// (opened/closed/reassigned) are the churn metric EXPERIMENTS.md E13
-/// tracks alongside cost.
+/// reassigned | arrived | departed | apply-ms | solve-ms | wall-ms. The
+/// recourse columns (opened/closed/reassigned) are the churn metric
+/// EXPERIMENTS.md E13 tracks alongside cost; apply-ms (delta-log apply) and
+/// solve-ms (partition, component solves, assembly) sum to wall-ms.
 [[nodiscard]] Table stream_table(
     const std::vector<service::EpochReport>& reports);
 

@@ -36,28 +36,7 @@ void AsyncNetwork::add_edge(NodeId u, NodeId v) {
 void AsyncNetwork::finalize() {
   DFLP_CHECK_MSG(!finalized_, "finalize called twice");
   const std::size_t n = processes_.size();
-  std::vector<std::int32_t> degree(n, 0);
-  for (auto [u, v] : edge_buffer_) {
-    ++degree[static_cast<std::size_t>(u)];
-    ++degree[static_cast<std::size_t>(v)];
-  }
-  adj_offset_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    adj_offset_[i + 1] = adj_offset_[i] + degree[i];
-  adj_.assign(static_cast<std::size_t>(adj_offset_[n]), kNoNode);
-  std::vector<std::int32_t> cursor(adj_offset_.begin(), adj_offset_.end() - 1);
-  for (auto [u, v] : edge_buffer_) {
-    adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
-    adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto begin = adj_.begin() + adj_offset_[i];
-    auto end = adj_.begin() + adj_offset_[i + 1];
-    std::sort(begin, end);
-    DFLP_CHECK_MSG(std::adjacent_find(begin, end) == end, "duplicate edge");
-  }
-  edge_buffer_.clear();
-  edge_buffer_.shrink_to_fit();
+  build_sorted_adjacency(n, std::move(edge_buffer_), adj_offset_, adj_);
 
   // IMPORTANT: identical RNG stream derivation as the synchronous Network,
   // so wrapped protocols draw the same coins in both worlds.

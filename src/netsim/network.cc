@@ -31,11 +31,48 @@ constexpr std::uint64_t kShuffleSalt = 0x5AFEC0DE5AFEC0DFULL;
 // results.
 constexpr std::size_t kGatherPrefetch = 32;
 constexpr std::size_t kScatterPrefetch = 16;
-// Scan-mode gather: one line per neighbour — the stamp carries the first
-// record inline, so there is no dependent second load to chase.
-constexpr std::size_t kScanPrefetch = 8;
 
 }  // namespace
+
+void build_sorted_adjacency(std::size_t num_nodes,
+                            std::vector<std::pair<NodeId, NodeId>> edges,
+                            std::vector<std::int32_t>& offset,
+                            std::vector<NodeId>& adj) {
+  offset.assign(num_nodes + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++offset[static_cast<std::size_t>(u) + 1];
+    ++offset[static_cast<std::size_t>(v) + 1];
+  }
+  for (std::size_t i = 0; i < num_nodes; ++i) offset[i + 1] += offset[i];
+
+  // Bucket: every edge lands in both endpoints' lists, in input order.
+  std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+  std::vector<NodeId> bucket(static_cast<std::size_t>(offset[num_nodes]));
+  for (const auto& [u, v] : edges) {
+    bucket[cursor[static_cast<std::size_t>(u)]++] = v;
+    bucket[cursor[static_cast<std::size_t>(v)]++] = u;
+  }
+  edges = {};  // released before adj is allocated, so peak memory stays put
+
+  // Transpose: walking the sources in ascending order appends s to each of
+  // its neighbours' lists, so every list fills sorted. The graph is
+  // symmetric, so its transpose is the adjacency itself. A duplicate edge
+  // shows up as s appended twice in a row to the same list.
+  std::copy(offset.begin(), offset.end() - 1, cursor.begin());
+  adj.resize(bucket.size());
+  for (std::size_t s = 0; s < num_nodes; ++s) {
+    const auto src = static_cast<NodeId>(s);
+    const auto end = static_cast<std::size_t>(offset[s + 1]);
+    for (auto k = static_cast<std::size_t>(offset[s]); k < end; ++k) {
+      const auto v = static_cast<std::size_t>(bucket[k]);
+      const std::size_t pos = cursor[v]++;
+      DFLP_CHECK_MSG(pos == static_cast<std::size_t>(offset[v]) ||
+                         adj[pos - 1] != src,
+                     "duplicate edge (" << src << "," << bucket[k] << ")");
+      adj[pos] = src;
+    }
+  }
+}
 
 void MessageSink::sink_frame(NodeId from, const Message& frame) {
   DFLP_CHECK_MSG(false, "this transport does not carry reliable-channel "
@@ -102,6 +139,12 @@ void Network::finalize() {
   DFLP_CHECK_MSG(options_.max_msgs_per_edge_per_round >= 1,
                  "Options::max_msgs_per_edge_per_round must be >= 1; got "
                      << options_.max_msgs_per_edge_per_round);
+  DFLP_CHECK_MSG(options_.max_msgs_per_edge_per_round <=
+                     RoundBuffer::kMaxEdgeAllowance,
+                 "Options::max_msgs_per_edge_per_round must be <= "
+                     << RoundBuffer::kMaxEdgeAllowance
+                     << " (per-edge send counters are 8-bit); got "
+                     << options_.max_msgs_per_edge_per_round);
   DFLP_CHECK_MSG(options_.num_threads >= 1,
                  "Options::num_threads must be >= 1; got "
                      << options_.num_threads);
@@ -118,34 +161,9 @@ void Network::finalize() {
       clique_adj_[k] = static_cast<NodeId>(k < n ? k : k - n);
     num_edges_ = n * (n - 1) / 2;
   } else {
-    std::vector<std::int32_t> degree(n, 0);
-    for (auto [u, v] : edge_buffer_) {
-      ++degree[static_cast<std::size_t>(u)];
-      ++degree[static_cast<std::size_t>(v)];
-    }
-    adj_offset_.assign(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i)
-      adj_offset_[i + 1] = adj_offset_[i] + degree[i];
-    adj_.assign(static_cast<std::size_t>(adj_offset_[n]), kNoNode);
-    std::vector<std::int32_t> cursor(adj_offset_.begin(),
-                                     adj_offset_.end() - 1);
-    for (auto [u, v] : edge_buffer_) {
-      adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] =
-          v;
-      adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] =
-          u;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      auto begin = adj_.begin() + adj_offset_[i];
-      auto end = adj_.begin() + adj_offset_[i + 1];
-      std::sort(begin, end);
-      DFLP_CHECK_MSG(std::adjacent_find(begin, end) == end,
-                     "duplicate edge at node " << i);
-    }
     num_edges_ = edge_buffer_.size();
+    build_sorted_adjacency(n, std::move(edge_buffer_), adj_offset_, adj_);
   }
-  edge_buffer_.clear();
-  edge_buffer_.shrink_to_fit();
 
   node_rngs_.reserve(n);
   Rng seeder(options_.seed);
@@ -163,7 +181,6 @@ void Network::finalize() {
   }
   inbox_scratch_.resize(num_shards);
   header_scratch_.resize(num_shards);
-  for (auto& set : rec_ranges_) set.assign(n, RecRange{});
   edge_sends_slab_.assign(adj_.size(), 0);
   if (clique_) {
     clique_scratch_.resize(num_shards);
@@ -213,74 +230,6 @@ const Process& Network::process(NodeId id) const {
 
 std::span<Message> Network::gather_inbox(std::size_t i,
                                          std::vector<Message>& scratch) {
-  if (deliver_by_scan_) {
-    // Scan-mode delivery: read each in-neighbour's staged record range
-    // straight out of last round's logs. Sorted adjacency gives ascending
-    // source, record order gives send order — the canonical inbox without
-    // any slot permutation having been built.
-    const std::vector<StageLog>& plogs = *prev_logs_;
-    const std::vector<RecRange>& ranges =
-        rec_ranges_[static_cast<std::size_t>(round_ & 1) ^ 1u];
-    const NodeId self = static_cast<NodeId>(i);
-    std::size_t count = 0;
-    const auto scan_sender = [&](NodeId u) {
-      const RecRange& range = ranges[static_cast<std::size_t>(u)];
-      if (range.round + 1 != round_) return;  // u did not step last round
-      for (std::uint32_t ri = range.lo; ri < range.hi; ++ri) {
-        const WireRecord& rec = ri == range.lo
-                                    ? range.first
-                                    : plogs[range.li].records[ri];
-        if (!(rec.flags & kWireBroadcast) && rec.dst != self) continue;
-        if (count == scratch.size()) scratch.resize(count + 1);
-        Message& m = scratch[count++];
-        m.src = rec.src;
-        m.dst = self;
-        m.kind = rec.kind;
-        m.field = rec.field;
-        m.bits = static_cast<int>(rec.bits);
-        if (rec.flags & kWireHasHeader) {
-          // Rare (reliable-channel frames): headers sit in the log's sparse
-          // side list, ascending by record index.
-          const std::vector<StagedHeader>& headers = plogs[range.li].headers;
-          const auto it = std::lower_bound(
-              headers.begin(), headers.end(), ri,
-              [](const StagedHeader& h, std::uint32_t r) {
-                return h.record < r;
-              });
-          m.has_header = true;
-          m.hdr = it->hdr;
-        } else {
-          // hdr is left untouched: its bytes are only meaningful under
-          // has_header (message.h), and skipping the 32-byte zeroing cuts
-          // the per-delivery write traffic by ~40%.
-          m.has_header = false;
-        }
-      }
-    };
-    if (clique_) {
-      // Implicit all-to-all: every other node is an in-neighbour. Ascending
-      // id order (not the rotated neighbour span) keeps the inbox in the
-      // canonical ascending-source order the arena path produces.
-      const std::size_t n = processes_.size();
-      for (std::size_t u = 0; u < n; ++u) {
-        if (u + kScanPrefetch < n) __builtin_prefetch(&ranges[u + kScanPrefetch]);
-        if (u == i) continue;
-        scan_sender(static_cast<NodeId>(u));
-      }
-      return {scratch.data(), count};
-    }
-    const std::span<const NodeId> nbrs = neighbors_unchecked(i);
-    for (std::size_t idx = 0; idx < nbrs.size(); ++idx) {
-      // One prefetched line per neighbour: the stamp replicates the first
-      // staged record inline, so the common one-record-per-sender case is a
-      // single random read with no dependent stamp -> record chase.
-      if (idx + kScanPrefetch < nbrs.size())
-        __builtin_prefetch(
-            &ranges[static_cast<std::size_t>(nbrs[idx + kScanPrefetch])]);
-      scan_sender(nbrs[idx]);
-    }
-    return {scratch.data(), count};
-  }
   const auto count = static_cast<std::size_t>(slice_count_[i]);
   if (count == 0) return {};
   // Grown, never shrunk: stale elements past `count` are dead capacity and
@@ -370,9 +319,9 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   RoundBuffer::Limits limits;
   limits.bit_budget = options_.bit_budget;
   limits.max_msgs_per_edge_per_round = options_.max_msgs_per_edge_per_round;
-  // tally_destinations is set per round below: hazard commits re-count per
-  // surviving copy, and rounds predicted to commit in scan mode discard
-  // the histogram unread, so staging skips it in both cases.
+  // Fault-free commits merge the stage-time destination histograms; hazard
+  // commits re-count per surviving copy, so staging skips the tally there.
+  limits.tally_destinations = !hazards;
 
   // Tracing is a pure observation layer: when no tracer is attached the
   // only cost is the `if (tracer)` test per round, and with one attached
@@ -479,15 +428,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // until the gather below reads them).
     std::vector<StageLog>& logs =
         stage_logs_[static_cast<std::size_t>(round_ & 1)];
-    prev_logs_ = &stage_logs_[static_cast<std::size_t>(round_ & 1) ^ 1u];
     log_claim.store(0, std::memory_order_relaxed);
-
-    // Histogram prediction: tally at stage time unless the previous commit
-    // chose scan mode (the tally would be discarded unread) or hazards
-    // re-count anyway. A wrong prediction only costs a serial rebuild in
-    // the layout pass, and the prediction is a pure function of the
-    // previous round's totals — identical across thread counts.
-    limits.tally_destinations = !hazards && !deliver_by_scan_;
 
     // Step phase: every live node gathers its inbox and runs against the
     // shard's log through a stack-local buffer. Shards only touch per-shard
@@ -501,8 +442,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       log.reset();
       log.range_begin = begin;
       std::vector<Message>& scratch = inbox_scratch_[li];
-      std::vector<RecRange>& ranges =
-          rec_ranges_[static_cast<std::size_t>(round_ & 1)];
       RoundBuffer buffer;
       for (std::size_t k = begin; k < end; ++k) {
         const NodeId id = live_nodes_[k];
@@ -510,7 +449,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         const std::span<Message> inbox = gather_inbox(i, scratch);
         order_inbox(inbox, id);
         const std::span<const NodeId> nbrs = neighbors_unchecked(i);
-        const auto rec_lo = static_cast<std::uint32_t>(log.records.size());
         if (clique_) {
           buffer.begin(id, round_, nbrs, limits, &log, {},
                        &clique_scratch_[li]);
@@ -521,18 +459,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         }
         NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
         processes_[i]->on_round(ctx, std::span<const Message>(inbox));
-        // Stamp where this node's records landed so a scan-mode gather can
-        // find them next round. Each node is stepped by exactly one shard
-        // and the array is parity-split, so no reader or writer races this.
-        RecRange& range = ranges[i];
-        range.round = round_;
-        range.lo = rec_lo;
-        range.hi = static_cast<std::uint32_t>(log.records.size());
-        range.li = static_cast<std::uint32_t>(li);
-        // Replicate the first record into the stamp's tail: the copy reads
-        // a line that is still hot in L1 and saves every scanning neighbour
-        // a dependent random load next round.
-        if (range.hi != rec_lo) range.first = log.records[rec_lo];
       }
     };
     if (tracer) {
@@ -576,7 +502,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // logs either way, keeping the halt pass O(#halts).
     std::uint64_t sent_this_round = 0;
     std::uint64_t bits_acc = 0;
-    std::uint64_t scan_cost = 0;
     int max_bits = 0;  // round-local; merged into run_metrics after tally
     survivors_.clear();
     halt_requests_.clear();
@@ -592,7 +517,16 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       if (!hazards) {
         bits_acc += log.bits_sum;
         max_bits = std::max(max_bits, log.max_bits);
-        scan_cost += log.scan_cost;
+        // Merge the destination histogram staging already counted
+        // (O(touched dsts), not O(messages)), draining the log's copy back
+        // to all-zero.
+        for (const NodeId d : log.touched) {
+          const auto dst = static_cast<std::size_t>(d);
+          if (dst_count_[dst] == 0) next_touched_.push_back(d);
+          dst_count_[dst] += log.dst_count[dst];
+          log.dst_count[dst] = 0;
+        }
+        log.touched.clear();
         continue;
       }
       FaultPlan::SenderCoins coins;
@@ -649,100 +583,44 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     run_metrics.max_message_bits =
         std::max(run_metrics.max_message_bits, max_bits);
 
-    // Delivery-mode gate (see network.h): fault-free rounds whose
-    // neighbour-scan cost is within 2x the survivor count skip the layout
-    // and scatter passes — next round's gathers read the records straight
-    // from the logs via the RecRange stamps. Both sides of the comparison
-    // are round totals, so the choice is thread-count invariant.
-    const bool scan_mode = !hazards && scan_cost <= 2 * survivors;
-    deliver_by_scan_ = scan_mode;
-    if (scan_mode && limits.tally_destinations) {
-      // Staged under an arena-mode prediction that did not hold: the
-      // histograms go unread; rezero them (O(touched)) for the next claim.
-      for (const std::size_t li : log_order_) {
-        StageLog& log = logs[li];
-        for (const NodeId d : log.touched)
-          log.dst_count[static_cast<std::size_t>(d)] = 0;
-        log.touched.clear();
-      }
-    }
-    if (!scan_mode && !hazards) {
-      if (limits.tally_destinations) {
-        // Merge the per-log destination histograms staging already counted
-        // (O(logs + touched dsts), not O(messages)), draining each log's
-        // copy back to all-zero.
-        for (const std::size_t li : log_order_) {
-          StageLog& log = logs[li];
-          for (const NodeId d : log.touched) {
-            const auto dst = static_cast<std::size_t>(d);
-            if (dst_count_[dst] == 0) next_touched_.push_back(d);
-            dst_count_[dst] += log.dst_count[dst];
-            log.dst_count[dst] = 0;
-          }
-          log.touched.clear();
-        }
-      } else {
-        // Staged under a scan-mode prediction that did not hold (the
-        // traffic mix shifted): rebuild the histogram from the records,
-        // serially — a transition round, not the steady state.
-        for (const std::size_t li : log_order_) {
-          for (const WireRecord& rec : logs[li].records) {
-            if (rec.flags & kWireBroadcast) {
-              for_each_broadcast_dst(rec.src, [&](NodeId nb) {
-                if (dst_count_[static_cast<std::size_t>(nb)]++ == 0)
-                  next_touched_.push_back(nb);
-              });
-            } else {
-              if (dst_count_[static_cast<std::size_t>(rec.dst)]++ == 0)
-                next_touched_.push_back(rec.dst);
-            }
-          }
-        }
-      }
-    }
-
-    // Commit, pass 2 — layout (arena mode only): the step phase consumed
-    // the old arena, so retire its slices and prefix-sum the tally into the
-    // new ones. dst_count_ returns to all-zero. Sparse rounds visit only
-    // the touched list; dense rounds (survivors >= N/8, a deterministic,
-    // thread-invariant gate that keeps the pass O(live + messages)) rebuild
-    // the touched list by one ascending scan of the count column instead —
+    // Commit, pass 2 — layout: the step phase consumed the old arena, so
+    // retire its slices and prefix-sum the tally into the new ones.
+    // dst_count_ returns to all-zero. Sparse rounds visit only the touched
+    // list; dense rounds (survivors >= N/8, a deterministic, thread-
+    // invariant gate that keeps the pass O(live + messages)) rebuild the
+    // touched list by one ascending scan of the count column instead —
     // branch-predictable, auto-vectorizable, and it lays slices out in
     // ascending destination order, which the scatter and gather then walk
-    // monotonically. Scan-mode rounds leave the retired slices in place;
-    // the next arena-mode round retires them then (touched_ still lists
-    // them — scan rounds never touch it).
+    // monotonically.
+    for (const NodeId d : touched_)
+      slice_count_[static_cast<std::size_t>(d)] = 0;
+    touched_.swap(next_touched_);
+    next_touched_.clear();
     std::size_t offset = 0;
-    if (!scan_mode) {
-      for (const NodeId d : touched_)
-        slice_count_[static_cast<std::size_t>(d)] = 0;
-      touched_.swap(next_touched_);
-      next_touched_.clear();
-      if (!touched_.empty() && survivors >= n / 8) {
-        touched_.clear();
-        for (std::size_t dst = 0; dst < n; ++dst) {
-          if (dst_count_[dst] == 0) continue;
-          touched_.push_back(static_cast<NodeId>(dst));
-          slice_begin_[dst] = offset;
-          slice_count_[dst] = dst_count_[dst];
-          dst_cursor_[dst] = offset;
-          offset += static_cast<std::size_t>(dst_count_[dst]);
-          dst_count_[dst] = 0;
-          ++transport_touches_;
-        }
-      } else {
-        for (const NodeId d : touched_) {
-          const auto dst = static_cast<std::size_t>(d);
-          slice_begin_[dst] = offset;
-          slice_count_[dst] = dst_count_[dst];
-          dst_cursor_[dst] = offset;
-          offset += static_cast<std::size_t>(dst_count_[dst]);
-          dst_count_[dst] = 0;
-          ++transport_touches_;
-        }
+    if (!touched_.empty() && survivors >= n / 8) {
+      touched_.clear();
+      for (std::size_t dst = 0; dst < n; ++dst) {
+        if (dst_count_[dst] == 0) continue;
+        touched_.push_back(static_cast<NodeId>(dst));
+        slice_begin_[dst] = offset;
+        slice_count_[dst] = dst_count_[dst];
+        dst_cursor_[dst] = offset;
+        offset += static_cast<std::size_t>(dst_count_[dst]);
+        dst_count_[dst] = 0;
+        ++transport_touches_;
       }
-      next_arena_.resize(offset);
+    } else {
+      for (const NodeId d : touched_) {
+        const auto dst = static_cast<std::size_t>(d);
+        slice_begin_[dst] = offset;
+        slice_count_[dst] = dst_count_[dst];
+        dst_cursor_[dst] = offset;
+        offset += static_cast<std::size_t>(dst_count_[dst]);
+        dst_count_[dst] = 0;
+        ++transport_touches_;
+      }
     }
+    next_arena_.resize(offset);
     if (tracer) t_commit1 = TraceClock::now();
 
     // Commit, pass 3 — scatter: write each surviving record's address into
@@ -757,8 +635,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // (empty on protocol-only traffic). Rounds with drops read the
     // pre-filtered survivors_ scratch so the fault coins are not re-drawn.
     scatter_claim.store(0, std::memory_order_relaxed);
-    if (!scan_mode) header_slots_.clear();
-    if (!scan_mode && survivors > 0) {
+    header_slots_.clear();
+    if (survivors > 0) {
       const auto scatter_range = [&](std::size_t d_lo, std::size_t d_hi) {
         if (d_lo == d_hi) return;
         const std::size_t si =
@@ -831,7 +709,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
                   return a.slot < b.slot;
                 });
     }
-    if (!scan_mode) arena_.swap(next_arena_);
+    arena_.swap(next_arena_);
     inflight_messages_ = survivors;
     if (tracer) t_scatter1 = TraceClock::now();
     // Logical delivery volume: survivors times the full 80-byte Message

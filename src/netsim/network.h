@@ -61,21 +61,7 @@
 // At delivery the next step phase *gathers*: each node's slot slice is
 // materialized into a per-shard `Message` scratch (the only place the wide
 // view is built), ordered per `DeliveryOrder`, and handed to the process.
-//
-// Broadcast-heavy fault-free rounds skip the layout and scatter passes
-// entirely: when the *neighbour-scan cost* — every staged record read once
-// per neighbour of its sender, tracked per log as `StageLog::scan_cost` —
-// is within 2x the survivor count, the commit only merges the aggregate
-// counters and flips the round into scan mode. The next gather then walks
-// each node's in-neighbours (sorted adjacency = ascending source, the
-// canonical order) and reads their staged record ranges (`RecRange`,
-// stamped per node by the step phase) straight out of the logs, keeping
-// broadcast records folded end to end: a degree-d broadcast costs one
-// 40-byte record write at stage time and d reads at gather time, with no
-// per-copy slot ever written. The gate is a pure function of round totals,
-// so the mode choice — like everything else — is thread-count invariant;
-// unicast-dominated rounds (where scanning would over-read) keep the
-// counting-sort arena path above.
+// Every round, fault-free or not, delivers through this arena.
 // Per-round transport work is O(live nodes + messages), never O(N): the
 // engine iterates an explicit live-node list (halted nodes are compacted
 // out), and quiescence is an O(1) check of the maintained live/in-flight
@@ -104,6 +90,12 @@
 // canonical order), `kReverseSource` is a cheap adversary for
 // order-sensitivity tests.
 //
+// Topology build
+// --------------
+// `finalize()` builds the sorted CSR adjacency in O(N + E) with no sort:
+// the edges are bucketed into unsorted per-node lists, which are then
+// transposed in ascending source order (`build_sorted_adjacency`).
+//
 // Resume semantics
 // ----------------
 // `run()` returning (quiescence or max_rounds) always leaves the engine at
@@ -120,10 +112,10 @@
 // rotation array of 2N-1 node ids (`clique_adj_[k] = k mod N`), so node i's
 // neighbour span is the N-1 ids starting after its own — every node except
 // i, beginning at i+1 and wrapping. The span is a *rotation*, not sorted;
-// engine-internal expansion (scan gathers, hazard coins, histogram rebuilds,
-// the commit scatter) instead iterates destinations in ascending id order
-// skipping the sender, which keeps `kBySource` the canonical ascending-source
-// order and the per-copy fault-coin stream identical to an explicit clique.
+// engine-internal expansion (stage-time histograms, hazard coins, the commit
+// scatter) instead iterates destinations in ascending id order skipping the
+// sender, which keeps `kBySource` the canonical ascending-source order and
+// the per-copy fault-coin stream identical to an explicit clique.
 // Per-link legality is enforced exactly as in explicit topologies — the
 // RoundBuffer charges each (sender, destination) pair against
 // `max_msgs_per_edge_per_round` through an epoch-stamped per-shard scratch
@@ -150,6 +142,7 @@
 #include <memory>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -222,11 +215,6 @@ struct StageLog {
   std::uint64_t messages = 0;  ///< staged sends incl. broadcast fan-out
   std::uint64_t bits_sum = 0;  ///< declared bits over all staged sends
   int max_bits = 0;            ///< largest staged declared size
-  /// Cost of delivering this log by neighbour scan instead of by scatter:
-  /// every record is read once by each of its sender's neighbours, so each
-  /// staged record adds degree(sender). The commit compares the summed cost
-  /// against the survivor count to pick the round's delivery mode.
-  std::uint64_t scan_cost = 0;
 
   /// Live-list begin of the shard that claimed this log — the commit phase
   /// orders claimed logs by it to recover the canonical serial order.
@@ -359,7 +347,8 @@ class Network final {
     /// Per-message budget in bits. The canonical CONGEST budget for an
     /// N-node network is `congest_bit_budget(N)`.
     int bit_budget = 64;
-    /// Messages allowed per directed edge per round (CONGEST: 1).
+    /// Messages allowed per directed edge per round (CONGEST: 1), in
+    /// [1, RoundBuffer::kMaxEdgeAllowance].
     int max_msgs_per_edge_per_round = 1;
     DeliveryOrder delivery = DeliveryOrder::kBySource;
     /// Fault injection plan (default: no faults — the paper's reliable
@@ -387,10 +376,11 @@ class Network final {
   /// Topology::kClique (the clique's edges are implicit).
   void add_edge(NodeId u, NodeId v);
 
-  /// Freezes the topology (builds adjacency), validates the options
-  /// (budget, allowance, threads, fault plan — throwing CheckError with the
-  /// offending value), binds the fault plan, derives per-node RNGs and
-  /// allocates the per-shard staging logs and arena slabs.
+  /// Freezes the topology (builds the sorted adjacency in O(N + E)),
+  /// validates the options (budget, allowance, threads, fault plan —
+  /// throwing CheckError with the offending value), binds the fault plan,
+  /// derives per-node RNGs and allocates the per-shard staging logs and
+  /// arena slabs.
   /// Must be called exactly once, before set_process()/run().
   void finalize();
 
@@ -500,24 +490,6 @@ class Network final {
     NodeId dst = kNoNode;
   };
 
-  // Where one node's staged records live: (log, record range) within the
-  // round's log set, written by the owning step shard right after the node
-  // runs. `round` stamps the range so neighbour-scan gathers skip nodes
-  // that did not step last round (halted, crashed, or never stamped);
-  // double-buffered by round parity like the logs themselves, so this
-  // round's writers never race last round's readers. The sender's first
-  // record is replicated inline and the struct is cache-line aligned, so
-  // the dominant one-record-per-sender case costs the scanning neighbour a
-  // single random line read — no dependent stamp -> log -> record chain.
-  struct alignas(64) RecRange {
-    std::uint64_t round = ~std::uint64_t{0};
-    std::uint32_t lo = 0;
-    std::uint32_t hi = 0;
-    std::uint32_t li = 0;  ///< claimed-log index within the parity set
-    WireRecord first;      ///< copy of records[lo], valid when hi > lo
-  };
-  static_assert(sizeof(RecRange) == 64, "RecRange should fill one line");
-
   // Structure-of-arrays delivery state — see the header comment.
   //
   // stage_logs_ holds two sets of per-shard staging logs, flipped by round
@@ -537,7 +509,6 @@ class Network final {
   // filled only on rounds with message hazards; fault-free rounds scatter
   // straight from the logs and leave it empty.
   std::array<std::vector<StageLog>, 2> stage_logs_;
-  std::array<std::vector<RecRange>, 2> rec_ranges_;  ///< per-node, by parity
   std::vector<std::vector<Message>> inbox_scratch_;  ///< per step shard
   std::vector<std::int8_t> edge_sends_slab_;
   std::vector<const WireRecord*> arena_;
@@ -552,15 +523,6 @@ class Network final {
   std::vector<std::size_t> dst_cursor_;
   std::vector<NodeId> touched_;
   std::vector<NodeId> next_touched_;
-
-  // Round-r delivery mode, chosen by the commit of round r-1 (see the
-  // header comment): false = gather from the arena's slot slices, true =
-  // gather by scanning each in-neighbour's RecRange directly (broadcast-
-  // heavy fault-free rounds, where it skips the tally merge, layout and
-  // scatter passes outright). prev_logs_ points at the parity log set the
-  // current gathers read from; refreshed at every round start.
-  bool deliver_by_scan_ = false;
-  const std::vector<StageLog>* prev_logs_ = nullptr;
 
   // Fault injection, bound at finalize(); crash_cursor_ walks the sorted
   // crash schedule as rounds advance.
@@ -587,5 +549,16 @@ class Network final {
 /// 4 * ceil(log2(N + 2)) + 16 bits. The constant leaves room for an opcode
 /// and up to three log-sized payload words, mirroring the O(log N) bound.
 [[nodiscard]] int congest_bit_budget(std::size_t num_nodes) noexcept;
+
+/// Builds the sorted CSR adjacency of an undirected edge list over nodes
+/// [0, num_nodes) in O(num_nodes + E): node i's neighbours are
+/// adj[offset[i] .. offset[i+1]), ascending. Endpoints must already be
+/// range-checked and distinct; a duplicate edge, in either orientation,
+/// throws CheckError naming both endpoints. `edges` is released before the
+/// adjacency is allocated. Shared by Network and AsyncNetwork.
+void build_sorted_adjacency(std::size_t num_nodes,
+                            std::vector<std::pair<NodeId, NodeId>> edges,
+                            std::vector<std::int32_t>& offset,
+                            std::vector<NodeId>& adj);
 
 }  // namespace dflp::net

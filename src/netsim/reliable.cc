@@ -35,6 +35,12 @@ ReliableChannel::ReliableChannel(std::unique_ptr<Process> inner,
   DFLP_CHECK_MSG(options_.max_msgs_per_edge_per_round >= 1,
                  "inner per-edge allowance must be >= 1, got "
                      << options_.max_msgs_per_edge_per_round);
+  DFLP_CHECK_MSG(
+      options_.max_msgs_per_edge_per_round <= RoundBuffer::kMaxEdgeAllowance,
+      "inner per-edge allowance must be <= "
+          << RoundBuffer::kMaxEdgeAllowance
+          << " (per-edge send counters are 8-bit), got "
+          << options_.max_msgs_per_edge_per_round);
   DFLP_CHECK_MSG(options_.rto_initial >= 1,
                  "rto_initial must be >= 1 round, got " << options_.rto_initial);
   DFLP_CHECK_MSG(options_.rto_max >= options_.rto_initial,

@@ -83,7 +83,8 @@ class ReliableChannel final : public Process {
     /// Bit budget enforced on the *inner* protocol's sends (the physical
     /// network budget must be at least reliable_bit_budget() of this).
     int inner_bit_budget = 64;
-    /// Inner per-edge allowance per logical round.
+    /// Inner per-edge allowance per logical round, in
+    /// [1, RoundBuffer::kMaxEdgeAllowance].
     int max_msgs_per_edge_per_round = 1;
     /// Retransmission timeout in physical rounds (engine RTT is 2).
     int rto_initial = 2;

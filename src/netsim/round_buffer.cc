@@ -18,7 +18,6 @@ void StageLog::reset() noexcept {
   messages = 0;
   bits_sum = 0;
   max_bits = 0;
-  scan_cost = 0;
   range_begin = 0;
 }
 
@@ -77,7 +76,6 @@ void RoundBuffer::stage_single(const WireRecord& rec) {
   ++log.messages;
   log.bits_sum += static_cast<std::uint64_t>(rec.bits);
   log.max_bits = std::max(log.max_bits, static_cast<int>(rec.bits));
-  log.scan_cost += neighbors_.size();
   if (limits_.tally_destinations) {
     const auto dst = static_cast<std::size_t>(rec.dst);
     if (log.dst_count[dst]++ == 0) log.touched.push_back(rec.dst);
@@ -216,7 +214,6 @@ void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
   log.messages += degree;
   log.bits_sum += degree * static_cast<std::uint64_t>(rec.bits);
   log.max_bits = std::max(log.max_bits, static_cast<int>(rec.bits));
-  log.scan_cost += degree;
 }
 
 void RoundBuffer::sink_frame(NodeId from, const Message& frame) {

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -41,10 +42,15 @@ namespace dflp::net {
 
 class RoundBuffer final : public MessageSink {
  public:
+  /// Largest per-edge allowance the buffer can enforce: the per-edge send
+  /// counters are 8-bit, so transports reject larger allowances up front.
+  static constexpr int kMaxEdgeAllowance =
+      std::numeric_limits<std::int8_t>::max();
+
   /// Legality limits checked at send time, supplied by the transport.
   struct Limits {
     int bit_budget = 64;
-    int max_msgs_per_edge_per_round = 1;
+    int max_msgs_per_edge_per_round = 1;  ///< <= kMaxEdgeAllowance
     /// Largest opcode the staged protocol may use (the synchronizer
     /// reserves 0xFE/0xFF for its control traffic).
     std::uint8_t max_kind = 0xFF;
@@ -53,9 +59,10 @@ class RoundBuffer final : public MessageSink {
     /// sink, so untraced runs pay only the virtual call.
     bool capture_annotations = false;
     /// Maintain the log's per-destination histogram at stage time (the
-    /// engine's fault-free commit merges it instead of re-counting the
-    /// records). Requires StageLog::dst_count sized to the node count, so
-    /// standalone consumers leave it off.
+    /// engine sets it when the run has no message hazards: its commit then
+    /// merges the histograms instead of re-counting the records). Requires
+    /// StageLog::dst_count sized to the node count, so standalone consumers
+    /// leave it off.
     bool tally_destinations = false;
   };
 

@@ -2,12 +2,13 @@
 //
 // The engine's capacity-recycling contract (netsim/network.h §arena) is
 // that once a workload's shapes have been seen, whole rounds run out of
-// recycled storage: staging logs, the slot permutation, inbox scratch,
-// RecRange stamps, and the per-edge allowance slab are all grown once and
-// reused. This file replaces the global allocator with a counting shim and
-// pins that contract literally — after a short warm-up, additional rounds
-// perform ZERO heap allocations, in both delivery modes the commit can
-// pick (slot-permutation scatter and neighbour scan).
+// recycled storage: staging logs, stage-time histograms, the slot
+// permutation, inbox scratch, and the per-edge allowance slab are all
+// grown once and reused. This file replaces the global allocator with a
+// counting shim and pins that contract literally — after a short warm-up,
+// additional rounds perform ZERO heap allocations, both when every record
+// is a broadcast fanned out by the scatter and when every record is a
+// unicast.
 //
 // The overrides are process-wide for the whole dflp_tests binary; they
 // only count and forward, so the other suites see identical behaviour.
@@ -69,9 +70,8 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace dflp {
 namespace {
 
-/// All-broadcast storm: every record fans out analytically, the commit's
-/// scan gate fires (scan_cost == survivors on any graph), and delivery
-/// goes through the neighbour-scan gather.
+/// All-broadcast storm: every node stages one broadcast record, and the
+/// commit scatter fans each one out into degree slots of the arena.
 class Broadcaster final : public net::Process {
  public:
   void on_round(net::NodeContext& ctx,
@@ -84,9 +84,7 @@ class Broadcaster final : public net::Process {
   std::uint64_t received_ = 0;
 };
 
-/// One unicast per node on a degree-8 graph: scan_cost is ~8x the survivor
-/// count, the gate stays closed, and delivery goes through the layout +
-/// scatter + slot-permutation path.
+/// One unicast per node on a degree-8 graph: one slot per record.
 class Unicaster final : public net::Process {
  public:
   void on_round(net::NodeContext& ctx,
@@ -139,7 +137,7 @@ std::uint64_t steady_state_allocations(net::Network& net) {
   return g_news.load(std::memory_order_relaxed) - before;
 }
 
-TEST(ArenaAllocTest, ScanModeSteadyStateAllocatesNothing) {
+TEST(ArenaAllocTest, BroadcastSteadyStateAllocatesNothing) {
   const auto net = make_chorded_ring<Broadcaster>(512);
   EXPECT_EQ(steady_state_allocations(*net), 0u);
 }

@@ -39,6 +39,35 @@ AsyncNetwork::Options aopts(int max_delay = 4) {
   return o;
 }
 
+TEST(AsyncNetwork, TopologyValidation) {
+  AsyncNetwork net(3, aopts());
+  EXPECT_THROW(net.add_edge(0, 0), CheckError);  // self loop
+  EXPECT_THROW(net.add_edge(0, 3), CheckError);  // out of range
+  net.add_edge(2, 0);
+  net.add_edge(1, 2);
+  net.add_edge(0, 1);
+  net.add_edge(0, 2);  // (2,0) in the other orientation
+  try {
+    net.finalize();
+    ADD_FAILURE() << "expected a CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate edge (0,2)"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Without the duplicate, every list comes out sorted.
+  AsyncNetwork ok(3, aopts());
+  ok.add_edge(2, 0);
+  ok.add_edge(1, 2);
+  ok.add_edge(0, 1);
+  ok.finalize();
+  const auto nbrs = ok.neighbors_of(2);
+  ASSERT_EQ(nbrs.size(), 2u);
+  EXPECT_EQ(nbrs[0], 0);
+  EXPECT_EQ(nbrs[1], 1);
+}
+
 TEST(AsyncNetwork, DeliversAfterBoundedDelay) {
   AsyncNetwork net(2, aopts());
   net.add_edge(0, 1);

@@ -182,10 +182,9 @@ TEST_P(EngineEquivalenceTest, MwGreedyMatchesCommittedGolden) {
 }
 
 // Fingerprint committed in golden_metrics_test.cc (uniform family, 80
-// facilities, instance seed 13; k=4, engine seed 17). The SoA arena — and
-// its per-round choice between slot-permutation and neighbour-scan
-// delivery — must reproduce it at every thread count and delivery order,
-// and the unrecovered drop stream must keep failing with the committed
+// facilities, instance seed 13; k=4, engine seed 17). The SoA arena must
+// reproduce it at every thread count and delivery order, and the
+// unrecovered drop stream must keep failing with the committed
 // diagnostic everywhere. This is the cross-check the per-config sweeps
 // cannot do alone: a rewrite that shifts all thread counts in lockstep
 // still trips this golden.

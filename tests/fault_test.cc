@@ -56,13 +56,23 @@ TEST(OptionsValidation, RejectsBitBudgetBelowOpcode) {
   EXPECT_NE(msg.find("got 7"), std::string::npos) << msg;
 }
 
-TEST(OptionsValidation, RejectsZeroEdgeAllowance) {
+TEST(OptionsValidation, RejectsEdgeAllowanceOutOfRange) {
   Network::Options o = base_opts();
   o.max_msgs_per_edge_per_round = 0;
-  const std::string msg = rejection_message([&] { finalize_with(o); });
+  std::string msg = rejection_message([&] { finalize_with(o); });
   EXPECT_NE(msg.find("max_msgs_per_edge_per_round must be >= 1"),
             std::string::npos)
       << msg;
+  // The per-edge send counters are 8-bit: a larger allowance would wrap a
+  // counter and stop enforcing the limit, so it is refused up front.
+  o.max_msgs_per_edge_per_round = 128;
+  msg = rejection_message([&] { finalize_with(o); });
+  EXPECT_NE(msg.find("max_msgs_per_edge_per_round must be <= 127"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("got 128"), std::string::npos) << msg;
+  o.max_msgs_per_edge_per_round = 127;
+  EXPECT_NO_THROW(finalize_with(o));
 }
 
 TEST(OptionsValidation, RejectsZeroThreads) {

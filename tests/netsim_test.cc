@@ -2,12 +2,16 @@
 // enforcement, determinism, metrics, fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "netsim/message.h"
 #include "netsim/network.h"
 
@@ -96,6 +100,21 @@ TEST(Network, TopologyValidation) {
   net.add_edge(0, 1);
   net.add_edge(0, 1);  // duplicate detected at finalize
   EXPECT_THROW(net.finalize(), CheckError);
+
+  // The same edge given in the other orientation is a duplicate too, and
+  // the message names both endpoints.
+  Network reversed(3, opts());
+  reversed.add_edge(0, 1);
+  reversed.add_edge(1, 2);
+  reversed.add_edge(1, 0);
+  try {
+    reversed.finalize();
+    ADD_FAILURE() << "expected a CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate edge (0,1)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Network, NeighborsAreSortedBothDirections) {
@@ -111,6 +130,36 @@ TEST(Network, NeighborsAreSortedBothDirections) {
   EXPECT_EQ(nbrs[2], 3);
   EXPECT_EQ(net.neighbors_of(0).size(), 1u);
   EXPECT_EQ(net.num_edges(), 3u);
+
+  // A random graph added in shuffled order and orientation: every list
+  // must match a sorted reference.
+  constexpr std::size_t kNodes = 300;
+  Rng rng(0x5EEDULL);
+  std::set<std::pair<NodeId, NodeId>> edge_set;
+  while (edge_set.size() < 2000) {
+    const auto u = static_cast<NodeId>(rng.uniform_u64(kNodes));
+    const auto v = static_cast<NodeId>(rng.uniform_u64(kNodes));
+    if (u != v) edge_set.insert(std::minmax(u, v));
+  }
+  std::vector<std::pair<NodeId, NodeId>> edges(edge_set.begin(),
+                                               edge_set.end());
+  rng.shuffle(edges.begin(), edges.end());
+  std::vector<std::vector<NodeId>> reference(kNodes);
+  Network random_net(kNodes, opts());
+  for (auto [u, v] : edges) {
+    if (rng.bernoulli(0.5)) std::swap(u, v);
+    random_net.add_edge(u, v);
+    reference[static_cast<std::size_t>(u)].push_back(v);
+    reference[static_cast<std::size_t>(v)].push_back(u);
+  }
+  random_net.finalize();
+  EXPECT_EQ(random_net.num_edges(), edges.size());
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    std::sort(reference[i].begin(), reference[i].end());
+    const auto nbrs = random_net.neighbors_of(static_cast<NodeId>(i));
+    EXPECT_EQ(std::vector<NodeId>(nbrs.begin(), nbrs.end()), reference[i])
+        << "node " << i;
+  }
 }
 
 TEST(Network, MessageDeliveredNextRoundIntact) {

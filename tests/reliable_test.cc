@@ -72,6 +72,31 @@ class Script final : public net::Process {
   Fn fn_;
 };
 
+TEST(ReliableChannel, RejectsEdgeAllowanceOutOfRange) {
+  const auto rejection = [](int allowance) -> std::string {
+    net::ReliableChannel::Options ch;
+    ch.max_msgs_per_edge_per_round = allowance;
+    try {
+      net::ReliableChannel channel(
+          std::make_unique<Script>([](auto&, auto) {}), ch);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return {};
+  };
+  std::string msg = rejection(0);
+  EXPECT_NE(msg.find("inner per-edge allowance must be >= 1"),
+            std::string::npos)
+      << msg;
+  // 8-bit per-edge send counters: 128 would wrap and stop enforcing.
+  msg = rejection(128);
+  EXPECT_NE(msg.find("inner per-edge allowance must be <= 127"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("got 128"), std::string::npos) << msg;
+  EXPECT_EQ(rejection(127), "");
+}
+
 TEST(ReliableChannel, DeliversInOrderUnderHeavyLossAndDuplication) {
   // Node 0 streams the values 1, 2, 3 to node 1 over three logical rounds;
   // node 1 halts once it has them all. The physical network drops 30% of
