@@ -123,21 +123,10 @@ void run_experiment() {
   run_boost_table();
 }
 
-void BM_AblationDefault(benchmark::State& state) {
-  const fl::Instance inst = ablation_instance(workload::Family::kUniform, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, make_params(16, 1));
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_AblationDefault)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

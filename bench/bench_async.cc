@@ -64,30 +64,10 @@ void run_experiment() {
   print_table("uniform family, max message delay 16", table);
 }
 
-void BM_SyncRun(benchmark::State& state) {
-  const fl::Instance inst = sized_instance(100, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, make_params(4, 1));
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_SyncRun)->Unit(benchmark::kMillisecond);
-
-void BM_AsyncSynchronizedRun(benchmark::State& state) {
-  const fl::Instance inst = sized_instance(100, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy_async(inst, make_params(4, 1), 16);
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_AsyncSynchronizedRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

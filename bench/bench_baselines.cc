@@ -86,30 +86,10 @@ void run_experiment() {
   run_family("non-metric (power-law costs)", nonmetric_instance);
 }
 
-void BM_JainVazirani(benchmark::State& state) {
-  const fl::Instance inst = metric_instance(1);
-  for (auto _ : state) {
-    auto out = dflp::seq::jain_vazirani_solve(inst);
-    benchmark::DoNotOptimize(out.temporarily_open);
-  }
-}
-BENCHMARK(BM_JainVazirani)->Unit(benchmark::kMillisecond);
-
-void BM_MettuPlaxton(benchmark::State& state) {
-  const fl::Instance inst = metric_instance(1);
-  for (auto _ : state) {
-    auto out = dflp::seq::mettu_plaxton_solve(inst);
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_MettuPlaxton)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

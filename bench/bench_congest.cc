@@ -75,24 +75,10 @@ void run_experiment() {
   print_table("rounds vs k (n = 200, single seed — deterministic)", ktable);
 }
 
-void BM_RoundsAtN(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  const fl::Instance inst = uniform_instance(n, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, make_params(4, 1));
-    benchmark::DoNotOptimize(out.metrics.rounds);
-  }
-  state.counters["rounds"] = static_cast<double>(
-      core::run_mw_greedy(inst, make_params(4, 1)).metrics.rounds);
-}
-BENCHMARK(BM_RoundsAtN)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

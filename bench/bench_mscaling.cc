@@ -46,22 +46,10 @@ void run_experiment() {
   print_table("uniform family", table);
 }
 
-void BM_MScaling(benchmark::State& state) {
-  const auto m = static_cast<std::int32_t>(state.range(0));
-  const fl::Instance inst = m_instance(m, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, make_params(4, 1));
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_MScaling)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -122,30 +122,10 @@ void run_experiment() {
   run_end_to_end_table();
 }
 
-void BM_FracLp(benchmark::State& state) {
-  const fl::Instance inst = lp_sized_instance(1);
-  for (auto _ : state) {
-    auto out = core::run_frac_lp(inst, make_params(9, 1));
-    benchmark::DoNotOptimize(out.mopup_clients);
-  }
-}
-BENCHMARK(BM_FracLp)->Unit(benchmark::kMillisecond);
-
-void BM_ExactLpSimplex(benchmark::State& state) {
-  const fl::Instance inst = lp_sized_instance(1);
-  for (auto _ : state) {
-    auto out = lp::solve_ufl_lp(inst);
-    benchmark::DoNotOptimize(out->optimum);
-  }
-}
-BENCHMARK(BM_ExactLpSimplex)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -85,43 +85,11 @@ void run_thread_sweep() {
   print_table("uniform family, degree 5", table);
 }
 
-void BM_SimulatorThroughput(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  const fl::Instance inst = big_instance(n, 1);
-  core::MwParams params = make_params(4, 1);
-  params.num_threads = static_cast<int>(state.range(1));
-  std::uint64_t messages = 0;
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, params);
-    messages = out.metrics.messages;
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-  state.counters["msgs/s"] = benchmark::Counter(
-      static_cast<double>(messages), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_SimulatorThroughput)
-    ->Args({1000, 1})
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DualAscentLarge(benchmark::State& state) {
-  const fl::Instance inst = big_instance(50000, 1);
-  for (auto _ : state) {
-    auto out = lp::dual_ascent_bound(inst);
-    benchmark::DoNotOptimize(out.lower_bound);
-  }
-}
-BENCHMARK(BM_DualAscentLarge)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
   dflp::benchx::run_thread_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -63,21 +63,10 @@ void run_experiment() {
   print_table("spread sensitivity (growth should shrink as k grows)", flat);
 }
 
-void BM_SpreadK1(benchmark::State& state) {
-  const fl::Instance inst = spread_instance(1e4, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, make_params(1, 1));
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_SpreadK1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -58,39 +58,10 @@ void run_experiment() {
   }
 }
 
-void BM_MwGreedyK4(benchmark::State& state) {
-  const fl::Instance inst = family_instance(workload::Family::kUniform, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, make_params(4, 1));
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_MwGreedyK4)->Unit(benchmark::kMillisecond);
-
-void BM_MwGreedyK64(benchmark::State& state) {
-  const fl::Instance inst = family_instance(workload::Family::kUniform, 1);
-  for (auto _ : state) {
-    auto out = core::run_mw_greedy(inst, make_params(64, 1));
-    benchmark::DoNotOptimize(out.solution.num_open());
-  }
-}
-BENCHMARK(BM_MwGreedyK64)->Unit(benchmark::kMillisecond);
-
-void BM_SeqGreedy(benchmark::State& state) {
-  const fl::Instance inst = family_instance(workload::Family::kUniform, 1);
-  for (auto _ : state) {
-    auto out = seq::greedy_solve(inst);
-    benchmark::DoNotOptimize(out.iterations);
-  }
-}
-BENCHMARK(BM_SeqGreedy)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dflp::benchx
 
-int main(int argc, char** argv) {
+int main() {
   dflp::benchx::run_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,12 +2,9 @@
 //
 // Each binary regenerates one experiment from DESIGN.md §4: it prints the
 // experiment's table(s) as Markdown — the "rows/series the paper reports",
-// here the paper's *theorem shapes* — and then runs its google-benchmark
-// timing kernels. Every number is produced from seeded runs, so reruns are
-// bit-identical.
+// here the paper's *theorem shapes*. Every number except the wall-time
+// columns is produced from seeded runs, so reruns are bit-identical.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <iostream>
 #include <string>

@@ -13,31 +13,6 @@ namespace {
 /// stream (phase 0 deliberately keeps the base seed — see header).
 constexpr std::uint64_t kFtfpPhaseSalt = 0xF7F9C0BE12E5D3ULL;
 
-/// Folds one phase's simulator metrics into the aggregate: additive
-/// counters sum, high-water marks max, the first drop of the earliest
-/// phase is kept.
-void merge_metrics(net::NetMetrics& total, const net::NetMetrics& phase) {
-  if (total.dropped == 0 && phase.dropped > 0) {
-    total.first_drop_round = phase.first_drop_round;
-    total.first_drop_src = phase.first_drop_src;
-    total.first_drop_dst = phase.first_drop_dst;
-    total.first_drop_kind = phase.first_drop_kind;
-  }
-  total.rounds += phase.rounds;
-  total.messages += phase.messages;
-  total.total_bits += phase.total_bits;
-  total.dropped += phase.dropped;
-  total.duplicated += phase.duplicated;
-  total.crashed += phase.crashed;
-  total.bytes_moved += phase.bytes_moved;
-  total.max_message_bits =
-      std::max(total.max_message_bits, phase.max_message_bits);
-  total.max_messages_in_round =
-      std::max(total.max_messages_in_round, phase.max_messages_in_round);
-  total.arena_peak_messages =
-      std::max(total.arena_peak_messages, phase.arena_peak_messages);
-}
-
 }  // namespace
 
 ResidualInstance build_residual(const fl::FtfpInstance& inst,
@@ -109,7 +84,7 @@ FtfpOutcome run_ftfp_greedy(const fl::FtfpInstance& inst,
     }
 
     if (phase == 0) outcome.schedule = step.schedule;
-    merge_metrics(outcome.metrics, step.metrics);
+    outcome.metrics.merge(step.metrics);
     outcome.phase_metrics.push_back(step.metrics);
     outcome.mopup_clients += step.mopup_clients;
     outcome.transport.merge(step.transport);

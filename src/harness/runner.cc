@@ -69,6 +69,17 @@ double safe_ratio(double cost, const LowerBound& lb) {
   return cost / lb.value;
 }
 
+/// Copies a distributed run's simulator counters into its result row.
+void record_metrics(RunResult& result, const net::NetMetrics& m) {
+  result.rounds = m.rounds;
+  result.messages = m.messages;
+  result.total_bits = m.total_bits;
+  result.max_message_bits = m.max_message_bits;
+  result.dropped = m.dropped;
+  result.duplicated = m.duplicated;
+  result.crashed = m.crashed;
+}
+
 }  // namespace
 
 RunResult run_algorithm(Algo algo, const fl::Instance& inst,
@@ -98,31 +109,16 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
       // identical to run_mw_greedy when boot_crash_fraction is 0.
       core::MwGreedyOutcome out = run_mw_greedy_with_faults(inst, run_params);
       sol = std::move(out.solution);
-      result.rounds = out.metrics.rounds;
-      result.messages = out.metrics.messages;
-      result.total_bits = out.metrics.total_bits;
-      result.max_message_bits = out.metrics.max_message_bits;
-      result.dropped = out.metrics.dropped;
-      result.duplicated = out.metrics.duplicated;
-      result.crashed = out.metrics.crashed;
+      record_metrics(result, out.metrics);
       result.retransmitted = out.transport.retransmissions;
       break;
     }
     case Algo::kPipeline: {
       core::PipelineOutcome out = core::run_pipeline(inst, run_params);
       sol = std::move(out.solution);
-      result.rounds = out.total_rounds();
-      result.messages = out.total_messages();
-      result.total_bits =
-          out.frac_metrics.total_bits + out.round_metrics.total_bits;
-      result.max_message_bits = std::max(out.frac_metrics.max_message_bits,
-                                         out.round_metrics.max_message_bits);
-      result.dropped =
-          out.frac_metrics.dropped + out.round_metrics.dropped;
-      result.duplicated =
-          out.frac_metrics.duplicated + out.round_metrics.duplicated;
-      result.crashed =
-          out.frac_metrics.crashed + out.round_metrics.crashed;
+      net::NetMetrics both = out.frac_metrics;
+      both.merge(out.round_metrics);
+      record_metrics(result, both);
       result.retransmitted = out.transport.retransmissions;
       break;
     }
@@ -168,13 +164,7 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
       cp.tracer = run_params.tracer;
       core::CliqueFlOutcome out = core::run_clique_fl(inst, cp);
       sol = std::move(out.solution);
-      result.rounds = out.metrics.rounds;
-      result.messages = out.metrics.messages;
-      result.total_bits = out.metrics.total_bits;
-      result.max_message_bits = out.metrics.max_message_bits;
-      result.dropped = out.metrics.dropped;
-      result.duplicated = out.metrics.duplicated;
-      result.crashed = out.metrics.crashed;
+      record_metrics(result, out.metrics);
       break;
     }
   }

@@ -278,7 +278,6 @@ void Synchronizer::execute_round(NodeContext& ctx) {
   // reserved opcodes the synchronizer claims for itself.
   RoundBuffer::Limits limits;
   limits.bit_budget = net_->options().bit_budget;
-  limits.max_msgs_per_edge_per_round = 1;  // CONGEST under the synchronizer
   limits.max_kind = kToken - 1;
   buffer_.begin(self_, round_, neighbors, limits);
   NodeContext inner_ctx(buffer_, self_, round_, neighbors, ctx.rng());

@@ -60,6 +60,12 @@ struct NetMetrics {
   /// 40-byte record gather per delivery).
   std::uint64_t bytes_moved = 0;
 
+  /// Folds the metrics of a later part of the same execution (a resumed
+  /// run, a pipeline stage, an FTFP phase) into this one: counters sum,
+  /// high-water marks take the max, and the first drop of the earliest part
+  /// that dropped anything is kept.
+  void merge(const NetMetrics& later) noexcept;
+
   /// Human-readable one-line summary.
   [[nodiscard]] std::string to_string() const;
 };

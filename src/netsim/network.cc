@@ -136,15 +136,6 @@ void Network::finalize() {
   DFLP_CHECK_MSG(options_.bit_budget >= 8,
                  "Options::bit_budget must be >= 8 (the opcode alone needs "
                  "8 bits); got " << options_.bit_budget);
-  DFLP_CHECK_MSG(options_.max_msgs_per_edge_per_round >= 1,
-                 "Options::max_msgs_per_edge_per_round must be >= 1; got "
-                     << options_.max_msgs_per_edge_per_round);
-  DFLP_CHECK_MSG(options_.max_msgs_per_edge_per_round <=
-                     RoundBuffer::kMaxEdgeAllowance,
-                 "Options::max_msgs_per_edge_per_round must be <= "
-                     << RoundBuffer::kMaxEdgeAllowance
-                     << " (per-edge send counters are 8-bit); got "
-                     << options_.max_msgs_per_edge_per_round);
   DFLP_CHECK_MSG(options_.num_threads >= 1,
                  "Options::num_threads must be >= 1; got "
                      << options_.num_threads);
@@ -154,7 +145,7 @@ void Network::finalize() {
   if (clique_) {
     // Implicit all-to-all adjacency: the rotation array clique_adj_[k] =
     // k mod n gives every node its N-1 neighbour span in O(n) total
-    // storage; no CSR, no per-directed-edge allowance slab.
+    // storage; no CSR.
     DFLP_CHECK_MSG(n >= 2, "Topology::kClique needs >= 2 nodes; got " << n);
     clique_adj_.resize(2 * n - 1);
     for (std::size_t k = 0; k < clique_adj_.size(); ++k)
@@ -169,11 +160,11 @@ void Network::finalize() {
   Rng seeder(options_.seed);
   for (std::size_t i = 0; i < n; ++i) node_rngs_.push_back(seeder.split(i));
 
-  // Staging state: one log (and one gather scratch) per possible step
-  // shard, double-buffered by round parity so last round's records stay
-  // addressable while this round stages; one allowance slab slot per
-  // directed CSR edge. All of it is allocated once here and recycled
-  // across rounds and run() calls.
+  // Staging state: one log (and one gather scratch and link-stamp column)
+  // per possible step shard, the logs double-buffered by round parity so
+  // last round's records stay addressable while this round stages. All of
+  // it is recycled across rounds and run() calls; the stamp columns grow to
+  // the largest degree their shard steps.
   const auto num_shards = static_cast<std::size_t>(options_.num_threads);
   for (auto& set : stage_logs_) {
     set.resize(num_shards);
@@ -181,15 +172,7 @@ void Network::finalize() {
   }
   inbox_scratch_.resize(num_shards);
   header_scratch_.resize(num_shards);
-  edge_sends_slab_.assign(adj_.size(), 0);
-  if (clique_) {
-    clique_scratch_.resize(num_shards);
-    for (CliqueScratch& cs : clique_scratch_) {
-      cs.stamp.assign(n, 0);
-      cs.counts.assign(n, 0);
-      cs.epoch = 0;  // begin() bumps before first use, so stamp 0 is stale
-    }
-  }
+  link_stamps_.resize(num_shards);
   slice_begin_.assign(n, 0);
   slice_count_.assign(n, 0);
   dst_count_.assign(n, 0);
@@ -318,7 +301,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   const bool hazards = fault_plan_.message_hazards();
   RoundBuffer::Limits limits;
   limits.bit_budget = options_.bit_budget;
-  limits.max_msgs_per_edge_per_round = options_.max_msgs_per_edge_per_round;
   // Fault-free commits merge the stage-time destination histograms; hazard
   // commits re-count per surviving copy, so staging skips the tally there.
   limits.tally_destinations = !hazards;
@@ -354,31 +336,10 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   std::atomic<std::size_t> log_claim{0};
   std::atomic<std::size_t> scatter_claim{0};
 
+  // Merged into cumulative_ even when a round throws (protocol failure
+  // under fault injection): the fault counters must survive so the failure
+  // diagnostic can name the first lost message.
   NetMetrics run_metrics;
-  // Merged even when a round throws (protocol failure under fault
-  // injection): the fault counters must survive into cumulative_ so the
-  // failure diagnostic can name the first lost message.
-  const auto merge_cumulative = [&] {
-    cumulative_.rounds += run_metrics.rounds;
-    cumulative_.messages += run_metrics.messages;
-    cumulative_.total_bits += run_metrics.total_bits;
-    cumulative_.max_message_bits =
-        std::max(cumulative_.max_message_bits, run_metrics.max_message_bits);
-    cumulative_.max_messages_in_round = std::max(
-        cumulative_.max_messages_in_round, run_metrics.max_messages_in_round);
-    if (cumulative_.dropped == 0 && run_metrics.dropped > 0) {
-      cumulative_.first_drop_round = run_metrics.first_drop_round;
-      cumulative_.first_drop_src = run_metrics.first_drop_src;
-      cumulative_.first_drop_dst = run_metrics.first_drop_dst;
-      cumulative_.first_drop_kind = run_metrics.first_drop_kind;
-    }
-    cumulative_.dropped += run_metrics.dropped;
-    cumulative_.duplicated += run_metrics.duplicated;
-    cumulative_.crashed += run_metrics.crashed;
-    cumulative_.bytes_moved += run_metrics.bytes_moved;
-    cumulative_.arena_peak_messages = std::max(
-        cumulative_.arena_peak_messages, run_metrics.arena_peak_messages);
-  };
   try {
   for (std::uint64_t step = 0; step < max_rounds; ++step) {
     // Per-round trace state. The `before` counters turn run_metrics'
@@ -432,8 +393,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
 
     // Step phase: every live node gathers its inbox and runs against the
     // shard's log through a stack-local buffer. Shards only touch per-shard
-    // state (claimed log, scratch, their nodes' rng and allowance slices),
-    // so any interleaving produces the same logs.
+    // state (claimed log, scratch and link stamps, their nodes' rng), so
+    // any interleaving produces the same logs.
     const auto step_range = [&](std::size_t begin, std::size_t end) {
       if (begin == end) return;
       const std::size_t li =
@@ -442,6 +403,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       log.reset();
       log.range_begin = begin;
       std::vector<Message>& scratch = inbox_scratch_[li];
+      LinkStamps& links = link_stamps_[li];
       RoundBuffer buffer;
       for (std::size_t k = begin; k < end; ++k) {
         const NodeId id = live_nodes_[k];
@@ -449,14 +411,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         const std::span<Message> inbox = gather_inbox(i, scratch);
         order_inbox(inbox, id);
         const std::span<const NodeId> nbrs = neighbors_unchecked(i);
-        if (clique_) {
-          buffer.begin(id, round_, nbrs, limits, &log, {},
-                       &clique_scratch_[li]);
-        } else {
-          buffer.begin(
-              id, round_, nbrs, limits, &log,
-              {edge_sends_slab_.data() + adj_offset_[i], nbrs.size()});
-        }
+        buffer.begin(id, round_, nbrs, limits, &log, &links,
+                     options_.topology);
         NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
         processes_[i]->on_round(ctx, std::span<const Message>(inbox));
       }
@@ -767,11 +723,11 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     round_ += 1;
   }
   } catch (...) {
-    merge_cumulative();
+    cumulative_.merge(run_metrics);
     throw;
   }
 
-  merge_cumulative();
+  cumulative_.merge(run_metrics);
   return run_metrics;
 }
 

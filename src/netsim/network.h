@@ -5,11 +5,11 @@
 // Time proceeds in synchronous rounds. In round r every non-halted node is
 // invoked once with the batch of messages addressed to it that were sent in
 // round r-1 (round 0 delivers an empty inbox — it is the initialization
-// round). During its invocation a node may send at most
-// `Options::max_msgs_per_edge_per_round` messages (default 1, the classic
-// CONGEST allowance) to each of its neighbours, each within the per-message
-// bit budget. Execution stops when every node has halted and no messages are
-// in flight, or when `max_rounds` elapses.
+// round). During its invocation a node may send at most one message to
+// each of its neighbours (the classic CONGEST allowance), each within the
+// per-message bit budget; a broadcast uses every link, so it must be the
+// node's only send of the round. Execution stops when every node has halted
+// and no messages are in flight, or when `max_rounds` elapses.
 //
 // Step/commit architecture
 // ------------------------
@@ -29,13 +29,13 @@
 // The transport never moves 80-byte `Message` objects in bulk. Staging
 // stores packed 40-byte `WireRecord`s (netsim/message.h) contiguously per
 // step shard in a `StageLog`; a broadcast stages ONE flagged record, not
-// `degree` copies, and its per-edge CONGEST bill (allowance, message count,
-// bit sum) is settled analytically at stage time — batched per edge, not
-// per copy. The rare TransportHeader of reliable-channel frames lives in a
-// sparse side list keyed by record index, so ordinary traffic never pays
-// for it. The delivery arena itself is a double-buffered permutation of
-// *slots* — `const WireRecord*` entries laid out CSR-style as disjoint
-// per-destination slices — and the commit phase runs column-wise passes:
+// `degree` copies, and its CONGEST bill (message count, bit sum) is settled
+// analytically at stage time, not per copy. The rare TransportHeader of
+// reliable-channel frames lives in a sparse side list keyed by record
+// index, so ordinary traffic never pays for it. The delivery arena itself
+// is a double-buffered permutation of *slots* — `const WireRecord*`
+// entries laid out CSR-style as disjoint per-destination slices — and the
+// commit phase runs column-wise passes:
 //   1. *tally/merge* (serial, canonical shard order): fault-free rounds sum
 //      the per-log message/bit aggregates and merge the per-log destination
 //      histograms that staging already counted (O(logs + touched dsts), not
@@ -68,8 +68,8 @@
 // counters rather than a scan.
 //
 // Recycling: the logs, the slot permutations, the scratch vectors and the
-// per-edge allowance slab all retain capacity across rounds and across
-// run() calls, so steady-state commits allocate nothing
+// per-shard link stamps all retain capacity across rounds and across run()
+// calls, so steady-state commits allocate nothing
 // (tests/arena_alloc_test.cc pins this).
 //
 // Determinism
@@ -107,20 +107,21 @@
 // Congested-clique topology
 // -------------------------
 // `Options::topology = Topology::kClique` declares the complete graph on N
-// nodes without materializing it: no O(N^2) edge list, no CSR adjacency, no
-// per-directed-edge allowance slab. Adjacency is answered from one shared
-// rotation array of 2N-1 node ids (`clique_adj_[k] = k mod N`), so node i's
-// neighbour span is the N-1 ids starting after its own — every node except
-// i, beginning at i+1 and wrapping. The span is a *rotation*, not sorted;
-// engine-internal expansion (stage-time histograms, hazard coins, the commit
-// scatter) instead iterates destinations in ascending id order skipping the
-// sender, which keeps `kBySource` the canonical ascending-source order and
-// the per-copy fault-coin stream identical to an explicit clique.
-// Per-link legality is enforced exactly as in explicit topologies — the
-// RoundBuffer charges each (sender, destination) pair against
-// `max_msgs_per_edge_per_round` through an epoch-stamped per-shard scratch
-// (O(1) per send, no O(N) zero-fill per node) — and a broadcast is still ONE
-// staged record whose N-1 per-link bills (allowance, messages, bits) are
+// nodes without materializing it: no O(N^2) edge list, no CSR adjacency.
+// Adjacency is answered from one shared rotation array of 2N-1 node ids
+// (`clique_adj_[k] = k mod N`), so node i's neighbour span is the N-1 ids
+// starting after its own — every node except i, beginning at i+1 and
+// wrapping. The span is a *rotation*, not sorted; the hazard coins and the
+// commit scatter instead iterate destinations in ascending id order
+// skipping the sender, which keeps `kBySource` the canonical
+// ascending-source order and the per-copy fault-coin stream identical to an
+// explicit clique. (The stage-time histogram walks the rotation, but any
+// clique broadcast makes its round dense, and the dense layout re-derives
+// the touched list in ascending order.) Per-link legality is enforced
+// exactly as in explicit topologies, through the same per-shard link
+// stamps: the RoundBuffer maps a destination to its rotation position
+// arithmetically instead of searching a sorted list, and a broadcast is
+// still ONE staged record whose N-1 per-link bills (messages, bits) are
 // settled analytically at stage time. add_edge() is rejected; everything
 // else (faults, delivery orders, tracing, determinism across thread counts)
 // composes unchanged.
@@ -165,16 +166,13 @@ enum class Topology : std::uint8_t {
   kClique,
 };
 
-/// Per-step-shard allowance scratch for clique topology: the per-directed-
-/// edge CSR slab would be O(N^2), so clique sends are charged against a
-/// destination-indexed counter column instead. Entries are epoch-stamped —
-/// RoundBuffer::begin() bumps `epoch` and a stale stamp reads as zero — so
-/// re-arming per node is O(1), not an O(N) zero-fill. Broadcast allowance is
-/// tracked by the RoundBuffer as a per-step counter added on top of every
-/// destination's unicast count.
-struct CliqueScratch {
-  std::vector<std::uint64_t> stamp;  ///< last epoch that wrote counts[dst]
-  std::vector<std::int8_t> counts;   ///< unicasts staged to dst this epoch
+/// Link scratch for the one-message-per-link rule, owned per step shard by
+/// the engine and per standalone RoundBuffer: `stamp[k]` is the epoch in
+/// which the stepping node last sent on the link to its k-th neighbour.
+/// RoundBuffer::begin() bumps `epoch`, so every link reads as unused again
+/// in O(1) — no zero-fill per node step, on any topology.
+struct LinkStamps {
+  std::vector<std::uint64_t> stamp;  ///< grown to the largest degree stepped
   std::uint64_t epoch = 0;           ///< bumped once per (node, round) step
 };
 
@@ -287,7 +285,7 @@ class NodeContext {
 
   /// Stage a reliable-transport frame to `frame.dst` (must be a
   /// neighbour). The frame's header is billed into its wire size; the
-  /// per-edge allowance and bit budget apply as for send().
+  /// one-message-per-link rule and bit budget apply as for send().
   void send_frame(const Message& frame);
 
   /// Mark this node as done. A halted node is no longer stepped; delivery
@@ -347,9 +345,6 @@ class Network final {
     /// Per-message budget in bits. The canonical CONGEST budget for an
     /// N-node network is `congest_bit_budget(N)`.
     int bit_budget = 64;
-    /// Messages allowed per directed edge per round (CONGEST: 1), in
-    /// [1, RoundBuffer::kMaxEdgeAllowance].
-    int max_msgs_per_edge_per_round = 1;
     DeliveryOrder delivery = DeliveryOrder::kBySource;
     /// Fault injection plan (default: no faults — the paper's reliable
     /// model). Validated at finalize().
@@ -377,7 +372,7 @@ class Network final {
   void add_edge(NodeId u, NodeId v);
 
   /// Freezes the topology (builds the sorted adjacency in O(N + E)),
-  /// validates the options (budget, allowance, threads, fault plan —
+  /// validates the options (budget, threads, fault plan —
   /// throwing CheckError with the offending value), binds the fault plan,
   /// derives per-node RNGs and allocates the per-shard staging logs and
   /// arena slabs.
@@ -463,11 +458,9 @@ class Network final {
 
   // Clique topology: clique_adj_[k] = k mod N over 2N-1 entries, so node
   // i's neighbour span is clique_adj_[i+1 .. i+N-1] — O(N) storage for all
-  // N implicit adjacency lists. clique_scratch_ holds one epoch-stamped
-  // allowance column per step shard (claimed with the shard's StageLog).
+  // N implicit adjacency lists.
   bool clique_ = false;
   std::vector<NodeId> clique_adj_;
-  std::vector<CliqueScratch> clique_scratch_;
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<Rng> node_rngs_;
@@ -495,22 +488,20 @@ class Network final {
   // stage_logs_ holds two sets of per-shard staging logs, flipped by round
   // parity: the set staged in round r backs the arena consumed in round
   // r+1, so its records must outlive the next step phase. Shards claim a
-  // log (and the matching inbox_scratch_ entry) through a per-round atomic
-  // counter local to run(); the commit orders claimed logs by their
-  // recorded live-range begin, so claim order never shows.
+  // log (and the matching inbox_scratch_ and link_stamps_ entries) through a
+  // per-round atomic counter local to run(); the commit orders claimed logs
+  // by their recorded live-range begin, so claim order never shows.
   //
   // arena_ is the slot permutation of round r's inbound records as disjoint
   // per-destination slices (slice_begin_/slice_count_, valid for the
   // destinations listed in touched_); the commit scatter fills next_arena_
   // and the two swap each round. dst_count_ is the counting-sort tally
   // (all-zero between commits), dst_cursor_ the per-destination scatter
-  // cursors. edge_sends_slab_ is the CSR per-edge allowance scratch handed
-  // to each node's RoundBuffer (offset adj_offset_[i]). survivors_ is
-  // filled only on rounds with message hazards; fault-free rounds scatter
-  // straight from the logs and leave it empty.
+  // cursors. survivors_ is filled only on rounds with message hazards;
+  // fault-free rounds scatter straight from the logs and leave it empty.
   std::array<std::vector<StageLog>, 2> stage_logs_;
   std::vector<std::vector<Message>> inbox_scratch_;  ///< per step shard
-  std::vector<std::int8_t> edge_sends_slab_;
+  std::vector<LinkStamps> link_stamps_;              ///< per step shard
   std::vector<const WireRecord*> arena_;
   std::vector<const WireRecord*> next_arena_;
   std::vector<HeaderSlot> header_slots_;

@@ -32,15 +32,6 @@ ReliableChannel::ReliableChannel(std::unique_ptr<Process> inner,
   DFLP_CHECK_MSG(options_.inner_bit_budget >= 8,
                  "inner bit budget " << options_.inner_bit_budget
                                      << " cannot fit an opcode");
-  DFLP_CHECK_MSG(options_.max_msgs_per_edge_per_round >= 1,
-                 "inner per-edge allowance must be >= 1, got "
-                     << options_.max_msgs_per_edge_per_round);
-  DFLP_CHECK_MSG(
-      options_.max_msgs_per_edge_per_round <= RoundBuffer::kMaxEdgeAllowance,
-      "inner per-edge allowance must be <= "
-          << RoundBuffer::kMaxEdgeAllowance
-          << " (per-edge send counters are 8-bit), got "
-          << options_.max_msgs_per_edge_per_round);
   DFLP_CHECK_MSG(options_.rto_initial >= 1,
                  "rto_initial must be >= 1 round, got " << options_.rto_initial);
   DFLP_CHECK_MSG(options_.rto_max >= options_.rto_initial,
@@ -54,8 +45,6 @@ ReliableChannel::ReliableChannel(std::unique_ptr<Process> inner,
                  "max_retransmits must be >= 1, got "
                      << options_.max_retransmits);
   inner_limits_.bit_budget = options_.inner_bit_budget;
-  inner_limits_.max_msgs_per_edge_per_round =
-      options_.max_msgs_per_edge_per_round;
   inner_limits_.max_kind = kMaxProtocolKind;
 }
 

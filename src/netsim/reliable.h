@@ -79,13 +79,13 @@ struct ReliableStats {
 
 class ReliableChannel final : public Process {
  public:
+  /// The inner protocol stages through its own RoundBuffer, so it keeps
+  /// the CONGEST rules per logical round: this bit budget, and one message
+  /// per link.
   struct Options {
     /// Bit budget enforced on the *inner* protocol's sends (the physical
     /// network budget must be at least reliable_bit_budget() of this).
     int inner_bit_budget = 64;
-    /// Inner per-edge allowance per logical round, in
-    /// [1, RoundBuffer::kMaxEdgeAllowance].
-    int max_msgs_per_edge_per_round = 1;
     /// Retransmission timeout in physical rounds (engine RTT is 2).
     int rto_initial = 2;
     /// Backoff cap for the timeout under repeated loss.

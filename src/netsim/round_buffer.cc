@@ -24,8 +24,7 @@ void StageLog::reset() noexcept {
 void RoundBuffer::begin(NodeId node, std::uint64_t round,
                         std::span<const NodeId> neighbors,
                         const Limits& limits, StageLog* log,
-                        std::span<std::int8_t> edge_scratch,
-                        CliqueScratch* clique) {
+                        LinkStamps* links, Topology topology) {
   owner_ = node;
   round_ = round;
   neighbors_ = neighbors;
@@ -36,38 +35,65 @@ void RoundBuffer::begin(NodeId node, std::uint64_t round,
   }
   log_ = log;
   rec_begin_ = log_->records.size();
-  clique_ = clique;
-  clique_broadcasts_ = 0;
-  clique_max_unicast_ = 0;
-  if (clique != nullptr) {
-    // Epoch bump invalidates every stale allowance count in O(1); the
-    // neighbour-indexed slab path below would zero-fill N-1 slots per node.
-    DFLP_CHECK_MSG(edge_scratch.empty(),
-                   "clique mode supplies no per-edge scratch slab");
-    ++clique->epoch;
-    edge_sends_ = {};
-  } else if (edge_scratch.empty() && !neighbors.empty()) {
-    edge_store_.assign(neighbors.size(), 0);
-    edge_sends_ = edge_store_;
-  } else {
-    std::fill(edge_scratch.begin(), edge_scratch.end(), 0);
-    edge_sends_ = edge_scratch;
-  }
+  links_ = links != nullptr ? links : &own_links_;
+  // Grown once to the largest degree seen, never shrunk; new slots hold
+  // stamp 0, which the epoch (bumped before every use) has already passed.
+  if (links_->stamp.size() < neighbors.size())
+    links_->stamp.resize(neighbors.size(), 0);
+  ++links_->epoch;  // every earlier stamp now reads as an unused link
+  clique_ = topology == Topology::kClique;
+  broadcast_ = false;
   halt_ = false;
 }
 
-void RoundBuffer::clique_charge_unicast(NodeId from, NodeId to) {
-  CliqueScratch& cs = *clique_;
-  const auto d = static_cast<std::size_t>(to);
-  if (cs.stamp[d] != cs.epoch) {
-    cs.stamp[d] = cs.epoch;
-    cs.counts[d] = 0;
+WireRecord RoundBuffer::checked_payload(NodeId from, std::uint8_t kind,
+                                        std::array<std::int64_t, 3> fields,
+                                        int bits, int honest,
+                                        std::uint8_t max_kind) const {
+  DFLP_CHECK_MSG(from == owner_,
+                 "send from node " << from
+                                   << " staged into the buffer of node "
+                                   << owner_);
+  DFLP_CHECK_MSG(kind <= max_kind,
+                 "opcode " << static_cast<int>(kind)
+                           << " exceeds the allowed maximum "
+                           << static_cast<int>(max_kind)
+                           << " (reserved for transport control traffic)");
+  WireRecord rec;
+  rec.src = from;
+  rec.kind = kind;
+  rec.field = fields;
+  rec.bits = bits < 0 ? honest : bits;
+  DFLP_CHECK_MSG(rec.bits >= honest,
+                 "declared " << rec.bits << " bits < honest size " << honest);
+  DFLP_CHECK_MSG(rec.bits <= limits_.bit_budget,
+                 "message of " << rec.bits << " bits exceeds CONGEST budget "
+                               << limits_.bit_budget << " (kind="
+                               << static_cast<int>(kind) << ")");
+  return rec;
+}
+
+void RoundBuffer::charge_link(NodeId to) {
+  std::size_t idx = 0;  // position of `to` in the owner's adjacency
+  if (clique_) {
+    // The rotation lists owner+1, ..., N-1, 0, ..., owner-1.
+    const auto n = static_cast<NodeId>(neighbors_.size()) + 1;
+    DFLP_CHECK_MSG(to >= 0 && to < n && to != owner_,
+                   "node " << owner_ << " is not adjacent to " << to
+                           << " (clique of " << n << " nodes)");
+    idx = static_cast<std::size_t>(to > owner_ ? to - owner_ - 1
+                                               : to + n - owner_ - 1);
+  } else {
+    const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), to);
+    DFLP_CHECK_MSG(it != neighbors_.end() && *it == to,
+                   "node " << owner_ << " is not adjacent to " << to);
+    idx = static_cast<std::size_t>(it - neighbors_.begin());
   }
-  DFLP_CHECK_MSG(
-      cs.counts[d] + clique_broadcasts_ < limits_.max_msgs_per_edge_per_round,
-      "edge allowance exceeded on " << from << "->" << to << " in round "
-                                    << round_);
-  clique_max_unicast_ = std::max(clique_max_unicast_, ++cs.counts[d]);
+  std::uint64_t& stamp = links_->stamp[idx];
+  DFLP_CHECK_MSG(!broadcast_ && stamp != links_->epoch,
+                 "edge allowance exceeded on " << owner_ << "->" << to
+                                               << " in round " << round_);
+  stamp = links_->epoch;
 }
 
 void RoundBuffer::stage_single(const WireRecord& rec) {
@@ -84,63 +110,10 @@ void RoundBuffer::stage_single(const WireRecord& rec) {
 
 void RoundBuffer::sink_send(NodeId from, NodeId to, std::uint8_t kind,
                             std::array<std::int64_t, 3> fields, int bits) {
-  DFLP_CHECK_MSG(from == owner_,
-                 "send from node " << from
-                                   << " staged into the buffer of node "
-                                   << owner_);
-  DFLP_CHECK_MSG(kind <= limits_.max_kind,
-                 "opcode " << static_cast<int>(kind)
-                           << " exceeds the allowed maximum "
-                           << static_cast<int>(limits_.max_kind)
-                           << " (reserved for transport control traffic)");
-  if (clique_ == nullptr) {
-    const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), to);
-    DFLP_CHECK_MSG(it != neighbors_.end() && *it == to,
-                   "node " << from << " is not adjacent to " << to);
-
-    WireRecord rec;
-    rec.src = from;
-    rec.dst = to;
-    rec.kind = kind;
-    rec.field = fields;
-    const int honest = min_payload_bits(fields);
-    rec.bits = bits < 0 ? honest : bits;
-    DFLP_CHECK_MSG(rec.bits >= honest,
-                   "declared " << rec.bits << " bits < honest size " << honest);
-    DFLP_CHECK_MSG(rec.bits <= limits_.bit_budget,
-                   "message of " << rec.bits << " bits exceeds CONGEST budget "
-                                 << limits_.bit_budget << " (kind="
-                                 << static_cast<int>(kind) << ")");
-
-    const auto idx = static_cast<std::size_t>(it - neighbors_.begin());
-    DFLP_CHECK_MSG(edge_sends_[idx] < limits_.max_msgs_per_edge_per_round,
-                   "edge allowance exceeded on " << from << "->" << to
-                                                 << " in round " << round_);
-    ++edge_sends_[idx];
-    stage_single(rec);
-    return;
-  }
-
-  // Clique: adjacency is "any other node"; the allowance is charged against
-  // the epoch-stamped destination column instead of a neighbour index.
-  const auto num_nodes = static_cast<NodeId>(clique_->counts.size());
-  DFLP_CHECK_MSG(to >= 0 && to < num_nodes && to != from,
-                 "node " << from << " is not adjacent to " << to
-                         << " (clique of " << num_nodes << " nodes)");
-  WireRecord rec;
-  rec.src = from;
+  WireRecord rec = checked_payload(from, kind, fields, bits,
+                                   min_payload_bits(fields), limits_.max_kind);
   rec.dst = to;
-  rec.kind = kind;
-  rec.field = fields;
-  const int honest = min_payload_bits(fields);
-  rec.bits = bits < 0 ? honest : bits;
-  DFLP_CHECK_MSG(rec.bits >= honest,
-                 "declared " << rec.bits << " bits < honest size " << honest);
-  DFLP_CHECK_MSG(rec.bits <= limits_.bit_budget,
-                 "message of " << rec.bits << " bits exceeds CONGEST budget "
-                               << limits_.bit_budget << " (kind="
-                               << static_cast<int>(kind) << ")");
-  clique_charge_unicast(from, to);
+  charge_link(to);
   stage_single(rec);
 }
 
@@ -149,64 +122,23 @@ void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
                                  std::array<std::int64_t, 3> fields,
                                  int bits) {
   if (neighbors_.empty()) return;
-  DFLP_CHECK_MSG(from == owner_,
-                 "send from node " << from
-                                   << " staged into the buffer of node "
-                                   << owner_);
-  DFLP_CHECK_MSG(kind <= limits_.max_kind,
-                 "opcode " << static_cast<int>(kind)
-                           << " exceeds the allowed maximum "
-                           << static_cast<int>(limits_.max_kind)
-                           << " (reserved for transport control traffic)");
-  WireRecord rec;
-  rec.src = from;
-  rec.kind = kind;
-  rec.field = fields;
+  WireRecord rec = checked_payload(from, kind, fields, bits,
+                                   min_payload_bits(fields), limits_.max_kind);
   rec.flags = kWireBroadcast;
-  const int honest = min_payload_bits(fields);
-  rec.bits = bits < 0 ? honest : bits;
-  DFLP_CHECK_MSG(rec.bits >= honest,
-                 "declared " << rec.bits << " bits < honest size " << honest);
-  DFLP_CHECK_MSG(rec.bits <= limits_.bit_budget,
-                 "message of " << rec.bits << " bits exceeds CONGEST budget "
-                               << limits_.bit_budget << " (kind="
-                               << static_cast<int>(kind) << ")");
+  // A broadcast uses every link, so any earlier send (or broadcast) this
+  // step already holds one of them; later sends see broadcast_ instead.
+  DFLP_CHECK_MSG(staged().empty(), "edge allowance exceeded by broadcast from "
+                                       << from << " in round " << round_);
+  broadcast_ = true;
 
+  // The copies are never materialized: the record below stands for all of
+  // them, and the CONGEST bill is batched analytically. Only the stage-time
+  // destination histogram walks the adjacency.
   StageLog& log = *log_;
-  const bool tally = limits_.tally_destinations;
-  if (clique_ != nullptr) {
-    // Every link carries this broadcast, so the per-link composite count
-    // (unicasts to that destination + broadcasts) rises by one everywhere
-    // at once: one comparison against the unicast high-water mark settles
-    // all N-1 allowance checks.
-    DFLP_CHECK_MSG(
-        clique_max_unicast_ + clique_broadcasts_ <
-            limits_.max_msgs_per_edge_per_round,
-        "edge allowance exceeded by broadcast from " << from << " in round "
-                                                     << round_);
-    ++clique_broadcasts_;
-    if (tally) {
-      for (std::size_t dst = 0; dst < clique_->counts.size(); ++dst) {
-        if (dst == static_cast<std::size_t>(from)) continue;
-        if (log.dst_count[dst]++ == 0)
-          log.touched.push_back(static_cast<NodeId>(dst));
-      }
-    }
-  } else {
-    // One fused pass over the adjacency settles the per-edge allowance and
-    // the stage-time destination histogram; the copies themselves are never
-    // materialized — the record below stands for all of them and the CONGEST
-    // bill is batched analytically.
-    for (std::size_t idx = 0; idx < neighbors_.size(); ++idx) {
-      DFLP_CHECK_MSG(edge_sends_[idx] < limits_.max_msgs_per_edge_per_round,
-                     "edge allowance exceeded on " << from << "->"
-                                                   << neighbors_[idx]
-                                                   << " in round " << round_);
-      ++edge_sends_[idx];
-      if (tally) {
-        const auto dst = static_cast<std::size_t>(neighbors_[idx]);
-        if (log.dst_count[dst]++ == 0) log.touched.push_back(neighbors_[idx]);
-      }
+  if (limits_.tally_destinations) {
+    for (const NodeId nb : neighbors_) {
+      const auto dst = static_cast<std::size_t>(nb);
+      if (log.dst_count[dst]++ == 0) log.touched.push_back(nb);
     }
   }
   log.records.push_back(rec);
@@ -217,50 +149,19 @@ void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
 }
 
 void RoundBuffer::sink_frame(NodeId from, const Message& frame) {
-  DFLP_CHECK_MSG(from == owner_ && frame.src == owner_,
-                 "frame from node " << frame.src
-                                    << " staged into the buffer of node "
-                                    << owner_);
-  const NodeId to = frame.dst;
-  if (clique_ != nullptr) {
-    const auto num_nodes = static_cast<NodeId>(clique_->counts.size());
-    DFLP_CHECK_MSG(to >= 0 && to < num_nodes && to != from,
-                   "node " << from << " is not adjacent to " << to
-                           << " (clique of " << num_nodes << " nodes)");
-  } else {
-    const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), to);
-    DFLP_CHECK_MSG(it != neighbors_.end() && *it == to,
-                   "node " << from << " is not adjacent to " << to);
-  }
-
-  Message msg = frame;
-  const int honest = min_message_bits(msg);
-  if (msg.bits < honest) msg.bits = honest;
-  DFLP_CHECK_MSG(msg.bits <= limits_.bit_budget,
-                 "frame of " << msg.bits << " bits exceeds CONGEST budget "
-                             << limits_.bit_budget << " (kind="
-                             << static_cast<int>(msg.kind) << ")");
-
-  if (clique_ != nullptr) {
-    clique_charge_unicast(from, to);
-  } else {
-    const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), to);
-    const auto idx = static_cast<std::size_t>(it - neighbors_.begin());
-    DFLP_CHECK_MSG(edge_sends_[idx] < limits_.max_msgs_per_edge_per_round,
-                   "edge allowance exceeded on " << from << "->" << to
-                                                 << " in round " << round_);
-    ++edge_sends_[idx];
-  }
-
-  WireRecord rec;
-  rec.src = msg.src;
-  rec.dst = msg.dst;
-  rec.kind = msg.kind;
-  rec.field = msg.field;
-  rec.bits = msg.bits;
+  DFLP_CHECK_MSG(frame.src == from,
+                 "frame from node " << frame.src << " sent by node " << from);
+  // Frames are exempt from the protocol-opcode cap, and a frame declared
+  // below its honest (header-inclusive) size is raised to it.
+  const int honest = min_message_bits(frame);
+  WireRecord rec =
+      checked_payload(from, frame.kind, frame.field,
+                      std::max(frame.bits, honest), honest, 0xFF);
+  rec.dst = frame.dst;
   rec.flags = kWireHasHeader;
+  charge_link(frame.dst);
   log_->headers.push_back(
-      {static_cast<std::uint32_t>(log_->records.size()), msg.hdr});
+      {static_cast<std::uint32_t>(log_->records.size()), frame.hdr});
   stage_single(rec);
 }
 
@@ -291,10 +192,8 @@ void RoundBuffer::clear() noexcept {
   } else if (log_ != nullptr) {
     log_->records.resize(rec_begin_);
   }
-  std::fill(edge_sends_.begin(), edge_sends_.end(), 0);
-  if (clique_ != nullptr) ++clique_->epoch;  // forget the allowance counts
-  clique_broadcasts_ = 0;
-  clique_max_unicast_ = 0;
+  ++links_->epoch;  // forget the link stamps
+  broadcast_ = false;
   halt_ = false;
 }
 

@@ -17,20 +17,24 @@
 // count and scheduling of the step phase.
 //
 // The buffer owns all CONGEST legality checks (adjacency, honest bit
-// declaration, per-message budget, per-edge allowance, reserved opcodes),
-// so they fire inside the sending node's own step with no shared state. A
-// broadcast is checked per edge but staged as ONE flagged WireRecord with
-// its message/bit bill settled analytically — the commit never touches
+// declaration, per-message budget, one message per directed link per
+// round, reserved opcodes), so they fire inside the sending node's own step
+// with no shared state. The link rule has one mechanism on every topology:
+// a unicast or frame stamps its link's slot in a `LinkStamps` column
+// (netsim/network.h) indexed by neighbour position, and begin() re-arms the
+// column by bumping its epoch. A broadcast uses every link, so it is legal
+// only as the step's first send and bars every later one — an O(1) check,
+// not a per-link one. It is staged as ONE flagged WireRecord with its
+// message/bit bill settled analytically — the commit never touches
 // `degree` copies until the final scatter writes their slots.
 //
 // Both the synchronous `Network` and the alpha-synchronizer (netsim/async.h)
 // stage their wrapped protocol's sends through this one class; standalone
-// consumers (the synchronizer, the reliable channel) omit the log argument
-// of begin() and the buffer uses an internal private log instead.
+// consumers (the synchronizer, the reliable channel) omit the log and link
+// arguments of begin() and the buffer uses its own private ones instead.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -42,15 +46,9 @@ namespace dflp::net {
 
 class RoundBuffer final : public MessageSink {
  public:
-  /// Largest per-edge allowance the buffer can enforce: the per-edge send
-  /// counters are 8-bit, so transports reject larger allowances up front.
-  static constexpr int kMaxEdgeAllowance =
-      std::numeric_limits<std::int8_t>::max();
-
   /// Legality limits checked at send time, supplied by the transport.
   struct Limits {
     int bit_budget = 64;
-    int max_msgs_per_edge_per_round = 1;  ///< <= kMaxEdgeAllowance
     /// Largest opcode the staged protocol may use (the synchronizer
     /// reserves 0xFE/0xFF for its control traffic).
     std::uint8_t max_kind = 0xFF;
@@ -69,40 +67,37 @@ class RoundBuffer final : public MessageSink {
   RoundBuffer() = default;
 
   /// Re-arms the buffer for one (node, round) step. `neighbors` must be the
-  /// node's sorted adjacency and must outlive the step. `log` receives the
-  /// staged records/halts/annotations; nullptr (the standalone default)
-  /// selects the buffer's private log, which is cleared here — capacity is
-  /// retained across rounds. `edge_scratch`, when non-empty, must span
-  /// `neighbors.size()` slots (the engine's CSR allowance slab); it is
-  /// zero-filled here. Empty uses internal storage.
-  ///
-  /// `clique` switches the buffer into congested-clique mode: `neighbors`
-  /// is then the engine's implicit rotation (all nodes but the owner,
-  /// unsorted — used only for the broadcast degree), adjacency of a unicast
-  /// is checked as `0 <= to < N, to != owner`, and the per-edge allowance is
-  /// charged against the epoch-stamped scratch — begin() bumps its epoch, so
-  /// re-arming stays O(1) instead of an O(N) zero-fill. `edge_scratch` must
-  /// be empty in that case.
+  /// node's adjacency and must outlive the step: sorted on explicit graphs,
+  /// the engine's rotation (all nodes but the owner, starting after it) when
+  /// `topology` is Topology::kClique — a destination's position in the
+  /// rotation is then computed, not searched. `log` receives the staged
+  /// records/halts/annotations; nullptr (the standalone default) selects the
+  /// buffer's private log, which is cleared here — capacity is retained
+  /// across rounds. `links` is the step shard's link-stamp column; nullptr
+  /// selects the buffer's own. Either is grown to the degree if needed and
+  /// re-armed by an epoch bump, so re-arming is O(1), never a zero-fill.
   void begin(NodeId node, std::uint64_t round,
              std::span<const NodeId> neighbors, const Limits& limits,
-             StageLog* log = nullptr, std::span<std::int8_t> edge_scratch = {},
-             CliqueScratch* clique = nullptr);
+             StageLog* log = nullptr, LinkStamps* links = nullptr,
+             Topology topology = Topology::kExplicit);
 
   // MessageSink: called by NodeContext during the owner's step.
   void sink_send(NodeId from, NodeId to, std::uint8_t kind,
                  std::array<std::int64_t, 3> fields, int bits) override;
-  /// Broadcast fast path: validates the payload once, settles the per-edge
-  /// allowance and the batched bit accounting in one pass over the
-  /// adjacency, then stages a single kWireBroadcast record — the commit
-  /// expands it over the neighbours only at scatter time.
+  /// Broadcast fast path: validates the payload once, requires that the
+  /// owner has sent nothing yet this step, settles the batched bit
+  /// accounting analytically, then stages a single kWireBroadcast record —
+  /// the commit expands it over the neighbours only at scatter time. A
+  /// node with no neighbours broadcasts nothing and uses up nothing.
   void sink_broadcast(NodeId from, std::span<const NodeId> neighbors,
                       std::uint8_t kind, std::array<std::int64_t, 3> fields,
                       int bits) override;
   /// Transport-layer frame path used by the reliable channel: the frame
   /// arrives fully formed (header already attached) and is exempt from the
-  /// `max_kind` protocol-opcode cap, but still pays adjacency, honest-bit,
-  /// budget, and per-edge allowance checks. The header is parked in the
-  /// log's sparse header list, not in the staged record.
+  /// `max_kind` protocol-opcode cap and is raised to its honest size rather
+  /// than rejected, but still pays the budget, adjacency and link checks.
+  /// The header is parked in the log's sparse header list, not in the
+  /// staged record.
   void sink_frame(NodeId from, const Message& frame) override;
   void sink_halt(NodeId node) override;
   /// Captures the phase label when `Limits::capture_annotations` is set,
@@ -138,10 +133,9 @@ class RoundBuffer final : public MessageSink {
 
   /// Whether any message was staged to the neighbour at `neighbor_idx`
   /// (position in the adjacency list) — the synchronizer's silent-edge
-  /// query for round tokens. Not meaningful in clique mode (the
-  /// synchronizer never runs over the implicit topology).
+  /// query for round tokens. A broadcast counts as a send on every link.
   [[nodiscard]] bool sent_to(std::size_t neighbor_idx) const {
-    return neighbor_idx < edge_sends_.size() && edge_sends_[neighbor_idx] != 0;
+    return broadcast_ || links_->stamp[neighbor_idx] == links_->epoch;
   }
 
   /// Drops staged state after it was consumed (standalone consumers only —
@@ -150,14 +144,21 @@ class RoundBuffer final : public MessageSink {
   void clear() noexcept;
 
  private:
+  /// The checks every send path shares — owner, opcode up to `max_kind`,
+  /// declared size against the honest minimum, and the bit budget — and
+  /// the record they admit (destination and flags left for the caller).
+  [[nodiscard]] WireRecord checked_payload(NodeId from, std::uint8_t kind,
+                                           std::array<std::int64_t, 3> fields,
+                                           int bits, int honest,
+                                           std::uint8_t max_kind) const;
+
+  /// Checks that `to` is a neighbour and that its link is still unused this
+  /// step (no earlier unicast, frame or broadcast), then stamps the link.
+  void charge_link(NodeId to);
+
   /// Appends one single-destination record to the log and settles its
   /// accounting (aggregates plus, when enabled, the stage-time histogram).
   void stage_single(const WireRecord& rec);
-
-  /// Clique-mode per-(owner, to) allowance charge against the epoch-stamped
-  /// scratch. The composite count per link is unicasts(to) + broadcasts
-  /// staged this step. `to` must already be range-checked.
-  void clique_charge_unicast(NodeId from, NodeId to);
 
   NodeId owner_ = kNoNode;
   std::uint64_t round_ = 0;
@@ -165,16 +166,11 @@ class RoundBuffer final : public MessageSink {
   Limits limits_;
   StageLog* log_ = &own_log_;
   std::size_t rec_begin_ = 0;  ///< owner's first record within *log_
-  std::span<std::int8_t> edge_sends_;  ///< per neighbour index
-  StageLog own_log_;                   ///< standalone fallback
-  std::vector<std::int8_t> edge_store_;  ///< standalone fallback
-  // Clique mode: the shard's epoch-stamped allowance scratch plus the
-  // owner's per-step broadcast count and unicast high-water mark — a
-  // broadcast charges every link, so link (owner, to) carries
-  // counts[to] + clique_broadcasts_ staged messages.
-  CliqueScratch* clique_ = nullptr;
-  std::int8_t clique_broadcasts_ = 0;
-  std::int8_t clique_max_unicast_ = 0;
+  LinkStamps* links_ = &own_links_;
+  StageLog own_log_;      ///< standalone fallback
+  LinkStamps own_links_;  ///< standalone fallback
+  bool clique_ = false;     ///< neighbors_ is the clique rotation
+  bool broadcast_ = false;  ///< the owner broadcast this step: links all used
   bool halt_ = false;
 };
 

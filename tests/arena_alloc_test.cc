@@ -3,12 +3,12 @@
 // The engine's capacity-recycling contract (netsim/network.h §arena) is
 // that once a workload's shapes have been seen, whole rounds run out of
 // recycled storage: staging logs, stage-time histograms, the slot
-// permutation, inbox scratch, and the per-edge allowance slab are all
-// grown once and reused. This file replaces the global allocator with a
-// counting shim and pins that contract literally — after a short warm-up,
+// permutation, inbox scratch, and the per-shard link stamps are all grown
+// once and reused. This file replaces the global allocator with a counting
+// shim and pins that contract literally — after a short warm-up,
 // additional rounds perform ZERO heap allocations, both when every record
 // is a broadcast fanned out by the scatter and when every record is a
-// unicast.
+// unicast, on an explicit graph and on the implicit congested clique.
 //
 // The overrides are process-wide for the whole dflp_tests binary; they
 // only count and forward, so the other suites see identical behaviour.
@@ -84,7 +84,7 @@ class Broadcaster final : public net::Process {
   std::uint64_t received_ = 0;
 };
 
-/// One unicast per node on a degree-8 graph: one slot per record.
+/// One unicast per node to its first neighbour: one slot per record.
 class Unicaster final : public net::Process {
  public:
   void on_round(net::NodeContext& ctx,
@@ -127,6 +127,21 @@ std::unique_ptr<net::Network> make_chorded_ring(std::size_t n) {
   return net;
 }
 
+/// The congested clique on n nodes (implicit adjacency, no edge list).
+template <typename Proc>
+std::unique_ptr<net::Network> make_clique(std::size_t n) {
+  net::Network::Options o;
+  o.topology = net::Topology::kClique;
+  o.bit_budget = 64;
+  o.seed = 1;
+  o.num_threads = 1;
+  auto net = std::make_unique<net::Network>(n, o);
+  net->finalize();
+  for (std::size_t v = 0; v < n; ++v)
+    net->set_process(static_cast<net::NodeId>(v), std::make_unique<Proc>());
+  return net;
+}
+
 /// Warm the network's shapes, then count allocations across a steady-state
 /// stretch. The warm-up must cover both log parities a few times so every
 /// double-buffered structure has reached its high-water mark.
@@ -145,6 +160,13 @@ TEST(ArenaAllocTest, BroadcastSteadyStateAllocatesNothing) {
 TEST(ArenaAllocTest, ScatterModeSteadyStateAllocatesNothing) {
   const auto net = make_chorded_ring<Unicaster>(512);
   EXPECT_EQ(steady_state_allocations(*net), 0u);
+}
+
+TEST(ArenaAllocTest, CliqueSteadyStateAllocatesNothing) {
+  const auto broadcasts = make_clique<Broadcaster>(128);
+  EXPECT_EQ(steady_state_allocations(*broadcasts), 0u);
+  const auto unicasts = make_clique<Unicaster>(128);
+  EXPECT_EQ(steady_state_allocations(*unicasts), 0u);
 }
 
 TEST(ArenaAllocTest, CountingShimIsLive) {

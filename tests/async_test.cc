@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "core/mw_greedy.h"
@@ -340,6 +344,67 @@ TEST(Synchronizer, RejectsReservedOpcodes) {
                    },
                    1000),
                CheckError);
+}
+
+TEST(Synchronizer, SecondSendOnOneEdgeInALogicalRoundThrows) {
+  // The wrapped protocol keeps the CONGEST rule per logical round: the
+  // synchronizer's standalone staging buffer rejects a second message on
+  // one edge, a unicast beside a broadcast in either order, and a second
+  // broadcast.
+  using Sends = std::function<void(NodeContext&)>;
+  const std::vector<std::pair<const char*, Sends>> inputs = {
+      {"unicast, unicast",
+       [](NodeContext& ctx) {
+         ctx.send(1, 1);
+         ctx.send(1, 2);
+       }},
+      {"unicast, broadcast",
+       [](NodeContext& ctx) {
+         ctx.send(2, 1);
+         ctx.broadcast(2);
+       }},
+      {"broadcast, unicast",
+       [](NodeContext& ctx) {
+         ctx.broadcast(2);
+         ctx.send(2, 1);
+       }},
+      {"broadcast, broadcast",
+       [](NodeContext& ctx) {
+         ctx.broadcast(1);
+         ctx.broadcast(2);
+       }},
+  };
+  for (const auto& [name, sends] : inputs) {
+    AsyncNetwork net(3, aopts());
+    net.add_edge(0, 1);
+    net.add_edge(0, 2);
+    net.finalize();
+    class TwoSends final : public Process {
+     public:
+      explicit TwoSends(const Sends* sends) : sends_(sends) {}
+      void on_round(NodeContext& ctx, std::span<const Message>) override {
+        if (ctx.self() == 0 && ctx.round() == 2) (*sends_)(ctx);
+      }
+
+     private:
+      const Sends* sends_;
+    };
+    try {
+      (void)run_synchronized(
+          net,
+          [&](NodeId) -> std::unique_ptr<Process> {
+            return std::make_unique<TwoSends>(&sends);
+          },
+          1000);
+      ADD_FAILURE() << name << ": no CheckError";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("edge allowance exceeded"), std::string::npos)
+          << name << ": " << what;
+      EXPECT_NE(what.find("in round 2"), std::string::npos)
+          << name << ": " << what;
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tests for the congested-clique topology mode (Topology::kClique):
-// implicit rotation adjacency, per-link allowance enforcement (including
-// the unicast + broadcast composite), analytic broadcast accounting, and
-// determinism of clique rounds across thread counts and fault hazards.
+// implicit rotation adjacency, the one-message-per-link rule (including a
+// unicast or second broadcast beside a broadcast), analytic broadcast
+// accounting, and determinism of clique rounds across thread counts and
+// fault hazards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -139,50 +141,60 @@ TEST(Clique, UnicastsToDistinctDestinationsAreAllAllowed) {
   EXPECT_EQ(m.messages, 5u);
 }
 
-TEST(Clique, UnicastPlusBroadcastCompositeThrows) {
-  // The allowance is per directed link: a unicast to v plus a broadcast
-  // (which also crosses the link to v) needs allowance 2.
-  for (const bool unicast_first : {true, false}) {
+TEST(Clique, UnicastPlusBroadcastThrows) {
+  // The allowance is one message per directed link: a broadcast crosses
+  // every link, so it conflicts with a unicast in either order and with a
+  // second broadcast; two frames on one link conflict like two unicasts.
+  enum class Pattern {
+    kUnicastFirst,
+    kBroadcastFirst,
+    kTwoBroadcasts,
+    kTwoFrames
+  };
+  for (const Pattern pattern :
+       {Pattern::kUnicastFirst, Pattern::kBroadcastFirst,
+        Pattern::kTwoBroadcasts, Pattern::kTwoFrames}) {
     Network net(4, clique_opts());
     net.finalize();
     net.set_process(0, std::make_unique<Script>(
-                           [unicast_first](NodeContext& ctx, auto) {
-                             if (unicast_first) {
-                               ctx.send(1, 1);
-                               ctx.broadcast(2);
-                             } else {
-                               ctx.broadcast(2);
-                               ctx.send(1, 1);
+                           [pattern](NodeContext& ctx, auto) {
+                             switch (pattern) {
+                               case Pattern::kUnicastFirst:
+                                 ctx.send(1, 1);
+                                 ctx.broadcast(2);
+                                 break;
+                               case Pattern::kBroadcastFirst:
+                                 ctx.broadcast(2);
+                                 ctx.send(1, 1);
+                                 break;
+                               case Pattern::kTwoBroadcasts:
+                                 ctx.broadcast(1);
+                                 ctx.broadcast(2);
+                                 break;
+                               case Pattern::kTwoFrames: {
+                                 Message frame;
+                                 frame.src = 0;
+                                 frame.dst = 3;
+                                 frame.has_header = true;
+                                 ctx.send_frame(frame);
+                                 ctx.send_frame(frame);
+                                 break;
+                               }
                              }
                            }));
     fill_idle(net, {0});
-    EXPECT_THROW(net.run(2), CheckError) << "unicast_first = "
-                                         << unicast_first;
-  }
-}
-
-TEST(Clique, RaisedAllowancePermitsUnicastPlusBroadcast) {
-  auto o = clique_opts();
-  o.max_msgs_per_edge_per_round = 2;
-  Network net(4, o);
-  net.finalize();
-  std::size_t delivered = 0;
-  net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
-    if (ctx.round() == 0) {
-      ctx.send(1, 1);
-      ctx.broadcast(2);
+    try {
+      net.run(2);
+      ADD_FAILURE() << "pattern " << static_cast<int>(pattern)
+                    << ": no CheckError";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(what.find("on 0->") != std::string::npos ||
+                  what.find("from 0 ") != std::string::npos)
+          << what;
+      EXPECT_NE(what.find("in round 0"), std::string::npos) << what;
     }
-    ctx.halt();
-  }));
-  for (NodeId v = 1; v < 4; ++v) {
-    net.set_process(v, std::make_unique<Script>(
-                           [&](NodeContext& ctx, std::span<const Message> in) {
-                             delivered += in.size();
-                             if (ctx.round() >= 1) ctx.halt();
-                           }));
   }
-  net.run(5);
-  EXPECT_EQ(delivered, 4u);  // 3 broadcast copies + 1 unicast
 }
 
 TEST(Clique, BroadcastAccountingIsAnalyticFanOut) {

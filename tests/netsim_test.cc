@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -235,33 +237,77 @@ TEST(Network, UnderDeclaredBitsRejectedPaddingAllowed) {
 }
 
 TEST(Network, CongestEdgeAllowanceIsOnePerRound) {
-  Network net(2, opts());
-  net.add_edge(0, 1);
-  net.finalize();
-  net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
-    ctx.send(1, 1);
-    ctx.send(1, 2);  // second message on the same edge, same round
-  }));
-  fill_idle(net, {0});
-  EXPECT_THROW(net.run(2), CheckError);
+  // One message per directed edge per round. A broadcast uses every link,
+  // so it conflicts with any other send of the same step, in either order.
+  using Sends = std::function<void(NodeContext&)>;
+  const std::vector<std::pair<const char*, Sends>> inputs = {
+      {"unicast, unicast",
+       [](NodeContext& ctx) {
+         ctx.send(1, 1);
+         ctx.send(1, 2);
+       }},
+      {"unicast, broadcast",
+       [](NodeContext& ctx) {
+         ctx.send(2, 1);
+         ctx.broadcast(2);
+       }},
+      {"broadcast, unicast",
+       [](NodeContext& ctx) {
+         ctx.broadcast(2);
+         ctx.send(2, 1);
+       }},
+      {"broadcast, broadcast",
+       [](NodeContext& ctx) {
+         ctx.broadcast(1);
+         ctx.broadcast(2);
+       }},
+      {"frame, frame",
+       [](NodeContext& ctx) {
+         Message frame;
+         frame.src = 0;
+         frame.dst = 1;
+         frame.has_header = true;
+         ctx.send_frame(frame);
+         ctx.send_frame(frame);
+       }},
+  };
+  for (const auto& [name, sends] : inputs) {
+    Network net(3, opts());
+    net.add_edge(0, 1);
+    net.add_edge(0, 2);
+    net.finalize();
+    net.set_process(0, std::make_unique<Script>(
+                           [&sends](NodeContext& ctx, auto) { sends(ctx); }));
+    fill_idle(net, {0});
+    try {
+      net.run(2);
+      ADD_FAILURE() << name << ": no CheckError";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("edge allowance exceeded"), std::string::npos)
+          << name << ": " << what;
+      EXPECT_TRUE(what.find("on 0->") != std::string::npos ||
+                  what.find("from 0 ") != std::string::npos)
+          << name << ": " << what;
+      EXPECT_NE(what.find("in round 0"), std::string::npos)
+          << name << ": " << what;
+    }
+  }
 }
 
-TEST(Network, RaisedEdgeAllowanceWorks) {
-  auto o = opts();
-  o.max_msgs_per_edge_per_round = 2;
-  Network net(2, o);
-  net.add_edge(0, 1);
+TEST(Network, BroadcastFromIsolatedNodeIsANoOp) {
+  // No links, so nothing is sent — and nothing is used up either.
+  Network net(3, opts());
+  net.add_edge(1, 2);
   net.finalize();
   net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
-    if (ctx.round() == 0) {
-      ctx.send(1, 1);
-      ctx.send(1, 2);
-    }
+    ctx.broadcast(1);
+    ctx.broadcast(2);
     ctx.halt();
   }));
   fill_idle(net, {0});
   const NetMetrics m = net.run(5);
-  EXPECT_EQ(m.messages, 2u);
+  EXPECT_EQ(m.messages, 0u);
 }
 
 TEST(Network, QuiescenceStopsRun) {

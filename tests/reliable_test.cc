@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -72,29 +73,60 @@ class Script final : public net::Process {
   Fn fn_;
 };
 
-TEST(ReliableChannel, RejectsEdgeAllowanceOutOfRange) {
-  const auto rejection = [](int allowance) -> std::string {
-    net::ReliableChannel::Options ch;
-    ch.max_msgs_per_edge_per_round = allowance;
-    try {
-      net::ReliableChannel channel(
-          std::make_unique<Script>([](auto&, auto) {}), ch);
-    } catch (const CheckError& e) {
-      return e.what();
-    }
-    return {};
+TEST(ReliableChannel, SecondSendOnOneLinkInALogicalRoundThrows) {
+  // The inner protocol keeps the CONGEST rule per logical round: its
+  // standalone staging buffer rejects a second message to one neighbour,
+  // a unicast beside a broadcast in either order, and a second broadcast.
+  using Sends = std::function<void(net::NodeContext&)>;
+  const std::vector<std::pair<const char*, Sends>> inputs = {
+      {"unicast, unicast",
+       [](net::NodeContext& ctx) {
+         ctx.send(1, 1);
+         ctx.send(1, 2);
+       }},
+      {"unicast, broadcast",
+       [](net::NodeContext& ctx) {
+         ctx.send(1, 1);
+         ctx.broadcast(2);
+       }},
+      {"broadcast, unicast",
+       [](net::NodeContext& ctx) {
+         ctx.broadcast(2);
+         ctx.send(1, 1);
+       }},
+      {"broadcast, broadcast",
+       [](net::NodeContext& ctx) {
+         ctx.broadcast(1);
+         ctx.broadcast(2);
+       }},
   };
-  std::string msg = rejection(0);
-  EXPECT_NE(msg.find("inner per-edge allowance must be >= 1"),
-            std::string::npos)
-      << msg;
-  // 8-bit per-edge send counters: 128 would wrap and stop enforcing.
-  msg = rejection(128);
-  EXPECT_NE(msg.find("inner per-edge allowance must be <= 127"),
-            std::string::npos)
-      << msg;
-  EXPECT_NE(msg.find("got 128"), std::string::npos) << msg;
-  EXPECT_EQ(rejection(127), "");
+  for (const auto& [name, sends] : inputs) {
+    net::Network::Options o;
+    o.bit_budget = net::reliable_bit_budget(64, 16);
+    net::Network net(2, o);
+    net.add_edge(0, 1);
+    net.finalize();
+    for (net::NodeId v : {0, 1}) {
+      net.set_process(
+          v, std::make_unique<net::ReliableChannel>(
+                 std::make_unique<Script>(
+                     [&sends](net::NodeContext& ctx, auto) {
+                       if (ctx.self() == 0 && ctx.round() == 1) sends(ctx);
+                     }),
+                 net::ReliableChannel::Options{}));
+    }
+    try {
+      net.run(50);
+      ADD_FAILURE() << name << ": no CheckError";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("edge allowance exceeded"), std::string::npos)
+          << name << ": " << what;
+      EXPECT_TRUE(what.find("on 0->1 in round 1") != std::string::npos ||
+                  what.find("from 0 in round 1") != std::string::npos)
+          << name << ": " << what;
+    }
+  }
 }
 
 TEST(ReliableChannel, DeliversInOrderUnderHeavyLossAndDuplication) {

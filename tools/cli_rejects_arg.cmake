@@ -1,0 +1,29 @@
+# ctest script: runs dflp_cli with one malformed numeric argument and passes
+# only when the CLI exits 2 and its stderr carries the expected message,
+# which names the offending argument and text.
+#
+#   cmake -DCLI=<dflp_cli> -DWORK=<dir> -DNAME=<test> -DARGS="<args>"
+#         -DEXPECT="<message>" -P cli_rejects_arg.cmake
+#
+# The token `u40.ufl` in ARGS is replaced by a freshly generated 40-client
+# uniform instance (`generate uniform 40 1`), private to this test, so a
+# CLI that misreads the number would go on to solve a real input and exit 0.
+file(MAKE_DIRECTORY "${WORK}")
+set(instance "${WORK}/${NAME}.ufl")
+execute_process(COMMAND "${CLI}" generate uniform 40 1
+                OUTPUT_FILE "${instance}" RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "dflp_cli generate failed: ${rc}")
+endif()
+
+separate_arguments(argv UNIX_COMMAND "${ARGS}")
+list(TRANSFORM argv REPLACE "^u40\\.ufl$" "${instance}")
+execute_process(COMMAND "${CLI}" ${argv} RESULT_VARIABLE rc
+                OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "dflp_cli ${ARGS}: expected exit 2, got ${rc}\n${err}")
+endif()
+string(FIND "${err}" "${EXPECT}" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "dflp_cli ${ARGS}: stderr lacks '${EXPECT}':\n${err}")
+endif()

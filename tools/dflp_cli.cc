@@ -32,16 +32,25 @@
 // records per-node algorithm-phase annotations. Tracing never changes the
 // solution — traced runs are bit-identical to untraced ones.
 //
+// Every number on the line, flag value or positional, must parse whole
+// and in range: a malformed one (`4x`, `abc`, `nan`) exits 2 naming the
+// argument instead of being read as its numeric prefix or as 0.
+//
 // `-` reads the instance from stdin. Families: uniform, euclidean,
 // powerlaw, greedy-tight, star, plus the complete-bipartite `metric`
 // family (fl/metric.h) that the congested-clique solver requires.
 // Algorithms: any name printed by `dflp_cli solve help`.
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -140,6 +149,39 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
   return code;
 }
 
+/// A bad command-line argument: main prints the message — or the usage
+/// text when the message is empty (a flag missing its value) — and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses all of `text` as a T in [lo, hi] with std::from_chars: no
+/// locale, no leading whitespace or '+', no numeric prefix of a longer
+/// word, and no NaN (it fails every range test). `name` is the flag or
+/// positional argument the value belongs to, for the error message.
+template <typename T>
+T parse_number(std::string_view name, std::string_view text,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc{} && ptr == end && value >= lo && value <= hi)
+    return value;
+  std::ostringstream os;
+  os << name << " must be "
+     << (std::is_floating_point_v<T> ? "a number"
+         : std::is_signed_v<T>       ? "an integer"
+                                     : "a non-negative integer");
+  if (hi < std::numeric_limits<T>::max()) {
+    os << " in [" << lo << ", " << hi << "]";
+  } else if (lo > std::numeric_limits<T>::lowest()) {
+    os << " >= " << lo;
+  }
+  os << "; got '" << text << "'";
+  throw UsageError(os.str());
+}
+
 /// True when any fault/recovery flag changes run semantics.
 bool fault_flags_active() {
   return g_drop > 0.0 || g_crash_frac > 0.0 || g_burst_len > 0 || g_reliable;
@@ -187,12 +229,8 @@ std::vector<std::pair<std::string, harness::Algo>> algo_registry() {
 int cmd_generate(int argc, char** argv) {
   if (argc < 5) return usage();
   const std::string family_name = argv[2];
-  const auto size = static_cast<std::int32_t>(std::atoi(argv[3]));
-  const auto seed = static_cast<std::uint64_t>(std::atoll(argv[4]));
-  if (size < 4) {
-    std::cerr << "size must be >= 4\n";
-    return 2;
-  }
+  const auto size = parse_number<std::int32_t>("size", argv[3], 4);
+  const auto seed = parse_number<std::uint64_t>("seed", argv[4]);
   if (family_name == "metric") {
     // Planted-cluster complete-bipartite metric instances (fl/metric.h):
     // <size> facilities, 3x<size> clients. check_metric holds by
@@ -363,11 +401,10 @@ int solve_ftfp(const std::string& algo_name, const fl::Instance& inst,
 int cmd_solve(int argc, char** argv) {
   if (argc < 4) return usage();
   const std::string algo_name = argv[2];
-  const fl::Instance inst = load_instance(argv[3]);
   core::MwParams params;
-  params.k = argc > 4 ? std::atoi(argv[4]) : 4;
-  params.seed = argc > 5 ? static_cast<std::uint64_t>(std::atoll(argv[5]))
-                         : 1;
+  params.k = argc > 4 ? parse_number<int>("k", argv[4]) : 4;
+  params.seed = argc > 5 ? parse_number<std::uint64_t>("seed", argv[5]) : 1;
+  const fl::Instance inst = load_instance(argv[3]);
   params.num_threads = g_threads;
   apply_fault_flags(params);
   params.trace_path = g_trace_path;
@@ -425,9 +462,9 @@ int cmd_solve(int argc, char** argv) {
 
 int cmd_sweep(int argc, char** argv) {
   if (argc < 3) return usage();
+  const std::uint64_t seed =
+      argc > 3 ? parse_number<std::uint64_t>("seed", argv[3]) : 1;
   const fl::Instance inst = load_instance(argv[2]);
-  const auto seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 1;
   const harness::LowerBound lb = harness::compute_lower_bound(inst);
   Table table({"k", "cost", "ratio", "rounds", "messages"});
   for (int k : {1, 2, 4, 8, 16, 32, 64}) {
@@ -469,9 +506,8 @@ int cmd_stream(int argc, char** argv) {
       g_epoch_size > 0 ? g_epoch_size : std::max<std::int64_t>(1, total / 100);
 
   service::StreamingOptions opt;
-  opt.params.k = argc > 3 ? std::atoi(argv[3]) : 4;
-  opt.params.seed =
-      argc > 4 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 1;
+  opt.params.k = argc > 3 ? parse_number<int>("k", argv[3]) : 4;
+  opt.params.seed = argc > 4 ? parse_number<std::uint64_t>("seed", argv[4]) : 1;
   opt.params.num_threads = g_threads;
   opt.bounds = service::stream_bounds(sp, total);
   opt.engine = engine;
@@ -502,181 +538,85 @@ int cmd_stream(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Strip position-independent option flags before positional parsing.
+/// Strips the position-independent option flags into the globals and
+/// returns the remaining (positional) arguments, argv[0] first — or nothing
+/// after --help, which has already printed the usage.
+std::optional<std::vector<char*>> parse_flags(int argc, char** argv) {
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto take_value = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
+    const std::string_view arg = argv[i];
+    const auto value = [&]() -> std::string_view {
+      if (i + 1 >= argc) throw UsageError("");
       return argv[++i];
     };
     if (arg == "--threads") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_threads = std::atoi(v);
-      if (g_threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--drop") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_drop = std::atof(v);
-      if (g_drop < 0.0 || g_drop > 1.0) {
-        std::cerr << "--drop must be in [0, 1]\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--crash-frac") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_crash_frac = std::atof(v);
-      if (g_crash_frac < 0.0 || g_crash_frac > 1.0) {
-        std::cerr << "--crash-frac must be in [0, 1]\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--burst-len") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_burst_len = std::atoi(v);
-      if (g_burst_len < 1) {
-        std::cerr << "--burst-len must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--fault-seed") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_fault_seed = static_cast<std::uint64_t>(std::atoll(v));
-      continue;
-    }
-    if (arg == "--reliable") {
+      g_threads = parse_number<int>(arg, value(), 1);
+    } else if (arg == "--drop") {
+      g_drop = parse_number(arg, value(), 0.0, 1.0);
+    } else if (arg == "--crash-frac") {
+      g_crash_frac = parse_number(arg, value(), 0.0, 1.0);
+    } else if (arg == "--burst-len") {
+      g_burst_len = parse_number<int>(arg, value(), 1);
+    } else if (arg == "--fault-seed") {
+      g_fault_seed = parse_number<std::uint64_t>(arg, value());
+    } else if (arg == "--reliable") {
       g_reliable = true;
-      continue;
-    }
-    if (arg == "--coverage") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_coverage = std::atoi(v);
-      if (g_coverage < 1) {
-        std::cerr << "--coverage must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--kill-frac") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_kill_frac = std::atof(v);
-      if (g_kill_frac < 0.0 || g_kill_frac > 1.0) {
-        std::cerr << "--kill-frac must be in [0, 1]\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--kill-seed") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_kill_seed = static_cast<std::uint64_t>(std::atoll(v));
-      continue;
-    }
-    if (arg == "--capacity") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_capacity = std::atoi(v);
-      if (g_capacity < 1) {
-        std::cerr << "--capacity must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--trace") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_trace_path = v;
-      continue;
-    }
-    if (arg == "--trace-format") {
-      const char* v = take_value();
-      if (v == nullptr || !net::parse_trace_format(v, &g_trace_format)) {
-        std::cerr << "--trace-format must be jsonl or chrome\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--trace-phases") {
+    } else if (arg == "--coverage") {
+      g_coverage = parse_number<std::int32_t>(arg, value(), 1);
+    } else if (arg == "--kill-frac") {
+      g_kill_frac = parse_number(arg, value(), 0.0, 1.0);
+    } else if (arg == "--kill-seed") {
+      g_kill_seed = parse_number<std::uint64_t>(arg, value());
+    } else if (arg == "--capacity") {
+      g_capacity = parse_number<std::int32_t>(arg, value(), 1);
+    } else if (arg == "--trace") {
+      g_trace_path = value();
+    } else if (arg == "--trace-format") {
+      if (i + 1 >= argc || !net::parse_trace_format(argv[++i], &g_trace_format))
+        throw UsageError("--trace-format must be jsonl or chrome");
+    } else if (arg == "--trace-phases") {
       g_trace_phases = true;
-      continue;
-    }
-    if (arg == "--stream") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_stream_events = std::atoll(v);
-      if (g_stream_events < 1) {
-        std::cerr << "--stream must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--epoch-size") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_epoch_size = std::atoll(v);
-      if (g_epoch_size < 1) {
-        std::cerr << "--epoch-size must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--cells") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_stream_cells = std::atoi(v);
-      if (g_stream_cells < 1) {
-        std::cerr << "--cells must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--initial") {
-      const char* v = take_value();
-      if (v == nullptr) return usage();
-      g_stream_initial = std::atoi(v);
-      if (g_stream_initial < 1) {
-        std::cerr << "--initial must be >= 1\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--cold") {
+    } else if (arg == "--stream") {
+      g_stream_events = parse_number<std::int64_t>(arg, value(), 1);
+    } else if (arg == "--epoch-size") {
+      g_epoch_size = parse_number<std::int64_t>(arg, value(), 1);
+    } else if (arg == "--cells") {
+      g_stream_cells = parse_number<int>(arg, value(), 1);
+    } else if (arg == "--initial") {
+      g_stream_initial = parse_number<int>(arg, value(), 1);
+    } else if (arg == "--cold") {
       g_stream_cold = true;
-      continue;
+    } else if (arg == "--help" || arg == "-h") {
+      usage(std::cout, 0);
+      return std::nullopt;
+    } else {
+      args.push_back(argv[i]);
     }
-    if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
-    args.push_back(argv[i]);
   }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
+  return args;
+}
 
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+}  // namespace
+
+int main(int argc, char** argv) {
   try {
+    std::optional<std::vector<char*>> args = parse_flags(argc, argv);
+    if (!args) return 0;  // --help
+    if (args->size() < 2) return usage();
+    argc = static_cast<int>(args->size());
+    argv = args->data();
+    const std::string cmd = argv[1];
     if (cmd == "generate") return cmd_generate(argc, argv);
     if (cmd == "info") return cmd_info(argc, argv);
     if (cmd == "solve") return cmd_solve(argc, argv);
     if (cmd == "sweep") return cmd_sweep(argc, argv);
     if (cmd == "bounds") return cmd_bounds(argc, argv);
     if (cmd == "stream") return cmd_stream(argc, argv);
+  } catch (const UsageError& e) {
+    if (*e.what() == '\0') return usage();
+    std::cerr << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
