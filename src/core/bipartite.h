@@ -4,22 +4,21 @@
 //
 // Node layout: facility i -> network node i; client j -> network node m+j.
 // A node's constructor receives only what the model lets it know locally:
-// its own cost data and the ids/costs of its incident edges.
+// its own cost data and the ids/costs of its incident edges. Those edges
+// are borrowed, never copied: a facility reads its slice of the instance's
+// cost-sorted `facility_edges`, a client its slice of `client_edges`, and
+// the run's EdgeTable maps the port a message arrived on (Message::port)
+// to the edge's index in that slice.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fl/instance.h"
 #include "netsim/network.h"
 
 namespace dflp::core {
-
-/// One incident edge from a node's local perspective.
-struct LocalEdge {
-  net::NodeId peer = net::kNoNode;  ///< network node id of the other side
-  double cost = 0.0;                ///< connection cost of this edge
-};
 
 [[nodiscard]] inline net::NodeId facility_node(fl::FacilityId i) noexcept {
   return i;
@@ -39,43 +38,46 @@ struct LocalEdge {
   return v - inst.num_facilities();
 }
 
-/// Facility i's incident edges, ascending by (cost, peer). The order is the
-/// star-prefix order the greedy candidacy computation uses.
-[[nodiscard]] inline std::vector<LocalEdge> facility_local_edges(
-    const fl::Instance& inst, fl::FacilityId i) {
-  std::vector<LocalEdge> edges;
-  const auto span = inst.facility_edges(i);
-  edges.reserve(span.size());
-  for (const fl::FacilityEdge& e : span)
-    edges.push_back({client_node(inst, e.client), e.cost});
-  // facility_edges is sorted by (cost, client id) == (cost, peer) already.
-  return edges;
-}
-
-/// Client j's incident edges, ascending by (cost, peer).
-[[nodiscard]] inline std::vector<LocalEdge> client_local_edges(
-    const fl::Instance& inst, fl::ClientId j) {
-  std::vector<LocalEdge> edges;
-  const auto span = inst.client_edges(j);
-  edges.reserve(span.size());
-  for (const fl::ClientEdge& e : span)
-    edges.push_back({facility_node(e.facility), e.cost});
-  return edges;
-}
-
-/// Builds the (finalized, process-less) bipartite communication network of
-/// `inst` with the given options.
-[[nodiscard]] inline net::Network make_bipartite_network(
-    const fl::Instance& inst, net::Network::Options options) {
-  const auto total = static_cast<std::size_t>(inst.num_facilities() +
-                                              inst.num_clients());
-  net::Network net(total, options);
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    for (const fl::FacilityEdge& e : inst.facility_edges(i))
-      net.add_edge(facility_node(i), client_node(inst, e.client));
+/// The per-run edge table of a bipartite network. Node v's port p is its
+/// p-th neighbour in the network's ascending adjacency — the
+/// `Message::port` of a delivery from that neighbour — and
+/// `cost_index(v)[p]` is the position of that edge in v's cost-ordered
+/// instance list (`facility_edges` for a facility, `client_edges` for a
+/// client). Cost indices order a node's edges by (cost, peer id), the
+/// preference the protocols break ties by. Processes borrow their column
+/// for the run, so the table must outlive the network's processes.
+class EdgeTable {
+ public:
+  [[nodiscard]] std::span<const std::int32_t> cost_index(
+      net::NodeId v) const noexcept {
+    const auto i = static_cast<std::size_t>(v);
+    return {cost_index_.data() + offset_[i],
+            static_cast<std::size_t>(offset_[i + 1] - offset_[i])};
   }
-  net.finalize();
-  return net;
-}
+
+ private:
+  friend net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
+                                                  EdgeTable& table);
+
+  std::vector<std::int32_t> offset_;      ///< the network's CSR offsets
+  std::vector<std::int32_t> cost_index_;  ///< parallel to its neighbours
+};
+
+/// Builds the bipartite network's sorted CSR adjacency with its
+/// reverse-position column (net::Adjacency) and, beside it, `table`, in
+/// O(N + E) with no sort: the instance's two cost-sorted edge lists are
+/// transposed into ascending neighbour lists, carrying each edge's cost
+/// index along.
+[[nodiscard]] net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
+                                                       EdgeTable& table);
+
+/// The finalized, process-less bipartite communication network of `inst`
+/// with the given options, and its edge table.
+[[nodiscard]] net::Network make_bipartite_network(
+    const fl::Instance& inst, net::Network::Options options, EdgeTable& table);
+
+/// The same network for callers that index nothing by port.
+[[nodiscard]] net::Network make_bipartite_network(
+    const fl::Instance& inst, net::Network::Options options);
 
 }  // namespace dflp::core

@@ -150,11 +150,12 @@ class FacilityProcess final : public net::Process {
 
 class ClientProcess final : public net::Process {
  public:
+  /// `edges` is the client's cost-sorted instance slice, borrowed.
   ClientProcess(std::shared_ptr<const Shared> shared, fl::ClientId id,
-                std::vector<fl::ClientEdge> edges)
+                std::span<const fl::ClientEdge> edges)
       : shared_(std::move(shared)),
         id_(id),
-        edges_(std::move(edges)),
+        edges_(edges),
         decision_(static_cast<std::size_t>(shared_->m), 0) {}
 
   [[nodiscard]] fl::FacilityId assignment() const noexcept {
@@ -191,7 +192,7 @@ class ClientProcess final : public net::Process {
  private:
   std::shared_ptr<const Shared> shared_;
   fl::ClientId id_;
-  std::vector<fl::ClientEdge> edges_;
+  std::span<const fl::ClientEdge> edges_;
   std::vector<std::uint8_t> decision_;  ///< 0 unknown, 1 open, 2 retired
   std::int32_t decided_ = 0;
   fl::FacilityId assignment_ = fl::kNoFacility;
@@ -246,10 +247,8 @@ CliqueFlOutcome run_impl(const fl::Instance& inst, FacilityDistances dist,
   std::vector<ClientProcess*> clients;
   clients.reserve(static_cast<std::size_t>(n));
   for (fl::ClientId j = 0; j < n; ++j) {
-    std::vector<fl::ClientEdge> edges(inst.client_edges(j).begin(),
-                                      inst.client_edges(j).end());
-    auto proc =
-        std::make_unique<ClientProcess>(shared, j, std::move(edges));
+    auto proc = std::make_unique<ClientProcess>(shared, j,
+                                                inst.client_edges(j));
     clients.push_back(proc.get());
     net.set_process(client_node(inst, j), std::move(proc));
   }

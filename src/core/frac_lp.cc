@@ -22,6 +22,11 @@ struct Shared {
   std::uint64_t scheduled_rounds = 0;  // 2 * levels * subphases
 };
 
+std::uint64_t scheduled_rounds(const MwSchedule& sched) {
+  return 2ULL * static_cast<std::uint64_t>(sched.levels) *
+         static_cast<std::uint64_t>(sched.subphases);
+}
+
 /// The y grid both sides evaluate identically from the shared schedule.
 double y_of_raises(const MwSchedule& sched, std::int64_t raises) {
   if (raises <= 0) return 0.0;
@@ -32,16 +37,14 @@ double y_of_raises(const MwSchedule& sched, std::int64_t raises) {
 
 class FacilityProc final : public net::Process {
  public:
+  /// `edges` (cost-sorted) and `cost_index` (port -> index into `edges`)
+  /// are borrowed from the instance and the run's EdgeTable.
   FacilityProc(const Shared* shared, double opening_cost,
-               std::vector<LocalEdge> edges)
-      : shared_(shared), opening_cost_(opening_cost),
-        edges_(std::move(edges)), covered_(edges_.size(), 0) {
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
-    uncovered_count_ = static_cast<int>(edges_.size());
-  }
+               std::span<const fl::FacilityEdge> edges,
+               std::span<const std::int32_t> cost_index)
+      : shared_(shared), opening_cost_(opening_cost), edges_(edges),
+        cost_index_(cost_index), covered_(edges.size(), 0),
+        uncovered_count_(static_cast<int>(edges.size())) {}
 
   [[nodiscard]] std::int64_t raises() const noexcept { return raises_; }
 
@@ -49,7 +52,7 @@ class FacilityProc final : public net::Process {
                 std::span<const net::Message> inbox) override {
     const std::uint64_t r = ctx.round();
     for (const net::Message& msg : inbox) {
-      if (msg.kind == kCovered) mark_covered(msg.src);
+      if (msg.kind == kCovered) mark_covered(msg.port);
     }
 
     if (r < shared_->scheduled_rounds) {
@@ -73,14 +76,11 @@ class FacilityProc final : public net::Process {
   }
 
  private:
-  void mark_covered(net::NodeId client) {
-    const auto it = std::lower_bound(
-        by_peer_.begin(), by_peer_.end(),
-        std::pair<net::NodeId, std::size_t>{client, 0});
-    DFLP_CHECK_MSG(it != by_peer_.end() && it->first == client,
-                   "COVERED from non-neighbour " << client);
-    if (!covered_[it->second]) {
-      covered_[it->second] = 1;
+  void mark_covered(std::int32_t port) {
+    const auto t = static_cast<std::size_t>(
+        cost_index_[static_cast<std::size_t>(port)]);
+    if (!covered_[t]) {
+      covered_[t] = 1;
       --uncovered_count_;
     }
   }
@@ -119,32 +119,30 @@ class FacilityProc final : public net::Process {
 
   const Shared* shared_;
   double opening_cost_;
-  std::vector<LocalEdge> edges_;
-  std::vector<std::uint8_t> covered_;
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;
+  std::span<const fl::FacilityEdge> edges_;   // cost-sorted
+  std::span<const std::int32_t> cost_index_;  // port -> index into edges_
+  std::vector<std::uint8_t> covered_;         // parallel to edges_
   int uncovered_count_ = 0;
   std::int64_t raises_ = 0;
 };
 
 class ClientProc final : public net::Process {
  public:
-  ClientProc(const Shared* shared, std::vector<LocalEdge> edges)
-      : shared_(shared), edges_(std::move(edges)),
-        known_raises_(edges_.size(), 0) {
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
-  }
+  /// `edges` (cost-sorted) and `cost_index` are borrowed, as for the
+  /// facility.
+  ClientProc(const Shared* shared, std::span<const fl::ClientEdge> edges,
+             std::span<const std::int32_t> cost_index)
+      : shared_(shared), edges_(edges), cost_index_(cost_index),
+        known_raises_(edges.size(), 0) {}
 
   [[nodiscard]] bool covered() const noexcept { return covered_; }
   [[nodiscard]] bool covered_by_mopup() const noexcept { return by_mopup_; }
 
   /// Local x allocation over this client's edges (edge order = cost
-  /// order): x_ij = min(known y_i, residual). Known y never exceeds the
-  /// facility's true final y, so the allocation is feasible against it.
-  [[nodiscard]] std::vector<double> allocate_x() const {
-    std::vector<double> x(edges_.size(), 0.0);
+  /// order), written into `x` (zero-filled, one entry per edge):
+  /// x_ij = min(known y_i, residual). Known y never exceeds the facility's
+  /// true final y, so the allocation is feasible against it.
+  void allocate_x(std::span<double> x) const {
     double residual = 1.0;
     for (std::size_t t = 0; t < edges_.size() && residual > 0.0; ++t) {
       const double yv = y_of_raises(shared_->sched, known_raises_[t]);
@@ -152,7 +150,6 @@ class ClientProc final : public net::Process {
       x[t] = take;
       residual -= take;
     }
-    return x;
   }
 
   void on_round(net::NodeContext& ctx,
@@ -160,12 +157,9 @@ class ClientProc final : public net::Process {
     const std::uint64_t r = ctx.round();
     for (const net::Message& msg : inbox) {
       if (msg.kind == kYUpdate) {
-        const auto it = std::lower_bound(
-            by_peer_.begin(), by_peer_.end(),
-            std::pair<net::NodeId, std::size_t>{msg.src, 0});
-        DFLP_CHECK(it != by_peer_.end() && it->first == msg.src);
-        known_raises_[it->second] =
-            std::max(known_raises_[it->second], msg.field[0]);
+        std::int64_t& known = known_raises_[static_cast<std::size_t>(
+            cost_index_[static_cast<std::size_t>(msg.port)])];
+        known = std::max(known, msg.field[0]);
       }
     }
 
@@ -182,7 +176,8 @@ class ClientProc final : public net::Process {
     if (r == base) {
       if (!covered_) {
         ctx.annotate("mopup-request");
-        ctx.send(edges_.front().peer, kOpenReq);  // cheapest facility
+        ctx.send(facility_node(edges_.front().facility),
+                 kOpenReq);  // cheapest facility
         by_mopup_ = true;
       } else {
         ctx.halt();
@@ -210,46 +205,50 @@ class ClientProc final : public net::Process {
   }
 
   const Shared* shared_;
-  std::vector<LocalEdge> edges_;
-  std::vector<std::int64_t> known_raises_;  // parallel to edges_
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;
+  std::span<const fl::ClientEdge> edges_;     // cost-sorted
+  std::span<const std::int32_t> cost_index_;  // port -> index into edges_
+  std::vector<std::int64_t> known_raises_;    // parallel to edges_
   bool covered_ = false;
   bool by_mopup_ = false;
 };
 
 }  // namespace
 
-FracOutcome run_frac_lp(const fl::Instance& inst, const MwParams& params) {
-  Shared shared;
-  shared.sched = derive_schedule(inst, params);
-  shared.params = params;
-  shared.scheduled_rounds = 2ULL *
-                            static_cast<std::uint64_t>(shared.sched.levels) *
-                            static_cast<std::uint64_t>(shared.sched.subphases);
-
-  const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
-
+net::Network::Options frac_lp_options(const MwSchedule& schedule,
+                                      const MwParams& params) {
   net::Network::Options options;
-  options.bit_budget = shared.sched.bit_budget;
+  options.bit_budget = schedule.bit_budget;
   options.seed = params.seed;
   options.num_threads = params.num_threads;
   options.delivery = params.delivery;
-  apply_transport_options(options, params, logical_bound);
+  apply_transport_options(options, params, scheduled_rounds(schedule) + 8);
+  return options;
+}
+
+FracOutcome run_frac_lp(net::Network& net, const EdgeTable& table,
+                        const fl::Instance& inst, const MwSchedule& schedule,
+                        const MwParams& params) {
+  Shared shared;
+  shared.sched = schedule;
+  shared.params = params;
+  shared.scheduled_rounds = scheduled_rounds(schedule);
+  const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
   if (params.tracer != nullptr) params.tracer->set_section("frac-lp");
-  net::Network net = make_bipartite_network(inst, options);
 
   for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    net.set_process(facility_node(i),
-                    maybe_reliable(std::make_unique<FacilityProc>(
-                                       &shared, inst.opening_cost(i),
-                                       facility_local_edges(inst, i)),
-                                   params, shared.sched.bit_budget));
+    const net::NodeId v = facility_node(i);
+    net.set_process(v, maybe_reliable(std::make_unique<FacilityProc>(
+                                          &shared, inst.opening_cost(i),
+                                          inst.facility_edges(i),
+                                          table.cost_index(v)),
+                                      params, shared.sched.bit_budget));
   }
   for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    net.set_process(client_node(inst, j),
-                    maybe_reliable(std::make_unique<ClientProc>(
-                                       &shared, client_local_edges(inst, j)),
-                                   params, shared.sched.bit_budget));
+    const net::NodeId v = client_node(inst, j);
+    net.set_process(v, maybe_reliable(std::make_unique<ClientProc>(
+                                          &shared, inst.client_edges(j),
+                                          table.cost_index(v)),
+                                      params, shared.sched.bit_budget));
   }
 
   return with_fault_context(net, [&] {
@@ -266,10 +265,9 @@ FracOutcome run_frac_lp(const fl::Instance& inst, const MwParams& params) {
     for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
       const auto& proc =
           transport_inner<ClientProc>(net, params, client_node(inst, j));
-      const std::vector<double> x = proc.allocate_x();
-      const std::size_t base = inst.client_edge_offset(j);
-      for (std::size_t t = 0; t < x.size(); ++t)
-        outcome.fractional.x[base + t] = x[t];
+      proc.allocate_x(std::span<double>(outcome.fractional.x)
+                          .subspan(inst.client_edge_offset(j),
+                                   inst.client_edges(j).size()));
       if (proc.covered_by_mopup()) ++outcome.mopup_clients;
     }
     outcome.transport = collect_transport_stats(net, params);
@@ -280,6 +278,14 @@ FracOutcome run_frac_lp(const fl::Instance& inst, const MwParams& params) {
     }
     return outcome;
   });
+}
+
+FracOutcome run_frac_lp(const fl::Instance& inst, const MwParams& params) {
+  const MwSchedule schedule = derive_schedule(inst, params);
+  EdgeTable table;
+  net::Network net =
+      make_bipartite_network(inst, frac_lp_options(schedule, params), table);
+  return run_frac_lp(net, table, inst, schedule, params);
 }
 
 }  // namespace dflp::core

@@ -17,10 +17,12 @@
 // 2*levels*subphases + 3 = O(k) rounds.
 #pragma once
 
+#include "core/bipartite.h"
 #include "core/params.h"
 #include "fl/instance.h"
 #include "fl/solution.h"
 #include "netsim/metrics.h"
+#include "netsim/network.h"
 #include "netsim/reliable.h"
 
 namespace dflp::core {
@@ -38,6 +40,22 @@ struct FracOutcome {
 };
 
 [[nodiscard]] FracOutcome run_frac_lp(const fl::Instance& inst,
+                                      const MwParams& params);
+
+/// The stage's network options under `schedule`: its bit budget, the run's
+/// seed, threads and delivery order, and the transport wiring of `params`
+/// (core/transport.h).
+[[nodiscard]] net::Network::Options frac_lp_options(const MwSchedule& schedule,
+                                                    const MwParams& params);
+
+/// Runs the stage on `net`, a bipartite network of `inst` with
+/// frac_lp_options(schedule, params) and no processes (fresh from
+/// make_bipartite_network or Network::restart), whose edge table is
+/// `table`. The instance overload builds its own; run_pipeline shares one
+/// network between both stages.
+[[nodiscard]] FracOutcome run_frac_lp(net::Network& net, const EdgeTable& table,
+                                      const fl::Instance& inst,
+                                      const MwSchedule& schedule,
                                       const MwParams& params);
 
 }  // namespace dflp::core

@@ -25,21 +25,19 @@ struct Shared {
   MwSchedule sched;
   MwParams params;
   std::uint64_t scheduled_rounds = 0;  // 4 * levels * subphases
+  net::NodeId first_client = 0;        // network node of client 0
 };
 
 class FacilityProc final : public net::Process {
  public:
+  /// `edges` is the facility's cost-sorted instance slice and `cost_index`
+  /// its EdgeTable column (port -> index into `edges`); both are borrowed.
   FacilityProc(const Shared* shared, double opening_cost,
-               std::vector<LocalEdge> edges)
-      : shared_(shared), opening_cost_(opening_cost),
-        edges_(std::move(edges)),
-        covered_(edges_.size(), 0) {
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
-    uncovered_count_ = static_cast<int>(edges_.size());
-  }
+               std::span<const fl::FacilityEdge> edges,
+               std::span<const std::int32_t> cost_index)
+      : shared_(shared), opening_cost_(opening_cost), edges_(edges),
+        cost_index_(cost_index), covered_(edges.size(), 0),
+        uncovered_count_(static_cast<int>(edges.size())) {}
 
   [[nodiscard]] bool opened() const noexcept { return open_; }
 
@@ -49,7 +47,7 @@ class FacilityProc final : public net::Process {
     // Absorb coverage notices whenever they arrive (phase-3 broadcasts land
     // in the next phase-0 round; mop-up notices can land later too).
     for (const net::Message& msg : inbox) {
-      if (msg.kind == kCovered) mark_covered(msg.src);
+      if (msg.kind == kCovered) mark_covered(msg.port);
     }
 
     if (r < shared_->scheduled_rounds) {
@@ -85,14 +83,11 @@ class FacilityProc final : public net::Process {
   }
 
  private:
-  void mark_covered(net::NodeId client) {
-    const auto it = std::lower_bound(
-        by_peer_.begin(), by_peer_.end(),
-        std::pair<net::NodeId, std::size_t>{client, 0});
-    DFLP_CHECK_MSG(it != by_peer_.end() && it->first == client,
-                   "COVERED from non-neighbour " << client);
-    if (!covered_[it->second]) {
-      covered_[it->second] = 1;
+  void mark_covered(std::int32_t port) {
+    const auto t = static_cast<std::size_t>(
+        cost_index_[static_cast<std::size_t>(port)]);
+    if (!covered_[t]) {
+      covered_[t] = 1;
       --uncovered_count_;
     }
   }
@@ -143,7 +138,7 @@ class FacilityProc final : public net::Process {
     int sent = 0;
     for (std::size_t t = 0; t < edges_.size() && sent < star; ++t) {
       if (covered_[t]) continue;
-      ctx.send(edges_[t].peer, kOffer);
+      ctx.send(shared_->first_client + edges_[t].client, kOffer);
       ++sent;
     }
   }
@@ -172,9 +167,9 @@ class FacilityProc final : public net::Process {
 
   const Shared* shared_;
   double opening_cost_;
-  std::vector<LocalEdge> edges_;       // cost-sorted
-  std::vector<std::uint8_t> covered_;  // parallel to edges_
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;  // sorted
+  std::span<const fl::FacilityEdge> edges_;  // cost-sorted
+  std::span<const std::int32_t> cost_index_;  // port -> index into edges_
+  std::vector<std::uint8_t> covered_;         // parallel to edges_
   int uncovered_count_ = 0;
   bool open_ = false;
   int offered_star_ = 0;  // size of the star offered this sub-phase
@@ -182,8 +177,11 @@ class FacilityProc final : public net::Process {
 
 class ClientProc final : public net::Process {
  public:
-  ClientProc(const Shared* shared, std::vector<LocalEdge> edges)
-      : shared_(shared), edges_(std::move(edges)) {}
+  /// `edges` is the client's cost-sorted instance slice and `cost_index`
+  /// its EdgeTable column; both are borrowed.
+  ClientProc(const Shared* shared, std::span<const fl::ClientEdge> edges,
+             std::span<const std::int32_t> cost_index)
+      : shared_(shared), edges_(edges), cost_index_(cost_index) {}
 
   [[nodiscard]] bool covered() const noexcept { return covered_; }
   [[nodiscard]] net::NodeId assigned_facility_node() const noexcept {
@@ -217,7 +215,7 @@ class ClientProc final : public net::Process {
       if (!covered_) {
         // edges_ is cost-sorted: front is the cheapest facility.
         ctx.annotate("mopup-request");
-        pending_ = edges_.front().peer;
+        pending_ = facility_node(edges_.front().facility);
         ctx.send(pending_, kOpenReq);
         by_mopup_ = true;
       } else {
@@ -243,23 +241,18 @@ class ClientProc final : public net::Process {
                     std::span<const net::Message> inbox) {
     pending_ = net::kNoNode;
     if (covered_) return;
-    std::vector<net::NodeId> offers;
-    offers.reserve(inbox.size());
+    // Cheapest offering facility by exact local cost, ties by node id: the
+    // smallest cost index among the offering ports encodes exactly that
+    // preference.
+    std::int32_t best = std::numeric_limits<std::int32_t>::max();
     for (const net::Message& m : inbox) {
-      if (m.kind == kOffer) offers.push_back(m.src);
+      if (m.kind == kOffer)
+        best = std::min(best, cost_index_[static_cast<std::size_t>(m.port)]);
     }
-    if (offers.empty()) return;
-    std::sort(offers.begin(), offers.end());
-    // Cheapest offering facility by exact local cost, ties by node id
-    // (edges_ order encodes exactly that preference).
-    for (const LocalEdge& e : edges_) {
-      if (std::binary_search(offers.begin(), offers.end(), e.peer)) {
-        ctx.annotate("accept");
-        pending_ = e.peer;
-        ctx.send(e.peer, kAccept);
-        return;
-      }
-    }
+    if (best == std::numeric_limits<std::int32_t>::max()) return;
+    ctx.annotate("accept");
+    pending_ = facility_node(edges_[static_cast<std::size_t>(best)].facility);
+    ctx.send(pending_, kAccept);
   }
 
   void maybe_finalize_grant(net::NodeContext& ctx,
@@ -279,7 +272,8 @@ class ClientProc final : public net::Process {
   }
 
   const Shared* shared_;
-  std::vector<LocalEdge> edges_;  // cost-sorted
+  std::span<const fl::ClientEdge> edges_;     // cost-sorted
+  std::span<const std::int32_t> cost_index_;  // port -> index into edges_
   bool covered_ = false;
   bool by_mopup_ = false;
   net::NodeId assigned_ = net::kNoNode;
@@ -296,6 +290,7 @@ MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
   shared.scheduled_rounds = 4ULL *
                             static_cast<std::uint64_t>(shared.sched.levels) *
                             static_cast<std::uint64_t>(shared.sched.subphases);
+  shared.first_client = client_node(inst, 0);
 
   const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
 
@@ -306,20 +301,23 @@ MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
   options.delivery = params.delivery;
   apply_transport_options(options, params, logical_bound);
   if (params.tracer != nullptr) params.tracer->set_section("mw-greedy");
-  net::Network net = make_bipartite_network(inst, options);
+  EdgeTable table;
+  net::Network net = make_bipartite_network(inst, options, table);
 
   for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    net.set_process(facility_node(i),
-                    maybe_reliable(std::make_unique<FacilityProc>(
-                                       &shared, inst.opening_cost(i),
-                                       facility_local_edges(inst, i)),
-                                   params, shared.sched.bit_budget));
+    const net::NodeId v = facility_node(i);
+    net.set_process(v, maybe_reliable(std::make_unique<FacilityProc>(
+                                          &shared, inst.opening_cost(i),
+                                          inst.facility_edges(i),
+                                          table.cost_index(v)),
+                                      params, shared.sched.bit_budget));
   }
   for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    net.set_process(client_node(inst, j),
-                    maybe_reliable(std::make_unique<ClientProc>(
-                                       &shared, client_local_edges(inst, j)),
-                                   params, shared.sched.bit_budget));
+    const net::NodeId v = client_node(inst, j);
+    net.set_process(v, maybe_reliable(std::make_unique<ClientProc>(
+                                          &shared, inst.client_edges(j),
+                                          table.cost_index(v)),
+                                      params, shared.sched.bit_budget));
   }
 
   const std::uint64_t max_rounds = transport_max_rounds(params, logical_bound);
@@ -360,6 +358,7 @@ MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
   shared->scheduled_rounds =
       4ULL * static_cast<std::uint64_t>(shared->sched.levels) *
       static_cast<std::uint64_t>(shared->sched.subphases);
+  shared->first_client = client_node(inst, 0);
 
   net::AsyncNetwork::Options options;
   // The synchronizer tags every message with its logical round, so the
@@ -382,18 +381,23 @@ MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
       net.add_edge(facility_node(i), client_node(inst, e.client));
   }
   net.finalize();
+  // The synchronizer delivers the same ports a synchronous network would
+  // (both sort each neighbour list ascending), so the bipartite edge table
+  // serves as is; its adjacency is not needed here.
+  EdgeTable table;
+  (void)build_bipartite_adjacency(inst, table);
 
   const Shared* shared_ptr = shared.get();
   auto make_inner = [&](net::NodeId id) -> std::unique_ptr<net::Process> {
     if (id < inst.num_facilities()) {
       const fl::FacilityId i = node_to_facility(id);
-      return std::make_unique<FacilityProc>(shared_ptr,
-                                            inst.opening_cost(i),
-                                            facility_local_edges(inst, i));
+      return std::make_unique<FacilityProc>(
+          shared_ptr, inst.opening_cost(i), inst.facility_edges(i),
+          table.cost_index(id));
     }
     const fl::ClientId j = node_to_client(inst, id);
-    return std::make_unique<ClientProc>(shared_ptr,
-                                        client_local_edges(inst, j));
+    return std::make_unique<ClientProc>(shared_ptr, inst.client_edges(j),
+                                        table.cost_index(id));
   };
 
   MwGreedyAsyncOutcome outcome{fl::IntegralSolution(inst),

@@ -22,6 +22,10 @@ struct Shared {
   std::uint64_t scheduled_rounds = 0;  // 2 * rounding_phases
 };
 
+std::uint64_t scheduled_rounds(const MwSchedule& schedule) {
+  return 2ULL * static_cast<std::uint64_t>(schedule.rounding_phases);
+}
+
 class FacilityProc final : public net::Process {
  public:
   FacilityProc(const Shared* shared, double y) : shared_(shared), y_(y) {}
@@ -65,16 +69,15 @@ class FacilityProc final : public net::Process {
 
 class ClientProc final : public net::Process {
  public:
-  /// `edges` in cost order; `x` parallel fractional support.
-  ClientProc(const Shared* shared, std::vector<LocalEdge> edges,
-             std::vector<double> x)
-      : shared_(shared), edges_(std::move(edges)), x_(std::move(x)),
-        open_known_(edges_.size(), 0) {
+  /// `edges` in cost order, `cost_index` its EdgeTable column (port ->
+  /// index into `edges`) and `x` the parallel fractional support — all
+  /// borrowed for the run.
+  ClientProc(const Shared* shared, std::span<const fl::ClientEdge> edges,
+             std::span<const std::int32_t> cost_index,
+             std::span<const double> x)
+      : shared_(shared), edges_(edges), cost_index_(cost_index), x_(x),
+        open_known_(edges.size(), 0) {
     DFLP_CHECK(x_.size() == edges_.size());
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
   }
 
   [[nodiscard]] bool covered() const noexcept { return covered_; }
@@ -88,11 +91,8 @@ class ClientProc final : public net::Process {
     const std::uint64_t r = ctx.round();
     for (const net::Message& msg : inbox) {
       if (msg.kind == kOpen) {
-        const auto it = std::lower_bound(
-            by_peer_.begin(), by_peer_.end(),
-            std::pair<net::NodeId, std::size_t>{msg.src, 0});
-        DFLP_CHECK(it != by_peer_.end() && it->first == msg.src);
-        open_known_[it->second] = 1;
+        open_known_[static_cast<std::size_t>(
+            cost_index_[static_cast<std::size_t>(msg.port)])] = 1;
       }
     }
 
@@ -114,11 +114,12 @@ class ClientProc final : public net::Process {
       pending_ = net::kNoNode;
       for (std::size_t t = 0; t < edges_.size(); ++t) {
         if (x_[t] > 0.0) {
-          pending_ = edges_[t].peer;
+          pending_ = facility_node(edges_[t].facility);
           break;
         }
       }
-      if (pending_ == net::kNoNode) pending_ = edges_.front().peer;
+      if (pending_ == net::kNoNode)
+        pending_ = facility_node(edges_.front().facility);
       ctx.annotate("fallback");
       ctx.send(pending_, kOpenReq);
       fallback_ = true;
@@ -142,17 +143,17 @@ class ClientProc final : public net::Process {
       if (open_known_[t]) {
         ctx.annotate("connect");
         covered_ = true;
-        assigned_ = edges_[t].peer;
+        assigned_ = facility_node(edges_[t].facility);
         return;
       }
     }
   }
 
   const Shared* shared_;
-  std::vector<LocalEdge> edges_;
-  std::vector<double> x_;
-  std::vector<std::uint8_t> open_known_;
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;
+  std::span<const fl::ClientEdge> edges_;     // cost-sorted
+  std::span<const std::int32_t> cost_index_;  // port -> index into edges_
+  std::span<const double> x_;                 // parallel to edges_
+  std::vector<std::uint8_t> open_known_;      // parallel to edges_
   bool covered_ = false;
   bool fallback_ = false;
   net::NodeId assigned_ = net::kNoNode;
@@ -161,7 +162,19 @@ class ClientProc final : public net::Process {
 
 }  // namespace
 
-RoundOutcome run_rand_round(const fl::Instance& inst,
+net::Network::Options rand_round_options(const MwSchedule& schedule,
+                                         const MwParams& params) {
+  net::Network::Options options;
+  options.bit_budget = schedule.bit_budget;
+  options.seed = params.seed ^ 0x5EEDB00572ULL;  // decorrelate from stage 1
+  options.num_threads = params.num_threads;
+  options.delivery = params.delivery;
+  apply_transport_options(options, params, scheduled_rounds(schedule) + 8);
+  return options;
+}
+
+RoundOutcome run_rand_round(net::Network& net, const EdgeTable& table,
+                            const fl::Instance& inst,
                             const fl::FractionalSolution& fractional,
                             const MwSchedule& schedule,
                             const MwParams& params) {
@@ -173,19 +186,9 @@ RoundOutcome run_rand_round(const fl::Instance& inst,
   Shared shared;
   shared.sched = &schedule;
   shared.boost = params.rounding_boost;
-  shared.scheduled_rounds =
-      2ULL * static_cast<std::uint64_t>(schedule.rounding_phases);
-
+  shared.scheduled_rounds = scheduled_rounds(schedule);
   const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
-
-  net::Network::Options options;
-  options.bit_budget = schedule.bit_budget;
-  options.seed = params.seed ^ 0x5EEDB00572ULL;  // decorrelate from stage 1
-  options.num_threads = params.num_threads;
-  options.delivery = params.delivery;
-  apply_transport_options(options, params, logical_bound);
   if (params.tracer != nullptr) params.tracer->set_section("rand-round");
-  net::Network net = make_bipartite_network(inst, options);
 
   for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
     net.set_process(facility_node(i),
@@ -194,17 +197,16 @@ RoundOutcome run_rand_round(const fl::Instance& inst,
                                        fractional.y[static_cast<std::size_t>(i)]),
                                    params, schedule.bit_budget));
   }
+  const std::span<const double> x(fractional.x);
   for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    const std::size_t base = inst.client_edge_offset(j);
-    const std::size_t deg = inst.client_edges(j).size();
-    std::vector<double> x(fractional.x.begin() + static_cast<std::ptrdiff_t>(base),
-                          fractional.x.begin() +
-                              static_cast<std::ptrdiff_t>(base + deg));
-    net.set_process(client_node(inst, j),
-                    maybe_reliable(std::make_unique<ClientProc>(
-                                       &shared, client_local_edges(inst, j),
-                                       std::move(x)),
-                                   params, schedule.bit_budget));
+    const net::NodeId v = client_node(inst, j);
+    const std::span<const fl::ClientEdge> edges = inst.client_edges(j);
+    net.set_process(
+        v, maybe_reliable(std::make_unique<ClientProc>(
+                              &shared, edges, table.cost_index(v),
+                              x.subspan(inst.client_edge_offset(j),
+                                        edges.size())),
+                          params, schedule.bit_budget));
   }
 
   return with_fault_context(net, [&] {
@@ -230,6 +232,16 @@ RoundOutcome run_rand_round(const fl::Instance& inst,
                    "rounded solution must be feasible: " << why);
     return outcome;
   });
+}
+
+RoundOutcome run_rand_round(const fl::Instance& inst,
+                            const fl::FractionalSolution& fractional,
+                            const MwSchedule& schedule,
+                            const MwParams& params) {
+  EdgeTable table;
+  net::Network net = make_bipartite_network(
+      inst, rand_round_options(schedule, params), table);
+  return run_rand_round(net, table, inst, fractional, schedule, params);
 }
 
 }  // namespace dflp::core

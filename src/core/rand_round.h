@@ -15,10 +15,12 @@
 // Rounds: 2 * rounding_phases + 3 = O(log N).
 #pragma once
 
+#include "core/bipartite.h"
 #include "core/params.h"
 #include "fl/instance.h"
 #include "fl/solution.h"
 #include "netsim/metrics.h"
+#include "netsim/network.h"
 #include "netsim/reliable.h"
 
 namespace dflp::core {
@@ -40,5 +42,20 @@ struct RoundOutcome {
 [[nodiscard]] RoundOutcome run_rand_round(
     const fl::Instance& inst, const fl::FractionalSolution& fractional,
     const MwSchedule& schedule, const MwParams& params);
+
+/// The stage's network options: the schedule's bit budget, its own seed
+/// stream (`params.seed ^ 0x5EEDB00572`, decorrelated from stage 1), the
+/// run's threads and delivery order, and the transport wiring of `params`.
+[[nodiscard]] net::Network::Options rand_round_options(
+    const MwSchedule& schedule, const MwParams& params);
+
+/// Runs the stage on `net`, a bipartite network of `inst` with
+/// rand_round_options(schedule, params) and no processes (fresh from
+/// make_bipartite_network or Network::restart), whose edge table is
+/// `table`. `fractional` is borrowed for the run.
+[[nodiscard]] RoundOutcome run_rand_round(
+    net::Network& net, const EdgeTable& table, const fl::Instance& inst,
+    const fl::FractionalSolution& fractional, const MwSchedule& schedule,
+    const MwParams& params);
 
 }  // namespace dflp::core

@@ -36,7 +36,7 @@ void AsyncNetwork::add_edge(NodeId u, NodeId v) {
 void AsyncNetwork::finalize() {
   DFLP_CHECK_MSG(!finalized_, "finalize called twice");
   const std::size_t n = processes_.size();
-  build_sorted_adjacency(n, std::move(edge_buffer_), adj_offset_, adj_);
+  csr_ = build_sorted_adjacency(n, std::move(edge_buffer_));
 
   // IMPORTANT: identical RNG stream derivation as the synchronous Network,
   // so wrapped protocols draw the same coins in both worlds.
@@ -59,8 +59,8 @@ std::span<const NodeId> AsyncNetwork::neighbors_of(NodeId id) const {
   DFLP_CHECK(finalized_);
   const auto i = static_cast<std::size_t>(id);
   DFLP_CHECK(i < processes_.size());
-  return {adj_.data() + adj_offset_[i],
-          static_cast<std::size_t>(adj_offset_[i + 1] - adj_offset_[i])};
+  return {csr_.adj.data() + csr_.offset[i],
+          static_cast<std::size_t>(csr_.offset[i + 1] - csr_.offset[i])};
 }
 
 AsyncProcess& AsyncNetwork::process(NodeId id) {
@@ -89,12 +89,16 @@ void AsyncNetwork::sink_send(NodeId from, NodeId to, std::uint8_t kind,
   DFLP_CHECK_MSG(from == current_sender_,
                  "send outside the sender's own delivery step");
   const auto nbrs = neighbors_of(from);
-  DFLP_CHECK_MSG(std::binary_search(nbrs.begin(), nbrs.end(), to),
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), to);
+  DFLP_CHECK_MSG(it != nbrs.end() && *it == to,
                  "node " << from << " is not adjacent to " << to);
 
   Event ev;
   ev.msg.src = from;
   ev.msg.dst = to;
+  // The receiver hears `from` on the reverse position of this link.
+  ev.msg.port = csr_.rev[static_cast<std::size_t>(csr_.offset[from]) +
+                         static_cast<std::size_t>(it - nbrs.begin())];
   ev.msg.kind = kind;
   ev.msg.field = fields;
   ev.tag = outgoing_tag_;
@@ -136,7 +140,7 @@ void AsyncNetwork::flush_trace() {
   if (tracer == nullptr) return;
   TraceSection info;
   info.nodes = processes_.size();
-  info.edges = adj_.size() / 2;
+  info.edges = csr_.adj.size() / 2;
   info.threads = 1;  // event loop is serial
   info.seed = options_.seed;
   info.bit_budget = options_.bit_budget;
@@ -289,7 +293,8 @@ void Synchronizer::execute_round(NodeContext& ctx) {
   // with broadcasts expanded per neighbour (the staged bits already satisfy
   // the honest minimum; the network adds and bills the tag overhead on top).
   net_->set_outgoing_tag(static_cast<std::int64_t>(round_ + 1));
-  buffer_.for_each_staged([&](NodeId dst, const WireRecord& rec) {
+  buffer_.for_each_staged([&](std::size_t, NodeId dst,
+                              const WireRecord& rec) {
     net_->sink_send(self_, dst, rec.kind, rec.field,
                     static_cast<int>(rec.bits));
   });
@@ -340,11 +345,14 @@ void Synchronizer::on_start(NodeContext& ctx) {
 
 void Synchronizer::on_message(NodeContext& ctx, const Message& msg) {
   if (inner_halted_) return;
-  const auto neighbors = net_->neighbors_of(self_);
-  const auto it =
-      std::lower_bound(neighbors.begin(), neighbors.end(), msg.src);
-  DFLP_CHECK(it != neighbors.end() && *it == msg.src);
-  const auto idx = static_cast<std::size_t>(it - neighbors.begin());
+  // Per-neighbour state is indexed by the port the message arrived on;
+  // payloads keep it, so the inner inbox carries the ports a synchronous
+  // run would deliver.
+  const auto idx = static_cast<std::size_t>(msg.port);
+  DFLP_CHECK_MSG(msg.port >= 0 && idx < fin_from_.size() &&
+                     net_->neighbors_of(self_)[idx] == msg.src,
+                 "message from node " << msg.src << " arrived on port "
+                                      << msg.port << ", not its link");
 
   if (msg.kind == kFin) {
     fin_from_[idx] = 1;

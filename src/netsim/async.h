@@ -122,8 +122,7 @@ class AsyncNetwork final : public MessageSink {
   Options options_;
   bool finalized_ = false;
   std::vector<std::pair<NodeId, NodeId>> edge_buffer_;
-  std::vector<std::int32_t> adj_offset_;
-  std::vector<NodeId> adj_;
+  Adjacency csr_;  ///< with the reverse positions that set Message::port
   std::vector<std::unique_ptr<AsyncProcess>> processes_;
   std::vector<Rng> node_rngs_;
   std::vector<std::uint8_t> halted_;
@@ -200,7 +199,8 @@ class Synchronizer final : public AsyncProcess {
   /// network and emits tokens/FIN on the silent edges.
   RoundBuffer buffer_;
 
-  // Per-neighbour bookkeeping, indexed by position in neighbors_of(self).
+  // Per-neighbour bookkeeping, indexed by position in neighbors_of(self) —
+  // the port a delivered message carries.
   // fin_after_[i] is meaningful when fin_from_[i] is set: the neighbour's
   // FIN satisfies only rounds strictly greater than fin_after_[i] — items
   // with tags <= fin_after_[i] are still in flight and must be awaited

@@ -63,6 +63,15 @@ enum TransportFlag : std::uint8_t {
 struct Message {
   NodeId src = kNoNode;
   NodeId dst = kNoNode;
+  /// The link the message arrived on: the index of `src` in the receiver's
+  /// `NodeContext::neighbors()`, so `ctx.neighbors()[msg.port] == msg.src`.
+  /// Every transport sets it on every delivery, duplicated copies
+  /// included, and so does every adapter that hands an inner protocol an
+  /// inbox (the synchronizer, the reliable channel); a hand-built inbox
+  /// must set it too. It is the receiver's own knowledge of its incident
+  /// edge, not wire content, so it is never billed. Protocols index
+  /// per-link state by it instead of searching for `src`.
+  std::int32_t port = -1;
   std::uint8_t kind = 0;
   std::array<std::int64_t, 3> field{0, 0, 0};
   int bits = 0;
@@ -74,6 +83,9 @@ struct Message {
   /// with thread count) — never read it without checking `has_header`.
   TransportHeader hdr;
 };
+static_assert(sizeof(Message) == 80,
+              "the delivery view is billed as 80 bytes per delivery "
+              "(NetMetrics::bytes_moved); `port` sits in alignment padding");
 
 /// Flag bits of WireRecord::flags.
 enum WireFlag : std::uint8_t {

@@ -34,10 +34,11 @@ constexpr std::size_t kScatterPrefetch = 16;
 
 }  // namespace
 
-void build_sorted_adjacency(std::size_t num_nodes,
-                            std::vector<std::pair<NodeId, NodeId>> edges,
-                            std::vector<std::int32_t>& offset,
-                            std::vector<NodeId>& adj) {
+Adjacency build_sorted_adjacency(
+    std::size_t num_nodes, std::vector<std::pair<NodeId, NodeId>> edges) {
+  Adjacency out;
+  std::vector<std::int32_t>& offset = out.offset;
+  std::vector<NodeId>& adj = out.adj;
   offset.assign(num_nodes + 1, 0);
   for (const auto& [u, v] : edges) {
     ++offset[static_cast<std::size_t>(u) + 1];
@@ -72,6 +73,21 @@ void build_sorted_adjacency(std::size_t num_nodes,
       adj[pos] = src;
     }
   }
+
+  // Reverse positions: walking the sources in ascending order again, every
+  // neighbour v's cursor sits on s, because v's list is ascending and its
+  // smaller neighbours were all walked before s.
+  std::copy(offset.begin(), offset.end() - 1, cursor.begin());
+  out.rev.resize(adj.size());
+  for (std::size_t s = 0; s < num_nodes; ++s) {
+    const auto end = static_cast<std::size_t>(offset[s + 1]);
+    for (auto e = static_cast<std::size_t>(offset[s]); e < end; ++e) {
+      const auto v = static_cast<std::size_t>(adj[e]);
+      out.rev[e] = static_cast<std::int32_t>(cursor[v]++ -
+                                             static_cast<std::size_t>(offset[v]));
+    }
+  }
+  return out;
 }
 
 void MessageSink::sink_frame(NodeId from, const Message& frame) {
@@ -129,18 +145,6 @@ void Network::add_edge(NodeId u, NodeId v) {
 void Network::finalize() {
   DFLP_CHECK_MSG(!finalized_, "finalize called twice");
   const std::size_t n = processes_.size();
-
-  // Validate the options here, with the offending value in the message,
-  // rather than misbehaving silently at run time. The fault plan validates
-  // its own probabilities and crash-event ranges.
-  DFLP_CHECK_MSG(options_.bit_budget >= 8,
-                 "Options::bit_budget must be >= 8 (the opcode alone needs "
-                 "8 bits); got " << options_.bit_budget);
-  DFLP_CHECK_MSG(options_.num_threads >= 1,
-                 "Options::num_threads must be >= 1; got "
-                     << options_.num_threads);
-  fault_plan_ = FaultPlan(options_.faults, options_.seed, n);
-
   clique_ = options_.topology == Topology::kClique;
   if (clique_) {
     // Implicit all-to-all adjacency: the rotation array clique_adj_[k] =
@@ -153,9 +157,98 @@ void Network::finalize() {
     num_edges_ = n * (n - 1) / 2;
   } else {
     num_edges_ = edge_buffer_.size();
-    build_sorted_adjacency(n, std::move(edge_buffer_), adj_offset_, adj_);
+    csr_ = build_sorted_adjacency(n, std::move(edge_buffer_));
   }
+  bind_options();
+  finalized_ = true;
+}
 
+void Network::finalize(Adjacency adjacency) {
+  DFLP_CHECK_MSG(!finalized_, "finalize called twice");
+  DFLP_CHECK_MSG(options_.topology == Topology::kExplicit,
+                 "a prebuilt adjacency needs Topology::kExplicit");
+  DFLP_CHECK_MSG(edge_buffer_.empty(),
+                 "finalize(Adjacency) after add_edge: pass one topology");
+  const std::size_t n = processes_.size();
+  const Adjacency& a = adjacency;
+  DFLP_CHECK_MSG(a.offset.size() == n + 1 && a.offset[0] == 0 &&
+                     static_cast<std::size_t>(a.offset[n]) == a.adj.size() &&
+                     a.rev.size() == a.adj.size() && a.adj.size() % 2 == 0,
+                 "prebuilt adjacency does not describe " << n << " nodes");
+  for (std::size_t u = 0; u < n; ++u) {
+    DFLP_CHECK_MSG(a.offset[u] <= a.offset[u + 1],
+                   "prebuilt adjacency: offsets of node " << u << " decrease");
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto begin = static_cast<std::size_t>(a.offset[u]);
+    const auto end = static_cast<std::size_t>(a.offset[u + 1]);
+    for (std::size_t e = begin; e < end; ++e) {
+      const NodeId v = a.adj[e];
+      DFLP_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < n &&
+                         static_cast<std::size_t>(v) != u &&
+                         (e == begin || a.adj[e - 1] < v),
+                     "prebuilt adjacency: neighbours of node "
+                         << u << " are not sorted, distinct and in range");
+      const auto vb = static_cast<std::size_t>(a.offset[v]);
+      const auto vdeg = static_cast<std::size_t>(a.offset[v + 1]) - vb;
+      const auto r = static_cast<std::size_t>(a.rev[e]);
+      DFLP_CHECK_MSG(a.rev[e] >= 0 && r < vdeg &&
+                         a.adj[vb + r] == static_cast<NodeId>(u),
+                     "prebuilt adjacency: reverse position of node "
+                         << u << " in node " << v << "'s list is wrong");
+    }
+  }
+  clique_ = false;
+  num_edges_ = a.adj.size() / 2;
+  csr_ = std::move(adjacency);
+  bind_options();
+  finalized_ = true;
+}
+
+void Network::restart(Options options) {
+  DFLP_CHECK_MSG(finalized_, "restart before finalize");
+  DFLP_CHECK_MSG(options.topology == options_.topology,
+                 "restart cannot change the topology kind");
+  const std::size_t n = processes_.size();
+  if (options.num_threads != options_.num_threads) executor_.reset();
+  options_ = options;
+  for (auto& p : processes_) p.reset();
+  std::fill(halted_.begin(), halted_.end(), std::uint8_t{0});
+  live_nodes_.clear();
+  for (std::size_t i = 0; i < n; ++i)
+    live_nodes_.push_back(static_cast<NodeId>(i));
+  // Discard whatever a cut-short execution left in flight.
+  for (const NodeId d : touched_) slice_count_[static_cast<std::size_t>(d)] = 0;
+  touched_.clear();
+  for (const NodeId d : next_touched_)  // left by a round that threw
+    dst_count_[static_cast<std::size_t>(d)] = 0;
+  next_touched_.clear();
+  arena_.clear();
+  arena_port_.clear();
+  header_slots_.clear();
+  inflight_messages_ = 0;
+  transport_touches_ = 0;
+  crash_cursor_ = 0;
+  round_ = 0;
+  cumulative_ = NetMetrics{};
+  bind_options();
+}
+
+void Network::bind_options() {
+  const std::size_t n = processes_.size();
+
+  // Validate the options here, with the offending value in the message,
+  // rather than misbehaving silently at run time. The fault plan validates
+  // its own probabilities and crash-event ranges.
+  DFLP_CHECK_MSG(options_.bit_budget >= 8,
+                 "Options::bit_budget must be >= 8 (the opcode alone needs "
+                 "8 bits); got " << options_.bit_budget);
+  DFLP_CHECK_MSG(options_.num_threads >= 1,
+                 "Options::num_threads must be >= 1; got "
+                     << options_.num_threads);
+  fault_plan_ = FaultPlan(options_.faults, options_.seed, n);
+
+  node_rngs_.clear();
   node_rngs_.reserve(n);
   Rng seeder(options_.seed);
   for (std::size_t i = 0; i < n; ++i) node_rngs_.push_back(seeder.split(i));
@@ -167,17 +260,18 @@ void Network::finalize() {
   // the largest degree their shard steps.
   const auto num_shards = static_cast<std::size_t>(options_.num_threads);
   for (auto& set : stage_logs_) {
+    const std::size_t had = set.size();
     set.resize(num_shards);
-    for (StageLog& log : set) log.dst_count.assign(n, 0);
+    for (std::size_t li = had; li < num_shards; ++li)
+      set[li].dst_count.assign(n, 0);
   }
   inbox_scratch_.resize(num_shards);
   header_scratch_.resize(num_shards);
   link_stamps_.resize(num_shards);
-  slice_begin_.assign(n, 0);
-  slice_count_.assign(n, 0);
-  dst_count_.assign(n, 0);
-  dst_cursor_.assign(n, 0);
-  finalized_ = true;
+  slice_begin_.resize(n, 0);
+  slice_count_.resize(n, 0);
+  dst_count_.resize(n, 0);
+  dst_cursor_.resize(n, 0);
 }
 
 void Network::set_process(NodeId id, std::unique_ptr<Process> process) {
@@ -230,6 +324,7 @@ std::span<Message> Network::gather_inbox(std::size_t i,
     Message& m = scratch[j];
     m.src = rec.src;
     m.dst = self;  // resolved: broadcast records carry no destination
+    m.port = arena_port_[slot];
     m.kind = rec.kind;
     m.field = rec.field;
     m.bits = static_cast<int>(rec.bits);
@@ -282,19 +377,28 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     executor_ = std::make_unique<ParallelExecutor>(options_.num_threads);
   const std::size_t n = processes_.size();
 
-  // Broadcast destination expansion in canonical order: explicit topologies
-  // walk the sender's sorted adjacency; the clique iterates every node id
+  // The port under which clique node `dst` hears `src`: src's position in
+  // dst's rotation [dst+1, ..., N-1, 0, ..., dst-1].
+  const auto clique_port = [n](std::size_t src, std::size_t dst) {
+    return static_cast<std::int32_t>(src > dst ? src - dst - 1
+                                               : src + n - dst - 1);
+  };
+
+  // Broadcast destination expansion in canonical order, with each copy's
+  // receiver port: explicit topologies walk the sender's sorted adjacency
+  // beside its reverse positions; the clique iterates every node id
   // ascending, skipping the sender — the same ascending order, with no
   // materialized per-node list to walk.
   const auto for_each_broadcast_dst = [&](NodeId src, auto&& fn) {
+    const auto s = static_cast<std::size_t>(src);
     if (clique_) {
-      const auto s = static_cast<std::size_t>(src);
       for (std::size_t v = 0; v < n; ++v)
-        if (v != s) fn(static_cast<NodeId>(v));
+        if (v != s) fn(static_cast<NodeId>(v), clique_port(s, v));
     } else {
-      for (const NodeId nb :
-           neighbors_unchecked(static_cast<std::size_t>(src)))
-        fn(nb);
+      const auto base = static_cast<std::size_t>(csr_.offset[s]);
+      const std::span<const NodeId> nbrs = neighbors_unchecked(s);
+      for (std::size_t j = 0; j < nbrs.size(); ++j)
+        fn(nbrs[j], csr_.rev[base + j]);
     }
   };
 
@@ -502,7 +606,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
           while (log.headers[hcur].record != ri) ++hcur;
           hdr = &log.headers[hcur].hdr;
         }
-        const auto deliver_copy = [&](NodeId to) {
+        const auto deliver_copy = [&](NodeId to, std::int32_t port) {
           const FaultPlan::Fate fate =
               fault_plan_.fate(coins, rec.src, to, round_);
           if (fate.dropped) {
@@ -522,13 +626,13 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
             max_bits = std::max(max_bits, static_cast<int>(rec.bits));
             const auto dst = static_cast<std::size_t>(to);
             if (dst_count_[dst]++ == 0) next_touched_.push_back(to);
-            survivors_.push_back({&rec, hdr, to});
+            survivors_.push_back({&rec, hdr, to, port});
           }
         };
         if (rec.flags & kWireBroadcast) {
           for_each_broadcast_dst(rec.src, deliver_copy);
         } else {
-          deliver_copy(rec.dst);
+          deliver_copy(rec.dst, receiver_port(rec.src, log.ports[ri]));
         }
       }
     }
@@ -577,11 +681,13 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       }
     }
     next_arena_.resize(offset);
+    next_arena_port_.resize(offset);
     if (tracer) t_commit1 = TraceClock::now();
 
     // Commit, pass 3 — scatter: write each surviving record's address into
     // its destination slice (8-byte slots — the payload columns never
-    // move), expanding broadcast records over the sender's adjacency.
+    // move) and its receiver port into the parallel port column, expanding
+    // broadcast records over the sender's adjacency.
     // Sharded over destination id ranges: each shard scans the whole
     // record stream in canonical order but writes only the destinations it
     // owns, so no two shards touch the same cursor or arena cell, and
@@ -605,6 +711,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
             if (dst < d_lo || dst >= d_hi) continue;
             const std::size_t slot = dst_cursor_[dst]++;
             next_arena_[slot] = s.rec;
+            next_arena_port_[slot] = s.port;
             if (s.hdr != nullptr) hout.push_back({slot, *s.hdr});
           }
           return;
@@ -615,26 +722,36 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
           for (std::size_t ri = 0; ri < log.records.size(); ++ri) {
             const WireRecord& rec = log.records[ri];
             if (rec.flags & kWireBroadcast) {
+              const auto src = static_cast<std::size_t>(rec.src);
               if (clique_) {
                 // All-to-all fan-out: the shard's owned destination range
                 // IS the copy set (minus the sender) — walk it directly,
-                // ascending, instead of filtering an adjacency list.
-                const auto src = static_cast<std::size_t>(rec.src);
-                for (std::size_t dst = d_lo; dst < d_hi; ++dst) {
-                  if (dst == src) continue;
-                  next_arena_[dst_cursor_[dst]++] = &rec;
-                }
+                // ascending, instead of filtering an adjacency list, in two
+                // runs around the sender so each port is a linear function.
+                const auto copy_to = [&](std::size_t dst, std::size_t port) {
+                  const std::size_t slot = dst_cursor_[dst]++;
+                  next_arena_[slot] = &rec;
+                  next_arena_port_[slot] = static_cast<std::int32_t>(port);
+                };
+                for (std::size_t dst = d_lo; dst < std::min(src, d_hi); ++dst)
+                  copy_to(dst, src - dst - 1);
+                for (std::size_t dst = std::max(src + 1, d_lo); dst < d_hi;
+                     ++dst)
+                  copy_to(dst, src + n - dst - 1);
                 continue;
               }
-              const std::span<const NodeId> nbrs =
-                  neighbors_unchecked(static_cast<std::size_t>(rec.src));
+              const std::span<const NodeId> nbrs = neighbors_unchecked(src);
+              const std::int32_t* rev =
+                  csr_.rev.data() + csr_.offset[src];
               for (std::size_t j = 0; j < nbrs.size(); ++j) {
                 if (j + kScatterPrefetch < nbrs.size())
                   __builtin_prefetch(&dst_cursor_[static_cast<std::size_t>(
                       nbrs[j + kScatterPrefetch])]);
                 const auto dst = static_cast<std::size_t>(nbrs[j]);
                 if (dst < d_lo || dst >= d_hi) continue;
-                next_arena_[dst_cursor_[dst]++] = &rec;
+                const std::size_t slot = dst_cursor_[dst]++;
+                next_arena_[slot] = &rec;
+                next_arena_port_[slot] = rev[j];
               }
               continue;
             }
@@ -642,14 +759,13 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
             const bool owned = dst >= d_lo && dst < d_hi;
             if (rec.flags & kWireHasHeader) {
               while (log.headers[hcur].record != ri) ++hcur;
-              if (owned) {
-                const std::size_t slot = dst_cursor_[dst]++;
-                next_arena_[slot] = &rec;
-                hout.push_back({slot, log.headers[hcur].hdr});
-              }
-              continue;
             }
-            if (owned) next_arena_[dst_cursor_[dst]++] = &rec;
+            if (!owned) continue;
+            const std::size_t slot = dst_cursor_[dst]++;
+            next_arena_[slot] = &rec;
+            next_arena_port_[slot] = receiver_port(rec.src, log.ports[ri]);
+            if (rec.flags & kWireHasHeader)
+              hout.push_back({slot, log.headers[hcur].hdr});
           }
         }
       };
@@ -666,6 +782,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
                 });
     }
     arena_.swap(next_arena_);
+    arena_port_.swap(next_arena_port_);
     inflight_messages_ = survivors;
     if (tracer) t_scatter1 = TraceClock::now();
     // Logical delivery volume: survivors times the full 80-byte Message

@@ -58,6 +58,11 @@
 //      order the old per-node mailboxes accumulated, and already the
 //      canonical `kBySource` delivery order, so `kBySource` needs no
 //      per-inbox sort at all.
+// Each slot also carries the copy's receiver-side port (`Message::port`),
+// written by the scatter into a parallel column: a unicast's port is
+// looked up in the reverse-position column (below) from the sender-side
+// position its RoundBuffer already resolved, a broadcast copy's is read
+// beside the sender's adjacency, and the clique's is arithmetic.
 // At delivery the next step phase *gathers*: each node's slot slice is
 // materialized into a per-shard `Message` scratch (the only place the wide
 // view is built), ordered per `DeliveryOrder`, and handed to the process.
@@ -94,15 +99,33 @@
 // --------------
 // `finalize()` builds the sorted CSR adjacency in O(N + E) with no sort:
 // the edges are bucketed into unsorted per-node lists, which are then
-// transposed in ascending source order (`build_sorted_adjacency`).
+// transposed in ascending source order (`build_sorted_adjacency`). Next to
+// the CSR it builds the reverse-position column in one more O(E) pass:
+// `rev[offset[u] + k]` is the position of u in the neighbour list of its
+// k-th neighbour, i.e. the port under which that neighbour hears u. A
+// caller that already holds the CSR and the column (core's bipartite
+// builder derives both from an instance's cost-sorted edge lists) hands
+// them to `finalize(Adjacency)` instead, which checks them in O(N + E).
 //
 // Resume semantics
 // ----------------
 // `run()` returning (quiescence or max_rounds) always leaves the engine at
 // a round boundary: every staged send has been committed into the arena,
 // so calling `run()` again continues the *same* execution — the next call
-// picks up at round `r+1` with the in-flight messages intact. Multi-stage
-// pipelines rely on this; tests/netsim_test.cc pins it.
+// picks up at round `r+1` with the in-flight messages intact.
+// tests/netsim_test.cc pins it.
+//
+// Stage rerun semantics
+// ---------------------
+// `restart(options)` instead begins a *new* execution on the frozen
+// topology: round 0, no processes, nothing in flight, fresh cumulative
+// metrics, node RNG streams re-derived from `options.seed`, and the fault
+// plan re-bound from `options.faults` — exactly the state a network built
+// and finalized with `options` would be in, so the run is bit-identical to
+// one on a fresh network. Only the topology must match. A multi-stage
+// pipeline whose stages each start at round 0 with their own seed, bit
+// budget and trace section (core::run_pipeline) reruns one network instead
+// of building the CSR per stage.
 //
 // Congested-clique topology
 // -------------------------
@@ -194,6 +217,10 @@ struct StagedHeader {
 /// stages. All vectors retain capacity across rounds.
 struct StageLog {
   std::vector<WireRecord> records;
+  /// Parallel to `records`: the sender-side port of each unicast or frame,
+  /// i.e. the position of `dst` in the sender's neighbour list (0 on
+  /// broadcast records). The commit turns it into the receiver's port.
+  std::vector<std::int32_t> ports;
   std::vector<StagedHeader> headers;  ///< sparse, ascending record index
   std::vector<NodeId> halts;          ///< nodes that requested a halt
   std::vector<std::string_view> annotations;  ///< traced phase labels
@@ -254,6 +281,16 @@ class MessageSink {
     (void)node;
     (void)phase;
   }
+};
+
+/// A frozen undirected topology in CSR form. Node v's neighbours are
+/// adj[offset[v] .. offset[v+1]), ascending, and rev[offset[v] + k] is the
+/// position of v in the neighbour list of adj[offset[v] + k] — the port
+/// under which that neighbour hears v.
+struct Adjacency {
+  std::vector<std::int32_t> offset;  ///< num_nodes + 1 entries
+  std::vector<NodeId> adj;           ///< 2E neighbour ids
+  std::vector<std::int32_t> rev;     ///< 2E reverse positions
 };
 
 /// Per-invocation view a process gets of its node. Created fresh by the
@@ -371,13 +408,28 @@ class Network final {
   /// Topology::kClique (the clique's edges are implicit).
   void add_edge(NodeId u, NodeId v);
 
-  /// Freezes the topology (builds the sorted adjacency in O(N + E)),
-  /// validates the options (budget, threads, fault plan —
-  /// throwing CheckError with the offending value), binds the fault plan,
-  /// derives per-node RNGs and allocates the per-shard staging logs and
-  /// arena slabs.
+  /// Freezes the topology (builds the sorted adjacency and its
+  /// reverse-position column in O(N + E)), validates the options (budget,
+  /// threads, fault plan — throwing CheckError with the offending value),
+  /// binds the fault plan, derives per-node RNGs and allocates the
+  /// per-shard staging logs and arena slabs.
   /// Must be called exactly once, before set_process()/run().
   void finalize();
+
+  /// finalize() over a prebuilt explicit topology instead of the add_edge()
+  /// list (which must be empty): `adjacency` must describe num_nodes()
+  /// nodes with sorted, duplicate-free, symmetric neighbour lists and a
+  /// matching reverse-position column. Checked in O(N + E); a violation
+  /// throws CheckError naming the node.
+  void finalize(Adjacency adjacency);
+
+  /// Begins a new execution on the finalized topology under `options`
+  /// (see the header comment's stage rerun semantics): round 0, every
+  /// process uninstalled, nothing in flight, fresh metrics, node RNGs
+  /// re-derived and the fault plan re-bound. `options.topology` must match
+  /// the network's; everything else may change and is validated as in
+  /// finalize().
+  void restart(Options options);
 
   /// Installs the program for node `id` (finalize() first).
   void set_process(NodeId id, std::unique_ptr<Process> process);
@@ -432,9 +484,24 @@ class Network final {
       std::size_t i) const noexcept {
     if (clique_)
       return {clique_adj_.data() + i + 1, processes_.size() - 1};
-    return {adj_.data() + adj_offset_[i],
-            static_cast<std::size_t>(adj_offset_[i + 1] - adj_offset_[i])};
+    return {csr_.adj.data() + csr_.offset[i],
+            static_cast<std::size_t>(csr_.offset[i + 1] - csr_.offset[i])};
   }
+
+  /// The port under which `to` hears `from`, given the sender-side port
+  /// `k` of `to` (its position in from's neighbour list). The clique's
+  /// rotations make it arithmetic: from is at N - 2 - k in to's rotation.
+  [[nodiscard]] std::int32_t receiver_port(NodeId from,
+                                           std::int32_t k) const noexcept {
+    if (clique_) return static_cast<std::int32_t>(processes_.size()) - 2 - k;
+    return csr_.rev[static_cast<std::size_t>(
+        csr_.offset[static_cast<std::size_t>(from)] + k)];
+  }
+
+  /// Validates the options and derives everything that depends on them
+  /// (fault plan, node RNGs, staging slabs); shared by finalize() and
+  /// restart().
+  void bind_options();
 
   /// Materializes node i's inbox: gathers the WireRecords addressed by its
   /// slot slice of the permutation arena into `scratch` (grown as needed,
@@ -450,11 +517,11 @@ class Network final {
   bool finalized_ = false;
   std::size_t num_edges_ = 0;
 
-  // CSR adjacency (sorted neighbour lists). Unused under Topology::kClique,
-  // where adjacency is the shared rotation array below.
+  // CSR adjacency (sorted neighbour lists) with its reverse-position
+  // column. Unused under Topology::kClique, where adjacency is the shared
+  // rotation array below and ports are arithmetic.
   std::vector<std::pair<NodeId, NodeId>> edge_buffer_;  // pre-finalize
-  std::vector<std::int32_t> adj_offset_;
-  std::vector<NodeId> adj_;
+  Adjacency csr_;
 
   // Clique topology: clique_adj_[k] = k mod N over 2N-1 entries, so node
   // i's neighbour span is clique_adj_[i+1 .. i+N-1] — O(N) storage for all
@@ -475,12 +542,13 @@ class Network final {
   };
 
   // One record that survived its fault coins, with its resolved concrete
-  // destination (broadcasts are expanded by the hazard tally) and its
-  // header, if any. Points into the round's staging logs.
+  // destination and receiver port (broadcasts are expanded by the hazard
+  // tally) and its header, if any. Points into the round's staging logs.
   struct Survivor {
     const WireRecord* rec = nullptr;
     const TransportHeader* hdr = nullptr;
     NodeId dst = kNoNode;
+    std::int32_t port = 0;
   };
 
   // Structure-of-arrays delivery state — see the header comment.
@@ -494,8 +562,9 @@ class Network final {
   //
   // arena_ is the slot permutation of round r's inbound records as disjoint
   // per-destination slices (slice_begin_/slice_count_, valid for the
-  // destinations listed in touched_); the commit scatter fills next_arena_
-  // and the two swap each round. dst_count_ is the counting-sort tally
+  // destinations listed in touched_), and arena_port_ the receiver port of
+  // each slot; the commit scatter fills next_arena_/next_arena_port_ and
+  // the pairs swap each round. dst_count_ is the counting-sort tally
   // (all-zero between commits), dst_cursor_ the per-destination scatter
   // cursors. survivors_ is filled only on rounds with message hazards;
   // fault-free rounds scatter straight from the logs and leave it empty.
@@ -504,6 +573,8 @@ class Network final {
   std::vector<LinkStamps> link_stamps_;              ///< per step shard
   std::vector<const WireRecord*> arena_;
   std::vector<const WireRecord*> next_arena_;
+  std::vector<std::int32_t> arena_port_;
+  std::vector<std::int32_t> next_arena_port_;
   std::vector<HeaderSlot> header_slots_;
   std::vector<std::vector<HeaderSlot>> header_scratch_;  ///< per scatter shard
   std::vector<Survivor> survivors_;
@@ -542,14 +613,12 @@ class Network final {
 [[nodiscard]] int congest_bit_budget(std::size_t num_nodes) noexcept;
 
 /// Builds the sorted CSR adjacency of an undirected edge list over nodes
-/// [0, num_nodes) in O(num_nodes + E): node i's neighbours are
-/// adj[offset[i] .. offset[i+1]), ascending. Endpoints must already be
-/// range-checked and distinct; a duplicate edge, in either orientation,
-/// throws CheckError naming both endpoints. `edges` is released before the
-/// adjacency is allocated. Shared by Network and AsyncNetwork.
-void build_sorted_adjacency(std::size_t num_nodes,
-                            std::vector<std::pair<NodeId, NodeId>> edges,
-                            std::vector<std::int32_t>& offset,
-                            std::vector<NodeId>& adj);
+/// [0, num_nodes) and its reverse-position column in O(num_nodes + E).
+/// Endpoints must already be range-checked and distinct; a duplicate edge,
+/// in either orientation, throws CheckError naming both endpoints. `edges`
+/// is released before the adjacency is allocated. Shared by Network and
+/// AsyncNetwork.
+[[nodiscard]] Adjacency build_sorted_adjacency(
+    std::size_t num_nodes, std::vector<std::pair<NodeId, NodeId>> edges);
 
 }  // namespace dflp::net

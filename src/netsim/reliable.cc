@@ -100,12 +100,13 @@ void ReliableChannel::process_inbox(std::span<const Message> inbox,
                    "unframed message (kind "
                        << static_cast<int>(frame.kind) << ") from node "
                        << frame.src << " reached a reliable channel");
-    const auto it = std::lower_bound(
-        links_.begin(), links_.end(), frame.src,
-        [](const Link& link, NodeId peer) { return link.peer < peer; });
-    DFLP_CHECK_MSG(it != links_.end() && it->peer == frame.src,
-                   "frame from non-neighbour node " << frame.src);
-    Link& link = *it;
+    const auto port = static_cast<std::size_t>(frame.port);
+    DFLP_CHECK_MSG(frame.port >= 0 && port < links_.size() &&
+                       links_[port].peer == frame.src,
+                   "frame from node " << frame.src << " arrived on port "
+                                      << frame.port
+                                      << ", which is not its link");
+    Link& link = links_[port];
 
     if (frame.hdr.ack > link.acked) {
       DFLP_CHECK_MSG(frame.hdr.ack <= static_cast<std::int64_t>(
@@ -128,26 +129,37 @@ void ReliableChannel::process_inbox(std::span<const Message> inbox,
     if (frame.hdr.flags & kFrameItem) {
       link.ack_due = true;
       const std::int64_t seq = frame.hdr.seq;
-      const auto pos = std::lower_bound(
-          link.ooo.begin(), link.ooo.end(), seq,
-          [](const auto& entry, std::int64_t s) { return entry.first < s; });
-      if (seq < link.cum_recv ||
-          (pos != link.ooo.end() && pos->first == seq)) {
+      if (seq < link.cum_recv) {
+        ++stats_.duplicates_discarded;
+        continue;
+      }
+      DFLP_CHECK_MSG(seq - link.cum_recv < options_.window,
+                     "peer " << link.peer << " sent item " << seq
+                             << " beyond the receive window [" << link.cum_recv
+                             << ", +" << options_.window
+                             << "); channels must share one window");
+      if (link.ooo.empty()) {
+        link.ooo.resize(static_cast<std::size_t>(options_.window));
+        link.ooo_full.assign(static_cast<std::size_t>(options_.window), 0);
+      }
+      const auto slot = static_cast<std::size_t>(seq % options_.window);
+      if (link.ooo_full[slot]) {
         ++stats_.duplicates_discarded;
       } else {
-        link.ooo.insert(pos, {seq, frame});
+        link.ooo[slot] = frame;
+        link.ooo_full[slot] = 1;
       }
     }
   }
 }
 
 void ReliableChannel::drain_link(Link& link) {
-  for (;;) {
-    // Every buffered seq is >= cum_recv (process_inbox discards below it),
-    // so the next in-order item can only sit at the front.
-    if (link.ooo.empty() || link.ooo.front().first != link.cum_recv) break;
-    const Message frame = link.ooo.front().second;
-    link.ooo.erase(link.ooo.begin());
+  while (!link.ooo.empty()) {
+    // The next in-order item, if it arrived, sits in cum_recv's slot.
+    const auto slot = static_cast<std::size_t>(link.cum_recv % options_.window);
+    if (!link.ooo_full[slot]) break;
+    link.ooo_full[slot] = 0;
+    const Message frame = link.ooo[slot];
     ++link.cum_recv;
 
     if (frame.kind <= kMaxProtocolKind) {
@@ -206,10 +218,8 @@ void ReliableChannel::execute_logical(NodeContext& ctx, std::uint64_t round) {
   for (std::size_t i = 0; i < links_.size(); ++i)
     out_before[i] = links_[i].out.size();
 
-  buffer_.for_each_staged([&](NodeId dst, const WireRecord& rec) {
-    const auto it = std::lower_bound(
-        links_.begin(), links_.end(), dst,
-        [](const Link& link, NodeId peer) { return link.peer < peer; });
+  buffer_.for_each_staged([&](std::size_t port, NodeId dst,
+                              const WireRecord& rec) {
     Message frame;
     frame.src = rec.src;
     frame.dst = dst;
@@ -220,7 +230,7 @@ void ReliableChannel::execute_logical(NodeContext& ctx, std::uint64_t round) {
     frame.hdr.tag = static_cast<std::int64_t>(round);
     frame.hdr.flags = kFrameItem;
     // The padding the inner declared beyond its honest (headerless) size.
-    enqueue_item(*it, frame,
+    enqueue_item(links_[port], frame,
                  static_cast<int>(rec.bits) - min_payload_bits(rec.field));
   });
 

@@ -30,6 +30,8 @@
 // The inner protocol executes logical round L only once every live link has
 // delivered its complete round-(L-1) traffic, with the inbox rebuilt in the
 // engine's canonical order (ascending source, send order within a source).
+// Links are indexed by port (Message::port): a frame finds its link without
+// a search, and the rebuilt inbox carries the ports a direct run delivers.
 // The channel draws *no* randomness of its own, so the inner protocol
 // consumes exactly the per-node RNG stream it would consume on a fault-free
 // network — which is why a recovered run returns the bit-identical solution
@@ -151,15 +153,17 @@ class ReliableChannel final : public Process {
     int rto = 0;
     int retx_count = 0;  ///< unacknowledged retransmissions in a row
 
-    // Receive side. Both buffers recycle their heap storage across rounds
-    // (the old unordered_map / deque churned a node allocation per frame
-    // under loss): `ooo` is a small sorted vector — every entry's seq is
-    // >= cum_recv and the window caps its size, so insertion is a
-    // lower_bound into at most `window` items — and `in_log` is a vector
-    // drained by `in_head`, compacted (size 0, capacity kept) whenever the
-    // reader catches up.
+    // Receive side. Both buffers recycle their heap storage across rounds:
+    // `ooo` is a ring of `window` slots, allocated on the link's first
+    // item, that holds item seq in slot seq % window until it is drained
+    // in order — a sender never transmits beyond its acked + window, and
+    // its acked trails cum_recv, so every new item lands in [cum_recv,
+    // cum_recv + window) and finds its slot without a search. `in_log` is
+    // a vector drained by `in_head`, compacted (size 0, capacity kept)
+    // whenever the reader catches up.
     std::int64_t cum_recv = 0;  ///< items [0, cum_recv) processed in order
-    std::vector<std::pair<std::int64_t, Message>> ooo;  ///< sorted by seq
+    std::vector<Message> ooo;             ///< ring of received items
+    std::vector<std::uint8_t> ooo_full;   ///< which ring slots hold one
     std::vector<PendingItem> in_log;  ///< drained data items, in order
     std::size_t in_head = 0;          ///< first unconsumed in_log entry
     std::int64_t closed_tag = -1;    ///< highest fully-received logical round
@@ -183,7 +187,13 @@ class ReliableChannel final : public Process {
   bool inner_halted_ = false;
   std::uint64_t next_logical_ = 0;
   int quiet_rounds_ = 0;
-  std::vector<Link> links_;              ///< one per neighbour, sorted order
+  /// One per neighbour, indexed by port: links_[p] is the link to
+  /// ctx.neighbors()[p], so a delivered frame finds its link as
+  /// links_[frame.port] and a staged inner send as the sender-side port
+  /// RoundBuffer::for_each_staged reports — no search on either path.
+  /// Data items keep the frame's port, so the inner protocol's inbox
+  /// carries the same ports a direct run would deliver.
+  std::vector<Link> links_;
   std::vector<Message> inner_inbox_;     ///< scratch for execute_logical
   RoundBuffer buffer_;                   ///< inner step staging
   ReliableStats stats_;

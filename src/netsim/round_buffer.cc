@@ -8,6 +8,7 @@ namespace dflp::net {
 
 void StageLog::reset() noexcept {
   records.clear();
+  ports.clear();
   headers.clear();
   halts.clear();
   annotations.clear();
@@ -73,7 +74,7 @@ WireRecord RoundBuffer::checked_payload(NodeId from, std::uint8_t kind,
   return rec;
 }
 
-void RoundBuffer::charge_link(NodeId to) {
+std::int32_t RoundBuffer::charge_link(NodeId to) {
   std::size_t idx = 0;  // position of `to` in the owner's adjacency
   if (clique_) {
     // The rotation lists owner+1, ..., N-1, 0, ..., owner-1.
@@ -94,11 +95,13 @@ void RoundBuffer::charge_link(NodeId to) {
                  "edge allowance exceeded on " << owner_ << "->" << to
                                                << " in round " << round_);
   stamp = links_->epoch;
+  return static_cast<std::int32_t>(idx);
 }
 
-void RoundBuffer::stage_single(const WireRecord& rec) {
+void RoundBuffer::stage_single(const WireRecord& rec, std::int32_t port) {
   StageLog& log = *log_;
   log.records.push_back(rec);
+  log.ports.push_back(port);
   ++log.messages;
   log.bits_sum += static_cast<std::uint64_t>(rec.bits);
   log.max_bits = std::max(log.max_bits, static_cast<int>(rec.bits));
@@ -113,8 +116,7 @@ void RoundBuffer::sink_send(NodeId from, NodeId to, std::uint8_t kind,
   WireRecord rec = checked_payload(from, kind, fields, bits,
                                    min_payload_bits(fields), limits_.max_kind);
   rec.dst = to;
-  charge_link(to);
-  stage_single(rec);
+  stage_single(rec, charge_link(to));
 }
 
 void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
@@ -142,6 +144,7 @@ void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
     }
   }
   log.records.push_back(rec);
+  log.ports.push_back(0);
   const auto degree = static_cast<std::uint64_t>(neighbors_.size());
   log.messages += degree;
   log.bits_sum += degree * static_cast<std::uint64_t>(rec.bits);
@@ -159,10 +162,10 @@ void RoundBuffer::sink_frame(NodeId from, const Message& frame) {
                       std::max(frame.bits, honest), honest, 0xFF);
   rec.dst = frame.dst;
   rec.flags = kWireHasHeader;
-  charge_link(frame.dst);
+  const std::int32_t port = charge_link(frame.dst);
   log_->headers.push_back(
       {static_cast<std::uint32_t>(log_->records.size()), frame.hdr});
-  stage_single(rec);
+  stage_single(rec, port);
 }
 
 void RoundBuffer::sink_halt(NodeId node) {
@@ -191,6 +194,7 @@ void RoundBuffer::clear() noexcept {
     rec_begin_ = 0;
   } else if (log_ != nullptr) {
     log_->records.resize(rec_begin_);
+    log_->ports.resize(rec_begin_);
   }
   ++links_->epoch;  // forget the link stamps
   broadcast_ = false;

@@ -113,17 +113,22 @@ class RoundBuffer final : public MessageSink {
             log_->records.size() - rec_begin_};
   }
 
-  /// Invokes `fn(NodeId dst, const WireRecord&)` once per staged message
-  /// copy in send-call order, expanding broadcast records over the
-  /// adjacency in neighbour order — exactly the copy sequence the legacy
-  /// per-copy staging produced.
+  /// Invokes `fn(std::size_t port, NodeId dst, const WireRecord&)` once per
+  /// staged message copy in send-call order, expanding broadcast records
+  /// over the adjacency in neighbour order — exactly the copy sequence the
+  /// legacy per-copy staging produced. `port` is the owner's side of the
+  /// link: the position of `dst` in the adjacency.
   template <typename Fn>
   void for_each_staged(Fn&& fn) const {
-    for (const WireRecord& rec : staged()) {
+    const std::span<const WireRecord> recs = staged();
+    for (std::size_t r = 0; r < recs.size(); ++r) {
+      const WireRecord& rec = recs[r];
       if (rec.flags & kWireBroadcast) {
-        for (const NodeId nb : neighbors_) fn(nb, rec);
+        for (std::size_t k = 0; k < neighbors_.size(); ++k)
+          fn(k, neighbors_[k], rec);
       } else {
-        fn(rec.dst, rec);
+        fn(static_cast<std::size_t>(log_->ports[rec_begin_ + r]), rec.dst,
+           rec);
       }
     }
   }
@@ -154,11 +159,13 @@ class RoundBuffer final : public MessageSink {
 
   /// Checks that `to` is a neighbour and that its link is still unused this
   /// step (no earlier unicast, frame or broadcast), then stamps the link.
-  void charge_link(NodeId to);
+  /// Returns the link's position in the owner's adjacency (its port).
+  [[nodiscard]] std::int32_t charge_link(NodeId to);
 
-  /// Appends one single-destination record to the log and settles its
-  /// accounting (aggregates plus, when enabled, the stage-time histogram).
-  void stage_single(const WireRecord& rec);
+  /// Appends one single-destination record and its sender-side port to the
+  /// log and settles its accounting (aggregates plus, when enabled, the
+  /// stage-time histogram).
+  void stage_single(const WireRecord& rec, std::int32_t port);
 
   NodeId owner_ = kNoNode;
   std::uint64_t round_ = 0;

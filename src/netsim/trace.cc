@@ -1,11 +1,16 @@
 #include "netsim/trace.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -258,6 +263,41 @@ namespace {
   throw CheckError(os.str());
 }
 
+[[noreturn]] void field_fail(int lineno, std::string_view field,
+                             const std::string& why) {
+  std::ostringstream os;
+  os << "trace line " << lineno << ", field '" << field << "': " << why;
+  throw CheckError(os.str());
+}
+
+/// Parses the numeric token at `*at` — everything up to the next ',', '}'
+/// or ']', which must exist — whole, as a T: no sign on unsigned types, no
+/// value outside T's range, only finite doubles. Leaves *at on the
+/// terminator.
+template <typename T>
+T parse_number(const std::string& line, std::size_t* at, int lineno,
+               std::string_view field) {
+  const std::size_t end =
+      *at < line.size() ? line.find_first_of(",}]", *at) : std::string::npos;
+  if (end == std::string::npos) field_fail(lineno, field, "unterminated number");
+  const char* first = line.data() + *at;
+  const char* last = line.data() + end;
+  T value{};
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  bool ok = first != last && ec == std::errc() && ptr == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const std::string token(first, std::min<std::size_t>(end - *at, 32));
+    field_fail(lineno, field,
+               std::string(std::is_floating_point_v<T> ? "expected a finite number"
+                           : std::is_signed_v<T>       ? "expected an integer"
+                                                       : "expected an unsigned integer") +
+                   " in range, got '" + token + "'");
+  }
+  *at = end;
+  return value;
+}
+
 /// Position of the first character after `"key":`, npos when absent.
 std::size_t value_pos(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
@@ -266,29 +306,37 @@ std::size_t value_pos(const std::string& line, const std::string& key) {
   return at + needle.size();
 }
 
-std::uint64_t get_u64(const std::string& line, const std::string& key,
-                      int lineno) {
-  const std::size_t at = value_pos(line, key);
+/// The value of numeric field `key`, parsed whole as a T.
+template <typename T>
+T get_number(const std::string& line, const std::string& key, int lineno) {
+  std::size_t at = value_pos(line, key);
   if (at == std::string::npos) parse_fail(lineno, "missing field '" + key + "'");
-  return std::strtoull(line.c_str() + at, nullptr, 10);
+  return parse_number<T>(line, &at, lineno, key);
 }
 
-std::int64_t get_i64(const std::string& line, const std::string& key,
-                     int lineno) {
-  const std::size_t at = value_pos(line, key);
-  if (at == std::string::npos) parse_fail(lineno, "missing field '" + key + "'");
-  return std::strtoll(line.c_str() + at, nullptr, 10);
+std::uint64_t get_u64(const std::string& line, const std::string& key,
+                      int lineno) {
+  return get_number<std::uint64_t>(line, key, lineno);
+}
+
+int get_int(const std::string& line, const std::string& key, int lineno) {
+  return get_number<int>(line, key, lineno);
 }
 
 double get_double(const std::string& line, const std::string& key,
                   int lineno) {
-  const std::size_t at = value_pos(line, key);
-  if (at == std::string::npos) parse_fail(lineno, "missing field '" + key + "'");
-  return std::strtod(line.c_str() + at, nullptr);
+  return get_number<double>(line, key, lineno);
+}
+
+bool is_hex(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
 }
 
 /// Parses the quoted string starting at `at` (which must point at '"'),
-/// un-escaping the writer's escapes. Advances *end past the closing quote.
+/// un-escaping exactly the writer's escapes (\" \\ \n \r \t, and \u00XX for
+/// the other control characters); anything else, including a raw control
+/// character, is rejected. Advances *end past the closing quote.
 std::string parse_quoted(const std::string& line, std::size_t at, int lineno,
                          std::size_t* end = nullptr) {
   if (at >= line.size() || line[at] != '"')
@@ -296,17 +344,32 @@ std::string parse_quoted(const std::string& line, std::size_t at, int lineno,
   std::string out;
   std::size_t i = at + 1;
   while (i < line.size() && line[i] != '"') {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      ++i;
-      switch (line[i]) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': out += '?'; i += 4; break;  // control chars: placeholder
-        default: out += line[i];
+    const auto c = static_cast<unsigned char>(line[i]);
+    if (c < 0x20) parse_fail(lineno, "raw control character in string");
+    if (c != '\\') {
+      out += line[i++];
+      continue;
+    }
+    if (++i >= line.size()) break;
+    switch (line[i]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        if (i + 4 >= line.size() || line[i + 1] != '0' || line[i + 2] != '0' ||
+            !is_hex(line[i + 3]) || !is_hex(line[i + 4]) || line[i + 3] > '1')
+          parse_fail(lineno, "escape \\u other than a control character");
+        const auto hex = [](char h) {
+          return h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10;
+        };
+        out += static_cast<char>(16 * hex(line[i + 3]) + hex(line[i + 4]));
+        i += 4;
+        break;
       }
-    } else {
-      out += line[i];
+      default:
+        parse_fail(lineno, "unknown escape in string");
     }
     ++i;
   }
@@ -324,7 +387,7 @@ std::string get_string(const std::string& line, const std::string& key,
 
 TraceRound parse_round(const std::string& line, int lineno) {
   TraceRound r;
-  r.section = static_cast<std::size_t>(get_u64(line, "sec", lineno));
+  r.section = get_u64(line, "sec", lineno);
   r.round = get_u64(line, "round", lineno);
   r.live = get_u64(line, "live", lineno);
   r.sent = get_u64(line, "sent", lineno);
@@ -334,7 +397,7 @@ TraceRound parse_round(const std::string& line, int lineno) {
   r.crashed = get_u64(line, "crashed", lineno);
   r.halted = get_u64(line, "halted", lineno);
   r.bits = get_u64(line, "bits", lineno);
-  r.max_bits = static_cast<int>(get_i64(line, "max_bits", lineno));
+  r.max_bits = get_int(line, "max_bits", lineno);
   r.arena = get_u64(line, "arena", lineno);
   r.step_s = get_double(line, "step_s", lineno);
   r.commit_s = get_double(line, "commit_s", lineno);
@@ -348,18 +411,17 @@ TraceRound parse_round(const std::string& line, int lineno) {
     if (line[at] == ',') { ++at; continue; }
     if (line[at] != '[') parse_fail(lineno, "malformed shard entry");
     TraceShard s;
-    char* cursor = nullptr;
-    s.begin = std::strtoull(line.c_str() + at + 1, &cursor, 10);
-    if (cursor == nullptr || *cursor != ',')
-      parse_fail(lineno, "malformed shard entry");
-    s.end = std::strtoull(cursor + 1, &cursor, 10);
-    if (cursor == nullptr || *cursor != ',')
-      parse_fail(lineno, "malformed shard entry");
-    s.dur_s = std::strtod(cursor + 1, &cursor);
-    if (cursor == nullptr || *cursor != ']')
-      parse_fail(lineno, "malformed shard entry");
+    ++at;
+    s.begin = parse_number<std::uint64_t>(line, &at, lineno, "shards");
+    if (line[at] != ',') parse_fail(lineno, "malformed shard entry");
+    ++at;
+    s.end = parse_number<std::uint64_t>(line, &at, lineno, "shards");
+    if (line[at] != ',') parse_fail(lineno, "malformed shard entry");
+    ++at;
+    s.dur_s = parse_number<double>(line, &at, lineno, "shards");
+    if (line[at] != ']') parse_fail(lineno, "malformed shard entry");
     r.shards.push_back(s);
-    at = static_cast<std::size_t>(cursor - line.c_str()) + 1;
+    ++at;
   }
   if (at >= line.size()) parse_fail(lineno, "unterminated 'shards' array");
 
@@ -374,13 +436,11 @@ TraceRound parse_round(const std::string& line, int lineno) {
     std::string label = parse_quoted(line, at + 1, lineno, &after);
     if (after >= line.size() || line[after] != ',')
       parse_fail(lineno, "malformed phase entry");
-    char* cursor = nullptr;
-    const std::uint64_t count =
-        std::strtoull(line.c_str() + after + 1, &cursor, 10);
-    if (cursor == nullptr || *cursor != ']')
-      parse_fail(lineno, "malformed phase entry");
+    at = after + 1;
+    const auto count = parse_number<std::uint64_t>(line, &at, lineno, "phases");
+    if (line[at] != ']') parse_fail(lineno, "malformed phase entry");
     r.phases.emplace_back(std::move(label), count);
-    at = static_cast<std::size_t>(cursor - line.c_str()) + 1;
+    ++at;
   }
   if (at >= line.size()) parse_fail(lineno, "unterminated 'phases' array");
   return r;
@@ -399,22 +459,22 @@ ParsedTrace read_trace_jsonl(std::istream& in) {
     if (!saw_header) {
       if (line.find("\"schema\":\"dflp-trace\"") == std::string::npos)
         parse_fail(lineno, "first line is not a dflp-trace header");
-      trace.version = static_cast<int>(get_i64(line, "version", lineno));
+      trace.version = get_int(line, "version", lineno);
       saw_header = true;
       continue;
     }
     const std::string type = get_string(line, "type", lineno);
     if (type == "section") {
-      const auto id = static_cast<std::size_t>(get_u64(line, "id", lineno));
+      const std::uint64_t id = get_u64(line, "id", lineno);
       if (id != trace.sections.size())
         parse_fail(lineno, "section ids must be dense and in order");
       TraceSection s;
       s.name = get_string(line, "name", lineno);
       s.nodes = get_u64(line, "nodes", lineno);
       s.edges = get_u64(line, "edges", lineno);
-      s.threads = static_cast<int>(get_i64(line, "threads", lineno));
+      s.threads = get_int(line, "threads", lineno);
       s.seed = get_u64(line, "seed", lineno);
-      s.bit_budget = static_cast<int>(get_i64(line, "bit_budget", lineno));
+      s.bit_budget = get_int(line, "bit_budget", lineno);
       trace.sections.push_back(std::move(s));
     } else if (type == "round") {
       trace.rounds.push_back(parse_round(line, lineno));

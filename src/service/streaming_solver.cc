@@ -6,9 +6,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/frac_lp.h"
 #include "core/mw_greedy.h"
-#include "core/rand_round.h"
+#include "core/pipeline.h"
 
 namespace dflp::service {
 
@@ -191,14 +190,12 @@ StreamingSolver::ComponentEntry StreamingSolver::solve_component(
       break;
     }
     case SolveEngine::kPipeline: {
-      core::FracOutcome frac = core::run_frac_lp(sub, params);
-      core::RoundOutcome rounded =
-          core::run_rand_round(sub, frac.fractional, frac.schedule, params);
-      sub_solution = std::move(rounded.solution);
-      entry.fractional_value = frac.fractional.value(sub);
-      entry.frac_y = std::move(frac.fractional.y);
-      entry.rounds = frac.metrics.rounds + rounded.metrics.rounds;
-      entry.messages = frac.metrics.messages + rounded.metrics.messages;
+      core::PipelineOutcome out = core::run_pipeline(sub, params);
+      sub_solution = std::move(out.solution);
+      entry.fractional_value = out.fractional_value;
+      entry.frac_y = std::move(out.frac_y);
+      entry.rounds = out.total_rounds();
+      entry.messages = out.total_messages();
       break;
     }
   }

@@ -55,7 +55,7 @@ namespace dflp::service {
 /// Which distributed solver runs per component.
 enum class SolveEngine : std::uint8_t {
   kMwGreedy,  ///< combinatorial greedy (paper's primary algorithm)
-  kPipeline,  ///< fractional LP stage + randomized rounding
+  kPipeline,  ///< core::run_pipeline: fractional LP stage + rounding
 };
 [[nodiscard]] std::string engine_name(SolveEngine engine);
 

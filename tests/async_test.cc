@@ -14,6 +14,7 @@
 #include "core/mw_greedy.h"
 #include "netsim/async.h"
 #include "netsim/trace.h"
+#include "port_probe.h"
 #include "workload/generators.h"
 
 namespace dflp::net {
@@ -405,6 +406,76 @@ TEST(Synchronizer, SecondSendOnOneEdgeInALogicalRoundThrows) {
           << name << ": " << what;
     }
   }
+}
+
+TEST(AsyncNetwork, DeliveriesCarryTheReceiversPort) {
+  constexpr std::size_t kNodes = 24;
+  AsyncNetwork net(kNodes, aopts(/*max_delay=*/5));
+  for (const auto& [u, v] : probe_graph(kNodes, 0.2, 3)) net.add_edge(u, v);
+  net.finalize();
+  std::uint64_t deliveries = 0;
+  std::uint64_t bad_ports = 0;
+  for (NodeId v = 0; v < static_cast<NodeId>(kNodes); ++v) {
+    net.set_process(
+        v, std::make_unique<AsyncScript>(
+               [](NodeContext& ctx) {
+                 for (const NodeId nb : ctx.neighbors()) ctx.send(nb, 1);
+               },
+               [&](NodeContext& ctx, const Message& msg) {
+                 ++deliveries;
+                 if (msg.port < 0 || msg.port >= ctx.degree() ||
+                     ctx.neighbors()[static_cast<std::size_t>(msg.port)] !=
+                         msg.src)
+                   ++bad_ports;
+               }));
+  }
+  (void)net.run(1 << 20);
+  std::uint64_t links = 0;
+  for (NodeId v = 0; v < static_cast<NodeId>(kNodes); ++v)
+    links += net.neighbors_of(v).size();
+  EXPECT_EQ(deliveries, links);
+  EXPECT_EQ(bad_ports, 0u);
+}
+
+TEST(Synchronizer, InnerInboxesCarryPortsUnderDelay) {
+  // The synchronizer indexes its per-neighbour state by the delivered port
+  // and hands the inner protocol payloads that keep it: the probe sees the
+  // synchronous run's deliveries, every one on the right port.
+  constexpr std::size_t kNodes = 30;
+  const auto edges = probe_graph(kNodes, 0.15, 11);
+  Network::Options so;
+  so.bit_budget = 64;
+  so.seed = 7;
+  Network sync_net(kNodes, so);
+  for (const auto& [u, v] : edges) sync_net.add_edge(u, v);
+  sync_net.finalize();
+  for (NodeId v = 0; v < static_cast<NodeId>(kNodes); ++v)
+    sync_net.set_process(v, std::make_unique<PortProbe>(6));
+  (void)sync_net.run(20);
+  const ProbeTotals want = sum_probes(kNodes, [&](NodeId v) -> const PortProbe& {
+    return static_cast<const PortProbe&>(sync_net.process(v));
+  });
+
+  AsyncNetwork::Options ao;
+  ao.bit_budget = 96;  // room for round tags
+  ao.max_delay = 7;
+  ao.seed = 7;
+  AsyncNetwork net(kNodes, ao);
+  for (const auto& [u, v] : edges) net.add_edge(u, v);
+  net.finalize();
+  (void)run_synchronized(
+      net,
+      [](NodeId) -> std::unique_ptr<Process> {
+        return std::make_unique<PortProbe>(6);
+      },
+      1 << 22);
+  const ProbeTotals got = sum_probes(kNodes, [&](NodeId v) -> const PortProbe& {
+    return static_cast<const PortProbe&>(
+        static_cast<const Synchronizer&>(net.process(v)).inner());
+  });
+  EXPECT_GT(want.deliveries, 0u);
+  EXPECT_EQ(got.deliveries, want.deliveries);
+  EXPECT_EQ(got.bad_ports, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "common/check.h"
 #include "netsim/message.h"
 #include "netsim/network.h"
+#include "port_probe.h"
 
 namespace dflp::net {
 namespace {
@@ -348,6 +349,12 @@ TEST(Clique, LargeCliqueConstructionStaysImplicit) {
   const NetMetrics m = net.run(3);
   EXPECT_EQ(m.rounds, 1u);
   EXPECT_EQ(m.messages, 0u);
+}
+
+TEST(Clique, PortIsTheSendersRotationPosition) {
+  // The clique's ports are arithmetic, never stored: the same sweep as on
+  // explicit graphs.
+  expect_ports_hold(Topology::kClique, 12);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 // delivery arena — both engines produced exactly these numbers. Any
 // future change that alters a fingerprint is a behavioural change to the
 // simulator, not a refactor, and must update the goldens deliberately.
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -15,6 +17,8 @@
 
 #include "common/check.h"
 #include "core/mw_greedy.h"
+#include "core/pipeline.h"
+#include "fl/metric.h"
 #include "workload/generators.h"
 
 namespace dflp {
@@ -96,6 +100,112 @@ TEST(GoldenMetrics, MwGreedyUnderDropsFailsWithCommittedDiagnostic) {
               std::string::npos)
         << "actual: " << e.what();
   }
+}
+
+// The two-stage pipeline under faults. The equivalence sweep compares
+// thread counts within one build, so a rounding stage that drew the wrong
+// seed streams would be wrong identically everywhere; these pin the
+// absolute outputs instead: the solution cost and the fractional value as
+// IEEE-754 bit patterns, rounds and messages of each stage, and the mop-up
+// and fallback counts. Committed from the build that still ran each stage
+// on a network of its own.
+std::string pipeline_fingerprint(const fl::Instance& inst,
+                                 const core::PipelineOutcome& out) {
+  std::ostringstream os;
+  os << std::hex << "cost=" << std::bit_cast<std::uint64_t>(
+                                   out.solution.cost(inst))
+     << " value="
+     << std::bit_cast<std::uint64_t>(out.fractional_value) << std::dec
+     << " frac=" << out.frac_metrics.rounds << '/'
+     << out.frac_metrics.messages << " round=" << out.round_metrics.rounds
+     << '/' << out.round_metrics.messages
+     << " mopup=" << out.frac_mopup_clients
+     << " fallback=" << out.round_fallback_clients;
+  return os.str();
+}
+
+enum class PipelineFaults { kNone, kReliableDrop, kReliableBurst };
+
+core::MwParams pipeline_params(PipelineFaults faults) {
+  core::MwParams params;
+  params.k = 4;
+  params.seed = 1;
+  switch (faults) {
+    case PipelineFaults::kNone:
+      break;
+    case PipelineFaults::kReliableDrop:
+      params.reliable = true;
+      params.faults.drop_probability = 0.05;
+      break;
+    case PipelineFaults::kReliableBurst:
+      // dflp_cli's --burst-len 4 mapping.
+      params.reliable = true;
+      params.faults.burst.p_good_to_bad = 0.05;
+      params.faults.burst.p_bad_to_good = 0.25;
+      break;
+  }
+  return params;
+}
+
+// `generate uniform 40 1`, the instance of the committed trace goldens.
+fl::Instance pipeline_uniform_instance() {
+  return workload::make_family_instance(workload::Family::kUniform, 40, 1);
+}
+
+// A complete-bipartite metric instance: 32 facilities, 96 clients.
+fl::Instance pipeline_metric_instance() {
+  fl::MetricParams mp;
+  mp.facilities = 32;
+  mp.clients = 96;
+  mp.clusters = 4;
+  return fl::make_metric_instance(mp, 1).instance;
+}
+
+void expect_pipeline_golden(const fl::Instance& inst, PipelineFaults faults,
+                            const std::string& golden) {
+  const core::PipelineOutcome out =
+      core::run_pipeline(inst, pipeline_params(faults));
+  EXPECT_EQ(pipeline_fingerprint(inst, out), golden);
+}
+
+TEST(GoldenMetrics, PipelineUniformFaultFree) {
+  expect_pipeline_golden(pipeline_uniform_instance(), PipelineFaults::kNone,
+                         "cost=40826d8e91fca7ce value=40826d8e91fca7ce "
+                         "frac=25/1600 round=26/320 mopup=0 fallback=0");
+}
+
+TEST(GoldenMetrics, PipelineUniformReliableDrop) {
+  expect_pipeline_golden(pipeline_uniform_instance(),
+                         PipelineFaults::kReliableDrop,
+                         "cost=40826d8e91fca7ce value=40826d8e91fca7ce "
+                         "frac=140/23319 round=158/27856 mopup=0 fallback=0");
+}
+
+TEST(GoldenMetrics, PipelineUniformReliableBurst) {
+  expect_pipeline_golden(pipeline_uniform_instance(),
+                         PipelineFaults::kReliableBurst,
+                         "cost=40826d8e91fca7ce value=40826d8e91fca7ce "
+                         "frac=333/31271 round=393/38359 mopup=0 fallback=0");
+}
+
+TEST(GoldenMetrics, PipelineMetricFaultFree) {
+  expect_pipeline_golden(pipeline_metric_instance(), PipelineFaults::kNone,
+                         "cost=40d1ab2b228f3b43 value=40d1ab2b228f3b43 "
+                         "frac=25/12288 round=34/3072 mopup=0 fallback=0");
+}
+
+TEST(GoldenMetrics, PipelineMetricReliableDrop) {
+  expect_pipeline_golden(
+      pipeline_metric_instance(), PipelineFaults::kReliableDrop,
+      "cost=40d1ab2b228f3b43 value=40d1ab2b228f3b43 "
+      "frac=152/230261 round=216/370960 mopup=0 fallback=0");
+}
+
+TEST(GoldenMetrics, PipelineMetricReliableBurst) {
+  expect_pipeline_golden(
+      pipeline_metric_instance(), PipelineFaults::kReliableBurst,
+      "cost=40d1ab2b228f3b43 value=40d1ab2b228f3b43 "
+      "frac=414/292145 round=480/453942 mopup=0 fallback=0");
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "netsim/message.h"
 #include "netsim/network.h"
+#include "port_probe.h"
 
 namespace dflp::net {
 namespace {
@@ -603,6 +604,99 @@ TEST(Network, MetricsToStringMentionsCounts) {
   const std::string s = m.to_string();
   EXPECT_NE(s.find("rounds=3"), std::string::npos);
   EXPECT_NE(s.find("messages=14"), std::string::npos);
+}
+
+TEST(Network, PortNamesTheSenderOnEveryDelivery) {
+  // Unicasts and broadcasts on a random graph, under every delivery order,
+  // at 1 and 4 threads, fault-free, with duplication (both copies carry
+  // the port) and with i.i.d. drop.
+  expect_ports_hold(Topology::kExplicit, 40);
+}
+
+TEST(Network, BuildSortedAdjacencyReversePositions) {
+  const Adjacency a = build_sorted_adjacency(
+      5, {{3, 1}, {0, 4}, {1, 0}, {4, 3}, {2, 4}, {1, 4}});
+  ASSERT_EQ(a.offset, (std::vector<std::int32_t>{0, 2, 5, 6, 8, 12}));
+  EXPECT_EQ(a.adj, (std::vector<NodeId>{1, 4, 0, 3, 4, 4, 1, 4, 0, 1, 2, 3}));
+  for (std::size_t u = 0; u < 5; ++u) {
+    for (auto e = static_cast<std::size_t>(a.offset[u]);
+         e < static_cast<std::size_t>(a.offset[u + 1]); ++e) {
+      const auto v = static_cast<std::size_t>(a.adj[e]);
+      EXPECT_EQ(a.adj[static_cast<std::size_t>(a.offset[v] + a.rev[e])],
+                static_cast<NodeId>(u));
+    }
+  }
+}
+
+TEST(Network, PrebuiltAdjacencyIsCheckedAndUsed) {
+  std::vector<std::pair<NodeId, NodeId>> edges = {{0, 1}, {1, 2}, {0, 2}};
+  const auto prebuilt = [&] { return build_sorted_adjacency(3, edges); };
+  {
+    Network net(3, opts());
+    net.finalize(prebuilt());
+    EXPECT_EQ(net.num_edges(), 3u);
+    const std::span<const NodeId> n1 = net.neighbors_of(1);
+    EXPECT_EQ(std::vector<NodeId>(n1.begin(), n1.end()),
+              (std::vector<NodeId>{0, 2}));
+  }
+  Adjacency bad_rev = prebuilt();
+  bad_rev.rev[0] = 1;  // node 0 is at position 0 of node 1's list {0, 2}
+  Network a(3, opts());
+  EXPECT_THROW(a.finalize(std::move(bad_rev)), CheckError);
+  Adjacency unsorted = prebuilt();
+  std::swap(unsorted.adj[0], unsorted.adj[1]);
+  Network b(3, opts());
+  EXPECT_THROW(b.finalize(std::move(unsorted)), CheckError);
+  Network c(4, opts());
+  EXPECT_THROW(c.finalize(prebuilt()), CheckError);  // wrong node count
+}
+
+TEST(Network, RestartRunsLikeAFreshNetwork) {
+  // Stage rerun: a second execution on the same topology under new
+  // options (seed, faults, budget, threads) equals a fresh network's.
+  const auto probe_all = [](Network& net) {
+    for (std::size_t v = 0; v < net.num_nodes(); ++v)
+      net.set_process(static_cast<NodeId>(v), std::make_unique<PortProbe>(6));
+  };
+  const auto totals = [](const Network& net) {
+    return sum_probes(net.num_nodes(), [&](NodeId v) -> const PortProbe& {
+      return static_cast<const PortProbe&>(net.process(v));
+    });
+  };
+  Network::Options second = opts();
+  second.seed = 99;
+  second.bit_budget = 72;
+  second.num_threads = 3;
+  second.faults.drop_probability = 0.1;
+  const auto edges = probe_graph(30, 0.2, 5);
+
+  Network fresh(30, second);
+  for (const auto& [u, v] : edges) fresh.add_edge(u, v);
+  fresh.finalize();
+  probe_all(fresh);
+  const NetMetrics want = fresh.run(20);
+
+  Network rerun(30, opts());
+  for (const auto& [u, v] : edges) rerun.add_edge(u, v);
+  rerun.finalize();
+  probe_all(rerun);
+  (void)rerun.run(3);  // cut short: messages left in flight
+  rerun.restart(second);
+  EXPECT_EQ(rerun.live_node_count(), 30u);
+  EXPECT_EQ(rerun.inflight_messages(), 0u);
+  probe_all(rerun);
+  const NetMetrics got = rerun.run(20);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.total_bits, want.total_bits);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(rerun.cumulative_metrics().messages, want.messages);
+  EXPECT_EQ(totals(rerun).deliveries, totals(fresh).deliveries);
+  EXPECT_EQ(totals(rerun).bad_ports, 0u);
+
+  Network::Options clique = second;
+  clique.topology = Topology::kClique;
+  EXPECT_THROW(rerun.restart(clique), CheckError);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // rounding losses, and the end-to-end composition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "core/bipartite.h"
 #include "core/frac_lp.h"
 #include "core/pipeline.h"
 #include "core/rand_round.h"
@@ -20,6 +22,44 @@ MwParams params_k(int k, std::uint64_t seed = 1) {
   p.k = k;
   p.seed = seed;
   return p;
+}
+
+TEST(EdgeTable, MapsEveryPortToItsCostOrderedEdge) {
+  // The transpose-built network equals the add_edge-built one, and every
+  // port's cost index names the same peer in the node's cost-sorted slice.
+  for (const workload::Family family :
+       {workload::Family::kUniform, workload::Family::kPowerLaw,
+        workload::Family::kStar}) {
+    const fl::Instance inst = workload::make_family_instance(family, 30, 4);
+    EdgeTable table;
+    const net::Network net =
+        make_bipartite_network(inst, net::Network::Options{}, table);
+    net::Network reference(net.num_nodes(), net::Network::Options{});
+    for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
+      for (const fl::FacilityEdge& e : inst.facility_edges(i))
+        reference.add_edge(facility_node(i), client_node(inst, e.client));
+    }
+    reference.finalize();
+    EXPECT_EQ(net.num_edges(), inst.num_edges());
+    for (net::NodeId v = 0; v < static_cast<net::NodeId>(net.num_nodes());
+         ++v) {
+      const std::span<const net::NodeId> nbrs = net.neighbors_of(v);
+      const std::span<const net::NodeId> want = reference.neighbors_of(v);
+      ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), want.begin(),
+                             want.end()));
+      const std::span<const std::int32_t> cost = table.cost_index(v);
+      ASSERT_EQ(cost.size(), nbrs.size());
+      for (std::size_t p = 0; p < nbrs.size(); ++p) {
+        const auto t = static_cast<std::size_t>(cost[p]);
+        const net::NodeId peer =
+            v < inst.num_facilities()
+                ? client_node(inst, inst.facility_edges(v)[t].client)
+                : facility_node(
+                      inst.client_edges(node_to_client(inst, v))[t].facility);
+        EXPECT_EQ(peer, nbrs[p]) << "node " << v << " port " << p;
+      }
+    }
+  }
 }
 
 TEST(FracLp, OutputIsFeasibleAndAboveLpOptimum) {

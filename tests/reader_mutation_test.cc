@@ -1,14 +1,16 @@
 // Seeded mutation test of the four fl text readers (dflp-ufl, dflp-snap,
-// dflp-ftfp, dflp-delta-log). Every truncation, byte flip or splice of a
-// serialized text must either parse to an object that re-serializes and
-// re-parses to the same text, or throw CheckError. Any other exception
-// (std::bad_alloc, std::length_error, ...) fails the test; crashes, hangs and
-// sanitizer reports fail the run.
+// dflp-ftfp, dflp-delta-log) and of the JSONL trace reader. Every
+// truncation, byte flip or splice of a serialized text must either parse to
+// an object that re-serializes and re-parses to the same text, or throw
+// CheckError. Any other exception (std::bad_alloc, std::length_error, ...)
+// fails the test; crashes, hangs and sanitizer reports fail the run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <exception>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "fl/delta.h"
 #include "fl/ftfp.h"
 #include "fl/serialize.h"
+#include "netsim/trace.h"
 #include "workload/generators.h"
 
 namespace dflp::fl {
@@ -148,6 +151,109 @@ TEST(ReaderMutation, Truncations) {
 TEST(ReaderMutation, ByteFlips) { run_campaign(Mutation::kFlip, 0xF11B5ULL); }
 
 TEST(ReaderMutation, Splices) { run_campaign(Mutation::kSplice, 0x5B11CEULL); }
+
+// ---- The JSONL trace reader (netsim/trace.h) -------------------------------
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(DFLP_GOLDENS_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The committed traces, whose bytes are write_trace_jsonl's own output.
+const std::vector<std::string>& golden_traces() {
+  static const std::vector<std::string> all = {
+      read_golden("trace_mw_greedy_uniform40_k4_s1.jsonl"),
+      read_golden("trace_mw_pipeline_uniform40_k4_s1.jsonl")};
+  return all;
+}
+
+std::string reserialize_trace(const std::string& text) {
+  std::istringstream in(text);
+  const net::ParsedTrace trace = net::read_trace_jsonl(in);
+  std::ostringstream out;
+  net::write_trace_jsonl(trace, out);
+  return out.str();
+}
+
+void run_trace_campaign(Mutation kind, std::uint64_t seed) {
+  constexpr int kMutantsPerTrace = 1500;
+  Rng rng(seed);
+  int parsed = 0;
+  int rejected = 0;
+  const std::vector<std::string>& traces = golden_traces();
+  for (std::size_t f = 0; f < traces.size(); ++f) {
+    ASSERT_FALSE(traces[f].empty()) << "golden trace " << f << " not found";
+    ASSERT_EQ(reserialize_trace(traces[f]), traces[f]);
+    for (int t = 0; t < kMutantsPerTrace; ++t) {
+      const std::string mutant =
+          mutate(traces[f], traces[(f + t) % traces.size()], kind, rng);
+      std::string once;
+      try {
+        once = reserialize_trace(mutant);
+      } catch (const CheckError&) {
+        ++rejected;
+        continue;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-CheckError exception: " << e.what()
+                      << "\nmutant:\n" << mutant;
+        continue;
+      }
+      ++parsed;
+      EXPECT_EQ(reserialize_trace(once), once) << "mutant:\n" << mutant;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(ReaderMutation, TraceTruncations) {
+  run_trace_campaign(Mutation::kTruncate, 0x7EACE7ULL);
+}
+
+TEST(ReaderMutation, TraceByteFlips) {
+  run_trace_campaign(Mutation::kFlip, 0x7EACEF11ULL);
+}
+
+TEST(ReaderMutation, TraceSplices) {
+  run_trace_campaign(Mutation::kSplice, 0x7EAC5B11ULL);
+}
+
+/// The golden mw-greedy trace with `from` replaced by `to` in its first
+/// round record (line 3).
+std::string golden_with_round_field(const std::string& from,
+                                    const std::string& to) {
+  std::string text = golden_traces()[0];
+  const std::size_t line3 = text.find("{\"type\":\"round\"");
+  const std::size_t at = text.find(from, line3);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_LT(at, text.find('\n', line3));
+  return text.replace(at, from.size(), to);
+}
+
+void expect_trace_rejected(const std::string& text, const std::string& where) {
+  std::istringstream in(text);
+  try {
+    (void)net::read_trace_jsonl(in);
+    FAIL() << "accepted a malformed number; expected '" << where << "'";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << "actual: " << e.what();
+  }
+}
+
+TEST(ReaderMutation, TraceRejectsSignOnUnsignedField) {
+  // Read through strtoull, "-5" wrapped to 18446744073709551611.
+  expect_trace_rejected(golden_with_round_field("\"bits\":0", "\"bits\":-5"),
+                        "trace line 3, field 'bits'");
+}
+
+TEST(ReaderMutation, TraceRejectsNonNumericField) {
+  // Read through strtoull, "zz" parsed as 0.
+  expect_trace_rejected(golden_with_round_field("\"sent\":0", "\"sent\":zz"),
+                        "trace line 3, field 'sent'");
+}
 
 }  // namespace
 }  // namespace dflp::fl

@@ -21,6 +21,7 @@
 #include "harness/faults.h"
 #include "netsim/network.h"
 #include "netsim/reliable.h"
+#include "port_probe.h"
 #include "workload/generators.h"
 
 namespace dflp {
@@ -72,6 +73,55 @@ class Script final : public net::Process {
  private:
   Fn fn_;
 };
+
+TEST(ReliableChannel, InnerInboxesCarryPortsUnderLoss) {
+  // Links are indexed by the delivered port, and data items keep it: under
+  // 20% loss the inner probe still sees every message of the loss-free
+  // direct run, each on the right port.
+  constexpr std::size_t kNodes = 30;
+  constexpr int kInnerBudget = 64;
+  const auto edges = net::probe_graph(kNodes, 0.15, 11);
+  const auto build = [&](const net::FaultPlan::Options& faults, int budget) {
+    net::Network::Options o;
+    o.bit_budget = budget;
+    o.seed = 7;
+    o.faults = faults;
+    net::Network net(kNodes, o);
+    for (const auto& [u, v] : edges) net.add_edge(u, v);
+    net.finalize();
+    return net;
+  };
+
+  net::Network direct = build({}, kInnerBudget);
+  for (net::NodeId v = 0; v < static_cast<net::NodeId>(kNodes); ++v)
+    direct.set_process(v, std::make_unique<net::PortProbe>(6));
+  (void)direct.run(20);
+  const net::ProbeTotals want =
+      net::sum_probes(kNodes, [&](net::NodeId v) -> const net::PortProbe& {
+        return static_cast<const net::PortProbe&>(direct.process(v));
+      });
+
+  net::FaultPlan::Options lossy;
+  lossy.drop_probability = 0.2;
+  net::Network net = build(lossy, net::reliable_bit_budget(kInnerBudget, 16));
+  net::ReliableChannel::Options channel;
+  channel.inner_bit_budget = kInnerBudget;
+  for (net::NodeId v = 0; v < static_cast<net::NodeId>(kNodes); ++v) {
+    net.set_process(v, std::make_unique<net::ReliableChannel>(
+                           std::make_unique<net::PortProbe>(6), channel));
+  }
+  (void)net.run(4000);
+  ASSERT_TRUE(net.all_halted());
+  EXPECT_GT(net.cumulative_metrics().dropped, 0u);
+  const net::ProbeTotals got =
+      net::sum_probes(kNodes, [&](net::NodeId v) -> const net::PortProbe& {
+        return static_cast<const net::PortProbe&>(
+            static_cast<const net::ReliableChannel&>(net.process(v)).inner());
+      });
+  EXPECT_GT(want.deliveries, 0u);
+  EXPECT_EQ(got.deliveries, want.deliveries);
+  EXPECT_EQ(got.bad_ports, 0u);
+}
 
 TEST(ReliableChannel, SecondSendOnOneLinkInALogicalRoundThrows) {
   // The inner protocol keeps the CONGEST rule per logical round: its
