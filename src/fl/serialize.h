@@ -39,9 +39,11 @@
 // field throws dflp::CheckError as
 //   line <L>, field <F> (<field name>): <what was wrong>
 // e.g. `line 7, field 3 (connection cost): 'nan' is not a finite
-// non-negative number`, with F counting the fields on line L from 1.
-// Whole-instance violations (duplicate edges, uncovered clients, a total
-// cost that overflows) throw from InstanceBuilder::build().
+// non-negative number`, with F counting the fields on line L from 1. An
+// edge that repeats an earlier one is reported at its facility id, naming
+// the earlier edge's line: `line 6, field 1 (facility id): edge (0, 0)
+// repeats line 4`. A client without edges, which no one line holds,
+// throws from InstanceBuilder::build().
 #pragma once
 
 #include <iosfwd>

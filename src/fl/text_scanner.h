@@ -50,9 +50,13 @@ class TextScanner {
   /// token in front of `problem`.
   [[noreturn]] void fail_token(std::string_view problem) const;
 
- private:
   /// Throws a CheckError located at the last token read.
   [[noreturn]] void fail(std::string_view what) const;
+
+  /// Line of the last token read, counted from 1.
+  [[nodiscard]] std::int64_t line() const noexcept { return line_; }
+
+ private:
   /// Skips whitespace, counting lines.
   void skip_space() noexcept;
   /// Skips whitespace and starts the next token; throws at end of input.

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "fl/ftfp.h"
 #include "fl/instance.h"
 #include "fl/serialize.h"
 #include "fl/solution.h"
@@ -427,6 +428,37 @@ TEST(Serialize, RejectsNonFiniteAndNegativeCostsByLocation) {
   expect_ufl_error("dflp-ufl 1\n1 1 1\n1\n0 0 1.5x\n",
                    "line 4, field 3 (connection cost)",
                    "'1.5x' is not a number");
+}
+
+TEST(Serialize, RejectsRepeatedEdgesByLine) {
+  // Line 6 repeats the edge (0, 0) of line 4.
+  const std::string ufl =
+      "dflp-ufl 1\n2 2 3\n1.0 2.0\n0 0 1.0\n1 1 1.0\n0 0 2.0\n";
+  expect_ufl_error(ufl, "line 6, field 1 (facility id)",
+                   "edge (0, 0) repeats line 4");
+  // The same block inside a snapshot and an FTFP file, where it starts on
+  // line 3 and line 2; one line may hold several edges.
+  std::string msg = error_of([&] {
+    (void)snapshot_from_text("dflp-snap 1\n0 2 2\n" + ufl + "0 1\n0 1\n");
+  });
+  EXPECT_NE(msg.find("line 8, field 1 (facility id): edge (0, 0) repeats "
+                     "line 6"),
+            std::string::npos)
+      << msg;
+  msg = error_of([] {
+    (void)ftfp_from_text(
+        "dflp-ftfp 1\ndflp-ufl 1\n2 2 3\n1 2\n1 1 1 0 0 1 1 1 2\n1 1\n");
+  });
+  EXPECT_NE(msg.find("line 5, field 7 (facility id): edge (1, 1) repeats "
+                     "line 5"),
+            std::string::npos)
+      << msg;
+  // A client without edges is no one line's fault: build() reports it.
+  msg = error_of([] {
+    (void)from_text("dflp-ufl 1\n2 2 2\n1 1\n0 0 1\n1 0 1\n");
+  });
+  EXPECT_NE(msg.find("client 1 has no candidate facility"), std::string::npos)
+      << msg;
 }
 
 TEST(Serialize, RejectsDataAfterTheLastField) {
