@@ -145,6 +145,18 @@ TEST(DeltaLog, ArriveAndDepartInOneLogCancels) {
   EXPECT_EQ(next.next_client_key(), 4);  // the key stays burned
 }
 
+/// Expects apply() to throw a CheckError whose message contains `what`.
+void expect_rejected(const InstanceSnapshot& snap, const DeltaLog& log,
+                     const std::string& what) {
+  try {
+    (void)apply(snap, log);
+    ADD_FAILURE() << "apply accepted a log that should fail with: " << what;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DeltaLog, RejectsInconsistentDeltas) {
   const InstanceSnapshot snap = InstanceSnapshot::initial(tiny());
   {
@@ -183,6 +195,53 @@ TEST(DeltaLog, RejectsInconsistentDeltas) {
     log.append(facility ? Delta::facility_open(last, 1.0, {{0, 1.0}})
                         : Delta::client_arrive(last, {{0, 1.0}}));
     EXPECT_THROW((void)apply(snap, log), CheckError);
+  }
+  // Dense ids in the messages are the next epoch's: tiny()'s clients 0-2
+  // survive, so an arriving client is 3 and an opened facility is 2.
+  const Cost inf = std::numeric_limits<Cost>::infinity();
+  {
+    DeltaLog log;  // one arrival names a facility twice
+    log.append(Delta::client_arrive(3, {{0, 1.0}, {1, 2.0}, {0, 3.0}}));
+    expect_rejected(snap, log, "duplicate edge (facility=0, client=3)");
+  }
+  {
+    DeltaLog log;  // one open names a client twice
+    log.append(Delta::facility_open(2, 5.0, {{1, 1.0}, {1, 2.0}}));
+    expect_rejected(snap, log, "duplicate edge (facility=2, client=1)");
+  }
+  {
+    DeltaLog log;  // an open and an arrival both declare the same edge
+    log.append(Delta::facility_open(2, 5.0, {{0, 1.0}, {3, 1.0}}));
+    log.append(Delta::client_arrive(3, {{2, 2.0}}));
+    expect_rejected(snap, log, "duplicate edge (facility=2, client=3)");
+  }
+  {
+    DeltaLog log;  // negative arrival edge
+    log.append(Delta::client_arrive(3, {{0, -1.0}}));
+    expect_rejected(snap, log,
+                    "connection cost must be finite and non-negative, "
+                    "got -1");
+  }
+  {
+    DeltaLog log;  // non-finite open edge
+    log.append(Delta::facility_open(2, 5.0, {{0, inf}}));
+    expect_rejected(snap, log,
+                    "connection cost must be finite and non-negative, "
+                    "got inf");
+  }
+  {
+    DeltaLog log;  // non-finite re-pricing of a surviving edge
+    log.append(Delta::edge_cost_change(
+        1, 1, std::numeric_limits<Cost>::quiet_NaN()));
+    expect_rejected(snap, log,
+                    "connection cost must be finite and non-negative, "
+                    "got nan");
+  }
+  {
+    DeltaLog log;  // negative opening cost
+    log.append(Delta::facility_open(2, -3.0, {{0, 1.0}}));
+    expect_rejected(snap, log,
+                    "opening cost must be finite and non-negative, got -3");
   }
 }
 
