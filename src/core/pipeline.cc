@@ -21,7 +21,6 @@ PipelineOutcome run_pipeline(const fl::Instance& inst,
   PipelineOutcome outcome(inst);
   outcome.solution = std::move(rounded.solution);
   outcome.fractional_value = frac.fractional.value(inst);
-  outcome.frac_y = std::move(frac.fractional.y);
   outcome.frac_metrics = frac.metrics;
   outcome.round_metrics = rounded.metrics;
   outcome.schedule = frac.schedule;

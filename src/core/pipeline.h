@@ -5,8 +5,6 @@
 // mw_greedy is the practical variant that skips the fractional detour.
 #pragma once
 
-#include <vector>
-
 #include "core/frac_lp.h"
 #include "core/params.h"
 #include "core/rand_round.h"
@@ -20,9 +18,6 @@ struct PipelineOutcome {
   /// Stage-1 fractional value (compare against the LP optimum for the
   /// stage-1 loss, and against solution cost for the rounding loss).
   double fractional_value = 0.0;
-  /// Stage-1 opening variables y_i, one per facility (the streaming
-  /// service keeps them per component).
-  std::vector<double> frac_y;
   net::NetMetrics frac_metrics;
   net::NetMetrics round_metrics;
   MwSchedule schedule;

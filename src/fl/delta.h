@@ -4,10 +4,13 @@
 // traffic instead owns an `InstanceSnapshot` — an immutable instance plus
 // an epoch id and *stable keys* for every facility and client — and an
 // append-only `DeltaLog` of typed updates. `apply(snapshot, log)` produces
-// the next snapshot (epoch + 1) by rebuilding the CSR arrays through
-// `InstanceBuilder`, so the result is bit-identical to building the mutated
-// instance from scratch in canonical order (the property tests pin this
-// down).
+// the next snapshot (epoch + 1) by splicing the previous CSR arrays in a
+// few linear passes: surviving rows are copied with removed peers dropped
+// and ids renumbered, and only rows that gain an added edge or hold a
+// re-priced one are sorted again. The result is bit-identical to building
+// the mutated instance from scratch through `InstanceBuilder` in canonical
+// order (the property tests pin this down), and so are the checks and
+// their messages.
 //
 // Stable keys vs dense ids. Dense `FacilityId`/`ClientId` values are
 // re-assigned on every apply() (survivors keep their relative order, new
@@ -111,6 +114,14 @@ class InstanceSnapshot {
 
   [[nodiscard]] NodeKey facility_key(FacilityId i) const;
   [[nodiscard]] NodeKey client_key(ClientId j) const;
+
+  /// Every present key, indexed by dense id (strictly increasing).
+  [[nodiscard]] const std::vector<NodeKey>& facility_keys() const noexcept {
+    return facility_keys_;
+  }
+  [[nodiscard]] const std::vector<NodeKey>& client_keys() const noexcept {
+    return client_keys_;
+  }
 
   /// Dense id currently bound to a key, or -1 when the key is not present
   /// in this snapshot. O(log m) / O(log n).

@@ -8,32 +8,39 @@
 //      declared capacity bounds (`core::derive_schedule_from_bounds`) and
 //      handed to every runner via `MwParams::pinned_schedule`, so a solve
 //      is a pure function of (sub-instance, seed, schedule).
-//   2. Each epoch the snapshot is partitioned into connectivity
-//      components; a component's *key* is its smallest member facility's
-//      stable key, and its per-solve seed derives from that key alone.
-//      Because apply() renumbers monotonically, an untouched component
-//      reproduces the identical sub-instance epoch after epoch.
-//   3. Components whose member-key fingerprint is unchanged and that no
-//      delta of the epoch touched reuse their cached solution (including
-//      the fractional stage's y state under the pipeline engine — the
-//      warm-started fractional state); only dirty components re-run the
-//      distributed solver.
+//   2. A component's *key* is its smallest member facility's stable key,
+//      and its per-solve seed derives from that key alone. Because apply()
+//      renumbers monotonically, an untouched component reproduces the
+//      identical sub-instance epoch after epoch.
+//   3. Reuse is decided by the epoch's *dirty region*: the components of
+//      the new snapshot that hold a node a delta names and that survives
+//      the batch, or a surviving neighbour of a removed node (a removal is
+//      the only way a component can split). One BFS from those seeds finds
+//      exactly these components, and only they re-run the distributed
+//      solver. Every other component is a component of the previous epoch
+//      with the same members and key; its open flags and assignment carry
+//      over through the old -> new dense-id maps.
 //
-// The from-scratch baseline is the same machinery with the cache disabled
-// (`warm_start = false`), so warm and cold runs produce bit-identical
-// solutions and costs on every epoch by construction — the property
-// service_test pins down and bench_stream (E13) relies on.
+// The from-scratch baseline is the same machinery with every node marked
+// dirty (`warm_start = false`, and always at epoch 0), so warm and cold
+// runs produce bit-identical solutions and costs on every epoch by
+// construction — the property service_test pins down and bench_stream
+// (E13) relies on.
 //
 // Every epoch yields an `EpochReport` with cost, rounds/messages of the
 // solved components, and *recourse*: facility-set churn and the number of
 // surviving clients whose assignment moved, both measured in stable-key
-// space so epoch-to-epoch comparisons are well-defined.
+// space so epoch-to-epoch comparisons are well-defined. Only the dirty
+// region and the removed nodes can differ from the previous epoch, so
+// that is where recourse is counted.
+//
+// A commit that throws (an inconsistent delta, a snapshot outgrowing the
+// declared bounds) drops its batch and leaves the service at its previous
+// epoch: snapshot, solution, report and component table.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/params.h"
@@ -48,7 +55,9 @@ namespace dflp::service {
 /// facility set is static, costs come from the generator's fixed ranges,
 /// and the client population is bounded by initial + every possible
 /// arrival. Deriving the pinned schedule from these keeps solves exact
-/// across the whole stream.
+/// across the whole stream. Throws dflp::CheckError, naming the parameter,
+/// when num_cells * facilities_per_cell or the node count facilities +
+/// initial_clients + max_events exceeds the int32 node limit.
 [[nodiscard]] core::InstanceBounds stream_bounds(
     const workload::StreamParams& params, std::int64_t max_events);
 
@@ -101,8 +110,8 @@ struct EpochReport {
   std::int64_t solved_components = 0;
   std::int64_t reused_components = 0;
   Recourse recourse;
-  double apply_ms = 0.0;  ///< snapshot rebuild (delta-log apply)
-  double solve_ms = 0.0;  ///< component partition + solves + assembly
+  double apply_ms = 0.0;  ///< snapshot splice (delta-log apply)
+  double solve_ms = 0.0;  ///< dirty region + solves + carry-over + recourse
   double total_ms = 0.0;
 };
 
@@ -120,7 +129,8 @@ class StreamingSolver {
 
   /// Applies the pending batch as one epoch and re-solves. Valid with an
   /// empty batch (epoch still advances; everything reuses under warm
-  /// start).
+  /// start). The batch is consumed either way: when the commit throws,
+  /// the service stays at its previous epoch.
   EpochReport commit_epoch();
 
   [[nodiscard]] const fl::InstanceSnapshot& snapshot() const noexcept {
@@ -141,31 +151,37 @@ class StreamingSolver {
   }
 
  private:
-  /// Cached per-component result, addressed by component key; everything
-  /// inside is in stable-key space so it survives renumbering.
+  /// One component of the current snapshot, in key order, with what the
+  /// report sums over every component.
   struct ComponentEntry {
-    std::uint64_t fingerprint = 0;
-    std::vector<fl::NodeKey> open_facilities;
-    std::vector<std::pair<fl::NodeKey, fl::NodeKey>> assignment;  // (c, f)
-    /// Pipeline engine: the fractional stage's state (value + per-member
-    /// facility y in ascending key order), carried across epochs.
+    fl::FacilityId facility = 0;  ///< smallest member (its key), dense
+    double fractional_value = 0.0;  ///< pipeline engine's LP value
+  };
+
+  /// A dirty component's members, dense and ascending.
+  struct Component {
+    std::vector<fl::FacilityId> facilities;
+    std::vector<fl::ClientId> clients;
+  };
+
+  struct SolveResult {
     double fractional_value = 0.0;
-    std::vector<double> frac_y;
     std::uint64_t rounds = 0;
     std::uint64_t messages = 0;
   };
 
-  struct Component {
-    fl::NodeKey key = fl::kNoKey;
-    std::vector<fl::FacilityId> facilities;  // dense, ascending
-    std::vector<fl::ClientId> clients;       // dense, ascending
-  };
-
-  EpochReport resolve(std::size_t events, double apply_ms,
-                      const std::unordered_set<fl::NodeKey>& touched_f,
-                      const std::unordered_set<fl::NodeKey>& touched_c);
-  ComponentEntry solve_component(const Component& comp,
-                                 std::uint64_t fingerprint) const;
+  /// Re-solves the dirty region of `next` (all of it when `all_dirty`),
+  /// carries the rest over, and only then moves `next` and the results
+  /// into the service.
+  EpochReport resolve(fl::InstanceSnapshot next, const fl::DeltaLog& batch,
+                      bool all_dirty);
+  /// Solves `comp` of `snap` and writes its open flags and assignment
+  /// into `solution`; `local_client` is scratch sized to the snapshot's
+  /// clients.
+  SolveResult solve_component(const fl::InstanceSnapshot& snap,
+                              const Component& comp,
+                              std::vector<std::int32_t>& local_client,
+                              fl::IntegralSolution& solution) const;
 
   StreamingOptions options_;
   core::MwSchedule schedule_;
@@ -173,10 +189,7 @@ class StreamingSolver {
   fl::DeltaLog pending_;
   fl::IntegralSolution solution_;
   EpochReport last_report_;
-  std::unordered_map<fl::NodeKey, ComponentEntry> cache_;
-  // Previous epoch's key-space state, for recourse.
-  std::vector<fl::NodeKey> prev_open_keys_;  // sorted
-  std::unordered_map<fl::NodeKey, fl::NodeKey> prev_assignment_;
+  std::vector<ComponentEntry> components_;  ///< of snapshot_, key order
 };
 
 }  // namespace dflp::service

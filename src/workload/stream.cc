@@ -1,6 +1,8 @@
 #include "workload/stream.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -51,7 +53,12 @@ ClientStream::ClientStream(const StreamParams& params, std::uint64_t seed)
                                          params_.facilities_per_cell));
 
   const std::int32_t fpc = params_.facilities_per_cell;
-  const std::int32_t m = params_.num_cells * fpc;
+  const std::int64_t facilities = std::int64_t{params_.num_cells} * fpc;
+  DFLP_CHECK_MSG(facilities <= std::numeric_limits<std::int32_t>::max(),
+                 "num_cells * facilities_per_cell = "
+                     << facilities << " exceeds the int32 node limit "
+                     << std::numeric_limits<std::int32_t>::max());
+  const auto m = static_cast<std::int32_t>(facilities);
 
   fl::InstanceBuilder builder;
   builder.reserve(m, params_.initial_clients,

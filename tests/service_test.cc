@@ -4,7 +4,10 @@
 // pinned schedule, and recourse accounting must be sane.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "core/mw_greedy.h"
 #include "core/params.h"
 #include "fl/delta.h"
+#include "mixed_stream.h"
 #include "service/streaming_solver.h"
 #include "workload/stream.h"
 
@@ -26,22 +30,6 @@ workload::StreamParams small_stream() {
   p.client_degree = 2;
   p.arrival_fraction = 0.6;
   return p;
-}
-
-/// Capacity bounds that dominate the whole stream: costs come from the
-/// generator's fixed ranges, the facility set is static, and the node
-/// count is bounded by initial + every possible arrival.
-core::InstanceBounds stream_bounds(const workload::StreamParams& p,
-                                   std::int64_t total_events) {
-  core::InstanceBounds b;
-  b.max_facilities = p.num_cells * p.facilities_per_cell;
-  b.max_network_nodes = static_cast<std::int32_t>(
-      b.max_facilities + p.initial_clients + total_events);
-  b.min_positive_cost = std::min(p.opening_lo, p.connection_lo);
-  b.max_cost = std::max(p.opening_hi, p.connection_hi);
-  // A cell facility can in principle serve every client ever alive.
-  b.max_facility_degree = static_cast<int>(p.initial_clients + total_events);
-  return b;
 }
 
 StreamingOptions make_options(const workload::StreamParams& p,
@@ -69,33 +57,155 @@ void expect_same_state(const StreamingSolver& a, const StreamingSolver& b) {
         << "client " << j;
 }
 
-void run_warm_vs_cold(SolveEngine engine) {
-  const workload::StreamParams sp = small_stream();
-  constexpr std::int32_t kEpochs = 5;
-  constexpr std::int32_t kEventsPerEpoch = 15;
-  constexpr std::int64_t kTotal = kEpochs * kEventsPerEpoch;
+/// Minimal union-find over a snapshot's bipartite node ids (facility i ->
+/// i, client j -> m + j), independent of the service's own partition.
+class Components {
+ public:
+  explicit Components(const fl::Instance& inst)
+      : m_(inst.num_facilities()),
+        parent_(static_cast<std::size_t>(m_ + inst.num_clients())) {
+    for (std::size_t v = 0; v < parent_.size(); ++v)
+      parent_[v] = static_cast<std::int32_t>(v);
+    for (fl::FacilityId i = 0; i < m_; ++i)
+      for (const fl::FacilityEdge& e : inst.facility_edges(i))
+        parent_[static_cast<std::size_t>(find(i))] = find(m_ + e.client);
+  }
+  std::int32_t facility(fl::FacilityId i) { return find(i); }
+  std::int32_t client(fl::ClientId j) { return find(m_ + j); }
 
-  workload::ClientStream warm_stream(sp, 7);
-  workload::ClientStream cold_stream(sp, 7);
-  StreamingSolver warm(warm_stream.initial_snapshot(),
-                       make_options(sp, kTotal, /*warm=*/true, engine));
-  StreamingSolver cold(cold_stream.initial_snapshot(),
-                       make_options(sp, kTotal, /*warm=*/false, engine));
+ private:
+  std::int32_t find(std::int32_t v) {
+    while (parent_[static_cast<std::size_t>(v)] != v)
+      v = parent_[static_cast<std::size_t>(v)] =
+          parent_[static_cast<std::size_t>(
+              parent_[static_cast<std::size_t>(v)])];
+    return v;
+  }
+  std::int32_t m_;
+  std::vector<std::int32_t> parent_;
+};
+
+/// Components of `after` that hold a node a delta of `batch` names, or a
+/// surviving neighbour (in `before`) of a node the batch removes: exactly
+/// the components a warm epoch must re-solve.
+std::int64_t dirty_components(const fl::InstanceSnapshot& before,
+                              const fl::InstanceSnapshot& after,
+                              const fl::DeltaLog& batch) {
+  Components comps(after.instance());
+  std::set<std::int32_t> dirty;
+  const auto facility = [&](fl::NodeKey key) {
+    const fl::FacilityId i = after.facility_index(key);
+    if (i >= 0) dirty.insert(comps.facility(i));
+  };
+  const auto client = [&](fl::NodeKey key) {
+    const fl::ClientId j = after.client_index(key);
+    if (j >= 0) dirty.insert(comps.client(j));
+  };
+  const fl::Instance& old = before.instance();
+  for (const fl::Delta& d : batch.deltas()) {
+    switch (d.kind) {
+      case fl::Delta::Kind::kClientArrive:
+        client(d.client);
+        for (const fl::KeyedEdge& e : d.edges) facility(e.peer);
+        break;
+      case fl::Delta::Kind::kClientDepart:
+        if (const fl::ClientId j = before.client_index(d.client); j >= 0)
+          for (const fl::ClientEdge& e : old.client_edges(j))
+            facility(before.facility_key(e.facility));
+        break;
+      case fl::Delta::Kind::kFacilityOpen:
+        facility(d.facility);
+        for (const fl::KeyedEdge& e : d.edges) client(e.peer);
+        break;
+      case fl::Delta::Kind::kFacilityClose:
+        if (const fl::FacilityId i = before.facility_index(d.facility);
+            i >= 0)
+          for (const fl::FacilityEdge& e : old.facility_edges(i))
+            client(before.client_key(e.client));
+        break;
+      case fl::Delta::Kind::kEdgeCostChange:
+        facility(d.facility);
+        client(d.client);
+        break;
+    }
+  }
+  return static_cast<std::int64_t>(dirty.size());
+}
+
+/// What an all-kinds input exercised, counted against the snapshot each
+/// batch was applied to.
+struct Coverage {
+  int bridging_opens = 0;     ///< opens whose clients sat in >= 2 components
+  int closes = 0;
+  int reprices = 0;
+  int isolating_departures = 0;  ///< left a surviving facility with no client
+};
+
+void count_coverage(const fl::InstanceSnapshot& before,
+                    const fl::InstanceSnapshot& after,
+                    const fl::DeltaLog& batch, Coverage& cov) {
+  Components comps(before.instance());
+  for (const fl::Delta& d : batch.deltas()) {
+    if (d.kind == fl::Delta::Kind::kFacilityOpen) {
+      std::set<std::int32_t> touched;
+      for (const fl::KeyedEdge& e : d.edges)
+        if (const fl::ClientId j = before.client_index(e.peer); j >= 0)
+          touched.insert(comps.client(j));
+      if (touched.size() >= 2) ++cov.bridging_opens;
+    } else if (d.kind == fl::Delta::Kind::kFacilityClose) {
+      ++cov.closes;
+    } else if (d.kind == fl::Delta::Kind::kEdgeCostChange) {
+      ++cov.reprices;
+    } else if (d.kind == fl::Delta::Kind::kClientDepart) {
+      const fl::ClientId j = before.client_index(d.client);
+      if (j < 0) continue;
+      for (const fl::ClientEdge& e : before.instance().client_edges(j)) {
+        const fl::FacilityId i =
+            after.facility_index(before.facility_key(e.facility));
+        if (i >= 0 && after.instance().facility_edges(i).empty()) {
+          ++cov.isolating_departures;
+          break;
+        }
+      }
+    }
+  }
+}
+
+/// Feeds the same batches to a warm and a cold service. Per epoch, warm
+/// and cold must agree on solution, cost, LP value and all five recourse
+/// counts, and the warm service must re-solve exactly the components
+/// `dirty_components` names.
+template <typename Source>
+Coverage run_warm_vs_cold(const fl::InstanceSnapshot& initial,
+                          Source& source, const core::InstanceBounds& bounds,
+                          SolveEngine engine, int epochs,
+                          int events_per_epoch) {
+  StreamingOptions opt;
+  opt.params.k = 4;
+  opt.params.seed = 42;
+  opt.bounds = bounds;
+  opt.engine = engine;
+  StreamingSolver warm(initial, opt);
+  opt.warm_start = false;
+  StreamingSolver cold(initial, opt);
 
   // Epoch 0 (the constructor's solve) must already agree.
   EXPECT_EQ(warm.last_report().cost, cold.last_report().cost);
   expect_same_state(warm, cold);
 
+  Coverage cov;
   std::int64_t total_reused = 0;
-  for (std::int32_t e = 0; e < kEpochs; ++e) {
+  for (int e = 0; e < epochs; ++e) {
     fl::DeltaLog batch;
-    warm_stream.fill_epoch(kEventsPerEpoch, batch);
+    source.fill_epoch(events_per_epoch, batch);
     for (const fl::Delta& d : batch.deltas()) {
       warm.ingest(d);
       cold.ingest(d);
     }
+    const fl::InstanceSnapshot before = warm.snapshot();
     const EpochReport wr = warm.commit_epoch();
     const EpochReport cr = cold.commit_epoch();
+    count_coverage(before, warm.snapshot(), batch, cov);
 
     // Identical final solution cost on every epoch — exact, not approx.
     EXPECT_EQ(wr.cost, cr.cost) << "epoch " << e;
@@ -104,12 +214,19 @@ void run_warm_vs_cold(SolveEngine engine) {
 
     // Identical recourse (same solutions on both sides).
     EXPECT_EQ(wr.recourse.facilities_opened, cr.recourse.facilities_opened);
+    EXPECT_EQ(wr.recourse.facilities_closed, cr.recourse.facilities_closed);
     EXPECT_EQ(wr.recourse.clients_reassigned,
               cr.recourse.clients_reassigned);
+    EXPECT_EQ(wr.recourse.clients_arrived, cr.recourse.clients_arrived);
+    EXPECT_EQ(wr.recourse.clients_departed, cr.recourse.clients_departed);
 
     EXPECT_EQ(cr.reused_components, 0);
     EXPECT_EQ(cr.solved_components, cr.components);
+    EXPECT_EQ(wr.components, cr.components);
     EXPECT_EQ(wr.reused_components + wr.solved_components, wr.components);
+    EXPECT_EQ(wr.solved_components,
+              dirty_components(before, warm.snapshot(), batch))
+        << "epoch " << e;
     total_reused += wr.reused_components;
 
     // The warm run must do strictly less solver work whenever anything is
@@ -118,16 +235,64 @@ void run_warm_vs_cold(SolveEngine engine) {
       EXPECT_LT(wr.messages, cr.messages) << "epoch " << e;
     }
   }
-  // With 12 cells and 15 events per epoch some cells stay untouched.
+  // Some components stay untouched in every input used here.
   EXPECT_GT(total_reused, 0);
+  return cov;
+}
+
+void run_client_stream(SolveEngine engine) {
+  const workload::StreamParams sp = small_stream();
+  constexpr int kEpochs = 5;
+  constexpr int kEventsPerEpoch = 15;
+  workload::ClientStream stream(sp, 7);
+  const fl::InstanceSnapshot initial = stream.initial_snapshot();
+  (void)run_warm_vs_cold(initial, stream,
+                         stream_bounds(sp, kEpochs * kEventsPerEpoch),
+                         engine, kEpochs, kEventsPerEpoch);
+}
+
+/// Facility opens that bridge components, closes, re-pricings and
+/// departures that isolate a facility, on a sparse start.
+void run_all_kinds(SolveEngine engine) {
+  workload::StreamParams sp = small_stream();
+  sp.initial_clients = 40;
+  constexpr int kEpochs = 8;
+  constexpr int kEventsPerEpoch = 10;
+  constexpr int kEvents = kEpochs * kEventsPerEpoch;
+  const workload::ClientStream start(sp, 13);
+  const fl::InstanceSnapshot& initial = start.initial_snapshot();
+  const fl::Instance& inst = initial.instance();
+  core::InstanceBounds bounds;
+  bounds.max_facilities = inst.num_facilities() + kEvents;
+  bounds.max_network_nodes =
+      inst.num_facilities() + inst.num_clients() + kEvents;
+  bounds.min_positive_cost = fl::MixedStream::kConnectionLo;
+  bounds.max_cost = fl::MixedStream::kOpeningHi;
+  bounds.max_facility_degree = inst.num_clients() + kEvents;
+
+  fl::MixedStream mixed(initial, 0xA11C1);
+  const Coverage cov = run_warm_vs_cold(initial, mixed, bounds, engine,
+                                        kEpochs, kEventsPerEpoch);
+  EXPECT_GT(cov.bridging_opens, 0);
+  EXPECT_GT(cov.closes, 0);
+  EXPECT_GT(cov.reprices, 0);
+  EXPECT_GT(cov.isolating_departures, 0);
 }
 
 TEST(StreamingSolver, WarmEqualsColdMwGreedy) {
-  run_warm_vs_cold(SolveEngine::kMwGreedy);
+  run_client_stream(SolveEngine::kMwGreedy);
 }
 
 TEST(StreamingSolver, WarmEqualsColdPipeline) {
-  run_warm_vs_cold(SolveEngine::kPipeline);
+  run_client_stream(SolveEngine::kPipeline);
+}
+
+TEST(StreamingSolver, WarmEqualsColdAllKindsMwGreedy) {
+  run_all_kinds(SolveEngine::kMwGreedy);
+}
+
+TEST(StreamingSolver, WarmEqualsColdAllKindsPipeline) {
+  run_all_kinds(SolveEngine::kPipeline);
 }
 
 TEST(StreamingSolver, ComponentDecompositionMatchesGlobalSolve) {
@@ -217,6 +382,93 @@ TEST(StreamingSolver, RejectsUndersizedBounds) {
   opt.bounds.max_network_nodes = 4;  // way below the initial snapshot
   EXPECT_THROW(StreamingSolver(stream.initial_snapshot(), std::move(opt)),
                CheckError);
+}
+
+TEST(StreamingSolver, FailedCommitDropsItsBatchAndKeepsTheEpoch) {
+  // Bounds declared for 10 events; 40 arrivals outgrow them.
+  workload::StreamParams sp;
+  sp.num_cells = 8;
+  sp.initial_clients = 64;
+  sp.arrival_fraction = 1.0;
+  workload::ClientStream stream(sp, 3);
+  StreamingOptions opt;
+  opt.params.k = 4;
+  opt.params.seed = 42;
+  opt.bounds = stream_bounds(sp, 10);
+  StreamingSolver service(stream.initial_snapshot(), opt);
+  const StreamingSolver before = service;
+
+  fl::DeltaLog batch;
+  stream.fill_epoch(40, batch);
+  for (const fl::Delta& d : batch.deltas()) service.ingest(d);
+  EXPECT_THROW((void)service.commit_epoch(), CheckError);
+  EXPECT_EQ(service.pending_events(), 0u);
+  EXPECT_EQ(service.snapshot().epoch(), 0);
+  EXPECT_EQ(service.last_report().epoch, 0);
+  EXPECT_EQ(service.snapshot().instance().num_clients(), 64);
+  std::string why;
+  EXPECT_TRUE(
+      service.solution().is_feasible(service.snapshot().instance(), &why))
+      << why;
+  expect_same_state(service, before);
+
+  // A batch that apply() rejects is dropped as well, so it cannot fail
+  // every later commit.
+  service.ingest(fl::Delta::client_depart(1'000'000));
+  EXPECT_THROW((void)service.commit_epoch(), CheckError);
+  EXPECT_EQ(service.pending_events(), 0u);
+  EXPECT_EQ(service.snapshot().epoch(), 0);
+
+  // The component table stayed at epoch 0 too: an empty epoch reuses
+  // every component and keeps the cost.
+  const EpochReport rep = service.commit_epoch();
+  EXPECT_EQ(rep.epoch, 1);
+  EXPECT_EQ(rep.solved_components, 0);
+  EXPECT_EQ(rep.reused_components, before.last_report().components);
+  EXPECT_EQ(rep.cost, before.last_report().cost);
+  expect_same_state(service, before);
+}
+
+/// Expects `fn` to throw a CheckError whose message contains `what`.
+template <typename Fn>
+void expect_check_error(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no CheckError; expected one naming " << what;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StreamBounds, RejectsSizesBeyondTheNodeLimit) {
+  constexpr std::int64_t kLimit = std::numeric_limits<std::int32_t>::max();
+  workload::StreamParams sp;
+  sp.num_cells = 4;
+  sp.initial_clients = 10;
+  expect_check_error([&] { (void)stream_bounds(sp, std::int64_t{1} << 32); },
+                     "max_events");
+  sp.initial_clients = 1000;
+  expect_check_error([&] { (void)stream_bounds(sp, 2147483000); },
+                     "max_events");
+  sp.num_cells = 1 << 30;
+  expect_check_error([&] { (void)stream_bounds(sp, 1); },
+                     "num_cells * facilities_per_cell");
+
+  // The largest stream that fits reaches the limit exactly.
+  sp.num_cells = 4;
+  const core::InstanceBounds b =
+      stream_bounds(sp, kLimit - 4 * sp.facilities_per_cell - 1000);
+  EXPECT_EQ(b.max_network_nodes, kLimit);
+  EXPECT_EQ(b.max_facility_degree, kLimit - 4 * sp.facilities_per_cell);
+}
+
+TEST(ClientStream, RejectsFacilityCountBeyondTheNodeLimit) {
+  workload::StreamParams sp;
+  sp.num_cells = 1 << 30;
+  sp.facilities_per_cell = 4;
+  expect_check_error([&] { workload::ClientStream stream(sp, 1); },
+                     "num_cells * facilities_per_cell");
 }
 
 TEST(DeriveSchedule, PinnedScheduleWinsAndBoundsDominate) {

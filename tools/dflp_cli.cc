@@ -502,6 +502,25 @@ int cmd_stream(int argc, char** argv) {
   sp.num_cells = g_stream_cells;
   sp.initial_clients = g_stream_initial;
   const std::int64_t total = g_stream_events;
+  // Node ids are int32: size the stream in 64 bits before building
+  // anything, and name the flag that takes it past the limit.
+  constexpr std::int64_t kNodeLimit = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t facilities =
+      std::int64_t{sp.num_cells} * sp.facilities_per_cell;
+  const auto past_limit = [&](std::string_view flag, std::int64_t value,
+                              std::int64_t nodes, const std::string& parts) {
+    if (nodes <= kNodeLimit) return;
+    std::ostringstream os;
+    os << flag << " " << value << " takes the stream past the int32 node "
+       << "limit " << kNodeLimit << " (" << parts << ")";
+    throw UsageError(os.str());
+  };
+  past_limit("--cells", sp.num_cells, facilities,
+             std::to_string(facilities) + " facilities");
+  past_limit("--stream", total, facilities + sp.initial_clients + total,
+             std::to_string(facilities) + " facilities + " +
+                 std::to_string(sp.initial_clients) + " initial clients + " +
+                 std::to_string(total) + " events");
   const std::int64_t epoch_size =
       g_epoch_size > 0 ? g_epoch_size : std::max<std::int64_t>(1, total / 100);
 
