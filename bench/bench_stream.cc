@@ -6,7 +6,8 @@
 //
 //   * warm-vs-cold — two services consume byte-identical event streams at
 //     n initial clients with epochs sized at 1% of n; one warm-starts
-//     (untouched components reuse their cached solution), the other
+//     (components outside the epoch's dirty region keep their previous
+//     solution), the other
 //     re-solves every component from scratch. The final solution cost must
 //     match *exactly* on every epoch (the service guarantees it by
 //     construction; this binary exits non-zero if it ever differs), so the
