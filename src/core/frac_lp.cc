@@ -16,23 +16,36 @@ constexpr std::uint8_t kYUpdate = 10;  // field[0] = raise count
 constexpr std::uint8_t kCovered = 11;
 constexpr std::uint8_t kOpenReq = 12;
 
-struct Shared {
-  MwSchedule sched;
-  MwParams params;
-  std::uint64_t scheduled_rounds = 0;  // 2 * levels * subphases
-};
-
-std::uint64_t scheduled_rounds(const MwSchedule& sched) {
-  return 2ULL * static_cast<std::uint64_t>(sched.levels) *
-         static_cast<std::uint64_t>(sched.subphases);
-}
-
 /// The y grid both sides evaluate identically from the shared schedule.
 double y_of_raises(const MwSchedule& sched, std::int64_t raises) {
   if (raises <= 0) return 0.0;
   if (raises >= sched.y_scale) return 1.0;
   return std::pow(sched.beta,
                   static_cast<double>(raises - sched.y_scale));
+}
+
+struct Shared {
+  MwSchedule sched;
+  MwParams params;
+  std::uint64_t scheduled_rounds = 0;  // 2 * levels * subphases
+  /// y_grid[s] = y_of_raises(sched, s) for s in [0, y_scale], filled once
+  /// per run: every y a node reads is a lookup, not a std::pow.
+  std::vector<double> y_grid;
+
+  [[nodiscard]] double y(std::int64_t raises) const {
+    return y_grid[static_cast<std::size_t>(
+        std::clamp<std::int64_t>(raises, 0, sched.y_scale))];
+  }
+  /// The round a facility must step in after the raise rounds: base + 1
+  /// serves mop-up requests, or base halts without mop-up.
+  [[nodiscard]] std::uint64_t mopup_round() const {
+    return scheduled_rounds + (params.mopup ? 1 : 0);
+  }
+};
+
+std::uint64_t scheduled_rounds(const MwSchedule& sched) {
+  return 2ULL * static_cast<std::uint64_t>(sched.levels) *
+         static_cast<std::uint64_t>(sched.subphases);
 }
 
 class FacilityProc final : public net::Process {
@@ -56,7 +69,14 @@ class FacilityProc final : public net::Process {
     }
 
     if (r < shared_->scheduled_rounds) {
-      if (r % 2 == 0) maybe_raise(ctx, r);
+      if (r % 2 == 0) {
+        if (uncovered_count_ == 0) {
+          ctx.halt();  // y final; mop-up requests only come from the uncovered
+          return;
+        }
+        maybe_raise(ctx, r);
+      }
+      ctx.sleep_until(next_raise_round(r));
       return;
     }
 
@@ -82,12 +102,17 @@ class FacilityProc final : public net::Process {
     if (!covered_[t]) {
       covered_[t] = 1;
       --uncovered_count_;
+      star_stale_ = true;
     }
   }
 
-  [[nodiscard]] double best_star_ratio() const {
+  /// Best star ratio over the uncovered neighbours, cached: recomputed
+  /// only after a COVERED notice or a raise changed its inputs.
+  [[nodiscard]] double best_star_ratio() {
+    if (!star_stale_) return star_ratio_;
+    star_stale_ = false;
     // Once fully raised the facility cannot act anyway.
-    double num = opening_cost_ * (1.0 - y_of_raises(shared_->sched, raises_));
+    double num = opening_cost_ * (1.0 - shared_->y(raises_));
     double best = std::numeric_limits<double>::infinity();
     int size = 0;
     for (std::size_t t = 0; t < edges_.size(); ++t) {
@@ -96,14 +121,11 @@ class FacilityProc final : public net::Process {
       ++size;
       best = std::min(best, num / static_cast<double>(size));
     }
-    return size == 0 ? std::numeric_limits<double>::infinity() : best;
+    star_ratio_ = size == 0 ? std::numeric_limits<double>::infinity() : best;
+    return star_ratio_;
   }
 
   void maybe_raise(net::NodeContext& ctx, std::uint64_t r) {
-    if (uncovered_count_ == 0) {
-      ctx.halt();  // y final; mop-up requests only come from the uncovered
-      return;
-    }
     if (raises_ >= shared_->sched.y_scale) return;  // y == 1 already
     const auto iteration = r / 2;
     const auto level = static_cast<int>(
@@ -114,7 +136,19 @@ class FacilityProc final : public net::Process {
     if (!(best_star_ratio() <= threshold)) return;
     ctx.annotate("raise");
     ++raises_;
+    star_stale_ = true;
     ctx.broadcast(kYUpdate, {raises_, 0, 0});
+  }
+
+  /// Wake rule: the first raise round after `r` whose rung admits the
+  /// cached star, or the mop-up round for a facility that will not raise
+  /// again. A COVERED notice wakes the facility in a raise round, where one
+  /// left with no uncovered neighbour halts, so a sleeper always has one.
+  [[nodiscard]] std::uint64_t next_raise_round(std::uint64_t r) {
+    const std::uint64_t mopup = shared_->mopup_round();
+    if (raises_ >= shared_->sched.y_scale) return mopup;
+    return shared_->sched.first_admitting_round(2, r + 1, best_star_ratio(),
+                                                mopup);
   }
 
   const Shared* shared_;
@@ -123,7 +157,9 @@ class FacilityProc final : public net::Process {
   std::span<const std::int32_t> cost_index_;  // port -> index into edges_
   std::vector<std::uint8_t> covered_;         // parallel to edges_
   int uncovered_count_ = 0;
+  bool star_stale_ = true;  // star_ratio_ needs a rescan
   std::int64_t raises_ = 0;
+  double star_ratio_ = 0.0;
 };
 
 class ClientProc final : public net::Process {
@@ -145,7 +181,7 @@ class ClientProc final : public net::Process {
   void allocate_x(std::span<double> x) const {
     double residual = 1.0;
     for (std::size_t t = 0; t < edges_.size() && residual > 0.0; ++t) {
-      const double yv = y_of_raises(shared_->sched, known_raises_[t]);
+      const double yv = shared_->y(known_raises_[t]);
       const double take = std::min(yv, residual);
       x[t] = take;
       residual -= take;
@@ -159,12 +195,19 @@ class ClientProc final : public net::Process {
       if (msg.kind == kYUpdate) {
         std::int64_t& known = known_raises_[static_cast<std::size_t>(
             cost_index_[static_cast<std::size_t>(msg.port)])];
-        known = std::max(known, msg.field[0]);
+        if (msg.field[0] > known) {
+          known = msg.field[0];
+          mass_stale_ = true;
+        }
       }
     }
 
     if (r < shared_->scheduled_rounds) {
       if (r % 2 == 1 && !covered_) maybe_cover(ctx);
+      // Y_UPDATEs land in cover rounds (raises happen in the rounds before
+      // them) and wake the client; until one does, a cover round finds the
+      // same mass.
+      ctx.sleep_until(shared_->scheduled_rounds);
       return;
     }
 
@@ -179,6 +222,7 @@ class ClientProc final : public net::Process {
         ctx.send(facility_node(edges_.front().facility),
                  kOpenReq);  // cheapest facility
         by_mopup_ = true;
+        ctx.sleep_until(base + 2);  // the raise lands then
       } else {
         ctx.halt();
       }
@@ -194,10 +238,14 @@ class ClientProc final : public net::Process {
 
  private:
   void maybe_cover(net::NodeContext& ctx) {
-    double mass = 0.0;
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      mass += y_of_raises(shared_->sched, known_raises_[t]);
-    if (mass >= 1.0 - 1e-12) {
+    if (mass_stale_) {
+      // Re-summed in edge order only after a Y_UPDATE raised a known count.
+      mass_stale_ = false;
+      mass_ = 0.0;
+      for (std::size_t t = 0; t < edges_.size(); ++t)
+        mass_ += shared_->y(known_raises_[t]);
+    }
+    if (mass_ >= 1.0 - 1e-12) {
       ctx.annotate("covered");
       covered_ = true;
       ctx.broadcast(kCovered);
@@ -208,6 +256,8 @@ class ClientProc final : public net::Process {
   std::span<const fl::ClientEdge> edges_;     // cost-sorted
   std::span<const std::int32_t> cost_index_;  // port -> index into edges_
   std::vector<std::int64_t> known_raises_;    // parallel to edges_
+  double mass_ = 0.0;  // sum of known y (all 0 at first), valid unless stale
+  bool mass_stale_ = false;
   bool covered_ = false;
   bool by_mopup_ = false;
 };
@@ -232,6 +282,9 @@ FracOutcome run_frac_lp(net::Network& net, const EdgeTable& table,
   shared.sched = schedule;
   shared.params = params;
   shared.scheduled_rounds = scheduled_rounds(schedule);
+  shared.y_grid.resize(static_cast<std::size_t>(schedule.y_scale) + 1);
+  for (std::int64_t s = 0; s <= schedule.y_scale; ++s)
+    shared.y_grid[static_cast<std::size_t>(s)] = y_of_raises(schedule, s);
   const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
   if (params.tracer != nullptr) params.tracer->set_section("frac-lp");
 
@@ -260,7 +313,7 @@ FracOutcome run_frac_lp(net::Network& net, const EdgeTable& table,
       const auto& proc =
           transport_inner<FacilityProc>(net, params, facility_node(i));
       outcome.fractional.y[static_cast<std::size_t>(i)] =
-          y_of_raises(shared.sched, proc.raises());
+          shared.y(proc.raises());
     }
     for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
       const auto& proc =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "core/bipartite.h"
@@ -26,6 +27,12 @@ struct Shared {
   MwParams params;
   std::uint64_t scheduled_rounds = 0;  // 4 * levels * subphases
   net::NodeId first_client = 0;        // network node of client 0
+
+  /// The round a facility must step in after the offer rounds: base + 1
+  /// serves mop-up requests, or base halts without mop-up.
+  [[nodiscard]] std::uint64_t mopup_round() const {
+    return scheduled_rounds + (params.mopup ? 1 : 0);
+  }
 };
 
 class FacilityProc final : public net::Process {
@@ -53,6 +60,12 @@ class FacilityProc final : public net::Process {
     if (r < shared_->scheduled_rounds) {
       switch (r % 4) {
         case 0:
+          if (uncovered_count_ == 0) {
+            // Nothing left to serve and mop-up requests can only come from
+            // uncovered neighbours: this facility is done.
+            ctx.halt();
+            return;
+          }
           maybe_offer(ctx, r);
           break;
         case 2:
@@ -61,6 +74,7 @@ class FacilityProc final : public net::Process {
         default:
           break;  // phases 1 and 3 belong to the clients
       }
+      ctx.sleep_until(next_wake_round(r));
       return;
     }
 
@@ -89,12 +103,16 @@ class FacilityProc final : public net::Process {
     if (!covered_[t]) {
       covered_[t] = 1;
       --uncovered_count_;
+      star_stale_ = true;
     }
   }
 
-  /// Best star over uncovered neighbours: edges_ is cost-sorted, so scan
-  /// the prefix. Returns the ratio and fills `star_size`.
-  [[nodiscard]] double best_star(int* star_size) const {
+  /// Best star over uncovered neighbours, cached in star_ratio_ and
+  /// star_size_: recomputed only after a COVERED notice or open_ flipped.
+  /// edges_ is cost-sorted, so the scan walks the prefix.
+  void refresh_star() {
+    if (!star_stale_) return;
+    star_stale_ = false;
     double num = open_ ? 0.0 : opening_cost_;
     double best = std::numeric_limits<double>::infinity();
     int best_size = 0;
@@ -109,8 +127,8 @@ class FacilityProc final : public net::Process {
         best_size = size;
       }
     }
-    *star_size = best_size;
-    return best;
+    star_ratio_ = best;
+    star_size_ = best_size;
   }
 
   void maybe_offer(net::NodeContext& ctx, std::uint64_t r) {
@@ -121,16 +139,9 @@ class FacilityProc final : public net::Process {
     const double threshold =
         shared_->sched.thresholds[static_cast<std::size_t>(level)];
 
-    offered_star_ = 0;
-    if (uncovered_count_ == 0) {
-      // Nothing left to serve and mop-up requests can only come from
-      // uncovered neighbours: this facility is done.
-      ctx.halt();
-      return;
-    }
-    int star = 0;
-    const double ratio = best_star(&star);
-    if (star == 0 || !(ratio <= threshold)) return;
+    refresh_star();
+    const int star = star_size_;
+    if (star == 0 || !(star_ratio_ <= threshold)) return;
 
     // Offer the star prefix to its uncovered clients.
     ctx.annotate("offer");
@@ -143,26 +154,46 @@ class FacilityProc final : public net::Process {
     }
   }
 
+  /// The grant round answers this sub-phase's offer, if any, and consumes
+  /// it. Accepts are counted in one pass over the inbox and granted in a
+  /// second, in inbox order.
   void maybe_open_and_grant(net::NodeContext& ctx,
                             std::span<const net::Message> inbox) {
-    if (offered_star_ == 0) return;
-    std::vector<net::NodeId> accepters;
+    const int star = std::exchange(offered_star_, 0);
+    if (star == 0) return;
+    int accepts = 0;
     for (const net::Message& msg : inbox) {
-      if (msg.kind == kAccept) accepters.push_back(msg.src);
+      if (msg.kind == kAccept) ++accepts;
     }
-    if (accepters.empty()) return;
+    if (accepts == 0) return;
 
     int needed = 1;
     if (shared_->params.accept_rule == AcceptRule::kFractionOfStar) {
       needed = std::max(
-          1, static_cast<int>(std::ceil(static_cast<double>(offered_star_) /
+          1, static_cast<int>(std::ceil(static_cast<double>(star) /
                                         shared_->sched.beta)));
     }
-    if (static_cast<int>(accepters.size()) < needed) return;
+    if (accepts < needed) return;
 
     ctx.annotate("open");
     open_ = true;
-    for (net::NodeId c : accepters) ctx.send(c, kGrant);
+    star_stale_ = true;
+    for (const net::Message& msg : inbox) {
+      if (msg.kind == kAccept) ctx.send(msg.src, kGrant);
+    }
+  }
+
+  /// Wake rule: after an offer, its grant round; otherwise the first offer
+  /// round whose rung admits the cached star, or the mop-up round when none
+  /// does. A COVERED notice wakes the facility in an offer round, where one
+  /// left with no uncovered neighbour halts, so a sleeper always has one.
+  [[nodiscard]] std::uint64_t next_wake_round(std::uint64_t r) {
+    if (offered_star_ != 0) return r / 4 * 4 + 2;
+    refresh_star();
+    if (star_size_ == 0) return shared_->mopup_round();
+    return shared_->sched.first_admitting_round(4, (r / 4 + 1) * 4,
+                                                star_ratio_,
+                                                shared_->mopup_round());
   }
 
   const Shared* shared_;
@@ -171,8 +202,11 @@ class FacilityProc final : public net::Process {
   std::span<const std::int32_t> cost_index_;  // port -> index into edges_
   std::vector<std::uint8_t> covered_;         // parallel to edges_
   int uncovered_count_ = 0;
+  int offered_star_ = 0;  // star offered this sub-phase, until its grant round
+  int star_size_ = 0;     // best star, cached with star_ratio_
   bool open_ = false;
-  int offered_star_ = 0;  // size of the star offered this sub-phase
+  bool star_stale_ = true;  // star_size_ and star_ratio_ need a rescan
+  double star_ratio_ = 0.0;
 };
 
 class ClientProc final : public net::Process {
@@ -198,11 +232,15 @@ class ClientProc final : public net::Process {
           maybe_accept(ctx, inbox);
           break;
         case 3:
-          maybe_finalize_grant(ctx, inbox);
+          if (maybe_finalize_grant(ctx, inbox)) return;  // halted
           break;
         default:
           break;
       }
+      // Offers and grants arrive as messages; an accept waits for its grant
+      // round, where a refusal clears it.
+      ctx.sleep_until(pending_ != net::kNoNode ? r / 4 * 4 + 3
+                                               : shared_->scheduled_rounds);
       return;
     }
 
@@ -218,6 +256,7 @@ class ClientProc final : public net::Process {
         pending_ = facility_node(edges_.front().facility);
         ctx.send(pending_, kOpenReq);
         by_mopup_ = true;
+        ctx.sleep_until(base + 2);  // the grant lands then
       } else {
         ctx.halt();
       }
@@ -255,9 +294,10 @@ class ClientProc final : public net::Process {
     ctx.send(pending_, kAccept);
   }
 
-  void maybe_finalize_grant(net::NodeContext& ctx,
+  /// Returns true when the client connected and halted.
+  bool maybe_finalize_grant(net::NodeContext& ctx,
                             std::span<const net::Message> inbox) {
-    if (covered_ || pending_ == net::kNoNode) return;
+    if (covered_ || pending_ == net::kNoNode) return false;
     for (const net::Message& msg : inbox) {
       if (msg.kind == kGrant && msg.src == pending_) {
         ctx.annotate("connect");
@@ -265,10 +305,11 @@ class ClientProc final : public net::Process {
         assigned_ = msg.src;
         ctx.broadcast(kCovered);
         ctx.halt();  // nothing further to say or learn
-        return;
+        return true;
       }
     }
     pending_ = net::kNoNode;  // no grant: retry in a later sub-phase
+    return false;
   }
 
   const Shared* shared_;

@@ -20,6 +20,19 @@ std::string MwSchedule::describe() const {
   return os.str();
 }
 
+std::uint64_t MwSchedule::first_admitting_round(
+    std::uint64_t period, std::uint64_t from, double ratio,
+    std::uint64_t otherwise) const {
+  const std::uint64_t rung = period * static_cast<std::uint64_t>(subphases);
+  const std::uint64_t first = (from + period - 1) / period * period;
+  for (std::uint64_t level = first / rung;
+       level < static_cast<std::uint64_t>(levels); ++level) {
+    if (ratio <= thresholds[static_cast<std::size_t>(level)])
+      return std::max(first, level * rung);
+  }
+  return otherwise;
+}
+
 InstanceBounds InstanceBounds::of(const fl::Instance& inst) {
   InstanceBounds b;
   b.max_facilities = inst.num_facilities();

@@ -116,6 +116,15 @@ struct MwSchedule {
   int rounding_phases = 1;
 
   [[nodiscard]] std::string describe() const;
+
+  /// Wake arithmetic over the rung ladder for a protocol that acts every
+  /// `period` rounds, `subphases` times per rung (rung `level` spans rounds
+  /// [level, level + 1) * period * subphases): the first round >= `from`
+  /// that is a multiple of `period` and whose rung admits `ratio`
+  /// (ratio <= thresholds[level]), or `otherwise` when no rung left does.
+  [[nodiscard]] std::uint64_t first_admitting_round(
+      std::uint64_t period, std::uint64_t from, double ratio,
+      std::uint64_t otherwise) const;
 };
 
 /// A-priori instance bounds a deployment declares up front (the paper's

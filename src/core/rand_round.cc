@@ -28,25 +28,30 @@ std::uint64_t scheduled_rounds(const MwSchedule& schedule) {
 
 class FacilityProc final : public net::Process {
  public:
-  FacilityProc(const Shared* shared, double y) : shared_(shared), y_(y) {}
+  FacilityProc(const Shared* shared, double y)
+      : shared_(shared), p_(std::min(1.0, y * shared->boost)) {}
 
   [[nodiscard]] bool opened() const noexcept { return open_; }
 
   void on_round(net::NodeContext& ctx,
                 std::span<const net::Message> inbox) override {
     const std::uint64_t r = ctx.round();
-    if (r < shared_->scheduled_rounds) {
+    const std::uint64_t base = shared_->scheduled_rounds;
+    if (r < base) {
       if (r % 2 == 0 && !open_) {
-        const double p = std::min(1.0, y_ * shared_->boost);
-        if (p > 0.0 && ctx.rng().bernoulli(p)) {
+        if (p_ > 0.0 && ctx.rng().bernoulli(p_)) {
           ctx.annotate("flip-open");
           open_ = true;
           ctx.broadcast(kOpen);
         }
       }
+      // A facility that still draws sleeps over the odd rounds; one that
+      // cannot draw again waits for the fallback requests at base + 1.
+      const std::uint64_t next_draw = r + 2 - r % 2;
+      ctx.sleep_until(!open_ && p_ > 0.0 && next_draw < base ? next_draw
+                                                             : base + 1);
       return;
     }
-    const std::uint64_t base = shared_->scheduled_rounds;
     if (r >= base + 1) {
       bool served = false;
       for (const net::Message& msg : inbox) {
@@ -63,7 +68,7 @@ class FacilityProc final : public net::Process {
 
  private:
   const Shared* shared_;
-  double y_;
+  double p_;  // opening probability per draw, min(1, y * boost)
   bool open_ = false;
 };
 
@@ -98,6 +103,8 @@ class ClientProc final : public net::Process {
 
     if (r < shared_->scheduled_rounds) {
       if (r % 2 == 1 && !covered_) try_connect(ctx);
+      // OPEN announcements arrive as messages and are weighed on arrival.
+      ctx.sleep_until(shared_->scheduled_rounds);
       return;
     }
 
@@ -123,6 +130,7 @@ class ClientProc final : public net::Process {
       ctx.annotate("fallback");
       ctx.send(pending_, kOpenReq);
       fallback_ = true;
+      ctx.sleep_until(base + 2);  // the grant lands then
       return;
     }
     if (r == base + 1) return;  // request in flight

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -229,6 +230,7 @@ void Network::restart(Options options) {
   inflight_messages_ = 0;
   transport_touches_ = 0;
   crash_cursor_ = 0;
+  skip_until_ = 0;
   round_ = 0;
   cumulative_ = NetMetrics{};
   bind_options();
@@ -268,6 +270,7 @@ void Network::bind_options() {
   inbox_scratch_.resize(num_shards);
   header_scratch_.resize(num_shards);
   link_stamps_.resize(num_shards);
+  wake_.assign(n, 0);
   slice_begin_.resize(n, 0);
   slice_count_.resize(n, 0);
   dst_count_.resize(n, 0);
@@ -486,6 +489,21 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // arena is the complete in-flight state (resume relies on this).
     if (live_nodes_.empty() && inflight_messages_ == 0) break;
 
+    // A skipped round (see the header's sleeping-nodes section): every live
+    // node sleeps past it and nothing is in flight, so nothing runs; the
+    // round only counts, and a traced run records it with zero counters.
+    if (round_ < skip_until_) {
+      if (tracer) {
+        TraceRound record;
+        record.round = round_;
+        record.live = live_nodes_.size();
+        tracer->on_round(std::move(record));
+      }
+      run_metrics.rounds += 1;
+      round_ += 1;
+      continue;
+    }
+
     const std::size_t live_count = live_nodes_.size();
 
     // This round stages into the log set of its parity; the other set
@@ -495,10 +513,11 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         stage_logs_[static_cast<std::size_t>(round_ & 1)];
     log_claim.store(0, std::memory_order_relaxed);
 
-    // Step phase: every live node gathers its inbox and runs against the
-    // shard's log through a stack-local buffer. Shards only touch per-shard
-    // state (claimed log, scratch and link stamps, their nodes' rng), so
-    // any interleaving produces the same logs.
+    // Step phase: every live node that is awake or has mail gathers its
+    // inbox and runs against the shard's log through a stack-local buffer;
+    // a sleeper without mail is passed over. Shards only touch per-shard
+    // state (claimed log, scratch and link stamps, their nodes' rng and
+    // wake entries), so any interleaving produces the same logs.
     const auto step_range = [&](std::size_t begin, std::size_t end) {
       if (begin == end) return;
       const std::size_t li =
@@ -512,13 +531,15 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       for (std::size_t k = begin; k < end; ++k) {
         const NodeId id = live_nodes_[k];
         const auto i = static_cast<std::size_t>(id);
+        if (wake_[i] > round_ && slice_count_[i] == 0) continue;
         const std::span<Message> inbox = gather_inbox(i, scratch);
         order_inbox(inbox, id);
         const std::span<const NodeId> nbrs = neighbors_unchecked(i);
         buffer.begin(id, round_, nbrs, limits, &log, &links,
-                     options_.topology);
+                     options_.topology, &wake_[i]);
         NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
         processes_[i]->on_round(ctx, std::span<const Message>(inbox));
+        if (wake_[i] <= round_ + 1 && !buffer.halt_requested()) ++log.awake;
       }
     };
     if (tracer) {
@@ -561,6 +582,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // exactly once. Halt requests and traced annotations drain from the
     // logs either way, keeping the halt pass O(#halts).
     std::uint64_t sent_this_round = 0;
+    std::size_t awake = 0;
     std::uint64_t bits_acc = 0;
     int max_bits = 0;  // round-local; merged into run_metrics after tally
     survivors_.clear();
@@ -569,6 +591,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     for (const std::size_t li : log_order_) {
       StageLog& log = logs[li];
       sent_this_round += log.messages;
+      awake += log.awake;
       for (const NodeId v : log.halts) halt_requests_.push_back(v);
       if (limits.capture_annotations) {
         for (const std::string_view phase : log.annotations)
@@ -838,6 +861,21 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
 
     run_metrics.rounds += 1;
     round_ += 1;
+
+    // Nobody stays awake and nothing is in flight: skip to the earliest
+    // wake round, but no further than the next crash, so crashes are
+    // applied by an ordinary round.
+    if (awake == 0 && inflight_messages_ == 0 && !live_nodes_.empty()) {
+      std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+      for (const NodeId v : live_nodes_) {
+        next = std::min<std::uint64_t>(next,
+                                       wake_[static_cast<std::size_t>(v)]);
+      }
+      const auto& schedule = fault_plan_.crash_schedule();
+      if (crash_cursor_ < schedule.size())
+        next = std::min(next, schedule[crash_cursor_].round);
+      skip_until_ = next;
+    }
   }
   } catch (...) {
     cumulative_.merge(run_metrics);

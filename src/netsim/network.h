@@ -5,11 +5,38 @@
 // Time proceeds in synchronous rounds. In round r every non-halted node is
 // invoked once with the batch of messages addressed to it that were sent in
 // round r-1 (round 0 delivers an empty inbox — it is the initialization
-// round). During its invocation a node may send at most one message to
+// round), unless it sleeps through r with an empty inbox (below) — a step
+// the node has declared a no-op, so the execution is the same either way.
+// During its invocation a node may send at most one message to
 // each of its neighbours (the classic CONGEST allowance), each within the
 // per-message bit budget; a broadcast uses every link, so it must be the
 // node's only send of the round. Execution stops when every node has halted
 // and no messages are in flight, or when `max_rounds` elapses.
+//
+// Sleeping nodes and skipped rounds
+// ---------------------------------
+// A process that knows its next steps are no-ops calls
+// `NodeContext::sleep_until(w)`: its steps in rounds before w may then be
+// skipped while no message arrives for it, and a message wakes it for the
+// round it lands in. The hint is per step — a step that gives none leaves
+// the node awake for the next round — and a halt staged in the same step
+// wins over it. The stepping node writes w through its RoundBuffer into a
+// per-node wake column (each node is stepped by exactly one shard, so the
+// column needs no lock and no per-call log), and the step loop skips a
+// node whose wake round is still ahead and whose arena slice is empty in
+// O(1). Sleepers stay on the live list: quiescence, live_node_count(),
+// all_halted() and the trace's `live` field count them as before.
+// When no node stepped in a round stays awake for the next one and nothing
+// is in flight, one O(live) scan of the wake column finds the earliest wake
+// round, and every round before it is skipped: nothing is stepped, gathered
+// or committed, but each skipped round still counts in NetMetrics::rounds
+// and against `max_rounds`, and a traced run records it (zero counters,
+// zero durations, no shards), so round numbers stay consecutive. A skip
+// stops at the next scheduled crash round, whose crashes are then applied
+// by an ordinary round, and a run() cut short by `max_rounds` inside a skip
+// resumes it. Only this engine honours the hint: the standalone buffers of
+// the synchronizer and the reliable channel, and AsyncNetwork, ignore it,
+// so reliable and asynchronous runs step every round.
 //
 // Step/commit architecture
 // ------------------------
@@ -91,6 +118,11 @@
 //                     in send order.
 // Because every stream is keyed by (seed, node, round) rather than drawn
 // from a shared generator, no draw depends on the order nodes were stepped.
+// Nor does any depend on which no-op steps were skipped: a skipped step
+// draws no node coin (the process promised it would not), receives no
+// inbox to shuffle and sends nothing to drop, and the wake scan reads a
+// column that every thread count fills identically, so sleeping and
+// skipped rounds are thread-invariant too.
 // `kBySource` delivers each slice as laid out (ascending source — the
 // canonical order), `kReverseSource` is a cheap adversary for
 // order-sensitivity tests.
@@ -223,6 +255,9 @@ struct StageLog {
   std::vector<std::int32_t> ports;
   std::vector<StagedHeader> headers;  ///< sparse, ascending record index
   std::vector<NodeId> halts;          ///< nodes that requested a halt
+  /// Stepped nodes that stay awake for the next round: neither halted nor
+  /// asleep past it. The engine skips rounds only when every log reads 0.
+  std::size_t awake = 0;
   std::vector<std::string_view> annotations;  ///< traced phase labels
 
   // Stage-time destination histogram, maintained only under
@@ -269,6 +304,13 @@ class MessageSink {
     for (NodeId nb : neighbors) sink_send(from, nb, kind, fields, bits);
   }
   virtual void sink_halt(NodeId node) = 0;
+  /// Record NodeContext::sleep_until. Only the engine's RoundBuffer acts on
+  /// it; the default (every standalone transport) ignores the hint, which
+  /// the sleep contract makes equivalent.
+  virtual void sink_sleep(NodeId node, std::uint64_t round) {
+    (void)node;
+    (void)round;
+  }
   /// Stage a transport-layer frame (a Message with `has_header` set) as
   /// built by the reliable channel. Only transports that carry framed
   /// traffic implement it; the default rejects.
@@ -328,6 +370,16 @@ class NodeContext {
   /// Mark this node as done. A halted node is no longer stepped; delivery
   /// to a halted node is permitted but the inbox is discarded.
   void halt() noexcept;
+
+  /// Hint that every step of this node in rounds before `round` would be a
+  /// no-op while no message arrives for it: no send, no halt, no draw from
+  /// rng(), no change to any state the process later reads. The engine may
+  /// then skip those steps (a message still wakes the node for the round
+  /// it lands in); honouring or ignoring the hint gives the same execution.
+  /// It covers only the steps after this one — a step without a hint leaves
+  /// the node awake — the last call in a step wins, and a halt wins over
+  /// it. A `round` at or before the next round changes nothing.
+  void sleep_until(std::uint64_t round) { sink_->sink_sleep(self_, round); }
 
   /// Mark an algorithm phase for this (node, round) — e.g. "offer",
   /// "accept", "open". Free when the run is untraced (a virtual call into a
@@ -592,7 +644,17 @@ class Network final {
   std::size_t crash_cursor_ = 0;
 
   // Non-halted nodes in ascending id order; compacted when nodes halt.
+  // Sleepers stay on it.
   std::vector<NodeId> live_nodes_;
+  // Per-node wake round: node v's next step may be skipped while
+  // round_ < wake_[v] and no message is addressed to it. Written only by
+  // the shard stepping v (through its RoundBuffer), reset to 0 (awake) at
+  // the start of each of v's steps. 32 bits: a later wake round saturates,
+  // which only wakes the node early — ignoring a hint is always allowed.
+  std::vector<std::uint32_t> wake_;
+  // Rounds before skip_until_ are skipped: set by the wake scan when no
+  // stepped node stayed awake and nothing is in flight.
+  std::uint64_t skip_until_ = 0;
   // Per-round scratch: nodes whose step requested a halt, collected by the
   // commit tally so the halt pass only visits them.
   std::vector<NodeId> halt_requests_;

@@ -1,6 +1,7 @@
 #include "netsim/round_buffer.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 
@@ -11,6 +12,7 @@ void StageLog::reset() noexcept {
   ports.clear();
   headers.clear();
   halts.clear();
+  awake = 0;
   annotations.clear();
   // The engine's fault-free commit drains the histogram as it merges; this
   // loop only pays for entries a consumer left behind (standalone resets).
@@ -25,7 +27,8 @@ void StageLog::reset() noexcept {
 void RoundBuffer::begin(NodeId node, std::uint64_t round,
                         std::span<const NodeId> neighbors,
                         const Limits& limits, StageLog* log,
-                        LinkStamps* links, Topology topology) {
+                        LinkStamps* links, Topology topology,
+                        std::uint32_t* wake) {
   owner_ = node;
   round_ = round;
   neighbors_ = neighbors;
@@ -45,6 +48,8 @@ void RoundBuffer::begin(NodeId node, std::uint64_t round,
   clique_ = topology == Topology::kClique;
   broadcast_ = false;
   halt_ = false;
+  wake_ = wake;
+  if (wake_ != nullptr) *wake_ = 0;  // a step without a hint stays awake
 }
 
 WireRecord RoundBuffer::checked_payload(NodeId from, std::uint8_t kind,
@@ -175,6 +180,16 @@ void RoundBuffer::sink_halt(NodeId node) {
   if (!halt_) {
     halt_ = true;
     log_->halts.push_back(node);
+  }
+}
+
+void RoundBuffer::sink_sleep(NodeId node, std::uint64_t round) {
+  DFLP_CHECK_MSG(node == owner_,
+                 "sleep for node " << node << " staged into the buffer of node "
+                                   << owner_);
+  if (wake_ != nullptr) {
+    *wake_ = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        round, std::numeric_limits<std::uint32_t>::max()));
   }
 }
 

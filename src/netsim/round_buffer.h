@@ -32,6 +32,8 @@
 // stage their wrapped protocol's sends through this one class; standalone
 // consumers (the synchronizer, the reliable channel) omit the log and link
 // arguments of begin() and the buffer uses its own private ones instead.
+// They omit the wake slot too, so the buffer drops NodeContext::sleep_until
+// hints: only the engine skips sleeping nodes (netsim/network.h).
 #pragma once
 
 #include <cstdint>
@@ -76,10 +78,14 @@ class RoundBuffer final : public MessageSink {
   /// across rounds. `links` is the step shard's link-stamp column; nullptr
   /// selects the buffer's own. Either is grown to the degree if needed and
   /// re-armed by an epoch bump, so re-arming is O(1), never a zero-fill.
+  /// `wake` is the owner's entry in the engine's wake column: begin() sets
+  /// it to 0 (awake) and sleep hints overwrite it; nullptr (standalone)
+  /// drops the hints.
   void begin(NodeId node, std::uint64_t round,
              std::span<const NodeId> neighbors, const Limits& limits,
              StageLog* log = nullptr, LinkStamps* links = nullptr,
-             Topology topology = Topology::kExplicit);
+             Topology topology = Topology::kExplicit,
+             std::uint32_t* wake = nullptr);
 
   // MessageSink: called by NodeContext during the owner's step.
   void sink_send(NodeId from, NodeId to, std::uint8_t kind,
@@ -100,6 +106,9 @@ class RoundBuffer final : public MessageSink {
   /// staged record.
   void sink_frame(NodeId from, const Message& frame) override;
   void sink_halt(NodeId node) override;
+  /// Writes the wake round into the owner's wake slot, if begin() got one,
+  /// saturated to 32 bits (an early wake is always allowed).
+  void sink_sleep(NodeId node, std::uint64_t round) override;
   /// Captures the phase label when `Limits::capture_annotations` is set,
   /// drops it otherwise. Labels are stored as views — callers pass string
   /// literals (see NodeContext::annotate) that outlive the commit drain.
@@ -174,6 +183,7 @@ class RoundBuffer final : public MessageSink {
   StageLog* log_ = &own_log_;
   std::size_t rec_begin_ = 0;  ///< owner's first record within *log_
   LinkStamps* links_ = &own_links_;
+  std::uint32_t* wake_ = nullptr;  ///< owner's wake slot; nullptr drops hints
   StageLog own_log_;      ///< standalone fallback
   LinkStamps own_links_;  ///< standalone fallback
   bool clique_ = false;     ///< neighbors_ is the clique rotation

@@ -4,7 +4,7 @@
 // ----------
 // The engine's NetMetrics are end-of-run aggregates: they say *how much* a
 // run cost, never *where inside the run* the rounds, messages, or bits
-// went. The Tracer records one structured record per executed round — wall
+// went. The Tracer records one structured record per round — wall
 // time split into the engine's step/commit/scatter phases, per-thread step
 // shard durations, live-node and message counters, the CONGEST bit bill,
 // and the arena occupancy — plus optional per-node *phase annotations*
@@ -71,17 +71,19 @@ enum class TraceFormat : std::uint8_t {
 
 /// Wall time of one step-phase shard, as executed by the ParallelExecutor.
 /// Shards are contiguous index ranges of the live-node list; with
-/// num_threads=1 there is exactly one shard per round.
+/// num_threads=1 there is exactly one shard per round that is not skipped.
 struct TraceShard {
   std::uint64_t begin = 0;  ///< first live-list index of the shard
   std::uint64_t end = 0;    ///< one past the last live-list index
   double dur_s = 0.0;       ///< wall seconds the shard's step took
 };
 
-/// One executed round. All counters are round-local (not cumulative).
+/// One round, skipped or executed. All counters are round-local (not
+/// cumulative); a skipped round (netsim/network.h, sleeping nodes) has zero
+/// counters, zero durations and no shards.
 struct TraceRound {
   std::uint64_t round = 0;       ///< engine round number (resume-global)
-  std::uint64_t live = 0;        ///< nodes stepped this round
+  std::uint64_t live = 0;        ///< non-halted nodes, sleepers included
   std::uint64_t sent = 0;        ///< messages staged by the step phase
   std::uint64_t delivered = 0;   ///< survivors scattered into the arena
   std::uint64_t dropped = 0;     ///< losses charged by fault injection
@@ -147,7 +149,8 @@ class Tracer {
   /// open section.
   void begin_run(const TraceSection& info);
 
-  /// Called by Network::run once per executed round (serial commit path).
+  /// Called by Network::run once per round, skipped rounds included
+  /// (serial commit path).
   void on_round(TraceRound&& round);
 
   [[nodiscard]] const std::vector<TraceSection>& sections() const noexcept {

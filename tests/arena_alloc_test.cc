@@ -8,7 +8,8 @@
 // shim and pins that contract literally — after a short warm-up,
 // additional rounds perform ZERO heap allocations, both when every record
 // is a broadcast fanned out by the scatter and when every record is a
-// unicast, on an explicit graph and on the implicit congested clique.
+// unicast, on an explicit graph and on the implicit congested clique, and
+// when nodes sleep, are woken by mail and whole rounds are skipped.
 //
 // The overrides are process-wide for the whole dflp_tests binary; they
 // only count and forward, so the other suites see identical behaviour.
@@ -97,6 +98,22 @@ class Unicaster final : public net::Process {
   std::uint64_t received_ = 0;
 };
 
+/// Broadcasts every sixth round and sleeps in between: the receivers are
+/// woken by the mail in the next round and sleep again, so the four silent
+/// rounds of each period are skipped.
+class Napper final : public net::Process {
+ public:
+  void on_round(net::NodeContext& ctx,
+                std::span<const net::Message> in) override {
+    received_ += in.size();
+    if (ctx.round() % 6 == 0) ctx.broadcast(1, {7, 9, 0});
+    ctx.sleep_until((ctx.round() / 6 + 1) * 6);
+  }
+
+ private:
+  std::uint64_t received_ = 0;
+};
+
 /// Ring + 3 random chords per node, same construction as the storm
 /// benchmark topology (degree ~8).
 template <typename Proc>
@@ -167,6 +184,16 @@ TEST(ArenaAllocTest, CliqueSteadyStateAllocatesNothing) {
   EXPECT_EQ(steady_state_allocations(*broadcasts), 0u);
   const auto unicasts = make_clique<Unicaster>(128);
   EXPECT_EQ(steady_state_allocations(*unicasts), 0u);
+}
+
+TEST(ArenaAllocTest, SleepWakeAndSkipSteadyStateAllocatesNothing) {
+  const auto net = make_chorded_ring<Napper>(512);
+  EXPECT_EQ(steady_state_allocations(*net), 0u);
+  // Rounds 0-15 ran, and only the broadcast rounds 0, 6 and 12 (512 live
+  // nodes plus 512 destinations laid out) and the wake rounds 1, 7 and 13
+  // (512 live nodes) did transport work; the other ten were skipped.
+  EXPECT_EQ(net->cumulative_metrics().rounds, 16u);
+  EXPECT_EQ(net->transport_touches(), 3u * (512u + 512u) + 3u * 512u);
 }
 
 TEST(ArenaAllocTest, CountingShimIsLive) {

@@ -9,8 +9,11 @@
 // These tests pin that contract for the three top-level distributed entry
 // points.
 #include <cstdint>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -22,7 +25,9 @@
 #include "core/pipeline.h"
 #include "fl/ftfp.h"
 #include "netsim/trace.h"
+#include "service/streaming_solver.h"
 #include "workload/generators.h"
+#include "workload/stream.h"
 
 namespace dflp {
 namespace {
@@ -430,6 +435,95 @@ TEST_P(EngineEquivalenceTest, PipelineTracingIsPureObservation) {
     }
     EXPECT_EQ(payload, payload_baseline) << "threads = " << threads;
   }
+}
+
+/// FNV-1a over a fingerprint string, for compact committed goldens.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Stream-shaped case: one cell component (4 facilities, 10 clients) solved
+// under the schedule the streaming service pins for the 100k-client
+// benchmark stream. That ladder is sized for the whole stream, so the cell
+// idles through most of its rounds: its nodes sleep after round 0 and the
+// engine skips to the first rung that admits a star. mw-greedy and the
+// pipeline must agree at every thread count, and with the fingerprints the
+// engine produced before nodes could sleep (hashes of the serial trace,
+// with the source location of a failed check left out).
+TEST_P(EngineEquivalenceTest, StreamCellSkipsRoundsBitIdentically) {
+  workload::StreamParams cell;
+  cell.num_cells = 1;
+  cell.initial_clients = 10;
+  workload::ClientStream stream(cell, /*seed=*/5);
+  const fl::Instance& inst = stream.initial_snapshot().instance();
+  workload::StreamParams whole = cell;
+  whole.num_cells = 10000;
+  whole.initial_clients = 100000;
+  const core::MwSchedule pinned = core::derive_schedule_from_bounds(
+      service::stream_bounds(whole, 10'000'000),
+      sweep_params(GetParam(), /*k=*/4, /*seed=*/3));
+  const auto run = [&](int threads) {
+    core::MwParams params = sweep_params(GetParam(), /*k=*/4, /*seed=*/3);
+    params.num_threads = threads;
+    params.pinned_schedule = &pinned;
+    const std::string greedy = outcome_trace([&] {
+      const core::MwGreedyOutcome out = core::run_mw_greedy(inst, params);
+      return solution_fingerprint(inst, out.solution) + " | " +
+             metrics_fingerprint(out.metrics);
+    });
+    const std::string pipeline = outcome_trace([&] {
+      const core::PipelineOutcome out = core::run_pipeline(inst, params);
+      std::ostringstream os;
+      os << solution_fingerprint(inst, out.solution) << " | frac "
+         << out.fractional_value << " | "
+         << metrics_fingerprint(out.frac_metrics) << " | "
+         << metrics_fingerprint(out.round_metrics);
+      return os.str();
+    });
+    return greedy + " || " + pipeline;
+  };
+  const std::string serial = run(1);
+  for (int threads : kThreadCounts) {
+    if (threads == 1) continue;
+    EXPECT_EQ(run(threads), serial) << "threads = " << threads;
+  }
+  const std::map<std::string, std::uint64_t> golden = {
+      {"BySource_Reliable", 16139520221499770484ULL},
+      {"RandomShuffle_Reliable", 16139520221499770484ULL},
+      {"ReverseSource_Reliable", 16139520221499770484ULL},
+      {"BySource_Drops", 17950527811781921894ULL},
+      {"RandomShuffle_Drops", 1164272126540461602ULL},
+      {"ReverseSource_Drops", 10721923413367433278ULL},
+      {"BySource_BurstCrash", 9036787743354858066ULL},
+      {"RandomShuffle_BurstCrash", 9036787743354858066ULL},
+      {"ReverseSource_BurstCrash", 9036787743354858066ULL},
+      {"BySource_Recovered", 11279084889822077510ULL},
+      {"RandomShuffle_Recovered", 11279084889822077510ULL},
+      {"ReverseSource_Recovered", 11279084889822077510ULL},
+  };
+  const std::string name =
+      case_name(testing::TestParamInfo<SweepCase>(GetParam(), 0));
+  const std::string located =
+      std::regex_replace(serial, std::regex(R"( at \S+:[0-9]+)"), "");
+  EXPECT_EQ(fnv1a(located), golden.at(name)) << name << ": " << located;
+
+  if (GetParam().mode != FaultMode::kFaultFree) return;
+  // The skips themselves: a skipped round steps no shard.
+  net::Tracer tracer;
+  core::MwParams params = sweep_params(GetParam(), /*k=*/4, /*seed=*/3);
+  params.pinned_schedule = &pinned;
+  params.tracer = &tracer;
+  (void)core::run_mw_greedy(inst, params);
+  std::size_t skipped = 0;
+  for (const net::TraceRound& r : tracer.rounds())
+    skipped += r.shards.empty() ? 1 : 0;
+  EXPECT_EQ(tracer.rounds().size(), 29u);
+  EXPECT_EQ(skipped, 23u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "netsim/message.h"
 #include "netsim/network.h"
+#include "netsim/trace.h"
 #include "port_probe.h"
 
 namespace dflp::net {
@@ -697,6 +698,263 @@ TEST(Network, RestartRunsLikeAFreshNetwork) {
   Network::Options clique = second;
   clique.topology = Topology::kClique;
   EXPECT_THROW(rerun.restart(clique), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Sleeping nodes and skipped rounds (network.h). A node that calls
+// NodeContext::sleep_until(w) may be passed over until round w unless mail
+// arrives, and rounds in which every live node sleeps and nothing is in
+// flight are skipped but still counted.
+
+/// Records "node@round:inbox-size" for every step into a shared log.
+struct StepLog {
+  std::ostringstream os;
+  void step(NodeContext& ctx, std::span<const Message> in) {
+    os << ctx.self() << '@' << ctx.round() << ':' << in.size() << ' ';
+  }
+};
+
+/// Path 0 - 1 - 2, every node running `fn`.
+std::unique_ptr<Network> path3(
+    Network::Options o,
+    const std::function<void(NodeContext&, std::span<const Message>)>& fn) {
+  auto net = std::make_unique<Network>(3, o);
+  net->add_edge(0, 1);
+  net->add_edge(1, 2);
+  net->finalize();
+  for (NodeId v = 0; v < 3; ++v)
+    net->set_process(v, std::make_unique<Script>(fn));
+  return net;
+}
+
+TEST(Network, SleepingNodeIsNotSteppedBeforeItsWakeRoundAndDrawsNothing) {
+  // Node 0 draws a coin in every step it takes and sleeps from round 0 to
+  // round 5; node 1 stays awake until round 8, so no round is skipped and
+  // node 0 alone is passed over. Its second draw must be the stream's
+  // second value: the skipped steps drew nothing.
+  auto log = std::make_shared<StepLog>();
+  std::vector<std::uint64_t> draws;
+  auto net = path3(opts(), [&](NodeContext& ctx, std::span<const Message> in) {
+    log->step(ctx, in);
+    if (ctx.self() == 0) {
+      draws.push_back(ctx.rng()());
+      if (ctx.round() == 0) {
+        ctx.sleep_until(5);
+      } else {
+        ctx.halt();
+      }
+    } else if (ctx.self() == 2 || ctx.round() == 8) {
+      ctx.halt();
+    }
+  });
+  const NetMetrics m = net->run(100);
+  EXPECT_EQ(m.rounds, 9u);
+  EXPECT_EQ(log->os.str(),
+            "0@0:0 1@0:0 2@0:0 1@1:0 1@2:0 1@3:0 1@4:0 0@5:0 1@5:0 1@6:0 "
+            "1@7:0 1@8:0 ");
+  Rng reference = Rng(1).split(0);
+  ASSERT_EQ(draws.size(), 2u);
+  EXPECT_EQ(draws[0], reference());
+  EXPECT_EQ(draws[1], reference());
+}
+
+TEST(Network, MessageWakesSleeperInTheRoundItLands) {
+  auto log = std::make_shared<StepLog>();
+  auto net = path3(opts(), [&](NodeContext& ctx, std::span<const Message> in) {
+    log->step(ctx, in);
+    if (ctx.self() == 1 && ctx.round() == 3) {
+      ctx.send(0, /*kind=*/1);
+      ctx.halt();
+    } else if (ctx.self() == 0 && !in.empty()) {
+      ctx.halt();
+    } else if (ctx.self() == 0) {
+      ctx.sleep_until(100);
+    } else if (ctx.self() == 2) {
+      ctx.halt();
+    }
+  });
+  const NetMetrics m = net->run(1000);
+  // Woken at round 4 by the message sent in round 3, not at round 100.
+  EXPECT_EQ(log->os.str(),
+            "0@0:0 1@0:0 2@0:0 1@1:0 1@2:0 1@3:0 0@4:1 ");
+  EXPECT_EQ(m.rounds, 5u);
+  EXPECT_TRUE(net->all_halted());
+}
+
+TEST(Network, HaltInTheSameStepWinsOverSleep) {
+  for (const bool halt_first : {false, true}) {
+    auto net = path3(opts(), [&](NodeContext& ctx, auto) {
+      if (halt_first) ctx.halt();
+      ctx.sleep_until(50);
+      if (!halt_first) ctx.halt();
+    });
+    const NetMetrics m = net->run(1000);
+    // Every node halted in round 0: no sleeper is left to skip towards
+    // round 50, so the run ends after its single round.
+    EXPECT_EQ(m.rounds, 1u) << "halt_first = " << halt_first;
+    EXPECT_TRUE(net->all_halted());
+    EXPECT_EQ(net->live_node_count(), 0u);
+  }
+}
+
+/// Every node sleeps from round 0 to its own wake round (node 0: 7, node 1:
+/// 12, node 2: 9), steps there and halts.
+std::unique_ptr<Network> staggered_sleepers(Network::Options o,
+                                            std::shared_ptr<StepLog> log) {
+  return path3(o, [log](NodeContext& ctx, std::span<const Message> in) {
+    log->step(ctx, in);
+    constexpr std::uint64_t kWake[] = {7, 12, 9};
+    if (ctx.round() == 0) {
+      ctx.sleep_until(kWake[ctx.self()]);
+    } else {
+      ctx.halt();
+    }
+  });
+}
+
+TEST(Network, AllAsleepSkipsToTheEarliestWakeRoundAndCountsSkippedRounds) {
+  Network::Options o = opts();
+  Tracer tracer;
+  o.tracer = &tracer;
+  auto log = std::make_shared<StepLog>();
+  auto net = staggered_sleepers(o, log);
+  const NetMetrics m = net->run(1000);
+  EXPECT_EQ(log->os.str(), "0@0:0 1@0:0 2@0:0 0@7:0 2@9:0 1@12:0 ");
+  EXPECT_EQ(m.rounds, 13u);  // rounds 0..12, ten of them skipped
+  EXPECT_TRUE(net->all_halted());
+  // Only the stepped rounds 0, 7, 9 and 12 did transport work, one touch
+  // per live node.
+  EXPECT_EQ(net->transport_touches(), 3u + 3u + 2u + 1u);
+
+  // One record per round, skipped ones included, with sleepers still live.
+  ASSERT_EQ(tracer.rounds().size(), 13u);
+  const std::uint64_t live[] = {3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 1, 1, 1};
+  for (std::uint64_t r = 0; r < 13; ++r) {
+    const TraceRound& rec = tracer.rounds()[r];
+    EXPECT_EQ(rec.round, r);
+    EXPECT_EQ(rec.live, live[r]) << "round " << r;
+    const bool stepped = r == 0 || r == 7 || r == 9 || r == 12;
+    EXPECT_EQ(rec.shards.empty(), !stepped) << "round " << r;
+    if (!stepped) {
+      EXPECT_EQ(rec.sent + rec.delivered + rec.halted + rec.crashed, 0u);
+      EXPECT_EQ(rec.step_s + rec.commit_s + rec.scatter_s, 0.0);
+    }
+  }
+  std::ostringstream jsonl;
+  tracer.write_jsonl(jsonl);
+  std::istringstream in(jsonl.str());
+  std::string why;
+  EXPECT_TRUE(validate_trace_jsonl(in, &why)) << why;
+}
+
+TEST(Network, MaxRoundsInsideASkipResumesAtTheRightRound) {
+  const auto run_split =
+      [](const std::vector<std::uint64_t>& chunks) -> std::string {
+    auto log = std::make_shared<StepLog>();
+    auto net = staggered_sleepers(opts(), log);
+    std::ostringstream os;
+    for (const std::uint64_t c : chunks) os << net->run(c).rounds << ',';
+    os << " | " << net->cumulative_metrics().rounds << " | " << log->os.str();
+    return os.str();
+  };
+  const std::string steps = "0@0:0 1@0:0 2@0:0 0@7:0 2@9:0 1@12:0 ";
+  EXPECT_EQ(run_split({100}), "13, | 13 | " + steps);
+  // Cut inside the first skip (rounds 1-6) and inside the last (10-11).
+  EXPECT_EQ(run_split({4, 7, 100}), "4,7,2, | 13 | " + steps);
+  EXPECT_EQ(run_split({1, 1, 1, 1, 1, 1, 1, 1, 100}),
+            "1,1,1,1,1,1,1,1,5, | 13 | " + steps);
+}
+
+TEST(Network, CrashScheduledInsideASkipIsAppliedAtItsRound) {
+  Network::Options o = opts();
+  o.faults.crashes = {{/*node=*/1, /*round=*/5}};
+  Tracer tracer;
+  o.tracer = &tracer;
+  auto log = std::make_shared<StepLog>();
+  auto net = staggered_sleepers(o, log);
+  EXPECT_EQ(net->run(5).rounds, 5u);  // rounds 0-4: the crash is still due
+  EXPECT_FALSE(net->halted(1));
+  EXPECT_EQ(net->run(1).crashed, 1u);  // round 5 applies it
+  EXPECT_TRUE(net->halted(1));
+  const NetMetrics rest = net->run(1000);
+  // Node 1 never wakes at 12: the run ends after node 2 halts in round 9.
+  EXPECT_EQ(log->os.str(), "0@0:0 1@0:0 2@0:0 0@7:0 2@9:0 ");
+  EXPECT_EQ(net->cumulative_metrics().rounds, 10u);
+  EXPECT_EQ(rest.rounds, 4u);
+  ASSERT_EQ(tracer.rounds().size(), 10u);
+  EXPECT_EQ(tracer.rounds()[5].crashed, 1u);
+  EXPECT_EQ(tracer.rounds()[5].live, 2u);
+}
+
+/// Seeded gossip over a chorded ring in which every node idles a random
+/// number of rounds between steps: it keeps its own wake round and returns
+/// from earlier steps without mail, which are therefore the no-op steps
+/// the hint covers. With `use_hint` it also calls sleep_until, so the
+/// engine skips those steps; both variants must produce the same
+/// execution.
+class Dozer final : public Process {
+ public:
+  Dozer(std::shared_ptr<std::ostringstream> log, bool use_hint)
+      : log_(std::move(log)), use_hint_(use_hint) {}
+
+  void on_round(NodeContext& ctx, std::span<const Message> in) override {
+    if (in.empty() && ctx.round() < wake_) return;
+    *log_ << ctx.self() << '@' << ctx.round() << ':';
+    for (const Message& m : in) *log_ << m.src << '/' << m.field[0] << ',';
+    *log_ << ' ';
+    if (ctx.round() >= 60) {
+      ctx.halt();
+      return;
+    }
+    if (ctx.rng().bernoulli(0.3)) {
+      const auto nbrs = ctx.neighbors();
+      ctx.send(nbrs[ctx.rng().uniform_u64(nbrs.size())], 1,
+               {static_cast<std::int64_t>(ctx.rng().uniform_u64(100)), 0, 0});
+    }
+    wake_ = ctx.round() + 1 + ctx.rng().uniform_u64(12);
+    if (use_hint_) ctx.sleep_until(wake_);
+  }
+
+ private:
+  std::shared_ptr<std::ostringstream> log_;
+  bool use_hint_;
+  std::uint64_t wake_ = 0;
+};
+
+std::string dozer_run(int threads, bool use_hint, DeliveryOrder delivery) {
+  constexpr NodeId kN = 40;
+  Network::Options o = opts();
+  o.seed = 17;
+  o.num_threads = threads;
+  o.delivery = delivery;
+  o.faults.drop_probability = 0.1;
+  o.faults.crashes = {{3, 9}, {11, 30}};
+  Network net(kN, o);
+  for (NodeId v = 0; v < kN; ++v) {
+    net.add_edge(v, (v + 1) % kN);
+    net.add_edge(v, (v + 7) % kN);
+  }
+  net.finalize();
+  std::vector<std::shared_ptr<std::ostringstream>> logs;
+  for (NodeId v = 0; v < kN; ++v) {
+    logs.push_back(std::make_shared<std::ostringstream>());
+    net.set_process(v, std::make_unique<Dozer>(logs.back(), use_hint));
+  }
+  const NetMetrics m = net.run(1000);
+  std::ostringstream os;
+  os << m.rounds << '/' << m.messages << '/' << m.total_bits << '/'
+     << m.dropped << '/' << m.crashed << " |";
+  for (const auto& log : logs) os << ' ' << log->str();
+  return os.str();
+}
+
+TEST(Network, SleepingRunsAreBitIdenticalAcrossThreadsAndToNoOpSteps) {
+  for (const DeliveryOrder delivery :
+       {DeliveryOrder::kBySource, DeliveryOrder::kRandomShuffle}) {
+    const std::string reference = dozer_run(1, /*use_hint=*/false, delivery);
+    EXPECT_EQ(dozer_run(1, /*use_hint=*/true, delivery), reference);
+    EXPECT_EQ(dozer_run(4, /*use_hint=*/true, delivery), reference);
+  }
 }
 
 }  // namespace

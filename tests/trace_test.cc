@@ -60,28 +60,30 @@ std::string golden_jsonl() {
 
 // Committed golden (timings masked). Rounds 0-15 are the protocol's silent
 // doubling phases; offers start at round 16 and the run settles in three
-// offer/accept/open/connect waves. Any schema change — field added, renamed,
+// offer/accept/open/connect waves. Every node steps in round 0 and sleeps
+// until its first possible action, so rounds 1-15 are skipped: they keep
+// their records, with no shards. Any schema change — field added, renamed,
 // reordered, version bumped — must update this text AND docs/trace-schema.md
 // together.
 constexpr char kGoldenJsonl[] =
     R"({"schema":"dflp-trace","version":1}
 {"type":"section","id":0,"name":"mw-greedy","nodes":28,"edges":96,"threads":1,"seed":11,"bit_budget":36}
 {"type":"round","sec":0,"round":0,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":1,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":2,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":3,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":4,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":5,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":6,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":7,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":8,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":9,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":10,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":11,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":12,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":13,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":14,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":15,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
+{"type":"round","sec":0,"round":1,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":2,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":3,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":4,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":5,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":6,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":7,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":8,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":9,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":10,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":11,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":12,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":13,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":14,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
+{"type":"round","sec":0,"round":15,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
 {"type":"round","sec":0,"round":16,"live":28,"sent":25,"delivered":25,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":200,"max_bits":8,"arena":25,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[["offer",3]]}
 {"type":"round","sec":0,"round":17,"live":28,"sent":18,"delivered":18,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":144,"max_bits":8,"arena":18,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[["accept",18]]}
 {"type":"round","sec":0,"round":18,"live":28,"sent":18,"delivered":18,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":144,"max_bits":8,"arena":18,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[["open",3]]}

@@ -1,13 +1,15 @@
-# ctest script: runs dflp_cli with one malformed numeric argument and passes
-# only when the CLI exits 2 and its stderr carries the expected message,
-# which names the offending argument and text.
+# ctest script: runs dflp_cli with one malformed numeric argument, or with a
+# flag its subcommand does not apply, and passes only when the CLI exits 2
+# and its stderr carries the expected message, which names the offending
+# argument (and its text or the subcommand).
 #
 #   cmake -DCLI=<dflp_cli> -DWORK=<dir> -DNAME=<test> -DARGS="<args>"
 #         -DEXPECT="<message>" -P cli_rejects_arg.cmake
 #
 # The token `u40.ufl` in ARGS is replaced by a freshly generated 40-client
 # uniform instance (`generate uniform 40 1`), private to this test, so a
-# CLI that misreads the number would go on to solve a real input and exit 0.
+# CLI that misreads the number or ignores the flag would go on to solve a
+# real input and exit 0.
 file(MAKE_DIRECTORY "${WORK}")
 set(instance "${WORK}/${NAME}.ufl")
 execute_process(COMMAND "${CLI}" generate uniform 40 1

@@ -34,7 +34,9 @@
 //
 // Every number on the line, flag value or positional, must parse whole
 // and in range: a malformed one (`4x`, `abc`, `nan`) exits 2 naming the
-// argument instead of being read as its numeric prefix or as 0.
+// argument instead of being read as its numeric prefix or as 0. Each flag
+// applies only to the subcommands `--help` names for it (kFlagCommands);
+// any other subcommand rejects it with exit 2 instead of ignoring it.
 //
 // `-` reads the instance from stdin. Families: uniform, euclidean,
 // powerlaw, greedy-tight, star, plus the complete-bipartite `metric`
@@ -51,6 +53,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -109,29 +112,35 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
          "  dflp_cli sweep  <instance.ufl|-> [seed=1]\n"
          "  dflp_cli bounds <instance.ufl|->\n"
          "  dflp_cli stream <mw-greedy|mw-pipeline> [k=4] [seed=1]\n"
-         "options: --threads N    (simulator step-phase threads; results are\n"
-         "                         bit-identical for every N)\n"
-         "         --drop X       (i.i.d. per-message drop probability)\n"
-         "         --crash-frac X (fraction of facilities crashed at boot)\n"
-         "         --burst-len N  (Gilbert-Elliott bursts, mean N rounds)\n"
-         "         --fault-seed S (seed of the fault schedule streams)\n"
-         "         --reliable     (reliable-transport recovery layer)\n"
+         "options: --threads N    (solve, sweep, stream: simulator step-phase\n"
+         "                         threads; results are bit-identical for\n"
+         "                         every N)\n"
+         "         --drop X       (solve, sweep: i.i.d. per-message drop\n"
+         "                         probability)\n"
+         "         --crash-frac X (solve, sweep: fraction of facilities\n"
+         "                         crashed at boot)\n"
+         "         --burst-len N  (solve, sweep: Gilbert-Elliott bursts,\n"
+         "                         mean N rounds)\n"
+         "         --fault-seed S (solve, sweep: seed of the fault schedule\n"
+         "                         streams)\n"
+         "         --reliable     (solve, sweep: reliable-transport recovery\n"
+         "                         layer)\n"
          "         --coverage R   (solve, mw-greedy only: fault-tolerant\n"
          "                         placement with R distinct facilities per\n"
          "                         client, via the exclusion-phase solver)\n"
-         "         --kill-frac X  (with --coverage: crash a seeded fraction\n"
-         "                         X of the opened facilities post-solve and\n"
-         "                         report survivability)\n"
-         "         --kill-seed S  (kill-set sampling seed; default 0)\n"
+         "         --kill-frac X  (solve, with --coverage: crash a seeded\n"
+         "                         fraction X of the opened facilities\n"
+         "                         post-solve and report survivability)\n"
+         "         --kill-seed S  (solve: kill-set sampling seed; default 0)\n"
          "         --capacity U   (solve, mw-greedy/seq-greedy: soft\n"
          "                         capacity U per facility via the\n"
          "                         c'=c+f/u reduction)\n"
          "         --trace PATH   (solve only: write a round-level trace;\n"
          "                         see docs/trace-schema.md)\n"
          "         --trace-format jsonl|chrome\n"
-         "                        (trace exporter; default jsonl)\n"
-         "         --trace-phases (record per-node algorithm-phase\n"
-         "                         annotations in the trace)\n"
+         "                        (solve only: trace exporter; default jsonl)\n"
+         "         --trace-phases (solve only: record per-node\n"
+         "                         algorithm-phase annotations in the trace)\n"
          "         --stream N     (stream only: total events; default 20000)\n"
          "         --epoch-size M (stream only: events per epoch;\n"
          "                         default N/100)\n"
@@ -140,6 +149,7 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
          "                         default 1024)\n"
          "         --cold         (stream only: from-scratch baseline,\n"
          "                         no warm starting)\n"
+         "         A flag given to a subcommand it does not name exits 2.\n"
          "families: uniform euclidean powerlaw greedy-tight star metric\n"
          "          (metric: planted-cluster complete-bipartite Euclidean\n"
          "           instances — the workload clique-fl requires)\n"
@@ -154,6 +164,59 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// The subcommands, as bits, and the ones each option flag applies to; a
+/// flag given to any other subcommand is rejected, not silently ignored.
+enum : unsigned {
+  kGenerate = 1,
+  kInfo = 2,
+  kSolve = 4,
+  kSweep = 8,
+  kBounds = 16,
+  kStream = 32
+};
+constexpr std::pair<std::string_view, unsigned> kCommands[] = {
+    {"generate", kGenerate}, {"info", kInfo},     {"solve", kSolve},
+    {"sweep", kSweep},       {"bounds", kBounds}, {"stream", kStream},
+};
+constexpr std::pair<std::string_view, unsigned> kFlagCommands[] = {
+    {"--threads", kSolve | kSweep | kStream},
+    {"--drop", kSolve | kSweep},
+    {"--crash-frac", kSolve | kSweep},
+    {"--burst-len", kSolve | kSweep},
+    {"--fault-seed", kSolve | kSweep},
+    {"--reliable", kSolve | kSweep},
+    {"--coverage", kSolve},
+    {"--kill-frac", kSolve},
+    {"--kill-seed", kSolve},
+    {"--capacity", kSolve},
+    {"--trace", kSolve},
+    {"--trace-format", kSolve},
+    {"--trace-phases", kSolve},
+    {"--stream", kStream},
+    {"--epoch-size", kStream},
+    {"--cells", kStream},
+    {"--initial", kStream},
+    {"--cold", kStream},
+};
+
+/// Throws UsageError for the first flag on the line that `command` does
+/// not apply. An unknown command passes: main prints the usage for it.
+void check_flags_apply(const std::vector<std::string_view>& flags,
+                       std::string_view command) {
+  unsigned bit = 0;
+  for (const auto& [name, command_bit] : kCommands)
+    if (name == command) bit = command_bit;
+  if (bit == 0) return;
+  for (const std::string_view flag : flags) {
+    for (const auto& [name, commands] : kFlagCommands) {
+      if (name == flag && (commands & bit) == 0) {
+        throw UsageError(std::string(flag) + " does not apply to " +
+                         std::string(command));
+      }
+    }
+  }
+}
 
 /// Parses all of `text` as a T in [lo, hi] with std::from_chars: no
 /// locale, no leading whitespace or '+', no numeric prefix of a longer
@@ -557,14 +620,17 @@ int cmd_stream(int argc, char** argv) {
   return 0;
 }
 
-/// Strips the position-independent option flags into the globals and
-/// returns the remaining (positional) arguments, argv[0] first — or nothing
-/// after --help, which has already printed the usage.
-std::optional<std::vector<char*>> parse_flags(int argc, char** argv) {
+/// Strips the position-independent option flags into the globals, listing
+/// each in `flags`, and returns the remaining (positional) arguments,
+/// argv[0] first — or nothing after --help, which has already printed the
+/// usage.
+std::optional<std::vector<char*>> parse_flags(
+    int argc, char** argv, std::vector<std::string_view>& flags) {
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    if (arg.starts_with("--")) flags.push_back(arg);
     const auto value = [&]() -> std::string_view {
       if (i + 1 >= argc) throw UsageError("");
       return argv[++i];
@@ -620,12 +686,14 @@ std::optional<std::vector<char*>> parse_flags(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    std::optional<std::vector<char*>> args = parse_flags(argc, argv);
+    std::vector<std::string_view> flags;
+    std::optional<std::vector<char*>> args = parse_flags(argc, argv, flags);
     if (!args) return 0;  // --help
     if (args->size() < 2) return usage();
     argc = static_cast<int>(args->size());
     argv = args->data();
     const std::string cmd = argv[1];
+    check_flags_apply(flags, cmd);
     if (cmd == "generate") return cmd_generate(argc, argv);
     if (cmd == "info") return cmd_info(argc, argv);
     if (cmd == "solve") return cmd_solve(argc, argv);
