@@ -51,45 +51,10 @@ void run_experiment() {
   print_table("uniform family, degree 5", table);
 }
 
-void run_thread_sweep() {
-  print_header(
-      "E7b — step-phase thread sweep (n = 10^5, k = 4, single seed)",
-      "the staged step/commit engine steps nodes on a thread pool and "
-      "commits in canonical node order: rounds/messages/bits/cost are "
-      "bit-identical for every thread count, only wall time moves. "
-      "Speedups require physical cores; on a single-core host the rows "
-      "measure the pool's overhead instead.");
-
-  const fl::Instance inst = big_instance(100000, 1);
-  Table table({"threads", "rounds", "messages", "total-bits", "cost",
-               "wall-ms", "speedup-vs-1"});
-  double serial_ms = 0.0;
-  for (int threads : {1, 2, 4}) {
-    core::MwParams params = make_params(4, 1);
-    params.num_threads = threads;
-    const auto start = std::chrono::steady_clock::now();
-    const core::MwGreedyOutcome out = core::run_mw_greedy(inst, params);
-    const auto stop = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (threads == 1) serial_ms = wall_ms;
-    table.row()
-        .cell(threads)
-        .cell(out.metrics.rounds)
-        .cell(out.metrics.messages)
-        .cell(out.metrics.total_bits)
-        .cell(out.solution.cost(inst), 1)
-        .cell(wall_ms, 1)
-        .cell(serial_ms / wall_ms, 2);
-  }
-  print_table("uniform family, degree 5", table);
-}
-
 }  // namespace
 }  // namespace dflp::benchx
 
 int main() {
   dflp::benchx::run_experiment();
-  dflp::benchx::run_thread_sweep();
   return 0;
 }

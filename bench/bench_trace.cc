@@ -22,7 +22,7 @@
 // storm@1e5 with 5 reps per variant, writes BENCH_trace.json, and exits
 // non-zero when the enabled overhead exceeds the 3% budget. `--smoke`
 // shrinks to storm@1e4 with 2 reps and never gates (1-core CI noise swamps
-// a single-digit-percent signal); `--threads K` sets Options::num_threads.
+// a single-digit-percent signal).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -86,11 +86,10 @@ std::vector<std::pair<NodeId, NodeId>> make_storm_edges(std::size_t n) {
 
 Network make_storm(std::size_t n,
                    const std::vector<std::pair<NodeId, NodeId>>& edges,
-                   int num_threads, Tracer* tracer) {
+                   Tracer* tracer) {
   Network::Options o;
   o.bit_budget = 64;
   o.seed = 1;
-  o.num_threads = num_threads;
   o.tracer = tracer;
   Network net(n, o);
   for (auto [u, v] : edges) net.add_edge(u, v);
@@ -110,8 +109,8 @@ struct Sample {
 /// identically for both variants. `tracer` null = disabled variant.
 Sample run_once(std::size_t n,
                 const std::vector<std::pair<NodeId, NodeId>>& edges,
-                std::uint64_t rounds, int num_threads, Tracer* tracer) {
-  Network net = make_storm(n, edges, num_threads, tracer);
+                std::uint64_t rounds, Tracer* tracer) {
+  Network net = make_storm(n, edges, tracer);
   net.run(3);  // warmup: steady-state arena and buffer capacities
   const auto t0 = std::chrono::steady_clock::now();
   const net::NetMetrics m = net.run(rounds);
@@ -140,7 +139,6 @@ double best_rounds_per_s(const std::vector<Sample>& samples) {
 int main_impl(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_trace.json";
-  int num_threads = 1;
   double reference = 0.0;  // storm rounds/s from a same-machine E10 run
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -148,12 +146,10 @@ int main_impl(int argc, char** argv) {
       smoke = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      num_threads = std::atoi(argv[++i]);
     } else if (arg == "--reference" && i + 1 < argc) {
       reference = std::atof(argv[++i]);
     } else {
-      std::cerr << "usage: bench_trace [--smoke] [--out FILE] [--threads K]"
+      std::cerr << "usage: bench_trace [--smoke] [--out FILE]"
                    " [--reference ROUNDS_PER_S]\n";
       return 2;
     }
@@ -163,17 +159,16 @@ int main_impl(int argc, char** argv) {
   const std::uint64_t rounds = smoke ? 24 : 32;
   const int reps = smoke ? 2 : 5;
 
-  std::cout << "\n# E12 — tracing overhead on storm@" << n << " (threads="
-            << num_threads << (smoke ? ", smoke" : "") << ")\n\n";
+  std::cout << "\n# E12 — tracing overhead on storm@" << n
+            << (smoke ? " (smoke)" : "") << "\n\n";
 
   const auto edges = make_storm_edges(n);
   std::vector<Sample> disabled, enabled;
   std::vector<std::unique_ptr<Tracer>> tracers;  // keep traces alive
   for (int rep = 0; rep < reps; ++rep) {
-    disabled.push_back(run_once(n, edges, rounds, num_threads, nullptr));
+    disabled.push_back(run_once(n, edges, rounds, nullptr));
     tracers.push_back(std::make_unique<Tracer>());
-    enabled.push_back(
-        run_once(n, edges, rounds, num_threads, tracers.back().get()));
+    enabled.push_back(run_once(n, edges, rounds, tracers.back().get()));
   }
 
   const double disabled_rps = best_rounds_per_s(disabled);
@@ -199,8 +194,8 @@ int main_impl(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"trace\",\n  \"mode\": \""
-      << (smoke ? "smoke" : "full") << "\",\n  \"num_threads\": "
-      << num_threads << ",\n  \"topology\": \"storm\",\n  \"n\": " << n
+      << (smoke ? "smoke" : "full")
+      << "\",\n  \"topology\": \"storm\",\n  \"n\": " << n
       << ",\n  \"rounds\": " << rounds << ",\n  \"reps\": " << reps
       << ",\n  \"disabled_rounds_per_s\": " << disabled_rps
       << ",\n  \"enabled_rounds_per_s\": " << enabled_rps

@@ -17,8 +17,8 @@
 // Each configuration reports rounds/s and Mmsg/s and everything is written
 // to a machine-readable `BENCH_transport.json` so CI can accumulate a perf
 // trajectory per commit. `--smoke` shrinks the workload for CI; `--out`
-// overrides the JSON path; `--threads K` sets Options::num_threads;
-// `--phases` attaches a Tracer to every measured run and appends a
+// overrides the JSON path; `--phases` attaches a Tracer to every measured
+// run and appends a
 // per-engine-phase wall-time attribution table (step / commit / scatter),
 // the breakdown EXPERIMENTS.md E10 uses to attribute speedups.
 #include <chrono>
@@ -119,11 +119,10 @@ struct Result {
 };
 
 Network make_network(const std::string& topology, std::size_t n,
-                     int num_threads, net::Tracer* tracer) {
+                     net::Tracer* tracer) {
   Network::Options o;
   o.bit_budget = 64;
   o.seed = 1;
-  o.num_threads = num_threads;
   o.tracer = tracer;
   Network net(n, o);
 
@@ -178,10 +177,10 @@ Network make_network(const std::string& topology, std::size_t n,
   return net;
 }
 
-Result run_config(const Config& cfg, int num_threads, bool phases) {
+Result run_config(const Config& cfg, bool phases) {
   std::unique_ptr<net::Tracer> tracer =
       phases ? std::make_unique<net::Tracer>() : nullptr;
-  Network net = make_network(cfg.topology, cfg.n, num_threads, tracer.get());
+  Network net = make_network(cfg.topology, cfg.n, tracer.get());
   net.run(3);  // warmup: populates buffers/inboxes to steady-state capacity
   const std::size_t warmup_rounds = tracer ? tracer->rounds().size() : 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -209,7 +208,7 @@ Result run_config(const Config& cfg, int num_threads, bool phases) {
 }
 
 // Pre-change reference, measured on this repo's dev host (1 core,
-// RelWithDebInfo, num_threads=1) at the commit immediately before the
+// RelWithDebInfo, one step thread) at the commit immediately before the
 // flat-arena transport landed — the per-node-inbox engine. Frozen so the
 // JSON always records the speedup of the current transport against the
 // engine this PR replaced. Keys: topology/n -> rounds_per_s.
@@ -234,10 +233,10 @@ double prechange_rounds_per_s(const std::string& topology, std::size_t n) {
 }
 
 void write_json(const std::string& path, const std::string& mode,
-                int num_threads, const std::vector<Result>& results) {
+                const std::vector<Result>& results) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"transport\",\n  \"mode\": \"" << mode
-      << "\",\n  \"num_threads\": " << num_threads << ",\n  \"results\": [\n";
+      << "\",\n  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     out << "    {\"topology\": \"" << r.cfg.topology << "\", \"n\": "
@@ -246,7 +245,7 @@ void write_json(const std::string& path, const std::string& mode,
         << ", \"wall_s\": " << r.wall_s << ", \"rounds_per_s\": "
         << r.rounds_per_s << ", \"mmsgs_per_s\": " << r.mmsgs_per_s;
     const double ref = prechange_rounds_per_s(r.cfg.topology, r.cfg.n);
-    if (ref > 0.0 && num_threads == 1)
+    if (ref > 0.0)
       out << ", \"speedup_vs_prechange\": " << r.rounds_per_s / ref;
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -257,7 +256,6 @@ int main_impl(int argc, char** argv) {
   bool smoke = false;
   bool phases = false;
   std::string out_path = "BENCH_transport.json";
-  int num_threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -266,11 +264,9 @@ int main_impl(int argc, char** argv) {
       phases = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      num_threads = std::atoi(argv[++i]);
     } else {
       std::cerr << "usage: bench_transport [--smoke] [--out FILE] "
-                   "[--threads K] [--phases]\n";
+                   "[--phases]\n";
       return 2;
     }
   }
@@ -283,8 +279,8 @@ int main_impl(int argc, char** argv) {
   const std::uint64_t target_messages = smoke ? 300'000 : 6'000'000;
 
   std::vector<Result> results;
-  std::cout << "\n# E10 — transport round throughput (threads="
-            << num_threads << (smoke ? ", smoke" : "") << ")\n\n";
+  std::cout << "\n# E10 — transport round throughput"
+            << (smoke ? " (smoke)" : "") << "\n\n";
   std::cout << "| topology | n | rounds | messages | wall s | rounds/s | "
                "Mmsg/s |\n";
   std::cout << "|---|---|---|---|---|---|---|\n";
@@ -297,7 +293,7 @@ int main_impl(int argc, char** argv) {
       cfg.n = n;
       cfg.rounds = std::max<std::uint64_t>(
           16, target_messages / std::max<std::uint64_t>(1, est_msgs_per_round));
-      const Result r = run_config(cfg, num_threads, phases);
+      const Result r = run_config(cfg, phases);
       results.push_back(r);
       std::cout << "| " << r.cfg.topology << " | " << r.cfg.n << " | "
                 << r.cfg.rounds << " | " << r.messages << " | " << r.wall_s
@@ -321,7 +317,7 @@ int main_impl(int argc, char** argv) {
                 << 100.0 * r.scatter_s / denom << " |\n";
     }
   }
-  write_json(out_path, smoke ? "smoke" : "full", num_threads, results);
+  write_json(out_path, smoke ? "smoke" : "full", results);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
 }

@@ -197,7 +197,6 @@ class AggProc final : public net::Process {
 
 DiscoveryOutcome discover_bounds(const fl::Instance& inst,
                                  std::uint64_t seed, int diameter_bound,
-                                 int num_threads,
                                  net::DeliveryOrder delivery) {
   const auto total_nodes =
       static_cast<std::size_t>(inst.num_facilities() + inst.num_clients());
@@ -211,7 +210,6 @@ DiscoveryOutcome discover_bounds(const fl::Instance& inst,
   // networks, so size it explicitly.
   options.bit_budget = net::congest_bit_budget(total_nodes) + 32;
   options.seed = seed;
-  options.num_threads = num_threads;
   options.delivery = delivery;
   net::Network net = make_bipartite_network(inst, options);
 

@@ -63,12 +63,10 @@ struct DiscoveryOutcome {
 /// Runs discovery on `inst`'s bipartite network. `diameter_bound` caps the
 /// flooding phases; pass 0 to use the safe bound N (any component's
 /// diameter is < N). Rounds used ~ 3 * actual eccentricity + O(1).
-/// `num_threads` is the simulator's step-phase thread count and `delivery`
-/// the inbox ordering; both are execution knobs only — results are
-/// bit-identical for every combination.
+/// `delivery` is the inbox ordering, an execution knob only: results are
+/// bit-identical for every order.
 [[nodiscard]] DiscoveryOutcome discover_bounds(
     const fl::Instance& inst, std::uint64_t seed = 1, int diameter_bound = 0,
-    int num_threads = 1,
     net::DeliveryOrder delivery = net::DeliveryOrder::kBySource);
 
 }  // namespace dflp::core

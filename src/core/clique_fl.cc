@@ -229,7 +229,6 @@ CliqueFlOutcome run_impl(const fl::Instance& inst, FacilityDistances dist,
   options.topology = net::Topology::kClique;
   options.bit_budget = net::congest_bit_budget(num_nodes);
   options.seed = params.seed;
-  options.num_threads = params.num_threads;
   options.delivery = params.delivery;
   options.faults = params.faults;
   options.tracer = params.tracer;

@@ -269,7 +269,6 @@ net::Network::Options frac_lp_options(const MwSchedule& schedule,
   net::Network::Options options;
   options.bit_budget = schedule.bit_budget;
   options.seed = params.seed;
-  options.num_threads = params.num_threads;
   options.delivery = params.delivery;
   apply_transport_options(options, params, scheduled_rounds(schedule) + 8);
   return options;

@@ -43,7 +43,7 @@ struct FracOutcome {
                                       const MwParams& params);
 
 /// The stage's network options under `schedule`: its bit budget, the run's
-/// seed, threads and delivery order, and the transport wiring of `params`
+/// seed and delivery order, and the transport wiring of `params`
 /// (core/transport.h).
 [[nodiscard]] net::Network::Options frac_lp_options(const MwSchedule& schedule,
                                                     const MwParams& params);

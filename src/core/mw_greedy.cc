@@ -338,7 +338,6 @@ MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
   net::Network::Options options;
   options.bit_budget = shared.sched.bit_budget;
   options.seed = params.seed;
-  options.num_threads = params.num_threads;
   options.delivery = params.delivery;
   apply_transport_options(options, params, logical_bound);
   if (params.tracer != nullptr) params.tracer->set_section("mw-greedy");

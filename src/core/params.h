@@ -67,8 +67,8 @@ struct MwParams {
   /// the survivors solve the pruned instance. Applied by
   /// harness/faults.h, not by the core runners.
   double boot_crash_fraction = 0.0;
-  /// Simulator threads for the step phase (>= 1). Purely an execution
-  /// knob: results are bit-identical for every value.
+  /// Ignored: the simulator steps every round on one thread. Kept only
+  /// for callers that still set it.
   int num_threads = 1;
   /// Inbox ordering the simulator applies before each delivery. The
   /// reconstructed protocols are order-independent; tests sweep this to

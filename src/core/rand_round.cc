@@ -175,7 +175,6 @@ net::Network::Options rand_round_options(const MwSchedule& schedule,
   net::Network::Options options;
   options.bit_budget = schedule.bit_budget;
   options.seed = params.seed ^ 0x5EEDB00572ULL;  // decorrelate from stage 1
-  options.num_threads = params.num_threads;
   options.delivery = params.delivery;
   apply_transport_options(options, params, scheduled_rounds(schedule) + 8);
   return options;

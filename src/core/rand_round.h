@@ -45,7 +45,7 @@ struct RoundOutcome {
 
 /// The stage's network options: the schedule's bit budget, its own seed
 /// stream (`params.seed ^ 0x5EEDB00572`, decorrelated from stage 1), the
-/// run's threads and delivery order, and the transport wiring of `params`.
+/// run's delivery order, and the transport wiring of `params`.
 [[nodiscard]] net::Network::Options rand_round_options(
     const MwSchedule& schedule, const MwParams& params);
 

@@ -6,7 +6,7 @@ namespace dflp::harness {
 
 Table results_table(const std::vector<RunResult>& results) {
   Table table({"algorithm", "cost", "ratio-vs-LB", "rounds", "messages",
-               "kbits", "max-msg-bits", "threads", "dropped", "crashed",
+               "kbits", "max-msg-bits", "dropped", "crashed",
                "retx", "dilation", "wall-ms"});
   for (const RunResult& r : results) {
     table.row()
@@ -17,7 +17,6 @@ Table results_table(const std::vector<RunResult>& results) {
         .cell(r.messages)
         .cell(static_cast<double>(r.total_bits) / 1000.0, 1)
         .cell(r.max_message_bits)
-        .cell(r.threads)
         .cell(r.dropped)
         .cell(r.crashed)
         .cell(r.retransmitted)

@@ -11,8 +11,7 @@
 namespace dflp::harness {
 
 /// Standard columns: algo | cost | ratio | rounds | messages | kbits |
-/// max-msg-bits | threads | dropped | crashed | retx | dilation |
-/// wall-ms.
+/// max-msg-bits | dropped | crashed | retx | dilation | wall-ms.
 [[nodiscard]] Table results_table(const std::vector<RunResult>& results);
 
 /// Streaming-epoch columns, one row per commit: epoch | events | clients |

@@ -89,7 +89,6 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
   const bool distributed = algo == Algo::kMwGreedy ||
                            algo == Algo::kPipeline ||
                            algo == Algo::kCliqueFl;
-  if (distributed) result.threads = params.num_threads;
 
   // File-level tracing: the harness owns the Tracer, hands the runners a
   // pointer via a params copy, and exports after the run. Callers that want
@@ -158,7 +157,6 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
       // otherwise.
       core::CliqueFlParams cp;
       cp.seed = run_params.seed;
-      cp.num_threads = run_params.num_threads;
       cp.delivery = run_params.delivery;
       cp.faults = run_params.faults;
       cp.tracer = run_params.tracer;

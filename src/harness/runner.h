@@ -53,10 +53,6 @@ struct RunResult {
   std::uint64_t messages = 0;
   std::uint64_t total_bits = 0;
   int max_message_bits = 0;
-  /// Simulator step-phase threads the run used (1 for centralized
-  /// baselines). Only wall_ms depends on it — the solution, rounds,
-  /// messages and bits are bit-identical across thread counts.
-  int threads = 1;
   double wall_ms = 0.0;
   // Fault-injection and recovery counters (0 on fault-free runs):
   std::uint64_t dropped = 0;

@@ -1,15 +1,12 @@
 #include "netsim/network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <map>
-#include <mutex>
 
 #include "common/check.h"
 #include "common/mathx.h"
-#include "netsim/executor.h"
 #include "netsim/round_buffer.h"
 #include "netsim/trace.h"
 
@@ -211,7 +208,6 @@ void Network::restart(Options options) {
   DFLP_CHECK_MSG(options.topology == options_.topology,
                  "restart cannot change the topology kind");
   const std::size_t n = processes_.size();
-  if (options.num_threads != options_.num_threads) executor_.reset();
   options_ = options;
   for (auto& p : processes_) p.reset();
   std::fill(halted_.begin(), halted_.end(), std::uint8_t{0});
@@ -245,9 +241,6 @@ void Network::bind_options() {
   DFLP_CHECK_MSG(options_.bit_budget >= 8,
                  "Options::bit_budget must be >= 8 (the opcode alone needs "
                  "8 bits); got " << options_.bit_budget);
-  DFLP_CHECK_MSG(options_.num_threads >= 1,
-                 "Options::num_threads must be >= 1; got "
-                     << options_.num_threads);
   fault_plan_ = FaultPlan(options_.faults, options_.seed, n);
 
   node_rngs_.clear();
@@ -255,21 +248,6 @@ void Network::bind_options() {
   Rng seeder(options_.seed);
   for (std::size_t i = 0; i < n; ++i) node_rngs_.push_back(seeder.split(i));
 
-  // Staging state: one log (and one gather scratch and link-stamp column)
-  // per possible step shard, the logs double-buffered by round parity so
-  // last round's records stay addressable while this round stages. All of
-  // it is recycled across rounds and run() calls; the stamp columns grow to
-  // the largest degree their shard steps.
-  const auto num_shards = static_cast<std::size_t>(options_.num_threads);
-  for (auto& set : stage_logs_) {
-    const std::size_t had = set.size();
-    set.resize(num_shards);
-    for (std::size_t li = had; li < num_shards; ++li)
-      set[li].dst_count.assign(n, 0);
-  }
-  inbox_scratch_.resize(num_shards);
-  header_scratch_.resize(num_shards);
-  link_stamps_.resize(num_shards);
   wake_.assign(n, 0);
   slice_begin_.resize(n, 0);
   slice_count_.resize(n, 0);
@@ -308,12 +286,12 @@ const Process& Network::process(NodeId id) const {
   return *p;
 }
 
-std::span<Message> Network::gather_inbox(std::size_t i,
-                                         std::vector<Message>& scratch) {
+std::span<Message> Network::gather_inbox(std::size_t i) {
   const auto count = static_cast<std::size_t>(slice_count_[i]);
   if (count == 0) return {};
   // Grown, never shrunk: stale elements past `count` are dead capacity and
   // the per-round reuse is what keeps steady-state gathers allocation-free.
+  std::vector<Message>& scratch = inbox_scratch_;
   if (scratch.size() < count) scratch.resize(count);
   const std::size_t begin = slice_begin_[i];
   const WireRecord* const* perm = arena_.data();
@@ -376,8 +354,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   DFLP_CHECK_MSG(finalized_, "run before finalize");
   for (std::size_t i = 0; i < processes_.size(); ++i)
     DFLP_CHECK_MSG(processes_[i] != nullptr, "node " << i << " has no process");
-  if (!executor_)
-    executor_ = std::make_unique<ParallelExecutor>(options_.num_threads);
   const std::size_t n = processes_.size();
 
   // The port under which clique node `dst` hears `src`: src's position in
@@ -408,9 +384,12 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   const bool hazards = fault_plan_.message_hazards();
   RoundBuffer::Limits limits;
   limits.bit_budget = options_.bit_budget;
-  // Fault-free commits merge the stage-time destination histograms; hazard
-  // commits re-count per surviving copy, so staging skips the tally there.
-  limits.tally_destinations = !hazards;
+  // Fault-free staging tallies destinations straight into the count column;
+  // hazard commits count surviving copies instead, so staging skips it.
+  if (!hazards) {
+    limits.dst_count = dst_count_.data();
+    limits.touched = &next_touched_;
+  }
 
   // Tracing is a pure observation layer: when no tracer is attached the
   // only cost is the `if (tracer)` test per round, and with one attached
@@ -423,7 +402,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     TraceSection info;
     info.nodes = processes_.size();
     info.edges = num_edges_;
-    info.threads = options_.num_threads;
     info.seed = options_.seed;
     info.bit_budget = options_.bit_budget;
     tracer->begin_run(info);
@@ -433,15 +411,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
                                   TraceClock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
   };
-  std::vector<TraceShard> shard_times;
-  std::mutex shard_mu;
   std::map<std::string_view, std::uint64_t> phase_counts;
-
-  // Shard claim counters, reset per round. Deliberately locals: Network
-  // stays movable (std::atomic is not), and claim order is scrubbed out by
-  // the commit's range_begin sort anyway.
-  std::atomic<std::size_t> log_claim{0};
-  std::atomic<std::size_t> scatter_claim{0};
+  RoundBuffer buffer;
 
   // Merged into cumulative_ even when a round throws (protocol failure
   // under fault injection): the fault counters must survive so the failure
@@ -506,121 +477,60 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
 
     const std::size_t live_count = live_nodes_.size();
 
-    // This round stages into the log set of its parity; the other set
-    // still backs the arena being consumed (records must stay addressable
-    // until the gather below reads them).
-    std::vector<StageLog>& logs =
-        stage_logs_[static_cast<std::size_t>(round_ & 1)];
-    log_claim.store(0, std::memory_order_relaxed);
+    // This round stages into the log of its parity; the other log still
+    // backs the arena being consumed (records must stay addressable until
+    // the gather below reads them).
+    StageLog& log = stage_logs_[static_cast<std::size_t>(round_ & 1)];
+    log.reset();
 
     // Step phase: every live node that is awake or has mail gathers its
-    // inbox and runs against the shard's log through a stack-local buffer;
-    // a sleeper without mail is passed over. Shards only touch per-shard
-    // state (claimed log, scratch and link stamps, their nodes' rng and
-    // wake entries), so any interleaving produces the same logs.
-    const auto step_range = [&](std::size_t begin, std::size_t end) {
-      if (begin == end) return;
-      const std::size_t li =
-          log_claim.fetch_add(1, std::memory_order_relaxed);
-      StageLog& log = logs[li];
-      log.reset();
-      log.range_begin = begin;
-      std::vector<Message>& scratch = inbox_scratch_[li];
-      LinkStamps& links = link_stamps_[li];
-      RoundBuffer buffer;
-      for (std::size_t k = begin; k < end; ++k) {
-        const NodeId id = live_nodes_[k];
-        const auto i = static_cast<std::size_t>(id);
-        if (wake_[i] > round_ && slice_count_[i] == 0) continue;
-        const std::span<Message> inbox = gather_inbox(i, scratch);
-        order_inbox(inbox, id);
-        const std::span<const NodeId> nbrs = neighbors_unchecked(i);
-        buffer.begin(id, round_, nbrs, limits, &log, &links,
-                     options_.topology, &wake_[i]);
-        NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
-        processes_[i]->on_round(ctx, std::span<const Message>(inbox));
-        if (wake_[i] <= round_ + 1 && !buffer.halt_requested()) ++log.awake;
-      }
-    };
-    if (tracer) {
-      // Each shard times itself; the mutex serialises only the trace
-      // append, never the stepped nodes.
-      shard_times.clear();
-      t_step0 = TraceClock::now();
-      executor_->for_shards(
-          live_count, [&](std::size_t begin, std::size_t end) {
-            const TraceClock::time_point s0 = TraceClock::now();
-            step_range(begin, end);
-            const TraceClock::time_point s1 = TraceClock::now();
-            const std::lock_guard<std::mutex> lock(shard_mu);
-            shard_times.push_back(
-                {begin, end, seconds_between(s0, s1)});
-          });
-      t_step1 = TraceClock::now();
-    } else {
-      executor_->for_shards(live_count, step_range);
+    // inbox and runs against the log through the re-armed buffer; a
+    // sleeper without mail is passed over.
+    if (tracer) t_step0 = TraceClock::now();
+    for (const NodeId id : live_nodes_) {
+      const auto i = static_cast<std::size_t>(id);
+      if (wake_[i] > round_ && slice_count_[i] == 0) continue;
+      const std::span<Message> inbox = gather_inbox(i);
+      order_inbox(inbox, id);
+      const std::span<const NodeId> nbrs = neighbors_unchecked(i);
+      buffer.begin(id, round_, nbrs, limits, &log, &link_stamps_,
+                   options_.topology, &wake_[i]);
+      NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
+      processes_[i]->on_round(ctx, std::span<const Message>(inbox));
+      if (wake_[i] <= round_ + 1 && !buffer.halt_requested()) ++log.awake;
     }
+    if (tracer) t_step1 = TraceClock::now();
 
-    // Recover the canonical serial order: shards claimed logs in scheduler
-    // order, so sort the claimed set by each log's live-range begin.
-    const std::size_t num_logs = log_claim.load(std::memory_order_relaxed);
-    log_order_.clear();
-    for (std::size_t li = 0; li < num_logs; ++li) log_order_.push_back(li);
-    std::sort(log_order_.begin(), log_order_.end(),
-              [&](std::size_t a, std::size_t b) {
-                return logs[a].range_begin < logs[b].range_begin;
-              });
-
-    // Commit, pass 1 — tally. Fault-free rounds reduce to a merge of the
-    // per-log aggregates and stage-time histograms: O(logs + touched
-    // destinations), never per message — the batched accounting staging
-    // already did. Rounds with message hazards walk the records in
+    // Commit, pass 1 — tally. Fault-free rounds read the log's aggregates:
+    // staging already counted every copy into dst_count_, so nothing is
+    // walked per message. Rounds with message hazards walk the records in
     // canonical order instead, drawing the per-(seed, sender, round) fault
     // coins in send order (broadcasts expand here, one coin per copy in
     // adjacency order — the legacy per-copy stream) and packing survivors
     // into the contiguous survivors_ scratch so the coins are consumed
-    // exactly once. Halt requests and traced annotations drain from the
-    // logs either way, keeping the halt pass O(#halts).
-    std::uint64_t sent_this_round = 0;
-    std::size_t awake = 0;
+    // exactly once.
+    const std::uint64_t sent_this_round = log.messages;
     std::uint64_t bits_acc = 0;
     int max_bits = 0;  // round-local; merged into run_metrics after tally
     survivors_.clear();
-    halt_requests_.clear();
-    transport_touches_ += live_nodes_.size();
-    for (const std::size_t li : log_order_) {
-      StageLog& log = logs[li];
-      sent_this_round += log.messages;
-      awake += log.awake;
-      for (const NodeId v : log.halts) halt_requests_.push_back(v);
-      if (limits.capture_annotations) {
-        for (const std::string_view phase : log.annotations)
-          ++phase_counts[phase];
-      }
-      if (!hazards) {
-        bits_acc += log.bits_sum;
-        max_bits = std::max(max_bits, log.max_bits);
-        // Merge the destination histogram staging already counted
-        // (O(touched dsts), not O(messages)), draining the log's copy back
-        // to all-zero.
-        for (const NodeId d : log.touched) {
-          const auto dst = static_cast<std::size_t>(d);
-          if (dst_count_[dst] == 0) next_touched_.push_back(d);
-          dst_count_[dst] += log.dst_count[dst];
-          log.dst_count[dst] = 0;
-        }
-        log.touched.clear();
-        continue;
-      }
+    transport_touches_ += live_count;
+    if (limits.capture_annotations) {
+      for (const std::string_view phase : log.annotations)
+        ++phase_counts[phase];
+    }
+    if (!hazards) {
+      bits_acc = log.bits_sum;
+      max_bits = log.max_bits;
+    } else {
       FaultPlan::SenderCoins coins;
       NodeId coin_sender = kNoNode;
       std::size_t hcur = 0;  // cursor into the log's sparse header list
       for (std::size_t ri = 0; ri < log.records.size(); ++ri) {
         const WireRecord& rec = log.records[ri];
         if (rec.src != coin_sender) {
-          // Records are contiguous per sender (each node stages into one
-          // log), so this opens the coin streams exactly once per sender
-          // that staged anything — the legacy begin_sender cadence.
+          // Records are contiguous per sender, so this opens the coin
+          // streams exactly once per sender that staged anything — the
+          // legacy begin_sender cadence.
           coin_sender = rec.src;
           coins = fault_plan_.begin_sender(coin_sender, round_);
         }
@@ -669,12 +579,11 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // Commit, pass 2 — layout: the step phase consumed the old arena, so
     // retire its slices and prefix-sum the tally into the new ones.
     // dst_count_ returns to all-zero. Sparse rounds visit only the touched
-    // list; dense rounds (survivors >= N/8, a deterministic, thread-
-    // invariant gate that keeps the pass O(live + messages)) rebuild the
-    // touched list by one ascending scan of the count column instead —
-    // branch-predictable, auto-vectorizable, and it lays slices out in
-    // ascending destination order, which the scatter and gather then walk
-    // monotonically.
+    // list; dense rounds (survivors >= N/8, a deterministic gate that keeps
+    // the pass O(live + messages)) rebuild the touched list by one
+    // ascending scan of the count column instead — branch-predictable,
+    // auto-vectorizable, and it lays slices out in ascending destination
+    // order, which the scatter and gather then walk monotonically.
     for (const NodeId d : touched_)
       slice_count_[static_cast<std::size_t>(d)] = 0;
     touched_.swap(next_touched_);
@@ -710,100 +619,64 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // Commit, pass 3 — scatter: write each surviving record's address into
     // its destination slice (8-byte slots — the payload columns never
     // move) and its receiver port into the parallel port column, expanding
-    // broadcast records over the sender's adjacency.
-    // Sharded over destination id ranges: each shard scans the whole
-    // record stream in canonical order but writes only the destinations it
-    // owns, so no two shards touch the same cursor or arena cell, and
-    // every slice fills in ascending-sender order with ties in send-call
-    // order. Headers of framed records are collected per shard with their
-    // assigned slots and merged into the sorted side table afterwards
-    // (empty on protocol-only traffic). Rounds with drops read the
-    // pre-filtered survivors_ scratch so the fault coins are not re-drawn.
-    scatter_claim.store(0, std::memory_order_relaxed);
+    // broadcast records over the sender's adjacency. The log is scanned in
+    // canonical order, so every slice fills in ascending-sender order with
+    // ties in send-call order. Headers of framed records are collected with
+    // their assigned slots and sorted into the side table afterwards (empty
+    // on protocol-only traffic). Rounds with drops read the pre-filtered
+    // survivors_ scratch so the fault coins are not re-drawn.
     header_slots_.clear();
-    if (survivors > 0) {
-      const auto scatter_range = [&](std::size_t d_lo, std::size_t d_hi) {
-        if (d_lo == d_hi) return;
-        const std::size_t si =
-            scatter_claim.fetch_add(1, std::memory_order_relaxed);
-        std::vector<HeaderSlot>& hout = header_scratch_[si];
-        hout.clear();
-        if (hazards) {
-          for (const Survivor& s : survivors_) {
-            const auto dst = static_cast<std::size_t>(s.dst);
-            if (dst < d_lo || dst >= d_hi) continue;
-            const std::size_t slot = dst_cursor_[dst]++;
-            next_arena_[slot] = s.rec;
-            next_arena_port_[slot] = s.port;
-            if (s.hdr != nullptr) hout.push_back({slot, *s.hdr});
-          }
-          return;
-        }
-        for (const std::size_t li : log_order_) {
-          const StageLog& log = logs[li];
-          std::size_t hcur = 0;
-          for (std::size_t ri = 0; ri < log.records.size(); ++ri) {
-            const WireRecord& rec = log.records[ri];
-            if (rec.flags & kWireBroadcast) {
-              const auto src = static_cast<std::size_t>(rec.src);
-              if (clique_) {
-                // All-to-all fan-out: the shard's owned destination range
-                // IS the copy set (minus the sender) — walk it directly,
-                // ascending, instead of filtering an adjacency list, in two
-                // runs around the sender so each port is a linear function.
-                const auto copy_to = [&](std::size_t dst, std::size_t port) {
-                  const std::size_t slot = dst_cursor_[dst]++;
-                  next_arena_[slot] = &rec;
-                  next_arena_port_[slot] = static_cast<std::int32_t>(port);
-                };
-                for (std::size_t dst = d_lo; dst < std::min(src, d_hi); ++dst)
-                  copy_to(dst, src - dst - 1);
-                for (std::size_t dst = std::max(src + 1, d_lo); dst < d_hi;
-                     ++dst)
-                  copy_to(dst, src + n - dst - 1);
-                continue;
-              }
-              const std::span<const NodeId> nbrs = neighbors_unchecked(src);
-              const std::int32_t* rev =
-                  csr_.rev.data() + csr_.offset[src];
-              for (std::size_t j = 0; j < nbrs.size(); ++j) {
-                if (j + kScatterPrefetch < nbrs.size())
-                  __builtin_prefetch(&dst_cursor_[static_cast<std::size_t>(
-                      nbrs[j + kScatterPrefetch])]);
-                const auto dst = static_cast<std::size_t>(nbrs[j]);
-                if (dst < d_lo || dst >= d_hi) continue;
-                const std::size_t slot = dst_cursor_[dst]++;
-                next_arena_[slot] = &rec;
-                next_arena_port_[slot] = rev[j];
-              }
-              continue;
-            }
-            const auto dst = static_cast<std::size_t>(rec.dst);
-            const bool owned = dst >= d_lo && dst < d_hi;
-            if (rec.flags & kWireHasHeader) {
-              while (log.headers[hcur].record != ri) ++hcur;
-            }
-            if (!owned) continue;
-            const std::size_t slot = dst_cursor_[dst]++;
-            next_arena_[slot] = &rec;
-            next_arena_port_[slot] = receiver_port(rec.src, log.ports[ri]);
-            if (rec.flags & kWireHasHeader)
-              hout.push_back({slot, log.headers[hcur].hdr});
-          }
-        }
-      };
-      executor_->for_shards(n, scatter_range);
-      const std::size_t num_scatter =
-          scatter_claim.load(std::memory_order_relaxed);
-      for (std::size_t si = 0; si < num_scatter; ++si) {
-        header_slots_.insert(header_slots_.end(), header_scratch_[si].begin(),
-                             header_scratch_[si].end());
+    const auto place = [&](std::size_t dst, const WireRecord* rec,
+                           std::int32_t port) {
+      const std::size_t slot = dst_cursor_[dst]++;
+      next_arena_[slot] = rec;
+      next_arena_port_[slot] = port;
+      return slot;
+    };
+    if (hazards) {
+      for (const Survivor& sv : survivors_) {
+        const std::size_t slot =
+            place(static_cast<std::size_t>(sv.dst), sv.rec, sv.port);
+        if (sv.hdr != nullptr) header_slots_.push_back({slot, *sv.hdr});
       }
-      std::sort(header_slots_.begin(), header_slots_.end(),
-                [](const HeaderSlot& a, const HeaderSlot& b) {
-                  return a.slot < b.slot;
-                });
+    } else {
+      std::size_t hcur = 0;
+      for (std::size_t ri = 0; ri < log.records.size(); ++ri) {
+        const WireRecord& rec = log.records[ri];
+        if (!(rec.flags & kWireBroadcast)) {
+          const std::size_t slot =
+              place(static_cast<std::size_t>(rec.dst), &rec,
+                    receiver_port(rec.src, log.ports[ri]));
+          if (rec.flags & kWireHasHeader) {
+            while (log.headers[hcur].record != ri) ++hcur;
+            header_slots_.push_back({slot, log.headers[hcur].hdr});
+          }
+          continue;
+        }
+        const auto src = static_cast<std::size_t>(rec.src);
+        if (clique_) {
+          // All-to-all fan-out: every node but the sender, ascending, in
+          // two runs around the sender so each port is a linear function.
+          for (std::size_t dst = 0; dst < src; ++dst)
+            place(dst, &rec, static_cast<std::int32_t>(src - dst - 1));
+          for (std::size_t dst = src + 1; dst < n; ++dst)
+            place(dst, &rec, static_cast<std::int32_t>(src + n - dst - 1));
+          continue;
+        }
+        const std::span<const NodeId> nbrs = neighbors_unchecked(src);
+        const std::int32_t* rev = csr_.rev.data() + csr_.offset[src];
+        for (std::size_t j = 0; j < nbrs.size(); ++j) {
+          if (j + kScatterPrefetch < nbrs.size())
+            __builtin_prefetch(&dst_cursor_[static_cast<std::size_t>(
+                nbrs[j + kScatterPrefetch])]);
+          place(static_cast<std::size_t>(nbrs[j]), &rec, rev[j]);
+        }
+      }
     }
+    std::sort(header_slots_.begin(), header_slots_.end(),
+              [](const HeaderSlot& a, const HeaderSlot& b) {
+                return a.slot < b.slot;
+              });
     arena_.swap(next_arena_);
     arena_port_.swap(next_arena_port_);
     inflight_messages_ = survivors;
@@ -816,12 +689,10 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     run_metrics.arena_peak_messages =
         std::max(run_metrics.arena_peak_messages, survivors);
 
-    // Commit, pass 4 — halts: apply the requests collected in pass 1 and
-    // compact the live list. Staged state lives in the logs (reset when
-    // next claimed), so this pass is O(#halts), not O(live).
-    if (!halt_requests_.empty()) {
-      for (const NodeId v : halt_requests_)
-        halted_[static_cast<std::size_t>(v)] = 1;
+    // Commit, pass 4 — halts: apply the requests the log collected and
+    // compact the live list, in O(#halts) unless someone halted.
+    if (!log.halts.empty()) {
+      for (const NodeId v : log.halts) halted_[static_cast<std::size_t>(v)] = 1;
       std::erase_if(live_nodes_, [&](NodeId v) {
         return halted_[static_cast<std::size_t>(v)] != 0;
       });
@@ -839,19 +710,16 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       record.dropped = run_metrics.dropped - dropped_before;
       record.duplicated = run_metrics.duplicated - dup_before;
       record.crashed = run_metrics.crashed - crashed_before;
-      record.halted = halt_requests_.size();
+      record.halted = log.halts.size();
       record.bits = bits_acc;
       record.max_bits = max_bits;
       record.arena = survivors;
       record.step_s = seconds_between(t_step0, t_step1);
       record.commit_s = seconds_between(t_step1, t_commit1);
       record.scatter_s = seconds_between(t_commit1, t_scatter1);
-      // Shards finish in scheduler order; present them by live-list range.
-      std::sort(shard_times.begin(), shard_times.end(),
-                [](const TraceShard& a, const TraceShard& b) {
-                  return a.begin < b.begin;
-                });
-      record.shards = shard_times;
+      // One shard: the whole live list, stepped in one pass.
+      if (live_count > 0)
+        record.shards.push_back({0, live_count, record.step_s});
       record.phases.reserve(phase_counts.size());
       for (const auto& [phase, count] : phase_counts)
         record.phases.emplace_back(std::string(phase), count);
@@ -865,7 +733,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // Nobody stays awake and nothing is in flight: skip to the earliest
     // wake round, but no further than the next crash, so crashes are
     // applied by an ordinary round.
-    if (awake == 0 && inflight_messages_ == 0 && !live_nodes_.empty()) {
+    if (log.awake == 0 && inflight_messages_ == 0 && !live_nodes_.empty()) {
       std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
       for (const NodeId v : live_nodes_) {
         next = std::min<std::uint64_t>(next,

@@ -21,11 +21,10 @@
 // round it lands in. The hint is per step — a step that gives none leaves
 // the node awake for the next round — and a halt staged in the same step
 // wins over it. The stepping node writes w through its RoundBuffer into a
-// per-node wake column (each node is stepped by exactly one shard, so the
-// column needs no lock and no per-call log), and the step loop skips a
-// node whose wake round is still ahead and whose arena slice is empty in
-// O(1). Sleepers stay on the live list: quiescence, live_node_count(),
-// all_halted() and the trace's `live` field count them as before.
+// per-node wake column, and the step loop skips a node whose wake round is
+// still ahead and whose arena slice is empty in O(1). Sleepers stay on the
+// live list: quiescence, live_node_count(), all_halted() and the trace's
+// `live` field count them as before.
 // When no node stepped in a round stays awake for the next one and nothing
 // is in flight, one O(live) scan of the wake column finds the earliest wake
 // round, and every round before it is skipped: nothing is stepped, gathered
@@ -40,22 +39,19 @@
 //
 // Step/commit architecture
 // ------------------------
-// Each round runs in two phases. The *step* phase invokes every live node,
-// which writes its sends and halt request through a `RoundBuffer`
-// (netsim/round_buffer.h) into its shard's private `StageLog` — shards of
-// distinct workers share no mutable transport state, so the step phase is
-// executed over contiguous shards of the live list by a `ParallelExecutor`
-// (netsim/executor.h) with `Options::num_threads` threads (default 1). The
-// *commit* phase then delivers the staged sends by counting sort into the
-// structure-of-arrays arena (below): fault injection is applied and metrics
-// are accounted in canonical node-id order, then surviving records are
-// scattered into next round's arena.
+// Each round runs in two phases, on one thread. The *step* phase invokes
+// every live node in ascending id order, which writes its sends and halt
+// request through a `RoundBuffer` (netsim/round_buffer.h) into the round's
+// `StageLog`. The *commit* phase then delivers the staged sends by counting
+// sort into the structure-of-arrays arena (below): fault injection is
+// applied and metrics are accounted in canonical node-id order, then
+// surviving records are scattered into next round's arena.
 //
 // Structure-of-arrays arena
 // -------------------------
 // The transport never moves 80-byte `Message` objects in bulk. Staging
-// stores packed 40-byte `WireRecord`s (netsim/message.h) contiguously per
-// step shard in a `StageLog`; a broadcast stages ONE flagged record, not
+// stores packed 40-byte `WireRecord`s (netsim/message.h) contiguously in
+// the round's `StageLog`; a broadcast stages ONE flagged record, not
 // `degree` copies, and its CONGEST bill (message count, bit sum) is settled
 // analytically at stage time, not per copy. The rare TransportHeader of
 // reliable-channel frames lives in a sparse side list keyed by record
@@ -63,13 +59,13 @@
 // is a double-buffered permutation of *slots* — `const WireRecord*`
 // entries laid out CSR-style as disjoint per-destination slices — and the
 // commit phase runs column-wise passes:
-//   1. *tally/merge* (serial, canonical shard order): fault-free rounds sum
-//      the per-log message/bit aggregates and merge the per-log destination
-//      histograms that staging already counted (O(logs + touched dsts), not
-//      O(messages)); rounds with message hazards instead walk the records
-//      in canonical order, drawing the per-(seed, sender, round) fault
-//      coins in send order — broadcasts expand here, one coin per copy in
-//      adjacency order, exactly the legacy per-copy stream;
+//   1. *tally*: fault-free rounds read the log's message/bit aggregates,
+//      and staging has already counted every copy into the destination
+//      count column, so there is nothing left to count; rounds with message
+//      hazards instead walk the records in canonical order, drawing the
+//      per-(seed, sender, round) fault coins in send order — broadcasts
+//      expand here, one coin per copy in adjacency order, exactly the
+//      legacy per-copy stream — and count the surviving copies;
 //   2. *layout*: retire the consumed arena's slices and prefix-sum the new
 //      counts into (begin, count) slices. Sparse rounds visit only the
 //      first-touch list of destinations; dense rounds (survivors >= N/8)
@@ -77,22 +73,20 @@
 //      messages) by the gate, and ascending slice order is friendlier to
 //      the scatter;
 //   3. *scatter*: write each surviving record's address into its slice,
-//      expanding broadcast records over the sender's adjacency. Each
-//      destination's cursor is private to the node-id shard that owns it,
-//      so the scatter runs on the same `ParallelExecutor` as the step
-//      phase; shards scan the logs in canonical order, so each slice fills
-//      in ascending-sender order with ties in send-call order — exactly the
-//      order the old per-node mailboxes accumulated, and already the
-//      canonical `kBySource` delivery order, so `kBySource` needs no
-//      per-inbox sort at all.
+//      expanding broadcast records over the sender's adjacency. The log is
+//      scanned in canonical order, so each slice fills in ascending-sender
+//      order with ties in send-call order — exactly the order the old
+//      per-node mailboxes accumulated, and already the canonical
+//      `kBySource` delivery order, so `kBySource` needs no per-inbox sort
+//      at all.
 // Each slot also carries the copy's receiver-side port (`Message::port`),
 // written by the scatter into a parallel column: a unicast's port is
 // looked up in the reverse-position column (below) from the sender-side
 // position its RoundBuffer already resolved, a broadcast copy's is read
 // beside the sender's adjacency, and the clique's is arithmetic.
 // At delivery the next step phase *gathers*: each node's slot slice is
-// materialized into a per-shard `Message` scratch (the only place the wide
-// view is built), ordered per `DeliveryOrder`, and handed to the process.
+// materialized into a `Message` scratch (the only place the wide view is
+// built), ordered per `DeliveryOrder`, and handed to the process.
 // Every round, fault-free or not, delivers through this arena.
 // Per-round transport work is O(live nodes + messages), never O(N): the
 // engine iterates an explicit live-node list (halted nodes are compacted
@@ -100,15 +94,14 @@
 // counters rather than a scan.
 //
 // Recycling: the logs, the slot permutations, the scratch vectors and the
-// per-shard link stamps all retain capacity across rounds and across run()
-// calls, so steady-state commits allocate nothing
-// (tests/arena_alloc_test.cc pins this).
+// link stamps all retain capacity across rounds and across run() calls, so
+// steady-state commits allocate nothing (tests/arena_alloc_test.cc pins
+// this).
 //
 // Determinism
 // -----------
-// The execution is a pure function of (topology, processes, options.seed) —
-// bit-identical for every thread count. Three explicit stream families
-// carry all randomness:
+// The execution is a pure function of (topology, processes, options.seed).
+// Three explicit stream families carry all randomness:
 //   * node coins:     `ctx.rng()` draws from a persistent per-node stream
 //                     derived once as split(seed, node);
 //   * inbox shuffle:  `kRandomShuffle` permutes node v's round-r arena
@@ -120,9 +113,7 @@
 // from a shared generator, no draw depends on the order nodes were stepped.
 // Nor does any depend on which no-op steps were skipped: a skipped step
 // draws no node coin (the process promised it would not), receives no
-// inbox to shuffle and sends nothing to drop, and the wake scan reads a
-// column that every thread count fills identically, so sleeping and
-// skipped rounds are thread-invariant too.
+// inbox to shuffle and sends nothing to drop.
 // `kBySource` delivers each slice as laid out (ascending source — the
 // canonical order), `kReverseSource` is a cheap adversary for
 // order-sensitivity tests.
@@ -145,7 +136,9 @@
 // a round boundary: every staged send has been committed into the arena,
 // so calling `run()` again continues the *same* execution — the next call
 // picks up at round `r+1` with the in-flight messages intact.
-// tests/netsim_test.cc pins it.
+// tests/netsim_test.cc pins it. A run() that throws (a process's
+// CheckError) leaves its round half staged; only restart() goes on from
+// there.
 //
 // Stage rerun semantics
 // ---------------------
@@ -170,16 +163,15 @@
 // commit scatter instead iterate destinations in ascending id order
 // skipping the sender, which keeps `kBySource` the canonical
 // ascending-source order and the per-copy fault-coin stream identical to an
-// explicit clique. (The stage-time histogram walks the rotation, but any
+// explicit clique. (The stage-time tally walks the rotation, but any
 // clique broadcast makes its round dense, and the dense layout re-derives
 // the touched list in ascending order.) Per-link legality is enforced
-// exactly as in explicit topologies, through the same per-shard link
-// stamps: the RoundBuffer maps a destination to its rotation position
-// arithmetically instead of searching a sorted list, and a broadcast is
-// still ONE staged record whose N-1 per-link bills (messages, bits) are
-// settled analytically at stage time. add_edge() is rejected; everything
-// else (faults, delivery orders, tracing, determinism across thread counts)
-// composes unchanged.
+// exactly as in explicit topologies, through the same link stamps: the
+// RoundBuffer maps a destination to its rotation position arithmetically
+// instead of searching a sorted list, and a broadcast is still ONE staged
+// record whose N-1 per-link bills (messages, bits) are settled analytically
+// at stage time. add_edge() is rejected; everything else (faults, delivery
+// orders, tracing) composes unchanged.
 //
 // Fault injection
 // ---------------
@@ -209,7 +201,6 @@
 namespace dflp::net {
 
 class Network;
-class ParallelExecutor;
 class Tracer;
 
 /// How the communication graph is declared.
@@ -221,9 +212,9 @@ enum class Topology : std::uint8_t {
   kClique,
 };
 
-/// Link scratch for the one-message-per-link rule, owned per step shard by
-/// the engine and per standalone RoundBuffer: `stamp[k]` is the epoch in
-/// which the stepping node last sent on the link to its k-th neighbour.
+/// Link scratch for the one-message-per-link rule, owned by the engine and
+/// by each standalone RoundBuffer: `stamp[k]` is the epoch in which the
+/// stepping node last sent on the link to its k-th neighbour.
 /// RoundBuffer::begin() bumps `epoch`, so every link reads as unused again
 /// in O(1) — no zero-fill per node step, on any topology.
 struct LinkStamps {
@@ -239,14 +230,14 @@ struct StagedHeader {
   TransportHeader hdr;
 };
 
-/// Contiguous staging log filled by one step shard per round: every live
-/// node of the shard appends its sends (as packed WireRecords), halts and
-/// phase annotations here through its RoundBuffer. Records are grouped per
-/// sender in ascending live-list order with ties in send-call order, which
-/// is exactly the canonical order the commit phase consumes. The engine
-/// double-buffers two log sets by round parity so last round's records stay
-/// addressable (the delivery arena points into them) while this round
-/// stages. All vectors retain capacity across rounds.
+/// Contiguous staging log of one round: every stepped node appends its
+/// sends (as packed WireRecords), halts and phase annotations here through
+/// its RoundBuffer. Records are grouped per sender in ascending id order
+/// with ties in send-call order, which is exactly the canonical order the
+/// commit phase consumes. The engine double-buffers two logs by round
+/// parity so last round's records stay addressable (the delivery arena
+/// points into them) while this round stages. All vectors retain capacity
+/// across rounds.
 struct StageLog {
   std::vector<WireRecord> records;
   /// Parallel to `records`: the sender-side port of each unicast or frame,
@@ -256,19 +247,9 @@ struct StageLog {
   std::vector<StagedHeader> headers;  ///< sparse, ascending record index
   std::vector<NodeId> halts;          ///< nodes that requested a halt
   /// Stepped nodes that stay awake for the next round: neither halted nor
-  /// asleep past it. The engine skips rounds only when every log reads 0.
+  /// asleep past it. The engine skips rounds only when this reads 0.
   std::size_t awake = 0;
   std::vector<std::string_view> annotations;  ///< traced phase labels
-
-  // Stage-time destination histogram, maintained only under
-  // RoundBuffer::Limits::tally_destinations (the engine's fault-free
-  // commit merges it; hazard commits re-count per surviving copy).
-  // dst_count is sized to the node count by the engine and kept all-zero
-  // between commits; touched lists its nonzero entries in first-touch
-  // order. Standalone logs (synchronizer, reliable channel) leave both
-  // empty.
-  std::vector<std::int32_t> dst_count;
-  std::vector<NodeId> touched;
 
   // Batched CONGEST accounting, summed analytically at stage time (a
   // broadcast adds degree * bits in O(1)).
@@ -276,18 +257,13 @@ struct StageLog {
   std::uint64_t bits_sum = 0;  ///< declared bits over all staged sends
   int max_bits = 0;            ///< largest staged declared size
 
-  /// Live-list begin of the shard that claimed this log — the commit phase
-  /// orders claimed logs by it to recover the canonical serial order.
-  std::size_t range_begin = 0;
-
-  /// Clears contents for reuse, retaining capacity. O(touched), not O(N):
-  /// only the histogram entries listed in `touched` are rezeroed.
+  /// Clears contents for reuse, retaining capacity.
   void reset() noexcept;
 };
 
 /// Transport abstraction NodeContext delegates to. The synchronous Network
 /// hands each stepped node a RoundBuffer implementing it (writing into the
-/// shard's StageLog); the alpha-synchronizer (netsim/async.h) stages its
+/// round's StageLog); the alpha-synchronizer (netsim/async.h) stages its
 /// wrapped protocol's sends the same way, so the *same* Process code runs
 /// in both worlds.
 class MessageSink {
@@ -412,9 +388,9 @@ class Process {
   /// Called once per round while the node is live. `inbox` holds messages
   /// sent to this node in the previous round (empty in round 0); the span
   /// points into the engine's delivery arena and is valid only for the
-  /// duration of the call. Under a multi-threaded engine the call may
-  /// happen on a worker thread; a process may freely touch its own members
-  /// and its NodeContext but must not reach into other nodes' state.
+  /// duration of the call. A process may freely touch its own members and
+  /// its NodeContext but must not reach into other nodes' state: they
+  /// communicate only by messages.
   virtual void on_round(NodeContext& ctx, std::span<const Message> inbox) = 0;
 };
 
@@ -440,9 +416,6 @@ class Network final {
     FaultPlan::Options faults;
     /// Seed for node RNG streams, delivery shuffles and fault injection.
     std::uint64_t seed = 1;
-    /// Threads for the step phase and the commit scatter (>= 1). Results
-    /// are bit-identical for every value; 1 runs inline with no pool.
-    int num_threads = 1;
     /// Optional round tracer (netsim/trace.h), not owned; must outlive the
     /// network. nullptr (the default) disables tracing at the cost of one
     /// pointer test per round. Tracing is purely observational — it never
@@ -462,9 +435,8 @@ class Network final {
 
   /// Freezes the topology (builds the sorted adjacency and its
   /// reverse-position column in O(N + E)), validates the options (budget,
-  /// threads, fault plan — throwing CheckError with the offending value),
-  /// binds the fault plan, derives per-node RNGs and allocates the
-  /// per-shard staging logs and arena slabs.
+  /// fault plan — throwing CheckError with the offending value), binds the
+  /// fault plan, derives per-node RNGs and allocates the arena columns.
   /// Must be called exactly once, before set_process()/run().
   void finalize();
 
@@ -556,12 +528,11 @@ class Network final {
   void bind_options();
 
   /// Materializes node i's inbox: gathers the WireRecords addressed by its
-  /// slot slice of the permutation arena into `scratch` (grown as needed,
-  /// never shrunk — the wide Message view exists only here) and returns the
-  /// filled span. Framed slots pull their TransportHeader from the sparse
-  /// header_slots_ table.
-  [[nodiscard]] std::span<Message> gather_inbox(std::size_t i,
-                                                std::vector<Message>& scratch);
+  /// slot slice of the permutation arena into inbox_scratch_ (grown as
+  /// needed, never shrunk — the wide Message view exists only here) and
+  /// returns the filled span. Framed slots pull their TransportHeader from
+  /// the sparse header_slots_ table.
+  [[nodiscard]] std::span<Message> gather_inbox(std::size_t i);
 
   void order_inbox(std::span<Message> inbox, NodeId node) const;
 
@@ -595,7 +566,7 @@ class Network final {
 
   // One record that survived its fault coins, with its resolved concrete
   // destination and receiver port (broadcasts are expanded by the hazard
-  // tally) and its header, if any. Points into the round's staging logs.
+  // tally) and its header, if any. Points into the round's staging log.
   struct Survivor {
     const WireRecord* rec = nullptr;
     const TransportHeader* hdr = nullptr;
@@ -605,32 +576,30 @@ class Network final {
 
   // Structure-of-arrays delivery state — see the header comment.
   //
-  // stage_logs_ holds two sets of per-shard staging logs, flipped by round
-  // parity: the set staged in round r backs the arena consumed in round
-  // r+1, so its records must outlive the next step phase. Shards claim a
-  // log (and the matching inbox_scratch_ and link_stamps_ entries) through a
-  // per-round atomic counter local to run(); the commit orders claimed logs
-  // by their recorded live-range begin, so claim order never shows.
+  // stage_logs_ holds two staging logs, flipped by round parity: the log
+  // staged in round r backs the arena consumed in round r+1, so its
+  // records must outlive the next step phase.
   //
   // arena_ is the slot permutation of round r's inbound records as disjoint
   // per-destination slices (slice_begin_/slice_count_, valid for the
   // destinations listed in touched_), and arena_port_ the receiver port of
   // each slot; the commit scatter fills next_arena_/next_arena_port_ and
-  // the pairs swap each round. dst_count_ is the counting-sort tally
-  // (all-zero between commits), dst_cursor_ the per-destination scatter
-  // cursors. survivors_ is filled only on rounds with message hazards;
-  // fault-free rounds scatter straight from the logs and leave it empty.
-  std::array<std::vector<StageLog>, 2> stage_logs_;
-  std::vector<std::vector<Message>> inbox_scratch_;  ///< per step shard
-  std::vector<LinkStamps> link_stamps_;              ///< per step shard
+  // the pairs swap each round. dst_count_ is the counting-sort tally and
+  // next_touched_ its nonzero entries in first-touch order: fault-free
+  // staging fills both, hazard commits count surviving copies into them,
+  // and the layout drains them (all-zero and empty between rounds).
+  // dst_cursor_ holds the per-destination scatter cursors. survivors_ is
+  // filled only on rounds with message hazards; fault-free rounds scatter
+  // straight from the log and leave it empty.
+  std::array<StageLog, 2> stage_logs_;
+  std::vector<Message> inbox_scratch_;
+  LinkStamps link_stamps_;
   std::vector<const WireRecord*> arena_;
   std::vector<const WireRecord*> next_arena_;
   std::vector<std::int32_t> arena_port_;
   std::vector<std::int32_t> next_arena_port_;
   std::vector<HeaderSlot> header_slots_;
-  std::vector<std::vector<HeaderSlot>> header_scratch_;  ///< per scatter shard
   std::vector<Survivor> survivors_;
-  std::vector<std::size_t> log_order_;  ///< claimed logs by range_begin
   std::vector<std::size_t> slice_begin_;
   std::vector<std::int32_t> slice_count_;
   std::vector<std::int32_t> dst_count_;
@@ -647,23 +616,16 @@ class Network final {
   // Sleepers stay on it.
   std::vector<NodeId> live_nodes_;
   // Per-node wake round: node v's next step may be skipped while
-  // round_ < wake_[v] and no message is addressed to it. Written only by
-  // the shard stepping v (through its RoundBuffer), reset to 0 (awake) at
-  // the start of each of v's steps. 32 bits: a later wake round saturates,
-  // which only wakes the node early — ignoring a hint is always allowed.
+  // round_ < wake_[v] and no message is addressed to it. Written through
+  // v's RoundBuffer, reset to 0 (awake) at the start of each of v's steps.
+  // 32 bits: a later wake round saturates, which only wakes the node
+  // early — ignoring a hint is always allowed.
   std::vector<std::uint32_t> wake_;
   // Rounds before skip_until_ are skipped: set by the wake scan when no
   // stepped node stayed awake and nothing is in flight.
   std::uint64_t skip_until_ = 0;
-  // Per-round scratch: nodes whose step requested a halt, collected by the
-  // commit tally so the halt pass only visits them.
-  std::vector<NodeId> halt_requests_;
   std::uint64_t inflight_messages_ = 0;
   std::uint64_t transport_touches_ = 0;
-
-  // Lazily created on first run() (keeps the class cheaply movable before
-  // any execution starts).
-  std::unique_ptr<ParallelExecutor> executor_;
 
   std::uint64_t round_ = 0;
   NetMetrics cumulative_;

@@ -14,14 +14,9 @@ void StageLog::reset() noexcept {
   halts.clear();
   awake = 0;
   annotations.clear();
-  // The engine's fault-free commit drains the histogram as it merges; this
-  // loop only pays for entries a consumer left behind (standalone resets).
-  for (const NodeId d : touched) dst_count[static_cast<std::size_t>(d)] = 0;
-  touched.clear();
   messages = 0;
   bits_sum = 0;
   max_bits = 0;
-  range_begin = 0;
 }
 
 void RoundBuffer::begin(NodeId node, std::uint64_t round,
@@ -110,10 +105,9 @@ void RoundBuffer::stage_single(const WireRecord& rec, std::int32_t port) {
   ++log.messages;
   log.bits_sum += static_cast<std::uint64_t>(rec.bits);
   log.max_bits = std::max(log.max_bits, static_cast<int>(rec.bits));
-  if (limits_.tally_destinations) {
-    const auto dst = static_cast<std::size_t>(rec.dst);
-    if (log.dst_count[dst]++ == 0) log.touched.push_back(rec.dst);
-  }
+  if (limits_.dst_count != nullptr &&
+      limits_.dst_count[static_cast<std::size_t>(rec.dst)]++ == 0)
+    limits_.touched->push_back(rec.dst);
 }
 
 void RoundBuffer::sink_send(NodeId from, NodeId to, std::uint8_t kind,
@@ -139,15 +133,15 @@ void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
   broadcast_ = true;
 
   // The copies are never materialized: the record below stands for all of
-  // them, and the CONGEST bill is batched analytically. Only the stage-time
-  // destination histogram walks the adjacency.
-  StageLog& log = *log_;
-  if (limits_.tally_destinations) {
+  // them, and the CONGEST bill is batched analytically. Only the
+  // destination tally walks the adjacency.
+  if (std::int32_t* const count = limits_.dst_count) {
     for (const NodeId nb : neighbors_) {
-      const auto dst = static_cast<std::size_t>(nb);
-      if (log.dst_count[dst]++ == 0) log.touched.push_back(nb);
+      if (count[static_cast<std::size_t>(nb)]++ == 0)
+        limits_.touched->push_back(nb);
     }
   }
+  StageLog& log = *log_;
   log.records.push_back(rec);
   log.ports.push_back(0);
   const auto degree = static_cast<std::uint64_t>(neighbors_.size());

@@ -4,22 +4,19 @@
 // ------------------------
 // A round executes in two phases. In the *step* phase every live node is
 // invoked with its inbox and writes its sends and its halt request through
-// a `RoundBuffer` into a `StageLog` (netsim/network.h) — never into shared
-// transport state. The engine gives each step shard one contiguous log and
-// re-arms a single stack-local buffer per node, so logs of distinct shards
-// share nothing and the step phase may run nodes in any order, on any
-// number of threads. In the *commit* phase the engine drains the logs in
-// canonical shard order, applies fault injection, and moves the surviving
-// records into next round's inboxes. Because the commit order is fixed and
-// every random draw comes from a stream derived from `(seed, node, round)`
+// a `RoundBuffer` into the round's `StageLog` (netsim/network.h) — never
+// into the delivery arena. The engine re-arms one buffer per node step, so
+// the log fills in ascending node order. In the *commit* phase the engine
+// drains the log in that canonical order, applies fault injection, and
+// moves the surviving records into next round's inboxes. Because every
+// random draw comes from a stream derived from `(seed, node, round)`
 // (common/rng.h `derive_stream_seed`), the whole execution is a pure
-// function of (topology, processes, seed) — identical for every thread
-// count and scheduling of the step phase.
+// function of (topology, processes, seed).
 //
 // The buffer owns all CONGEST legality checks (adjacency, honest bit
 // declaration, per-message budget, one message per directed link per
-// round, reserved opcodes), so they fire inside the sending node's own step
-// with no shared state. The link rule has one mechanism on every topology:
+// round, reserved opcodes), so they fire inside the sending node's own
+// step. The link rule has one mechanism on every topology:
 // a unicast or frame stamps its link's slot in a `LinkStamps` column
 // (netsim/network.h) indexed by neighbour position, and begin() re-arms the
 // column by bumping its epoch. A broadcast uses every link, so it is legal
@@ -58,12 +55,14 @@ class RoundBuffer final : public MessageSink {
     /// (netsim/trace.h). Off by default: annotations are dropped at the
     /// sink, so untraced runs pay only the virtual call.
     bool capture_annotations = false;
-    /// Maintain the log's per-destination histogram at stage time (the
-    /// engine sets it when the run has no message hazards: its commit then
-    /// merges the histograms instead of re-counting the records). Requires
-    /// StageLog::dst_count sized to the node count, so standalone consumers
-    /// leave it off.
-    bool tally_destinations = false;
+    /// The engine's destination tally (netsim/network.h), set when the run
+    /// has no message hazards: every staged copy bumps `dst_count[dst]`,
+    /// and a destination's first copy is appended to `touched`, so the
+    /// commit has nothing left to count. Null (standalone consumers, and
+    /// the engine under hazards, whose commit counts surviving copies)
+    /// skips the tally.
+    std::int32_t* dst_count = nullptr;
+    std::vector<NodeId>* touched = nullptr;
   };
 
   RoundBuffer() = default;
@@ -75,7 +74,7 @@ class RoundBuffer final : public MessageSink {
   /// rotation is then computed, not searched. `log` receives the staged
   /// records/halts/annotations; nullptr (the standalone default) selects the
   /// buffer's private log, which is cleared here — capacity is retained
-  /// across rounds. `links` is the step shard's link-stamp column; nullptr
+  /// across rounds. `links` is the engine's link-stamp column; nullptr
   /// selects the buffer's own. Either is grown to the degree if needed and
   /// re-armed by an epoch bump, so re-arming is O(1), never a zero-fill.
   /// `wake` is the owner's entry in the engine's wake column: begin() sets
@@ -173,7 +172,7 @@ class RoundBuffer final : public MessageSink {
 
   /// Appends one single-destination record and its sender-side port to the
   /// log and settles its accounting (aggregates plus, when enabled, the
-  /// stage-time histogram).
+  /// destination tally).
   void stage_single(const WireRecord& rec, std::int32_t port);
 
   NodeId owner_ = kNoNode;

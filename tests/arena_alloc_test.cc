@@ -2,9 +2,9 @@
 //
 // The engine's capacity-recycling contract (netsim/network.h §arena) is
 // that once a workload's shapes have been seen, whole rounds run out of
-// recycled storage: staging logs, stage-time histograms, the slot
-// permutation, inbox scratch, and the per-shard link stamps are all grown
-// once and reused. This file replaces the global allocator with a counting
+// recycled storage: staging logs, the destination tally, the slot
+// permutation, inbox scratch, and the link stamps are all grown once and
+// reused. This file replaces the global allocator with a counting
 // shim and pins that contract literally — after a short warm-up,
 // additional rounds perform ZERO heap allocations, both when every record
 // is a broadcast fanned out by the scatter and when every record is a
@@ -121,7 +121,6 @@ std::unique_ptr<net::Network> make_chorded_ring(std::size_t n) {
   net::Network::Options o;
   o.bit_budget = 64;
   o.seed = 1;
-  o.num_threads = 1;
   auto net = std::make_unique<net::Network>(n, o);
   Rng topo_rng(0xBE7C417ULL);
   std::set<std::pair<net::NodeId, net::NodeId>> edges;
@@ -151,7 +150,6 @@ std::unique_ptr<net::Network> make_clique(std::size_t n) {
   o.topology = net::Topology::kClique;
   o.bit_budget = 64;
   o.seed = 1;
-  o.num_threads = 1;
   auto net = std::make_unique<net::Network>(n, o);
   net->finalize();
   for (std::size_t v = 0; v < n; ++v)

@@ -56,13 +56,6 @@ TEST(OptionsValidation, RejectsBitBudgetBelowOpcode) {
   EXPECT_NE(msg.find("got 7"), std::string::npos) << msg;
 }
 
-TEST(OptionsValidation, RejectsZeroThreads) {
-  Network::Options o = base_opts();
-  o.num_threads = 0;
-  const std::string msg = rejection_message([&] { finalize_with(o); });
-  EXPECT_NE(msg.find("num_threads must be >= 1"), std::string::npos) << msg;
-}
-
 TEST(OptionsValidation, RejectsOutOfRangeDropProbability) {
   Network::Options o = base_opts();
   o.faults.drop_probability = 1.5;

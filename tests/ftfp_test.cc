@@ -286,27 +286,6 @@ TEST(FtfpGreedy, TieredRequirementsRunPartialPhases) {
   EXPECT_LT(out.phase_metrics[1].messages, out.phase_metrics[0].messages);
 }
 
-TEST(FtfpGreedy, DeterministicAcrossThreadCounts) {
-  const fl::FtfpInstance inst =
-      fl::with_uniform_requirement(small_instance(41), 2);
-  core::MwParams params;
-  params.k = 4;
-  params.seed = 6;
-  const core::FtfpOutcome golden = core::run_ftfp_greedy(inst, params);
-  for (const int threads : {2, 4, 8}) {
-    core::MwParams p = params;
-    p.num_threads = threads;
-    const core::FtfpOutcome out = core::run_ftfp_greedy(inst, p);
-    EXPECT_EQ(out.solution.fingerprint(inst),
-              golden.solution.fingerprint(inst))
-        << "threads=" << threads;
-    EXPECT_EQ(out.metrics.rounds, golden.metrics.rounds)
-        << "threads=" << threads;
-    EXPECT_EQ(out.metrics.messages, golden.metrics.messages)
-        << "threads=" << threads;
-  }
-}
-
 TEST(FtfpGreedy, RecoveredLossyRunMatchesFaultFree) {
   const fl::FtfpInstance inst =
       fl::with_uniform_requirement(small_instance(43), 2);

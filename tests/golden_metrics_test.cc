@@ -63,24 +63,19 @@ TEST(GoldenMetrics, MwGreedyReliableRunMatchesCommittedFingerprint) {
   EXPECT_EQ(open_count(inst, out.solution), kGoldenOpenFacilities);
 }
 
-TEST(GoldenMetrics, FingerprintIndependentOfDeliveryOrderAndThreads) {
+TEST(GoldenMetrics, FingerprintIndependentOfDeliveryOrder) {
   // For this instance the protocol's behaviour is invariant under inbox
-  // reordering, so every delivery order must reproduce the one golden —
-  // at every thread count.
+  // reordering, so every delivery order must reproduce the one golden.
   const fl::Instance inst = golden_instance();
   for (auto delivery :
        {net::DeliveryOrder::kBySource, net::DeliveryOrder::kRandomShuffle,
         net::DeliveryOrder::kReverseSource}) {
-    for (int threads : {1, 4}) {
-      core::MwParams params = golden_params();
-      params.delivery = delivery;
-      params.num_threads = threads;
-      const core::MwGreedyOutcome out = core::run_mw_greedy(inst, params);
-      EXPECT_EQ(metrics_fingerprint(out.metrics), kGoldenFingerprint)
-          << "delivery=" << static_cast<int>(delivery)
-          << " threads=" << threads;
-      EXPECT_EQ(open_count(inst, out.solution), kGoldenOpenFacilities);
-    }
+    core::MwParams params = golden_params();
+    params.delivery = delivery;
+    const core::MwGreedyOutcome out = core::run_mw_greedy(inst, params);
+    EXPECT_EQ(metrics_fingerprint(out.metrics), kGoldenFingerprint)
+        << "delivery=" << static_cast<int>(delivery);
+    EXPECT_EQ(open_count(inst, out.solution), kGoldenOpenFacilities);
   }
 }
 

@@ -236,46 +236,42 @@ TEST(CliqueFl, GoldenFingerprintPinned) {
   EXPECT_EQ(clique_fingerprint(minst, out), kCliqueFlGolden);
 }
 
-TEST(CliqueFl, BitIdenticalAcrossThreadsDeliveryAndDuplication) {
+TEST(CliqueFl, BitIdenticalAcrossDeliveryAndDuplication) {
   const fl::MetricInstance minst = small_metric();
-  const auto run = [&](int threads, net::DeliveryOrder delivery,
+  const auto run = [&](net::DeliveryOrder delivery,
                        double duplicate_probability) {
     core::CliqueFlParams params;
     params.seed = 21;
-    params.num_threads = threads;
     params.delivery = delivery;
     params.faults.duplicate_probability = duplicate_probability;
     params.faults.fault_seed = 23;
     return clique_fingerprint(minst, core::run_clique_fl(minst, params));
   };
-  const std::string baseline =
-      run(1, net::DeliveryOrder::kBySource, /*dup=*/0.0);
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const net::DeliveryOrder delivery :
-         {net::DeliveryOrder::kBySource, net::DeliveryOrder::kRandomShuffle,
-          net::DeliveryOrder::kReverseSource}) {
-      // Fault-free: the full fingerprint (solution + metrics) matches the
-      // serial BySource run — the protocol's folds are order-insensitive.
-      EXPECT_EQ(run(threads, delivery, 0.0), baseline)
-          << "threads = " << threads;
-      // Duplication: metrics legitimately differ from the clean run, but
-      // the *solution* prefix must match the clean one and the whole
-      // fingerprint must be thread-invariant.
-      const std::string dup = run(threads, delivery, 0.2);
-      EXPECT_EQ(dup.substr(0, dup.find(" | ")),
-                baseline.substr(0, baseline.find(" | ")))
-          << "threads = " << threads;
-      EXPECT_EQ(dup, run(1, delivery, 0.2)) << "threads = " << threads;
-    }
+  const std::string baseline = run(net::DeliveryOrder::kBySource, 0.0);
+  const std::string dup_baseline = run(net::DeliveryOrder::kBySource, 0.2);
+  // Duplication: metrics legitimately differ from the clean run, but the
+  // *solution* prefix must match the clean one.
+  EXPECT_NE(dup_baseline, baseline);
+  EXPECT_EQ(dup_baseline.substr(0, dup_baseline.find(" | ")),
+            baseline.substr(0, baseline.find(" | ")));
+  for (const net::DeliveryOrder delivery :
+       {net::DeliveryOrder::kRandomShuffle,
+        net::DeliveryOrder::kReverseSource}) {
+    // The protocol's folds are order-insensitive and the duplication
+    // coins are drawn per sender, so every delivery order reproduces the
+    // BySource fingerprint (solution + metrics), with and without
+    // duplication.
+    EXPECT_EQ(run(delivery, 0.0), baseline);
+    EXPECT_EQ(run(delivery, 0.2), dup_baseline);
   }
 }
 
 TEST(CliqueFl, MessageLossFailsLoudlyAndIdentically) {
   const fl::MetricInstance minst = small_metric();
-  const auto run = [&](int threads) -> std::string {
+  const auto run = [&](net::DeliveryOrder delivery) -> std::string {
     core::CliqueFlParams params;
     params.seed = 21;
-    params.num_threads = threads;
+    params.delivery = delivery;
     params.faults.drop_probability = 0.3;
     params.faults.fault_seed = 23;
     params.max_rounds = 64;
@@ -286,14 +282,17 @@ TEST(CliqueFl, MessageLossFailsLoudlyAndIdentically) {
       return std::string("CheckError: ") + e.what();
     }
   };
-  const std::string baseline = run(1);
+  const std::string baseline = run(net::DeliveryOrder::kBySource);
   // Dropped OPEN/RETIRE announcements can never be re-learned, so the run
   // must stall and throw the named diagnostic...
   EXPECT_NE(baseline.find("clique-fl stalled"), std::string::npos)
       << baseline;
-  // ...identically at every thread count.
-  for (const int threads : {2, 4, 8})
-    EXPECT_EQ(run(threads), baseline) << "threads = " << threads;
+  // ...identically under every delivery order: the drop coins are drawn
+  // per sender, not per inbox.
+  for (const net::DeliveryOrder delivery :
+       {net::DeliveryOrder::kRandomShuffle,
+        net::DeliveryOrder::kReverseSource})
+    EXPECT_EQ(run(delivery), baseline);
 }
 
 }  // namespace

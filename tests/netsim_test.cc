@@ -609,8 +609,8 @@ TEST(Network, MetricsToStringMentionsCounts) {
 
 TEST(Network, PortNamesTheSenderOnEveryDelivery) {
   // Unicasts and broadcasts on a random graph, under every delivery order,
-  // at 1 and 4 threads, fault-free, with duplication (both copies carry
-  // the port) and with i.i.d. drop.
+  // fault-free, with duplication (both copies carry the port) and with
+  // i.i.d. drop.
   expect_ports_hold(Topology::kExplicit, 40);
 }
 
@@ -654,7 +654,7 @@ TEST(Network, PrebuiltAdjacencyIsCheckedAndUsed) {
 
 TEST(Network, RestartRunsLikeAFreshNetwork) {
   // Stage rerun: a second execution on the same topology under new
-  // options (seed, faults, budget, threads) equals a fresh network's.
+  // options (seed, faults, budget) equals a fresh network's.
   const auto probe_all = [](Network& net) {
     for (std::size_t v = 0; v < net.num_nodes(); ++v)
       net.set_process(static_cast<NodeId>(v), std::make_unique<PortProbe>(6));
@@ -667,7 +667,6 @@ TEST(Network, RestartRunsLikeAFreshNetwork) {
   Network::Options second = opts();
   second.seed = 99;
   second.bit_budget = 72;
-  second.num_threads = 3;
   second.faults.drop_probability = 0.1;
   const auto edges = probe_graph(30, 0.2, 5);
 
@@ -698,6 +697,67 @@ TEST(Network, RestartRunsLikeAFreshNetwork) {
   Network::Options clique = second;
   clique.topology = Topology::kClique;
   EXPECT_THROW(rerun.restart(clique), CheckError);
+}
+
+/// A probe that throws CheckError in round `throw_round`, after its sends.
+class ThrowingProbe final : public Process {
+ public:
+  explicit ThrowingProbe(std::uint64_t throw_round)
+      : probe_(6), throw_round_(throw_round) {}
+  void on_round(NodeContext& ctx, std::span<const Message> inbox) override {
+    probe_.on_round(ctx, inbox);
+    DFLP_CHECK_MSG(ctx.round() != throw_round_,
+                   "node " << ctx.self() << " fails after sending");
+  }
+
+ private:
+  PortProbe probe_;
+  std::uint64_t throw_round_;
+};
+
+TEST(Network, RestartAfterAThrowingStepRunsLikeAFreshNetwork) {
+  // A step that throws leaves its round half staged: the nodes stepped
+  // before it, and the thrower itself, have sent. restart() must discard
+  // all of it, so the next execution equals a fresh network's.
+  const auto edges = probe_graph(30, 0.2, 5);
+  const auto build = [&] {
+    auto net = std::make_unique<Network>(30, opts());
+    for (const auto& [u, v] : edges) net->add_edge(u, v);
+    net->finalize();
+    return net;
+  };
+  const auto probe_all = [](Network& net) {
+    for (std::size_t v = 0; v < net.num_nodes(); ++v)
+      net.set_process(static_cast<NodeId>(v), std::make_unique<PortProbe>(6));
+  };
+  const auto totals = [](const Network& net) {
+    return sum_probes(net.num_nodes(), [&](NodeId v) -> const PortProbe& {
+      return static_cast<const PortProbe&>(net.process(v));
+    });
+  };
+
+  const std::unique_ptr<Network> fresh = build();
+  probe_all(*fresh);
+  const NetMetrics want = fresh->run(20);
+
+  const std::unique_ptr<Network> rerun = build();
+  for (std::size_t v = 0; v < rerun->num_nodes(); ++v) {
+    std::unique_ptr<Process> p = std::make_unique<PortProbe>(6);
+    if (v == 17) p = std::make_unique<ThrowingProbe>(/*throw_round=*/2);
+    rerun->set_process(static_cast<NodeId>(v), std::move(p));
+  }
+  EXPECT_THROW((void)rerun->run(20), CheckError);
+  rerun->restart(opts());
+  probe_all(*rerun);
+  const NetMetrics got = rerun->run(20);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.total_bits, want.total_bits);
+  EXPECT_EQ(got.max_message_bits, want.max_message_bits);
+  EXPECT_EQ(got.max_messages_in_round, want.max_messages_in_round);
+  EXPECT_EQ(rerun->cumulative_metrics().messages, want.messages);
+  EXPECT_EQ(totals(*rerun).deliveries, totals(*fresh).deliveries);
+  EXPECT_EQ(totals(*rerun).bad_ports, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -921,11 +981,10 @@ class Dozer final : public Process {
   std::uint64_t wake_ = 0;
 };
 
-std::string dozer_run(int threads, bool use_hint, DeliveryOrder delivery) {
+std::string dozer_run(bool use_hint, DeliveryOrder delivery) {
   constexpr NodeId kN = 40;
   Network::Options o = opts();
   o.seed = 17;
-  o.num_threads = threads;
   o.delivery = delivery;
   o.faults.drop_probability = 0.1;
   o.faults.crashes = {{3, 9}, {11, 30}};
@@ -948,12 +1007,11 @@ std::string dozer_run(int threads, bool use_hint, DeliveryOrder delivery) {
   return os.str();
 }
 
-TEST(Network, SleepingRunsAreBitIdenticalAcrossThreadsAndToNoOpSteps) {
+TEST(Network, SleepingRunsAreBitIdenticalToNoOpSteps) {
   for (const DeliveryOrder delivery :
        {DeliveryOrder::kBySource, DeliveryOrder::kRandomShuffle}) {
-    const std::string reference = dozer_run(1, /*use_hint=*/false, delivery);
-    EXPECT_EQ(dozer_run(1, /*use_hint=*/true, delivery), reference);
-    EXPECT_EQ(dozer_run(4, /*use_hint=*/true, delivery), reference);
+    EXPECT_EQ(dozer_run(/*use_hint=*/true, delivery),
+              dozer_run(/*use_hint=*/false, delivery));
   }
 }
 

@@ -100,14 +100,13 @@ struct ProbeRun {
 
 /// Runs a 6-round probe on `probe_graph(n, 0.15, 11)` or on the n-clique.
 inline ProbeRun run_port_probe(Topology topology, std::size_t n,
-                               DeliveryOrder delivery, int threads,
+                               DeliveryOrder delivery,
                                const FaultPlan::Options& faults) {
   Network::Options o;
   o.topology = topology;
   o.bit_budget = 64;
   o.seed = 7;
   o.delivery = delivery;
-  o.num_threads = threads;
   o.faults = faults;
   Network net(n, o);
   if (topology == Topology::kExplicit) {
@@ -132,29 +131,25 @@ inline std::vector<FaultPlan::Options> probe_fault_modes() {
   return modes;
 }
 
-/// Every delivery order x threads {1, 4} x fault mode: no delivery breaks
-/// the port contract, every survivor is delivered, and the hazards did
-/// fire where enabled.
+/// Every delivery order x fault mode: no delivery breaks the port
+/// contract, every survivor is delivered, and the hazards did fire where
+/// enabled.
 inline void expect_ports_hold(Topology topology, std::size_t n) {
   for (const DeliveryOrder delivery :
        {DeliveryOrder::kBySource, DeliveryOrder::kRandomShuffle,
         DeliveryOrder::kReverseSource}) {
-    for (const int threads : {1, 4}) {
-      for (const FaultPlan::Options& faults : probe_fault_modes()) {
-        const ProbeRun run =
-            run_port_probe(topology, n, delivery, threads, faults);
-        SCOPED_TRACE(::testing::Message()
-                     << "delivery=" << static_cast<int>(delivery)
-                     << " threads=" << threads
-                     << " dup=" << faults.duplicate_probability
-                     << " drop=" << faults.drop_probability);
-        EXPECT_EQ(run.totals.bad_ports, 0u);
-        EXPECT_GT(run.totals.deliveries, 0u);
-        EXPECT_EQ(run.totals.deliveries, run.metrics.messages);
-        EXPECT_EQ(run.metrics.duplicated > 0,
-                  faults.duplicate_probability > 0.0);
-        EXPECT_EQ(run.metrics.dropped > 0, faults.drop_probability > 0.0);
-      }
+    for (const FaultPlan::Options& faults : probe_fault_modes()) {
+      const ProbeRun run = run_port_probe(topology, n, delivery, faults);
+      SCOPED_TRACE(::testing::Message()
+                   << "delivery=" << static_cast<int>(delivery)
+                   << " dup=" << faults.duplicate_probability
+                   << " drop=" << faults.drop_probability);
+      EXPECT_EQ(run.totals.bad_ports, 0u);
+      EXPECT_GT(run.totals.deliveries, 0u);
+      EXPECT_EQ(run.totals.deliveries, run.metrics.messages);
+      EXPECT_EQ(run.metrics.duplicated > 0,
+                faults.duplicate_probability > 0.0);
+      EXPECT_EQ(run.metrics.dropped > 0, faults.drop_probability > 0.0);
     }
   }
 }

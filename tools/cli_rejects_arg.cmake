@@ -7,19 +7,24 @@
 #         -DEXPECT="<message>" -P cli_rejects_arg.cmake
 #
 # The token `u40.ufl` in ARGS is replaced by a freshly generated 40-client
-# uniform instance (`generate uniform 40 1`), private to this test, so a
-# CLI that misreads the number or ignores the flag would go on to solve a
-# real input and exit 0.
+# uniform instance (`generate uniform 40 1`), and `m8.ufl` by a metric one
+# (`generate metric 8 1`, the input clique-fl needs), each private to this
+# test, so a CLI that misreads the number or ignores the flag would go on
+# to solve a real input and exit 0.
 file(MAKE_DIRECTORY "${WORK}")
-set(instance "${WORK}/${NAME}.ufl")
-execute_process(COMMAND "${CLI}" generate uniform 40 1
-                OUTPUT_FILE "${instance}" RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "dflp_cli generate failed: ${rc}")
-endif()
-
 separate_arguments(argv UNIX_COMMAND "${ARGS}")
-list(TRANSFORM argv REPLACE "^u40\\.ufl$" "${instance}")
+foreach(input "u40;uniform;40" "m8;metric;8")
+  list(GET input 0 token)
+  list(GET input 1 family)
+  list(GET input 2 size)
+  set(instance "${WORK}/${NAME}.${token}.ufl")
+  execute_process(COMMAND "${CLI}" generate ${family} ${size} 1
+                  OUTPUT_FILE "${instance}" RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "dflp_cli generate ${family} failed: ${rc}")
+  endif()
+  list(TRANSFORM argv REPLACE "^${token}\\.ufl$" "${instance}")
+endforeach()
 execute_process(COMMAND "${CLI}" ${argv} RESULT_VARIABLE rc
                 OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
