@@ -27,7 +27,7 @@ namespace dflp {
 /// Deterministic seed for a derived stream identified by (seed, a, b) —
 /// e.g. the round engine's per-(node, round) shuffle and fault streams.
 /// Pure function of its inputs: the draw sequence of such a stream is
-/// independent of execution order, other nodes, and thread count.
+/// independent of execution order and other nodes.
 [[nodiscard]] std::uint64_t derive_stream_seed(std::uint64_t seed,
                                                std::uint64_t a,
                                                std::uint64_t b) noexcept;

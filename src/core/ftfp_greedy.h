@@ -12,7 +12,7 @@
 // Each phase is one unmodified `run_mw_greedy` execution on the residual
 // instance — the staged round engine, transport options, fault plan and
 // recovery layer all apply verbatim, so every phase (and hence the whole
-// solve) is bit-identical across thread counts and delivery orders.
+// solve) is bit-identical across delivery orders.
 //
 // Phase 0 runs with `params.seed` on a residual instance that *is* the
 // base instance, so with all r_j = 1 the solver is byte-for-byte the plain

@@ -141,7 +141,6 @@ void AsyncNetwork::flush_trace() {
   TraceSection info;
   info.nodes = processes_.size();
   info.edges = csr_.adj.size() / 2;
-  info.threads = 1;  // event loop is serial
   info.seed = options_.seed;
   info.bit_budget = options_.bit_budget;
   tracer->begin_run(info);

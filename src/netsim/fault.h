@@ -18,7 +18,7 @@
 // Determinism contract (the same one the engine itself honours): every coin
 // is drawn from a stream derived by `derive_stream_seed` from
 // (seed, entity, round) — entity being a sender, a directed link, or a node.
-// No draw depends on thread count, step-phase scheduling, or delivery
+// No draw depends on the order nodes are stepped or on the delivery
 // order; the commit phase consumes the per-sender streams in canonical
 // ascending-sender order, and the per-link burst chains are advanced lazily
 // with one coin per (link, round) regardless of when a link is first

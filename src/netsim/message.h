@@ -79,8 +79,9 @@ struct Message {
   bool has_header = false;
   /// Meaningful ONLY when `has_header` is set. On delivery the transport
   /// reuses inbox storage across rounds and does not re-zero this field
-  /// for headerless messages, so its bytes are unspecified (and may vary
-  /// with thread count) — never read it without checking `has_header`.
+  /// for headerless messages, so its bytes are unspecified (they are
+  /// whatever an earlier delivery left) — never read it without checking
+  /// `has_header`.
   TransportHeader hdr;
 };
 static_assert(sizeof(Message) == 80,
