@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +202,31 @@ TEST(GoldenMetrics, PipelineMetricReliableBurst) {
       pipeline_metric_instance(), PipelineFaults::kReliableBurst,
       "cost=40d1ab2b228f3b43 value=40d1ab2b228f3b43 "
       "frac=414/292145 round=480/453942 mopup=0 fallback=0");
+}
+
+// The channel's own counters under loss: items, retransmissions, ack
+// frames, duplicates discarded, and logical and physical rounds. The
+// solution and NetMetrics goldens above would not notice a channel change
+// that kept them but moved traffic between these counters. Committed
+// from the build whose frames parked their headers in a sorted side table.
+TEST(GoldenMetrics, MwGreedyChannelStatsUnderLossMatchCommitted) {
+  const fl::Instance inst = pipeline_uniform_instance();
+  const std::pair<PipelineFaults, const char*> cases[] = {
+      {PipelineFaults::kReliableDrop,
+       "logical=25 physical=149 items=14432 retx=1407 acks=10015 dups=648 "
+       "net=149/24608/546630/29/640/1246"},
+      {PipelineFaults::kReliableBurst,
+       "logical=25 physical=369 items=14432 retx=13759 acks=17029 dups=6662 "
+       "net=369/34215/762470/29/640/11005"},
+  };
+  for (const auto& [faults, golden] : cases) {
+    const core::MwGreedyOutcome out =
+        core::run_mw_greedy(inst, pipeline_params(faults));
+    EXPECT_EQ(out.transport.to_string() + " net=" +
+                  metrics_fingerprint(out.metrics),
+              golden)
+        << "faults=" << static_cast<int>(faults);
+  }
 }
 
 }  // namespace

@@ -433,6 +433,111 @@ TEST(Network, DropProbabilityOneDropsEverything) {
   EXPECT_EQ(m.dropped, 1u);
 }
 
+TEST(Network, FramesKeepTheirHeadersBesidePlainTraffic) {
+  // Frames and plain messages staged in one round: node 0 sends plain,
+  // frame, plain, frame to its four neighbours, and node 5 a frame, then a
+  // plain message. The log then holds unframed records before, between
+  // and after the frames, and every delivered copy (a duplicated one
+  // included) must carry exactly its own staged header, or none.
+  const auto is_frame = [](NodeId s, NodeId d) {
+    return (s == 0 && (d == 2 || d == 4)) || (s == 5 && d == 1);
+  };
+  const auto header_of = [](NodeId s, NodeId d) {
+    TransportHeader h;
+    h.seq = 10 * s + d + 1;
+    h.ack = 20 + 10 * s + d;
+    h.tag = 40 + 10 * s + d;
+    h.flags = static_cast<std::uint8_t>((s + d) % 7 + 1);
+    return h;
+  };
+  const auto sender = [&](std::vector<NodeId> dsts) {
+    return std::make_unique<Script>(
+        [&, dsts](NodeContext& ctx, auto) {
+          if (ctx.round() == 0) {
+            for (const NodeId d : dsts) {
+              const std::array<std::int64_t, 3> fields{1000 * ctx.self() + d,
+                                                       0, 0};
+              if (!is_frame(ctx.self(), d)) {
+                ctx.send(d, 3, fields);
+                continue;
+              }
+              Message frame;
+              frame.src = ctx.self();
+              frame.dst = d;
+              frame.kind = 5;
+              frame.field = fields;
+              frame.has_header = true;
+              frame.hdr = header_of(ctx.self(), d);
+              ctx.send_frame(frame);
+            }
+          }
+          ctx.halt();
+        });
+  };
+
+  FaultPlan::Options lossy;
+  lossy.drop_probability = 0.3;
+  lossy.duplicate_probability = 0.5;
+  std::uint64_t delivered = 0, dropped = 0, duplicated = 0;
+  for (const DeliveryOrder order :
+       {DeliveryOrder::kBySource, DeliveryOrder::kRandomShuffle,
+        DeliveryOrder::kReverseSource}) {
+    for (std::uint64_t seed = 1; seed <= 9; ++seed) {
+      // Seed 1 runs fault-free; the others under drop and duplication.
+      Network::Options o = opts();
+      o.bit_budget = 128;
+      o.delivery = order;
+      o.seed = seed;
+      if (seed > 1) o.faults = lossy;
+      Network net(6, o);
+      for (const NodeId d : {1, 2, 3, 4}) net.add_edge(0, d);
+      for (const NodeId d : {1, 2}) net.add_edge(5, d);
+      net.finalize();
+      net.set_process(0, sender({1, 2, 3, 4}));
+      net.set_process(5, sender({1, 2}));
+      for (const NodeId v : {1, 2, 3, 4}) {
+        net.set_process(v, std::make_unique<Script>([&](NodeContext& ctx,
+                                                         std::span<const Message>
+                                                             in) {
+          for (const Message& m : in) {
+            ++delivered;
+            const std::string where = "seed " + std::to_string(seed) +
+                                      ", order " +
+                                      std::to_string(static_cast<int>(order)) +
+                                      ", " + std::to_string(m.src) + "->" +
+                                      std::to_string(ctx.self());
+            EXPECT_EQ(m.field[0], 1000 * m.src + ctx.self()) << where;
+            if (!is_frame(m.src, ctx.self())) {
+              EXPECT_FALSE(m.has_header) << where;
+              EXPECT_EQ(m.kind, 3) << where;
+              continue;
+            }
+            const TransportHeader want = header_of(m.src, ctx.self());
+            EXPECT_TRUE(m.has_header) << where;
+            EXPECT_EQ(m.kind, 5) << where;
+            EXPECT_EQ(m.hdr.seq, want.seq) << where;
+            EXPECT_EQ(m.hdr.ack, want.ack) << where;
+            EXPECT_EQ(m.hdr.tag, want.tag) << where;
+            EXPECT_EQ(m.hdr.flags, want.flags) << where;
+          }
+          if (ctx.round() >= 1) ctx.halt();
+        }));
+      }
+      const NetMetrics m = net.run(10);
+      EXPECT_TRUE(net.all_halted());
+      if (seed == 1) {
+        EXPECT_EQ(m.messages, 6u);
+      }
+      dropped += m.dropped;
+      duplicated += m.duplicated;
+    }
+  }
+  // The hazard runs exercised both fates.
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(duplicated, 0u);
+}
+
 TEST(Network, ResumedRunAccumulatesCumulativeMetrics) {
   Network net(2, opts());
   net.add_edge(0, 1);
