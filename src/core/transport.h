@@ -43,9 +43,8 @@ inline std::unique_ptr<net::Process> maybe_reliable(
     std::unique_ptr<net::Process> inner, const MwParams& params,
     int inner_bit_budget) {
   if (!params.reliable) return inner;
-  net::ReliableChannel::Options options;
-  options.inner_bit_budget = inner_bit_budget;
-  return std::make_unique<net::ReliableChannel>(std::move(inner), options);
+  return std::make_unique<net::ReliableChannel>(std::move(inner),
+                                                inner_bit_budget);
 }
 
 /// Physical round bound: `logical_bound` for a direct run; under the

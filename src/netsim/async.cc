@@ -324,7 +324,6 @@ void Synchronizer::execute_round(NodeContext& ctx) {
     }
     net_->set_outgoing_tag(0);
   }
-  buffer_.clear();
   ++round_;
 }
 

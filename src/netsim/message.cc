@@ -19,13 +19,14 @@ int min_payload_bits(const std::array<std::int64_t, 3>& fields) noexcept {
   return bits;
 }
 
+int header_bits(const TransportHeader& hdr) noexcept {
+  return bits_for_value(hdr.seq) + bits_for_value(hdr.ack) +
+         bits_for_value(hdr.tag) + TransportHeader::kFlagBits;
+}
+
 int min_message_bits(const Message& msg) noexcept {
-  int bits = min_payload_bits(msg.field);
-  if (msg.has_header) {
-    bits += bits_for_value(msg.hdr.seq) + bits_for_value(msg.hdr.ack) +
-            bits_for_value(msg.hdr.tag) + TransportHeader::kFlagBits;
-  }
-  return bits;
+  return min_payload_bits(msg.field) +
+         (msg.has_header ? header_bits(msg.hdr) : 0);
 }
 
 }  // namespace dflp::net

@@ -11,18 +11,19 @@
 // Two representations
 // -------------------
 // `Message` is the *delivery view*: what a Process reads from its inbox and
-// what the staging sinks validate. It carries the rarely-used reliable
-// transport header inline, which makes it comfortable to program against
-// but heavy to move in bulk (sizeof(Message) is 80 bytes, most of it zeros
-// on ordinary protocol traffic).
+// what the staging sinks validate. It carries the reliable transport header
+// inline, which makes it comfortable to program against but heavy to move
+// in bulk (sizeof(Message) is 80 bytes, most of it unused on ordinary
+// protocol traffic).
 //
 // `WireRecord` is the *transport staging view*: the packed 40-byte record
 // the engine's structure-of-arrays arena stores and scatters. It drops the
-// inline header — framed messages park their TransportHeader in a sparse
-// side table keyed by arena slot (netsim/network.h) — and folds broadcast
-// fan-out into a single flagged record that is expanded over the sender's
-// adjacency at commit time. Records are materialized back into `Message`
-// form only at delivery, one inbox slice at a time.
+// inline header — a frame's TransportHeader goes into its staging log's
+// header column at the record's index (netsim/network.h `StageLog`), which
+// only frames extend — and folds broadcast fan-out into a single flagged
+// record that is expanded over the sender's adjacency at commit time.
+// Records are materialized back into `Message` form only at delivery, one
+// inbox slice at a time.
 #pragma once
 
 #include <array>
@@ -94,8 +95,9 @@ enum WireFlag : std::uint8_t {
   /// scatter expands it over the sender's sorted adjacency, one delivered
   /// copy per neighbour, in adjacency order.
   kWireBroadcast = 1,
-  /// A TransportHeader for this record lives in the staging log's sparse
-  /// header list (reliable-channel frames only; never set on broadcasts).
+  /// The record is a frame: its TransportHeader is in the staging log's
+  /// header column at the record's index (reliable-channel frames only;
+  /// never set on broadcasts).
   kWireHasHeader = 2,
 };
 
@@ -126,11 +128,15 @@ static_assert(sizeof(WireRecord) == 40,
 [[nodiscard]] int min_payload_bits(
     const std::array<std::int64_t, 3>& fields) noexcept;
 
+/// Wire bits of a transport header: its three words and the flag field.
+/// A frame's honest size is its payload's plus this; the reliable channel
+/// subtracts it again to restore the inner message's size.
+[[nodiscard]] int header_bits(const TransportHeader& hdr) noexcept;
+
 /// Minimum honest wire size for a message: opcode (8 bits) plus the bits of
-/// every nonzero payload word, plus — for framed messages — the transport
-/// header's words and flags. The network checks `msg.bits >=
-/// min_message_bits(msg)` so algorithms cannot cheat the budget by
-/// under-declaring.
+/// every nonzero payload word, plus — for framed messages — header_bits().
+/// The network checks `msg.bits >= min_message_bits(msg)` so algorithms
+/// cannot cheat the budget by under-declaring.
 [[nodiscard]] int min_message_bits(const Message& msg) noexcept;
 
 }  // namespace dflp::net

@@ -26,25 +26,13 @@ std::string ReliableStats::to_string() const {
 }
 
 ReliableChannel::ReliableChannel(std::unique_ptr<Process> inner,
-                                 Options options)
-    : inner_(std::move(inner)), options_(options) {
+                                 int inner_bit_budget)
+    : inner_(std::move(inner)) {
   DFLP_CHECK_MSG(inner_ != nullptr, "reliable channel needs an inner process");
-  DFLP_CHECK_MSG(options_.inner_bit_budget >= 8,
-                 "inner bit budget " << options_.inner_bit_budget
-                                     << " cannot fit an opcode");
-  DFLP_CHECK_MSG(options_.rto_initial >= 1,
-                 "rto_initial must be >= 1 round, got " << options_.rto_initial);
-  DFLP_CHECK_MSG(options_.rto_max >= options_.rto_initial,
-                 "rto_max " << options_.rto_max << " < rto_initial "
-                            << options_.rto_initial);
-  DFLP_CHECK_MSG(options_.window >= 1,
-                 "window must be >= 1 item, got " << options_.window);
-  DFLP_CHECK_MSG(options_.linger >= 0,
-                 "linger must be >= 0 rounds, got " << options_.linger);
-  DFLP_CHECK_MSG(options_.max_retransmits >= 1,
-                 "max_retransmits must be >= 1, got "
-                     << options_.max_retransmits);
-  inner_limits_.bit_budget = options_.inner_bit_budget;
+  DFLP_CHECK_MSG(inner_bit_budget >= 8, "inner bit budget "
+                                            << inner_bit_budget
+                                            << " cannot fit an opcode");
+  inner_limits_.bit_budget = inner_bit_budget;
   inner_limits_.max_kind = kMaxProtocolKind;
 }
 
@@ -55,16 +43,6 @@ void ReliableChannel::bind(NodeContext& ctx) {
     links_[i].peer = neighbors[i];
   bound_ = true;
 }
-
-namespace {
-
-/// Header wire bits of a framed message (matches min_message_bits).
-int header_bits(const TransportHeader& hdr) {
-  return bits_for_value(hdr.seq) + bits_for_value(hdr.ack) +
-         bits_for_value(hdr.tag) + TransportHeader::kFlagBits;
-}
-
-}  // namespace
 
 void ReliableChannel::on_round(NodeContext& ctx,
                                std::span<const Message> inbox) {
@@ -84,7 +62,7 @@ void ReliableChannel::on_round(NodeContext& ctx,
 
   if (done_state()) {
     if (inbox.empty()) ++quiet_rounds_; else quiet_rounds_ = 0;
-    if (links_.empty() || quiet_rounds_ > options_.linger) ctx.halt();
+    if (links_.empty() || quiet_rounds_ > kLinger) ctx.halt();
   } else {
     quiet_rounds_ = 0;
   }
@@ -120,7 +98,7 @@ void ReliableChannel::process_inbox(std::span<const Message> inbox,
         // Progress observed: restart the timer for the new oldest unacked.
         link.timer_armed = true;
         link.timer_round = now;
-        link.rto = options_.rto_initial;
+        link.rto = kRtoInitial;
       } else {
         link.timer_armed = false;
       }
@@ -133,16 +111,15 @@ void ReliableChannel::process_inbox(std::span<const Message> inbox,
         ++stats_.duplicates_discarded;
         continue;
       }
-      DFLP_CHECK_MSG(seq - link.cum_recv < options_.window,
+      DFLP_CHECK_MSG(seq - link.cum_recv < kWindow,
                      "peer " << link.peer << " sent item " << seq
                              << " beyond the receive window [" << link.cum_recv
-                             << ", +" << options_.window
-                             << "); channels must share one window");
+                             << ", +" << kWindow << ")");
       if (link.ooo.empty()) {
-        link.ooo.resize(static_cast<std::size_t>(options_.window));
-        link.ooo_full.assign(static_cast<std::size_t>(options_.window), 0);
+        link.ooo.resize(kWindow);
+        link.ooo_full.assign(kWindow, 0);
       }
-      const auto slot = static_cast<std::size_t>(seq % options_.window);
+      const auto slot = static_cast<std::size_t>(seq % kWindow);
       if (link.ooo_full[slot]) {
         ++stats_.duplicates_discarded;
       } else {
@@ -156,7 +133,7 @@ void ReliableChannel::process_inbox(std::span<const Message> inbox,
 void ReliableChannel::drain_link(Link& link) {
   while (!link.ooo.empty()) {
     // The next in-order item, if it arrived, sits in cum_recv's slot.
-    const auto slot = static_cast<std::size_t>(link.cum_recv % options_.window);
+    const auto slot = static_cast<std::size_t>(link.cum_recv % kWindow);
     if (!link.ooo_full[slot]) break;
     link.ooo_full[slot] = 0;
     const Message frame = link.ooo[slot];
@@ -214,70 +191,64 @@ void ReliableChannel::execute_logical(NodeContext& ctx, std::uint64_t round) {
   inner_->on_round(inner_ctx, inner_inbox_);
   ++stats_.logical_rounds;
 
-  std::vector<std::size_t> out_before(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i)
-    out_before[i] = links_[i].out.size();
-
-  buffer_.for_each_staged([&](std::size_t port, NodeId dst,
+  const auto tag = static_cast<std::int64_t>(round);
+  buffer_.for_each_staged([&](std::size_t port, NodeId,
                               const WireRecord& rec) {
-    Message frame;
-    frame.src = rec.src;
-    frame.dst = dst;
-    frame.kind = rec.kind;
-    frame.field = rec.field;
-    frame.bits = static_cast<int>(rec.bits);
-    frame.has_header = true;
-    frame.hdr.tag = static_cast<std::int64_t>(round);
-    frame.hdr.flags = kFrameItem;
-    // The padding the inner declared beyond its honest (headerless) size.
-    enqueue_item(links_[port], frame,
-                 static_cast<int>(rec.bits) - min_payload_bits(rec.field));
+    // The padding is what the inner declared beyond its honest size.
+    links_[port].out.push_back(
+        {.field = rec.field,
+         .tag = tag,
+         .padding = rec.bits - min_payload_bits(rec.field),
+         .kind = rec.kind,
+         .flags = kFrameItem});
   });
 
   const bool halting = buffer_.halt_requested();
+  const auto close =
+      static_cast<std::uint8_t>(kFrameEor | (halting ? kFrameFin : 0));
   for (std::size_t i = 0; i < links_.size(); ++i) {
     Link& link = links_[i];
-    if (link.out.size() > out_before[i]) {
+    if (buffer_.sent_to(i)) {
       // The round's last item doubles as its end-of-round marker (and as
       // the FIN when the inner halted) — no extra frame needed.
-      auto& flags = link.out.back().frame.hdr.flags;
-      flags = static_cast<std::uint8_t>(flags | kFrameEor |
-                                        (halting ? kFrameFin : 0));
+      link.out.back().flags |= close;
     } else {
-      Message token;
-      token.src = ctx.self();
-      token.dst = link.peer;
-      token.kind = halting ? kFin : kToken;
-      token.has_header = true;
-      token.hdr.tag = static_cast<std::int64_t>(round);
-      token.hdr.flags = static_cast<std::uint8_t>(
-          kFrameItem | kFrameEor | (halting ? kFrameFin : 0));
-      enqueue_item(link, token, 0);
+      link.out.push_back({.tag = tag,
+                          .kind = halting ? kFin : kToken,
+                          .flags = static_cast<std::uint8_t>(kFrameItem |
+                                                             close)});
     }
   }
   if (halting) inner_halted_ = true;
-  buffer_.clear();
-}
-
-void ReliableChannel::enqueue_item(Link& link, Message frame, int extra_bits) {
-  frame.hdr.seq = static_cast<std::int64_t>(link.out.size());
-  link.out.push_back({frame, extra_bits});
 }
 
 void ReliableChannel::transmit(NodeContext& ctx, std::uint64_t now) {
   for (Link& link : links_) {
-    const auto send_item = [&](std::int64_t idx) {
-      const OutItem& item = link.out[static_cast<std::size_t>(idx)];
-      Message frame = item.frame;
+    // Every frame on the link carries the current cumulative ack.
+    const auto frame_of = [&](std::uint8_t kind) {
+      Message frame;
+      frame.src = ctx.self();
+      frame.dst = link.peer;
+      frame.kind = kind;
+      frame.has_header = true;
       frame.hdr.ack = link.cum_recv;
-      frame.bits = min_message_bits(frame) + item.extra_bits;
+      return frame;
+    };
+    const auto send_item = [&](std::int64_t seq) {
+      const OutItem& item = link.out[static_cast<std::size_t>(seq)];
+      Message frame = frame_of(item.kind);
+      frame.field = item.field;
+      frame.hdr.seq = seq;
+      frame.hdr.tag = item.tag;
+      frame.hdr.flags = item.flags;
+      frame.bits = min_message_bits(frame) + item.padding;
       ctx.send_frame(frame);
     };
     const auto note_retransmit = [&] {
       ++stats_.retransmissions;
       ++link.retx_count;
       DFLP_CHECK_MSG(
-          link.retx_count <= options_.max_retransmits,
+          link.retx_count <= kMaxRetransmits,
           "reliable link " << ctx.self() << " -> " << link.peer
                            << " is dead: item seq " << link.acked
                            << " retransmitted " << link.retx_count
@@ -290,41 +261,35 @@ void ReliableChannel::transmit(NodeContext& ctx, std::uint64_t now) {
         now - link.timer_round >= static_cast<std::uint64_t>(link.rto)) {
       // Timeout: the oldest unacked item blocks the peer's progress.
       send_item(link.acked);
-      link.rto = std::min(link.rto * 2, options_.rto_max);
+      link.rto = std::min(link.rto * 2, kRtoMax);
       link.timer_round = now;
       note_retransmit();
       sent = true;
     } else if (link.next_tx < static_cast<std::int64_t>(link.out.size()) &&
-               link.next_tx - link.acked < options_.window) {
+               link.next_tx - link.acked < kWindow) {
       send_item(link.next_tx);
       if (!link.timer_armed) {
         link.timer_armed = true;
         link.timer_round = now;
-        link.rto = options_.rto_initial;
+        link.rto = kRtoInitial;
       }
       ++link.next_tx;
       ++stats_.items_sent;
       sent = true;
     } else if (link.timer_armed && link.acked < link.next_tx &&
                now - link.timer_round >=
-                   static_cast<std::uint64_t>(options_.rto_initial)) {
+                   static_cast<std::uint64_t>(kRtoInitial)) {
       // Tail-loss probe: the slot would otherwise idle while the peer's
       // logical round stalls on the oldest unacked item, so re-send it at
       // RTT cadence instead of waiting out the backed-off timer. Never
-      // fires on a loss-free link (acks arrive within rto_initial), and
+      // fires on a loss-free link (acks arrive within kRtoInitial), and
       // never competes with new items, so the backoff timer still governs
       // a busy link.
       send_item(link.acked);
       note_retransmit();
       sent = true;
     } else if (link.ack_due) {
-      Message frame;
-      frame.src = ctx.self();
-      frame.dst = link.peer;
-      frame.kind = kAck;
-      frame.has_header = true;
-      frame.hdr.ack = link.cum_recv;
-      ctx.send_frame(frame);
+      ctx.send_frame(frame_of(kAck));
       ++stats_.ack_frames;
       sent = true;
     }

@@ -162,8 +162,10 @@ void RoundBuffer::sink_frame(NodeId from, const Message& frame) {
   rec.dst = frame.dst;
   rec.flags = kWireHasHeader;
   const std::int32_t port = charge_link(frame.dst);
-  log_->headers.push_back(
-      {static_cast<std::uint32_t>(log_->records.size()), frame.hdr});
+  // The header column runs parallel to the records up to the last frame:
+  // pad it over any unframed records staged since, then add this one's.
+  log_->headers.resize(log_->records.size());
+  log_->headers.push_back(frame.hdr);
   stage_single(rec, port);
 }
 
@@ -195,19 +197,6 @@ void RoundBuffer::sink_annotate(NodeId node, std::string_view phase) {
                                          << owner_);
   DFLP_CHECK_MSG(!phase.empty(), "empty phase annotation from node " << node);
   log_->annotations.push_back(phase);
-}
-
-void RoundBuffer::clear() noexcept {
-  if (log_ == &own_log_) {
-    own_log_.reset();
-    rec_begin_ = 0;
-  } else if (log_ != nullptr) {
-    log_->records.resize(rec_begin_);
-    log_->ports.resize(rec_begin_);
-  }
-  ++links_->epoch;  // forget the link stamps
-  broadcast_ = false;
-  halt_ = false;
 }
 
 }  // namespace dflp::net

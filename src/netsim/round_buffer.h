@@ -101,8 +101,8 @@ class RoundBuffer final : public MessageSink {
   /// arrives fully formed (header already attached) and is exempt from the
   /// `max_kind` protocol-opcode cap and is raised to its honest size rather
   /// than rejected, but still pays the budget, adjacency and link checks.
-  /// The header is parked in the log's sparse header list, not in the
-  /// staged record.
+  /// The header goes into the log's header column at the record's index,
+  /// not into the staged record.
   void sink_frame(NodeId from, const Message& frame) override;
   void sink_halt(NodeId node) override;
   /// Writes the wake round into the owner's wake slot, if begin() got one,
@@ -150,11 +150,6 @@ class RoundBuffer final : public MessageSink {
   [[nodiscard]] bool sent_to(std::size_t neighbor_idx) const {
     return broadcast_ || links_->stamp[neighbor_idx] == links_->epoch;
   }
-
-  /// Drops staged state after it was consumed (standalone consumers only —
-  /// the engine resets whole logs instead). With a private log this resets
-  /// it; with an external log only the owner's records are truncated.
-  void clear() noexcept;
 
  private:
   /// The checks every send path shares — owner, opcode up to `max_kind`,

@@ -104,11 +104,9 @@ TEST(ReliableChannel, InnerInboxesCarryPortsUnderLoss) {
   net::FaultPlan::Options lossy;
   lossy.drop_probability = 0.2;
   net::Network net = build(lossy, net::reliable_bit_budget(kInnerBudget, 16));
-  net::ReliableChannel::Options channel;
-  channel.inner_bit_budget = kInnerBudget;
   for (net::NodeId v = 0; v < static_cast<net::NodeId>(kNodes); ++v) {
     net.set_process(v, std::make_unique<net::ReliableChannel>(
-                           std::make_unique<net::PortProbe>(6), channel));
+                           std::make_unique<net::PortProbe>(6), kInnerBudget));
   }
   (void)net.run(4000);
   ASSERT_TRUE(net.all_halted());
@@ -163,7 +161,7 @@ TEST(ReliableChannel, SecondSendOnOneLinkInALogicalRoundThrows) {
                      [&sends](net::NodeContext& ctx, auto) {
                        if (ctx.self() == 0 && ctx.round() == 1) sends(ctx);
                      }),
-                 net::ReliableChannel::Options{}));
+                 64));
     }
     try {
       net.run(50);
@@ -195,8 +193,6 @@ TEST(ReliableChannel, DeliversInOrderUnderHeavyLossAndDuplication) {
   net.finalize();
 
   auto received = std::make_shared<std::vector<std::int64_t>>();
-  net::ReliableChannel::Options ch;
-  ch.inner_bit_budget = 64;
   net.set_process(
       0, std::make_unique<net::ReliableChannel>(
              std::make_unique<Script>([](net::NodeContext& ctx, auto) {
@@ -206,7 +202,7 @@ TEST(ReliableChannel, DeliversInOrderUnderHeavyLossAndDuplication) {
                }
                if (ctx.round() >= 3) ctx.halt();
              }),
-             ch));
+             64));
   net.set_process(
       1, std::make_unique<net::ReliableChannel>(
              std::make_unique<Script>(
@@ -216,7 +212,7 @@ TEST(ReliableChannel, DeliversInOrderUnderHeavyLossAndDuplication) {
                      received->push_back(m.field[0]);
                    if (received->size() >= 3) ctx.halt();
                  }),
-             ch));
+             64));
 
   const net::NetMetrics metrics = net.run(/*max_rounds=*/400);
   ASSERT_EQ(received->size(), 3u);
@@ -244,8 +240,9 @@ TEST(ReliableChannel, DeliversInOrderUnderHeavyLossAndDuplication) {
 
 TEST(ReliableChannel, BoundedRetransmitsNameTheDeadLink) {
   // Node 1 crash-stops at round 3 while node 0 still owes it traffic. The
-  // channel must not spin to the engine round limit: after max_retransmits
-  // unacknowledged re-sends it raises a CheckError naming the dead link.
+  // channel must not spin to the engine round limit: after kMaxRetransmits
+  // (64) unacknowledged re-sends it raises a CheckError naming the dead
+  // link, well inside the 400-round cap below.
   net::Network::Options o;
   o.bit_budget = net::reliable_bit_budget(64, 16);
   o.seed = 42;
@@ -254,9 +251,6 @@ TEST(ReliableChannel, BoundedRetransmitsNameTheDeadLink) {
   net.add_edge(0, 1);
   net.finalize();
 
-  net::ReliableChannel::Options ch;
-  ch.inner_bit_budget = 64;
-  ch.max_retransmits = 5;  // keep the test short
   net.set_process(
       0, std::make_unique<net::ReliableChannel>(
              std::make_unique<Script>([](net::NodeContext& ctx, auto) {
@@ -267,9 +261,9 @@ TEST(ReliableChannel, BoundedRetransmitsNameTheDeadLink) {
                  ctx.halt();
                }
              }),
-             ch));
+             64));
   net.set_process(1, std::make_unique<net::ReliableChannel>(
-                         std::make_unique<Script>([](auto&, auto) {}), ch));
+                         std::make_unique<Script>([](auto&, auto) {}), 64));
 
   try {
     (void)net.run(/*max_rounds=*/400);
@@ -296,8 +290,6 @@ TEST(ReliableChannel, RetransmitBoundDoesNotTripOnHeavyLoss) {
   net.finalize();
 
   auto received = std::make_shared<std::vector<std::int64_t>>();
-  net::ReliableChannel::Options ch;
-  ch.inner_bit_budget = 64;
   net.set_process(
       0, std::make_unique<net::ReliableChannel>(
              std::make_unique<Script>([](net::NodeContext& ctx, auto) {
@@ -308,7 +300,7 @@ TEST(ReliableChannel, RetransmitBoundDoesNotTripOnHeavyLoss) {
                  ctx.halt();
                }
              }),
-             ch));
+             64));
   net.set_process(
       1, std::make_unique<net::ReliableChannel>(
              std::make_unique<Script>(
@@ -318,7 +310,7 @@ TEST(ReliableChannel, RetransmitBoundDoesNotTripOnHeavyLoss) {
                      received->push_back(m.field[0]);
                    if (received->size() >= 16) ctx.halt();
                  }),
-             ch));
+             64));
   const net::NetMetrics metrics = net.run(/*max_rounds=*/600);
   EXPECT_EQ(received->size(), 16u);
   EXPECT_GT(metrics.dropped, 0u);
