@@ -24,7 +24,10 @@
 // `--fault-seed S` to reseed the fault schedule, and `--reliable` to run
 // the recovery transport. With faults active, `solve` also reports round
 // dilation against the fault-free baseline. `solve` rejects a fault flag
-// its algorithm would ignore (ignored_fault_flags).
+// its algorithm would ignore (ignored_fault_flags), and a flag its mode
+// would ignore (check_solve_mode_flags): the --capacity and
+// --coverage/--kill-frac modes take no --crash-frac and no --trace,
+// --kill-seed needs --kill-frac, and the trace options need --trace.
 //
 // Tracing flags (solve only): `--trace <path>` writes a round-level trace
 // of the distributed run (docs/trace-schema.md), `--trace-format
@@ -136,15 +139,19 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
          "         --kill-frac X  (solve, with --coverage: crash a seeded\n"
          "                         fraction X of the opened facilities\n"
          "                         post-solve and report survivability)\n"
-         "         --kill-seed S  (solve: kill-set sampling seed; default 0)\n"
+         "         --kill-seed S  (solve, with --kill-frac: kill-set sampling\n"
+         "                         seed; default 0)\n"
          "         --capacity U   (solve, mw-greedy/seq-greedy: soft\n"
          "                         capacity U per facility via the\n"
          "                         c'=c+f/u reduction)\n"
+         "         --capacity, --coverage and --kill-frac runs take\n"
+         "         neither --crash-frac nor --trace.\n"
          "         --trace PATH   (solve only: write a round-level trace;\n"
          "                         see docs/trace-schema.md)\n"
          "         --trace-format jsonl|chrome\n"
-         "                        (solve only: trace exporter; default jsonl)\n"
-         "         --trace-phases (solve only: record per-node\n"
+         "                        (solve only, with --trace: trace\n"
+         "                         exporter; default jsonl)\n"
+         "         --trace-phases (solve only, with --trace: record per-node\n"
          "                         algorithm-phase annotations in the trace)\n"
          "         --stream N     (stream only: total events; default 20000)\n"
          "         --epoch-size M (stream only: events per epoch;\n"
@@ -264,6 +271,34 @@ std::vector<std::string_view> ignored_fault_flags(harness::Algo algo) {
     default:
       return {"--drop", "--crash-frac", "--burst-len", "--fault-seed",
               "--reliable"};
+  }
+}
+
+/// Throws UsageError for a flag that this solve would ignore. The
+/// --capacity and --coverage/--kill-frac modes call the core runners
+/// directly, so they run no boot crashes and write no trace; --kill-seed
+/// acts only beside --kill-frac, and the trace options only beside --trace.
+void check_solve_mode_flags(const std::vector<std::string_view>& flags) {
+  const auto given = [&](std::string_view flag) {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  };
+  const char* const mode = g_capacity > 0      ? "--capacity"
+                           : g_coverage > 1    ? "--coverage"
+                           : g_kill_frac > 0.0 ? "--kill-frac"
+                                               : nullptr;
+  for (const std::string_view flag : {"--crash-frac", "--trace"}) {
+    if (mode != nullptr && given(flag))
+      throw UsageError(std::string(flag) + " does not apply to " + mode);
+  }
+  constexpr std::pair<std::string_view, std::string_view> kNeeds[] = {
+      {"--kill-seed", "--kill-frac"},
+      {"--trace-format", "--trace"},
+      {"--trace-phases", "--trace"},
+  };
+  for (const auto& [flag, needed] : kNeeds) {
+    if (given(flag) && !given(needed)) {
+      throw UsageError(std::string(flag) + " needs " + std::string(needed));
+    }
   }
 }
 
@@ -506,6 +541,7 @@ int cmd_solve(int argc, char** argv,
                        algo_name);
     }
   }
+  check_solve_mode_flags(flags);
   core::MwParams params;
   params.k = argc > 4 ? parse_number<int>("k", argv[4]) : 4;
   params.seed = argc > 5 ? parse_number<std::uint64_t>("seed", argv[5]) : 1;
