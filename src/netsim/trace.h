@@ -97,8 +97,7 @@ struct TraceRound {
   /// Wall seconds of the commit's tally/merge + layout passes (per-log
   /// aggregate merge or the hazard coin walk, then slice prefix-sum).
   double commit_s = 0.0;
-  /// Wall seconds of the commit's slot scatter (plus the sparse header
-  /// table merge, when reliable frames are present).
+  /// Wall seconds of the commit's slot scatter.
   double scatter_s = 0.0;
   std::vector<TraceShard> shards;  ///< step durations, one per executed round
   /// Per-node phase annotations aggregated for this round: (phase label,
