@@ -224,6 +224,7 @@ void Network::restart(Options options) {
   arena_port_.clear();
   inflight_messages_ = 0;
   transport_touches_ = 0;
+  pulled_rounds_ = 0;
   crash_cursor_ = 0;
   skip_until_ = 0;
   round_ = 0;
@@ -252,6 +253,8 @@ void Network::bind_options() {
   slice_count_.resize(n, 0);
   dst_count_.resize(n, 0);
   dst_cursor_.resize(n, 0);
+  pull_rec_.assign(n, nullptr);
+  pulled_ = false;
 }
 
 void Network::set_process(NodeId id, std::unique_ptr<Process> process) {
@@ -293,22 +296,40 @@ std::span<Message> Network::gather_inbox(std::size_t i,
   // the per-round reuse is what keeps steady-state gathers allocation-free.
   std::vector<Message>& scratch = inbox_scratch_;
   if (scratch.size() < count) scratch.resize(count);
+  const NodeId self = static_cast<NodeId>(i);
+  const auto fill = [self](Message& m, const WireRecord& rec,
+                           std::int32_t port) {
+    m.src = rec.src;
+    m.dst = self;  // resolved: broadcast records carry no destination
+    m.port = port;
+    m.kind = rec.kind;
+    m.field = rec.field;
+    m.bits = static_cast<int>(rec.bits);
+  };
+  if (pulled_) {
+    // A pull round: the slice holds exactly the neighbours that broadcast,
+    // so the ascending walk stops once it has found `count` of them.
+    const std::span<const NodeId> nbrs = neighbors_unchecked(i);
+    std::size_t j = 0;
+    for (std::size_t k = 0; j < count && k < nbrs.size(); ++k) {
+      const WireRecord* rec = pull_rec_[static_cast<std::size_t>(nbrs[k])];
+      if (rec == nullptr) continue;
+      Message& m = scratch[j++];
+      fill(m, *rec, static_cast<std::int32_t>(k));
+      m.has_header = false;  // broadcasts are never frames
+    }
+    return {scratch.data(), count};
+  }
   const std::size_t begin = slice_begin_[i];
   const WireRecord* const* perm = arena_.data();
   const std::size_t perm_size = arena_.size();
-  const NodeId self = static_cast<NodeId>(i);
   for (std::size_t j = 0; j < count; ++j) {
     const std::size_t slot = begin + j;
     if (slot + kGatherPrefetch < perm_size)
       __builtin_prefetch(perm[slot + kGatherPrefetch]);
     const WireRecord& rec = *perm[slot];
     Message& m = scratch[j];
-    m.src = rec.src;
-    m.dst = self;  // resolved: broadcast records carry no destination
-    m.port = arena_port_[slot];
-    m.kind = rec.kind;
-    m.field = rec.field;
-    m.bits = static_cast<int>(rec.bits);
+    fill(m, rec, arena_port_[slot]);
     if (rec.flags & kWireHasHeader) {
       // A frame: its header sits in the inbound log's column at the
       // record's own index.
@@ -501,6 +522,15 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     }
     if (tracer) t_step1 = TraceClock::now();
 
+    // The step has consumed the pull round in flight, if any: its senders
+    // are the inbound log's records, so clearing their entries returns the
+    // pull column to all-null in O(records).
+    if (pulled_) {
+      for (const WireRecord& rec : inbound.records)
+        pull_rec_[static_cast<std::size_t>(rec.src)] = nullptr;
+      pulled_ = false;
+    }
+
     // Commit, pass 1 — tally. Fault-free rounds read the log's aggregates:
     // staging already counted every copy into dst_count_, so nothing is
     // walked per message. Rounds with message hazards walk the records in
@@ -606,8 +636,26 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         ++transport_touches_;
       }
     }
-    next_arena_.resize(offset);
-    next_arena_port_.resize(offset);
+
+    // Pull gate (see the header comment): a fault-free, explicit round of
+    // broadcasts only, whose receivers' adjacency walks cost at most twice
+    // its copies, is left for the receivers to read; any other round is
+    // scattered into slots.
+    bool pull = false;
+    if (!hazards && !clique_ && !log.records.empty() &&
+        log.broadcasts == log.records.size()) {
+      std::uint64_t walk = 0;
+      for (const NodeId d : touched_) {
+        const auto v = static_cast<std::size_t>(d);
+        walk +=
+            static_cast<std::uint64_t>(csr_.offset[v + 1] - csr_.offset[v]);
+      }
+      pull = walk <= 2 * survivors;
+    }
+    if (!pull) {
+      next_arena_.resize(offset);
+      next_arena_port_.resize(offset);
+    }
     if (tracer) t_commit1 = TraceClock::now();
 
     // Commit, pass 3 — scatter: write each surviving record's address into
@@ -618,14 +666,20 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // ties in send-call order. A frame's header stays in the log's column,
     // where the gather finds it by the record's address. Rounds with drops
     // read the pre-filtered survivors_ scratch so the fault coins are not
-    // re-drawn.
+    // re-drawn. A pull round writes no slot: it only notes each
+    // broadcaster's record in the pull column.
     const auto place = [&](std::size_t dst, const WireRecord* rec,
                            std::int32_t port) {
       const std::size_t slot = dst_cursor_[dst]++;
       next_arena_[slot] = rec;
       next_arena_port_[slot] = port;
     };
-    if (hazards) {
+    if (pull) {
+      for (const WireRecord& rec : log.records)
+        pull_rec_[static_cast<std::size_t>(rec.src)] = &rec;
+      pulled_ = true;
+      ++pulled_rounds_;
+    } else if (hazards) {
       for (const Survivor& sv : survivors_)
         place(static_cast<std::size_t>(sv.dst), sv.rec, sv.port);
     } else {
@@ -656,8 +710,10 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         }
       }
     }
-    arena_.swap(next_arena_);
-    arena_port_.swap(next_arena_port_);
+    if (!pull) {
+      arena_.swap(next_arena_);
+      arena_port_.swap(next_arena_port_);
+    }
     inflight_messages_ = survivors;
     if (tracer) t_scatter1 = TraceClock::now();
     // Logical delivery volume: survivors times the full 80-byte Message

@@ -87,7 +87,34 @@
 // At delivery the next step phase *gathers*: each node's slot slice is
 // materialized into a `Message` scratch (the only place the wide view is
 // built), ordered per `DeliveryOrder`, and handed to the process.
-// Every round, fault-free or not, delivers through this arena.
+// Every round is tallied and laid out this way; every round but a pull
+// round (below) is also scattered into the arena.
+//
+// Pull rounds. In a round where every staged record is a broadcast, a
+// receiver's inbox is exactly its broadcasting neighbours in the order of
+// its own sorted adjacency, so the receiver can read those records itself.
+// The commit delivers a round by *pull* when all four of these hold:
+//   * the run has no message hazards (a hazard round draws one fault coin
+//     per copy, so it keeps the survivors path);
+//   * the topology is explicit;
+//   * every staged record is a broadcast;
+//   * the touched receivers' degrees sum to at most twice the round's
+//     copies.
+// The scatter pass of a pull round writes no slot: it only notes, in an
+// N-entry column (`pull_rec_`), the record each broadcasting sender
+// staged. The next step's gather walks the receiver's sorted adjacency and
+// builds one `Message` per neighbour whose entry is set, with `port` set
+// to that neighbour's position in the receiver's list — the port the
+// scatter would read from the reverse-position column. The walk is
+// ascending, which is the canonical `kBySource` order, so a pulled inbox
+// equals the pushed one message for message, and so do the metrics, fault
+// coins and traces. The degree gate keeps the walks of a round's receivers
+// within twice its copies, so the O(live + messages) bound below holds.
+// The tally and the layout run as in any round (slice counts still wake
+// sleepers and size each inbox), and the next commit clears the column
+// once the step has consumed it. Mixed, hazard, clique and sparse rounds
+// keep the push scatter.
+//
 // Per-round transport work is O(live nodes + messages), never O(N): the
 // engine iterates an explicit live-node list (halted nodes are compacted
 // out), and quiescence is an O(1) check of the maintained live/in-flight
@@ -241,7 +268,8 @@ struct StageLog {
   /// otherwise. Only a frame extends it (padding it to its own index
   /// first), so a round without frames leaves it empty.
   std::vector<TransportHeader> headers;
-  std::vector<NodeId> halts;  ///< nodes that requested a halt
+  std::size_t broadcasts = 0;  ///< records flagged kWireBroadcast
+  std::vector<NodeId> halts;   ///< nodes that requested a halt
   /// Stepped nodes that stay awake for the next round: neither halted nor
   /// asleep past it. The engine skips rounds only when this reads 0.
   std::size_t awake = 0;
@@ -487,6 +515,12 @@ class Network final {
   [[nodiscard]] std::uint64_t transport_touches() const noexcept {
     return transport_touches_;
   }
+  /// Instrumentation: cumulative count of rounds the commit delivered by
+  /// pull (see the header comment) rather than by the push scatter. Tests
+  /// use it to tell which path ran; it never changes the execution.
+  [[nodiscard]] std::uint64_t pulled_rounds() const noexcept {
+    return pulled_rounds_;
+  }
   [[nodiscard]] const NetMetrics& cumulative_metrics() const noexcept {
     return cumulative_;
   }
@@ -523,12 +557,16 @@ class Network final {
   /// restart().
   void bind_options();
 
-  /// Materializes node i's inbox: gathers the WireRecords addressed by its
-  /// slot slice of the permutation arena into inbox_scratch_ (grown as
-  /// needed, never shrunk — the wide Message view exists only here) and
-  /// returns the filled span. `inbound` is the log the arena points into
-  /// (the previous round's); a framed slot reads its TransportHeader from
-  /// that log's header column at its record's index.
+  /// Materializes node i's inbox into inbox_scratch_ (grown as needed,
+  /// never shrunk — the wide Message view exists only here) and returns
+  /// the filled span. After a push round it gathers the WireRecords
+  /// addressed by i's slot slice of the permutation arena; `inbound` is the
+  /// log the arena points into (the previous round's), and a framed slot
+  /// reads its TransportHeader from that log's header column at its
+  /// record's index. After a pull round it walks i's sorted adjacency
+  /// instead, taking each neighbour's record from pull_rec_ with the
+  /// neighbour's position in the list as the port, until the slice count
+  /// is reached.
   [[nodiscard]] std::span<Message> gather_inbox(std::size_t i,
                                                 const StageLog& inbound);
 
@@ -579,7 +617,9 @@ class Network final {
   // and the layout drains them (all-zero and empty between rounds).
   // dst_cursor_ holds the per-destination scatter cursors. survivors_ is
   // filled only on rounds with message hazards; fault-free rounds scatter
-  // straight from the log and leave it empty.
+  // straight from the log and leave it empty. pull_rec_ is the pull
+  // column: while a pull round is in flight (pulled_), pull_rec_[v] is the
+  // broadcast node v staged in it, or null; all-null otherwise.
   std::array<StageLog, 2> stage_logs_;
   std::vector<Message> inbox_scratch_;
   LinkStamps link_stamps_;
@@ -594,6 +634,8 @@ class Network final {
   std::vector<std::size_t> dst_cursor_;
   std::vector<NodeId> touched_;
   std::vector<NodeId> next_touched_;
+  std::vector<const WireRecord*> pull_rec_;
+  bool pulled_ = false;
 
   // Fault injection, bound at finalize(); crash_cursor_ walks the sorted
   // crash schedule as rounds advance.
@@ -614,6 +656,7 @@ class Network final {
   std::uint64_t skip_until_ = 0;
   std::uint64_t inflight_messages_ = 0;
   std::uint64_t transport_touches_ = 0;
+  std::uint64_t pulled_rounds_ = 0;
 
   std::uint64_t round_ = 0;
   NetMetrics cumulative_;

@@ -11,6 +11,7 @@ void StageLog::reset() noexcept {
   records.clear();
   ports.clear();
   headers.clear();
+  broadcasts = 0;
   halts.clear();
   awake = 0;
   annotations.clear();
@@ -144,6 +145,7 @@ void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
   StageLog& log = *log_;
   log.records.push_back(rec);
   log.ports.push_back(0);
+  ++log.broadcasts;
   const auto degree = static_cast<std::uint64_t>(neighbors_.size());
   log.messages += degree;
   log.bits_sum += degree * static_cast<std::uint64_t>(rec.bits);

@@ -23,7 +23,8 @@
 // only as the step's first send and bars every later one — an O(1) check,
 // not a per-link one. It is staged as ONE flagged WireRecord with its
 // message/bit bill settled analytically — the commit never touches
-// `degree` copies until the final scatter writes their slots.
+// `degree` copies until the final scatter writes their slots, and a pull
+// round (netsim/network.h) leaves them to the receivers' gathers.
 //
 // Both the synchronous `Network` and the alpha-synchronizer (netsim/async.h)
 // stage their wrapped protocol's sends through this one class; standalone
@@ -92,7 +93,8 @@ class RoundBuffer final : public MessageSink {
   /// Broadcast fast path: validates the payload once, requires that the
   /// owner has sent nothing yet this step, settles the batched bit
   /// accounting analytically, then stages a single kWireBroadcast record —
-  /// the commit expands it over the neighbours only at scatter time. A
+  /// the commit expands it over the neighbours only at scatter time, or
+  /// the receivers read it in a pull round. A
   /// node with no neighbours broadcasts nothing and uses up nothing.
   void sink_broadcast(NodeId from, std::span<const NodeId> neighbors,
                       std::uint8_t kind, std::array<std::int64_t, 3> fields,

@@ -83,7 +83,7 @@ struct TraceRound {
   std::uint64_t round = 0;       ///< engine round number (resume-global)
   std::uint64_t live = 0;        ///< non-halted nodes, sleepers included
   std::uint64_t sent = 0;        ///< messages staged by the step phase
-  std::uint64_t delivered = 0;   ///< survivors scattered into the arena
+  std::uint64_t delivered = 0;   ///< survivors delivered to next round
   std::uint64_t dropped = 0;     ///< losses charged by fault injection
   std::uint64_t duplicated = 0;  ///< extra copies from fault injection
   std::uint64_t crashed = 0;     ///< nodes crash-stopped at round start
@@ -97,7 +97,9 @@ struct TraceRound {
   /// Wall seconds of the commit's tally/merge + layout passes (per-log
   /// aggregate merge or the hazard coin walk, then slice prefix-sum).
   double commit_s = 0.0;
-  /// Wall seconds of the commit's slot scatter.
+  /// Wall seconds of the commit's slot scatter. In a pull round
+  /// (netsim/network.h) there is no scatter, and it covers only noting
+  /// each broadcaster's record in the pull column.
   double scatter_s = 0.0;
   std::vector<TraceShard> shards;  ///< step durations, one per executed round
   /// Per-node phase annotations aggregated for this round: (phase label,

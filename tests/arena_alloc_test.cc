@@ -7,9 +7,10 @@
 // reused. This file replaces the global allocator with a counting
 // shim and pins that contract literally — after a short warm-up,
 // additional rounds perform ZERO heap allocations, both when every record
-// is a broadcast fanned out by the scatter and when every record is a
-// unicast, on an explicit graph and on the implicit congested clique, and
-// when nodes sleep, are woken by mail and whole rounds are skipped.
+// is a broadcast (read by its receivers in pull rounds on an explicit
+// graph, fanned out by the scatter on the clique) and when every record is
+// a unicast, on an explicit graph and on the implicit congested clique,
+// and when nodes sleep, are woken by mail and whole rounds are skipped.
 //
 // The overrides are process-wide for the whole dflp_tests binary; they
 // only count and forward, so the other suites see identical behaviour.
@@ -71,8 +72,10 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace dflp {
 namespace {
 
-/// All-broadcast storm: every node stages one broadcast record, and the
-/// commit scatter fans each one out into degree slots of the arena.
+/// All-broadcast storm: every node stages one broadcast record. On an
+/// explicit graph every round is dense enough to pull, so each receiver
+/// reads its neighbours' records; on the clique the commit scatter fans
+/// each one out into degree slots of the arena.
 class Broadcaster final : public net::Process {
  public:
   void on_round(net::NodeContext& ctx,
@@ -170,6 +173,7 @@ std::uint64_t steady_state_allocations(net::Network& net) {
 TEST(ArenaAllocTest, BroadcastSteadyStateAllocatesNothing) {
   const auto net = make_chorded_ring<Broadcaster>(512);
   EXPECT_EQ(steady_state_allocations(*net), 0u);
+  EXPECT_EQ(net->pulled_rounds(), 16u);  // every round ran the pull path
 }
 
 TEST(ArenaAllocTest, ScatterModeSteadyStateAllocatesNothing) {
@@ -180,6 +184,7 @@ TEST(ArenaAllocTest, ScatterModeSteadyStateAllocatesNothing) {
 TEST(ArenaAllocTest, CliqueSteadyStateAllocatesNothing) {
   const auto broadcasts = make_clique<Broadcaster>(128);
   EXPECT_EQ(steady_state_allocations(*broadcasts), 0u);
+  EXPECT_EQ(broadcasts->pulled_rounds(), 0u);  // the clique always pushes
   const auto unicasts = make_clique<Unicaster>(128);
   EXPECT_EQ(steady_state_allocations(*unicasts), 0u);
 }

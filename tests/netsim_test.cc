@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -1118,6 +1120,391 @@ TEST(Network, SleepingRunsAreBitIdenticalToNoOpSteps) {
     EXPECT_EQ(dozer_run(/*use_hint=*/true, delivery),
               dozer_run(/*use_hint=*/false, delivery));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pull rounds (network.h). A fault-free round on an explicit topology in
+// which every staged record is a broadcast, and whose touched receivers'
+// degrees sum to at most twice its copies, is delivered by the receivers
+// reading their neighbours' records instead of by the slot scatter. Every
+// case checks the inboxes against ones computed from the adjacency, and
+// pulled_rounds() tells which path ran.
+
+/// One delivered message as its receiver saw it.
+struct Seen {
+  NodeId src = kNoNode;
+  NodeId dst = kNoNode;
+  std::int32_t port = -1;
+  std::uint8_t kind = 0;
+  std::array<std::int64_t, 3> field{};
+  int bits = 0;
+  bool has_header = false;
+  friend bool operator==(const Seen&, const Seen&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Seen& m) {
+    return os << m.src << "->" << m.dst << " port " << m.port << " kind "
+              << static_cast<int>(m.kind) << " (" << m.field[0] << ','
+              << m.field[1] << ',' << m.field[2] << ") " << m.bits << "b"
+              << (m.has_header ? " framed" : "");
+  }
+};
+
+/// Every inbox of a run, keyed by (receiver, round).
+using Inboxes = std::map<std::pair<NodeId, std::uint64_t>, std::vector<Seen>>;
+
+/// Records `in` as the inbox of (ctx.self(), ctx.round()).
+void record(Inboxes& inboxes, const NodeContext& ctx,
+            std::span<const Message> in) {
+  std::vector<Seen>& got = inboxes[{ctx.self(), ctx.round()}];
+  for (const Message& m : in)
+    got.push_back({m.src, m.dst, m.port, m.kind, m.field, m.bits,
+                   m.has_header});
+}
+
+/// What node `v` sends in round `r`: kind, payload and declared bits all
+/// vary with (v, r), so a copy read from the wrong record shows.
+Seen payload(NodeId v, std::uint64_t r) {
+  Seen m;
+  m.src = v;
+  m.kind = static_cast<std::uint8_t>(1 + (v + static_cast<NodeId>(r)) % 5);
+  m.field = {v, static_cast<std::int64_t>(r),
+             7 * v + static_cast<std::int64_t>(r)};
+  m.bits = 40 + (v + static_cast<int>(r)) % 8;
+  return m;
+}
+
+/// The inbox `v` must get in round `r` when every node u for which
+/// `sent(u)` holds sent payload(u, r - 1) to it: one copy per such
+/// neighbour, in ascending source order, with the sender's position in
+/// v's adjacency as the port.
+std::vector<Seen> want_inbox(const Network& net, NodeId v, std::uint64_t r,
+                             const std::function<bool(NodeId)>& sent) {
+  std::vector<Seen> want;
+  const std::span<const NodeId> nbrs = net.neighbors_of(v);
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    if (!sent(nbrs[k])) continue;
+    Seen m = payload(nbrs[k], r - 1);
+    m.dst = v;
+    m.port = static_cast<std::int32_t>(k);
+    want.push_back(m);
+  }
+  // The clique's rotation is not ascending; the sources are distinct.
+  std::sort(want.begin(), want.end(),
+            [](const Seen& a, const Seen& b) { return a.src < b.src; });
+  return want;
+}
+
+/// Whether node v broadcasts in round r.
+using Speaks = std::function<bool(NodeId, std::uint64_t)>;
+
+/// A step that records its inbox, broadcasts payload(v, r) in each round
+/// r < `rounds` for which `speaks(v, r)` holds, and halts in round
+/// `rounds`.
+Script::Fn pull_probe(std::shared_ptr<Inboxes> inboxes, Speaks speaks,
+                      std::uint64_t rounds) {
+  return [inboxes, speaks, rounds](NodeContext& ctx,
+                                   std::span<const Message> in) {
+    record(*inboxes, ctx, in);
+    if (ctx.round() >= rounds) {
+      ctx.halt();
+    } else if (speaks(ctx.self(), ctx.round())) {
+      const Seen m = payload(ctx.self(), ctx.round());
+      ctx.broadcast(m.kind, m.field, m.bits);
+    }
+  };
+}
+
+/// A seeded bipartite graph: kLeft nodes 0.., kRight nodes after them,
+/// each left/right pair joined with probability 1/5, plus a spanning set
+/// of edges so every node has a neighbour.
+constexpr NodeId kLeft = 24;
+constexpr NodeId kRight = 40;
+std::vector<std::pair<NodeId, NodeId>> bipartite_edges() {
+  std::set<std::pair<NodeId, NodeId>> edges;
+  Rng rng(0xB1BA57EULL);
+  for (NodeId l = 0; l < kLeft; ++l) {
+    for (NodeId r = kLeft; r < kLeft + kRight; ++r)
+      if (rng.bernoulli(0.2)) edges.insert({l, r});
+  }
+  for (NodeId r = 0; r < kRight; ++r) edges.insert({r % kLeft, kLeft + r});
+  return {edges.begin(), edges.end()};
+}
+
+/// The bipartite graph, every node running `fn`.
+std::unique_ptr<Network> bipartite_net(Network::Options o,
+                                       const Script::Fn& fn) {
+  auto net = std::make_unique<Network>(kLeft + kRight, o);
+  for (const auto& [u, v] : bipartite_edges()) net->add_edge(u, v);
+  net->finalize();
+  for (NodeId v = 0; v < kLeft + kRight; ++v)
+    net->set_process(v, std::make_unique<Script>(fn));
+  return net;
+}
+
+/// Whether the engine's gate admits a round of broadcasts from the nodes
+/// for which `sent` holds: the touched receivers' degrees sum to at most
+/// twice the copies.
+bool gate_admits(const Network& net, const std::function<bool(NodeId)>& sent) {
+  std::uint64_t copies = 0, walk = 0;
+  for (NodeId v = 0; v < static_cast<NodeId>(net.num_nodes()); ++v) {
+    const std::span<const NodeId> nbrs = net.neighbors_of(v);
+    if (sent(v)) copies += nbrs.size();
+    if (std::any_of(nbrs.begin(), nbrs.end(), sent)) walk += nbrs.size();
+  }
+  return copies > 0 && walk <= 2 * copies;
+}
+
+/// Two thirds of the nodes broadcast in each round, a different two
+/// thirds every round.
+bool two_thirds(NodeId v, std::uint64_t r) {
+  return (static_cast<std::uint64_t>(v) + r) % 3 != 0;
+}
+
+TEST(Network, PullRoundsDeliverEachReceiversBroadcastingNeighbours) {
+  constexpr std::uint64_t kRounds = 6;
+  for (const DeliveryOrder order :
+       {DeliveryOrder::kBySource, DeliveryOrder::kReverseSource,
+        DeliveryOrder::kRandomShuffle}) {
+    Network::Options o = opts();
+    o.delivery = order;
+    auto inboxes = std::make_shared<Inboxes>();
+    auto net = bipartite_net(o, pull_probe(inboxes, two_thirds, kRounds));
+    const NetMetrics m = net->run(100);
+    EXPECT_EQ(m.rounds, kRounds + 1);
+    // Every broadcast round is dense enough to pull.
+    EXPECT_EQ(net->pulled_rounds(), kRounds);
+    std::uint64_t copies = 0;
+    for (std::uint64_t r = 1; r <= kRounds; ++r) {
+      const auto sent = [r](NodeId u) { return two_thirds(u, r - 1); };
+      ASSERT_TRUE(gate_admits(*net, sent)) << "round " << r - 1;
+      for (NodeId v = 0; v < kLeft + kRight; ++v) {
+        std::vector<Seen> want = want_inbox(*net, v, r, sent);
+        std::vector<Seen> got = inboxes->at({v, r});
+        copies += want.size();
+        if (order == DeliveryOrder::kReverseSource) {
+          std::reverse(want.begin(), want.end());
+        } else if (order == DeliveryOrder::kRandomShuffle) {
+          std::sort(got.begin(), got.end(),
+                    [](const Seen& a, const Seen& b) { return a.src < b.src; });
+        }
+        EXPECT_EQ(got, want) << "node " << v << " round " << r;
+      }
+    }
+    EXPECT_EQ(m.messages, copies);
+  }
+}
+
+/// Runs round 0 on `n` nodes joined by `edges` (or the clique when `edges`
+/// is empty): every node in `speakers` broadcasts payload(v, 0), and
+/// `unicast`, when set, sends one copy of its sender's payload. Checks
+/// each round-1 inbox against the adjacency — under message hazards each
+/// delivered copy must be one of the wanted ones, in ascending source
+/// order — and returns how many rounds pulled.
+std::uint64_t pulled_in_round0(std::size_t n,
+                               const std::vector<std::pair<NodeId, NodeId>>&
+                                   edges,
+                               const std::set<NodeId>& speakers,
+                               std::pair<NodeId, NodeId> unicast,
+                               Network::Options o) {
+  if (edges.empty()) o.topology = Topology::kClique;
+  Network net(n, o);
+  for (const auto& [u, v] : edges) net.add_edge(u, v);
+  net.finalize();
+  auto inboxes = std::make_shared<Inboxes>();
+  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
+    net.set_process(
+        v, std::make_unique<Script>(
+               [inboxes, speakers, unicast](NodeContext& ctx,
+                                            std::span<const Message> in) {
+                 record(*inboxes, ctx, in);
+                 if (ctx.round() > 0) {
+                   ctx.halt();
+                   return;
+                 }
+                 const Seen m = payload(ctx.self(), 0);
+                 if (speakers.count(ctx.self()) != 0) {
+                   ctx.broadcast(m.kind, m.field, m.bits);
+                 } else if (ctx.self() == unicast.first) {
+                   ctx.send(unicast.second, m.kind, m.field, m.bits);
+                 }
+               }));
+  }
+  net.run(10);
+  const bool hazards = o.faults.any_message_hazard();
+  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
+    const std::vector<Seen> want = want_inbox(net, v, 1, [&](NodeId u) {
+      return speakers.count(u) != 0 ||
+             (u == unicast.first && v == unicast.second);
+    });
+    const std::vector<Seen>& got = inboxes->at({v, 1});
+    if (!hazards) {
+      EXPECT_EQ(got, want) << "node " << v;
+      continue;
+    }
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_NE(std::find(want.begin(), want.end(), got[j]), want.end())
+          << "node " << v << ": " << got[j];
+      if (j > 0) {
+        EXPECT_LE(got[j - 1].src, got[j].src) << "node " << v;
+      }
+    }
+  }
+  return net.pulled_rounds();
+}
+
+TEST(Network, PullGateTakesOnlyFaultFreeExplicitAllBroadcastDenseRounds) {
+  // Broadcasters 0 (to 2, 3, 4) and 1 (to 2); the receivers' degrees are
+  // 2 + 3 + 3 = 8, filled out by the silent leaves 5-8.
+  const std::vector<std::pair<NodeId, NodeId>> edges = {
+      {0, 2}, {0, 3}, {0, 4}, {1, 2}, {3, 5}, {3, 6}, {4, 7}, {4, 8}};
+  constexpr std::pair<NodeId, NodeId> kNone{kNoNode, kNoNode};
+  // Degree sum 8, exactly twice the 4 copies: pull.
+  EXPECT_EQ(pulled_in_round0(9, edges, {0, 1}, kNone, opts()), 1u);
+  // Node 0 alone reaches the same receivers with one copy fewer: push.
+  EXPECT_EQ(pulled_in_round0(9, edges, {0}, kNone, opts()), 0u);
+  // One unicast among the broadcasts makes the round mixed: push.
+  EXPECT_EQ(pulled_in_round0(9, edges, {0, 1}, {5, 3}, opts()), 0u);
+
+  // Message hazards push even the densest round.
+  std::set<NodeId> everyone;
+  for (NodeId v = 0; v < kLeft + kRight; ++v) everyone.insert(v);
+  const auto bipartite = bipartite_edges();
+  const auto n = static_cast<std::size_t>(kLeft + kRight);
+  EXPECT_EQ(pulled_in_round0(n, bipartite, everyone, kNone, opts()), 1u);
+  Network::Options drop = opts();
+  drop.faults.drop_probability = 0.3;
+  EXPECT_EQ(pulled_in_round0(n, bipartite, everyone, kNone, drop), 0u);
+  Network::Options dup = opts();
+  dup.faults.duplicate_probability = 0.5;
+  EXPECT_EQ(pulled_in_round0(n, bipartite, everyone, kNone, dup), 0u);
+
+  // So does the clique, where every node broadcasting is the densest
+  // round there is.
+  std::set<NodeId> clique_all;
+  for (NodeId v = 0; v < 9; ++v) clique_all.insert(v);
+  EXPECT_EQ(pulled_in_round0(9, {}, clique_all, kNone, opts()), 0u);
+}
+
+TEST(Network, PulledBroadcastsReachSleepersHaltersAndCrashedSenders) {
+  const auto left = [](NodeId u) { return u < kLeft; };
+  {
+    // Node kLeft sleeps from round 0 to round 100; the left side
+    // broadcasts in round 2 and wakes it for round 3.
+    constexpr NodeId kSleeper = kLeft;
+    auto inboxes = std::make_shared<Inboxes>();
+    auto net = bipartite_net(
+        opts(), [inboxes](NodeContext& ctx, std::span<const Message> in) {
+          record(*inboxes, ctx, in);
+          if (ctx.self() == kSleeper && ctx.round() == 0) {
+            ctx.sleep_until(100);
+          } else if (ctx.round() == 3) {
+            ctx.halt();
+          } else if (ctx.round() == 2 && ctx.self() < kLeft) {
+            const Seen m = payload(ctx.self(), 2);
+            ctx.broadcast(m.kind, m.field, m.bits);
+          }
+        });
+    const NetMetrics m = net->run(1000);
+    EXPECT_EQ(m.rounds, 4u);
+    EXPECT_EQ(net->pulled_rounds(), 1u);
+    EXPECT_TRUE(net->all_halted());
+    EXPECT_EQ(inboxes->count({kSleeper, 1}), 0u);
+    EXPECT_EQ(inboxes->count({kSleeper, 2}), 0u);
+    const std::vector<Seen> want = want_inbox(*net, kSleeper, 3, left);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(inboxes->at({kSleeper, 3}), want);
+  }
+  for (const bool crash : {false, true}) {
+    // The left side broadcasts in round 0 and halts in the same step, or
+    // (crash) node 0 instead crashes at the start of round 1 under a
+    // crash-only plan, which is no message hazard. Either way every
+    // right node still hears every left neighbour.
+    Network::Options o = opts();
+    if (crash) o.faults.crashes = {{0, 1}};
+    auto inboxes = std::make_shared<Inboxes>();
+    auto net = bipartite_net(
+        o, [inboxes, crash](NodeContext& ctx, std::span<const Message> in) {
+          record(*inboxes, ctx, in);
+          if (ctx.round() == 0 && ctx.self() < kLeft) {
+            const Seen m = payload(ctx.self(), 0);
+            ctx.broadcast(m.kind, m.field, m.bits);
+            if (!crash) ctx.halt();
+          } else if (ctx.round() >= 1) {
+            ctx.halt();
+          }
+        });
+    const NetMetrics m = net->run(100);
+    EXPECT_EQ(net->pulled_rounds(), 1u) << "crash = " << crash;
+    EXPECT_EQ(m.crashed, crash ? 1u : 0u);
+    EXPECT_TRUE(net->all_halted());
+    for (NodeId v = kLeft; v < kLeft + kRight; ++v) {
+      EXPECT_EQ(inboxes->at({v, 1}), want_inbox(*net, v, 1, left))
+          << "node " << v << " crash = " << crash;
+    }
+    // Node 0 crashed before stepping in round 1.
+    if (crash) {
+      EXPECT_EQ(inboxes->count({0, 1}), 0u);
+    }
+  }
+}
+
+TEST(Network, RunCutWithAPullRoundInFlightResumesAndRestarts) {
+  constexpr std::uint64_t kRounds = 8;
+  Network::Options o = opts();
+  o.delivery = DeliveryOrder::kRandomShuffle;
+  const auto run_chunks = [&](const std::vector<std::uint64_t>& chunks) {
+    auto inboxes = std::make_shared<Inboxes>();
+    auto net = bipartite_net(o, pull_probe(inboxes, two_thirds, kRounds));
+    NetMetrics total;
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      const NetMetrics part = net->run(chunks[c]);
+      total.merge(part);
+      if (c + 1 < chunks.size()) {
+        // Cut with the latest broadcast round pulled and still in flight.
+        EXPECT_EQ(net->pulled_rounds(), total.rounds);
+        EXPECT_GT(net->inflight_messages(), 0u);
+      }
+    }
+    EXPECT_EQ(net->pulled_rounds(), kRounds);
+    return std::make_pair(*inboxes, total.to_string());
+  };
+  const auto whole = run_chunks({100});
+  EXPECT_EQ(run_chunks({1, 100}), whole);
+  EXPECT_EQ(run_chunks({2, 1, 100}), whole);
+  EXPECT_EQ(run_chunks({3, 3, 100}), whole);
+
+  // restart() with a pull round in flight discards it and clears the
+  // column: the rerun equals a fresh network's, under new options too.
+  // The cut execution pulls the left side's broadcasts twice and then
+  // everyone's, so a column left uncleared would still name right-side
+  // senders that the rerun's first broadcasts do not all overwrite.
+  const auto left_then_all = [](NodeId v, std::uint64_t r) {
+    return v < kLeft || r >= 2;
+  };
+  Network::Options second = o;
+  second.seed = 99;
+  second.delivery = DeliveryOrder::kBySource;
+  auto fresh_inboxes = std::make_shared<Inboxes>();
+  auto fresh =
+      bipartite_net(second, pull_probe(fresh_inboxes, two_thirds, kRounds));
+  const NetMetrics want = fresh->run(100);
+
+  auto cut_inboxes = std::make_shared<Inboxes>();
+  auto rerun =
+      bipartite_net(o, pull_probe(cut_inboxes, left_then_all, kRounds));
+  (void)rerun->run(3);
+  ASSERT_EQ(rerun->pulled_rounds(), 3u);
+  ASSERT_GT(rerun->inflight_messages(), 0u);
+  rerun->restart(second);
+  EXPECT_EQ(rerun->pulled_rounds(), 0u);
+  auto rerun_inboxes = std::make_shared<Inboxes>();
+  for (NodeId v = 0; v < kLeft + kRight; ++v) {
+    rerun->set_process(v, std::make_unique<Script>(pull_probe(
+                              rerun_inboxes, two_thirds, kRounds)));
+  }
+  const NetMetrics got = rerun->run(100);
+  EXPECT_EQ(got.to_string(), want.to_string());
+  EXPECT_EQ(rerun->pulled_rounds(), fresh->pulled_rounds());
+  EXPECT_EQ(*rerun_inboxes, *fresh_inboxes);
 }
 
 }  // namespace
