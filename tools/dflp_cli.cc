@@ -24,7 +24,8 @@
 // `--fault-seed S` to reseed the fault schedule, and `--reliable` to run
 // the recovery transport. With faults active, `solve` also reports round
 // dilation against the fault-free baseline. `solve` rejects a fault flag
-// its algorithm would ignore (ignored_fault_flags), and a flag its mode
+// its algorithm would ignore (ignored_fault_flags: the centralized
+// algorithms take no fault flag and no --trace), and a flag its mode
 // would ignore (check_solve_mode_flags): the --capacity and
 // --coverage/--kill-frac modes take no --crash-frac and no --trace,
 // --kill-seed needs --kill-frac, and the trace options need --trace.
@@ -136,9 +137,11 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
          "         --coverage R   (solve, mw-greedy only: fault-tolerant\n"
          "                         placement with R distinct facilities per\n"
          "                         client, via the exclusion-phase solver)\n"
-         "         --kill-frac X  (solve, with --coverage: crash a seeded\n"
+         "         --kill-frac X  (solve, mw-greedy only: crash a seeded\n"
          "                         fraction X of the opened facilities\n"
-         "                         post-solve and report survivability)\n"
+         "                         post-solve and report survivability;\n"
+         "                         selects the --coverage solver at R = 1\n"
+         "                         unless --coverage is given)\n"
          "         --kill-seed S  (solve, with --kill-frac: kill-set sampling\n"
          "                         seed; default 0)\n"
          "         --capacity U   (solve, mw-greedy/seq-greedy: soft\n"
@@ -146,8 +149,9 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
          "                         c'=c+f/u reduction)\n"
          "         --capacity, --coverage and --kill-frac runs take\n"
          "         neither --crash-frac nor --trace.\n"
-         "         --trace PATH   (solve only: write a round-level trace;\n"
-         "                         see docs/trace-schema.md)\n"
+         "         --trace PATH   (solve, mw-greedy/mw-pipeline/clique-fl\n"
+         "                         only: write a round-level trace; see\n"
+         "                         docs/trace-schema.md)\n"
          "         --trace-format jsonl|chrome\n"
          "                        (solve only, with --trace: trace\n"
          "                         exporter; default jsonl)\n"
@@ -257,9 +261,10 @@ T parse_number(std::string_view name, std::string_view text,
   throw UsageError(os.str());
 }
 
-/// The fault flags `solve` rejects for `algo` because its run would ignore
-/// them: only mw-greedy runs through the boot-crash harness, clique-fl has
-/// no reliable transport, and the centralized algorithms use no network.
+/// The fault and trace flags `solve` rejects for `algo` because its run
+/// would ignore them: only mw-greedy runs through the boot-crash harness,
+/// clique-fl has no reliable transport, and the centralized algorithms use
+/// no network, so they have no rounds to trace either.
 std::vector<std::string_view> ignored_fault_flags(harness::Algo algo) {
   switch (algo) {
     case harness::Algo::kMwGreedy:
@@ -270,7 +275,7 @@ std::vector<std::string_view> ignored_fault_flags(harness::Algo algo) {
       return {"--crash-frac", "--reliable"};
     default:
       return {"--drop", "--crash-frac", "--burst-len", "--fault-seed",
-              "--reliable"};
+              "--reliable", "--trace"};
   }
 }
 
@@ -583,10 +588,6 @@ int cmd_solve(int argc, char** argv,
   if (!r.trace_path.empty()) {
     std::cout << "trace (" << net::trace_format_name(params.trace_format)
               << ") written to " << r.trace_path << "\n";
-  } else if (!g_trace_path.empty()) {
-    std::cout << "note: --trace applies to the distributed algorithms "
-                 "(mw-greedy, mw-pipeline, clique-fl); no trace "
-                 "written\n";
   }
   return 0;
 }
