@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "harness/faults.h"
 #include "workload/generators.h"
 
@@ -53,20 +54,6 @@ core::MwParams cell_params(const Cell& c) {
   p.faults.fault_seed = 29;
   p.reliable = c.reliable;
   return p;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (ch == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(ch);
-  }
-  return out;
 }
 
 void write_json(const std::string& path, const std::string& mode,

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/check.h"
 #include "core/ftfp_greedy.h"
 #include "core/mw_greedy.h"
@@ -88,20 +89,6 @@ struct SurviveCell {
   std::int32_t r = 1;
   harness::SurvivalReport report;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (ch == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(ch);
-  }
-  return out;
-}
 
 void write_json(const std::string& path, const std::string& mode,
                 const std::string& instance,
@@ -209,7 +196,7 @@ int main_impl(int argc, char** argv) {
         }
       } catch (const CheckError& e) {
         cell.completed = false;
-        cell.diagnostic = e.what();
+        cell.diagnostic = without_check_location(e.what());
       }
       solves.push_back(cell);
     }

@@ -83,6 +83,22 @@ inline void print_header(const std::string& experiment_id,
   std::cout << "\n# " << experiment_id << "\n" << claim << "\n";
 }
 
+/// Escapes `"`, `\` and newlines for a JSON string value; the records'
+/// strings (scenario names, diagnostics) hold no other control characters.
+inline std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char ch : s) {
+    if (ch == '"' || ch == '\\') out.push_back('\\');
+    if (ch == '\n') {
+      out += "\\n";
+      continue;
+    }
+    out.push_back(ch);
+  }
+  return out;
+}
+
 /// Prints the table and a one-line verdict the EXPERIMENTS.md records.
 inline void print_table(const std::string& caption, const Table& table) {
   std::cout << "\n### " << caption << "\n\n" << table.to_markdown()

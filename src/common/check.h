@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dflp {
 
@@ -31,6 +32,38 @@ namespace detail {
 }
 
 }  // namespace detail
+
+/// `text` with every ` at <file>:<line>` that check_failed wrote removed.
+/// The location names the checkout directory and moves with each edit of
+/// the throwing file; the condition and the message do not. Records that
+/// keep a CheckError's text (fault-campaign diagnostics, committed hashes)
+/// store this form.
+inline std::string without_check_location(std::string_view text) {
+  std::string out;
+  std::size_t kept = 0;  // text[0, kept) has been handled
+  for (std::size_t at = text.find(" at "); at != std::string_view::npos;
+       at = text.find(" at ", at + 1)) {
+    // <file> runs from after " at " to the last ':' of the same word, and
+    // <line> is the digits after that ':'.
+    const std::size_t file = at + 4;
+    const std::size_t blank = text.find_first_of(" \t\n", file);
+    const std::size_t word_end =
+        blank == std::string_view::npos ? text.size() : blank;
+    const std::size_t colon = text.rfind(':', word_end - 1);
+    if (colon == std::string_view::npos || colon <= file) continue;
+    std::size_t line_end = colon + 1;
+    while (line_end < word_end && text[line_end] >= '0' &&
+           text[line_end] <= '9')
+      ++line_end;
+    if (line_end == colon + 1) continue;
+    out += text.substr(kept, at - kept);
+    kept = line_end;
+    at = line_end - 1;
+  }
+  out += text.substr(kept);
+  return out;
+}
+
 }  // namespace dflp
 
 /// Always-on invariant check. Usage:

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "core/bipartite.h"
 #include "core/quantize.h"
+#include "netsim/trace.h"
 #include "seq/mettu_plaxton.h"
 
 namespace dflp::core {
@@ -36,12 +37,15 @@ struct FacilityDistances {
   }
 };
 
+// Conflict radius multiplier: i ~ i' iff d(i,i') <= kConflictFactor *
+// min(r_i, r_i').
+constexpr double kConflictFactor = 2.0;
+
 // Immutable data every process shares (the "common knowledge" of the
 // model: instance shape, codec, the metric side channel).
 struct Shared {
   std::int32_t m = 0;
   std::int32_t n = 0;
-  double conflict_factor = 2.0;
   CostCodec codec;
   FacilityDistances dist;
 };
@@ -118,14 +122,13 @@ class FacilityProcess final : public net::Process {
     return facility_node(id_);
   }
 
-  // i ~ i' iff d(i,i') <= factor * min(r_i, r_i'), all radii quantized
-  // through the shared codec so both endpoints agree exactly.
+  // i ~ i' iff d(i,i') <= kConflictFactor * min(r_i, r_i'), all radii
+  // quantized through the shared codec so both endpoints agree exactly.
   [[nodiscard]] bool conflicts(net::NodeId other,
                                std::int64_t other_code) const {
     const Shared& s = *shared_;
     const double other_radius = s.codec.decode(other_code);
-    const double reach =
-        s.conflict_factor * std::min(radius_, other_radius);
+    const double reach = kConflictFactor * std::min(radius_, other_radius);
     return s.dist(id_, node_to_facility(other)) <= reach;
   }
 
@@ -202,9 +205,6 @@ CliqueFlOutcome run_impl(const fl::Instance& inst, FacilityDistances dist,
                          const CliqueFlParams& params) {
   const std::int32_t m = inst.num_facilities();
   const std::int32_t n = inst.num_clients();
-  DFLP_CHECK_MSG(params.conflict_factor > 0.0,
-                 "conflict_factor must be positive; got "
-                     << params.conflict_factor);
   for (fl::ClientId j = 0; j < n; ++j) {
     DFLP_CHECK_MSG(
         static_cast<std::int32_t>(inst.client_edges(j).size()) == m,
@@ -216,7 +216,6 @@ CliqueFlOutcome run_impl(const fl::Instance& inst, FacilityDistances dist,
   auto shared = std::make_shared<Shared>();
   shared->m = m;
   shared->n = n;
-  shared->conflict_factor = params.conflict_factor;
   const fl::CostProfile& profile = inst.cost_profile();
   const double anchor =
       std::isfinite(profile.min_positive) ? profile.min_positive : 1.0;
@@ -232,6 +231,7 @@ CliqueFlOutcome run_impl(const fl::Instance& inst, FacilityDistances dist,
   options.delivery = params.delivery;
   options.faults = params.faults;
   options.tracer = params.tracer;
+  if (params.tracer != nullptr) params.tracer->set_section("clique-fl");
   net::Network net(num_nodes, options);
   net.finalize();
 

@@ -8,8 +8,8 @@
 // radius r_i (sum_j max(0, r_i - c_ij) = f_i — a function of its own cost
 // column) and quantizes it through the shared CostCodec so every node
 // reasons about identical values. The open set is a ruling set of the
-// *conflict graph* H: i ~ i' iff d(i, i') <= conflict_factor * min(r_i,
-// r_i'), with facility–facility distances read from the metric side channel
+// *conflict graph* H: i ~ i' iff d(i, i') <= 2 * min(r_i, r_i'), with
+// facility–facility distances read from the metric side channel
 // (generator sites, or the bipartite closure). H is resolved by BHP-style
 // doubly-exponential sampling: in iteration t every undecided facility
 // nominates itself with probability p_t = min(1, 2^(2^t) / m) and
@@ -48,8 +48,6 @@ struct CliqueFlParams {
   /// Fault injection forwarded to the network (tests only; the protocol
   /// detects undeliverable progress and throws).
   net::FaultPlan::Options faults;
-  /// Conflict radius multiplier: i ~ i' iff d(i,i') <= factor * min radius.
-  double conflict_factor = 2.0;
   /// Hard stop for the (loss-free, always-terminating) protocol.
   std::uint64_t max_rounds = 10000;
   /// Optional round tracer (netsim/trace.h), not owned.

@@ -392,6 +392,9 @@ MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
 MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
                                          const MwParams& params,
                                          int max_delay) {
+  DFLP_CHECK_MSG(params.tracer == nullptr,
+                 "the asynchronous runner records no trace; run "
+                 "run_mw_greedy to trace a solve");
   auto shared = std::make_unique<Shared>();
   shared->sched = derive_schedule(inst, params);
   shared->params = params;
@@ -410,8 +413,6 @@ MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
       2;
   options.max_delay = max_delay;
   options.seed = params.seed;
-  options.tracer = params.tracer;
-  if (params.tracer != nullptr) params.tracer->set_section("mw-greedy-async");
 
   net::AsyncNetwork net(
       static_cast<std::size_t>(inst.num_facilities() + inst.num_clients()),

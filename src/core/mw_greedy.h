@@ -62,7 +62,8 @@ struct MwGreedyAsyncOutcome {
 /// alpha-synchronizer (netsim/async.h). With the same seed this produces a
 /// bit-identical solution to run_mw_greedy — the property the async tests
 /// pin down — at the cost of the synchronizer's token/tag overhead, which
-/// the returned AsyncMetrics quantify.
+/// the returned AsyncMetrics quantify. It records no trace: a set
+/// `params.tracer` throws CheckError.
 [[nodiscard]] MwGreedyAsyncOutcome run_mw_greedy_async(
     const fl::Instance& inst, const MwParams& params, int max_delay = 16);
 

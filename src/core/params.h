@@ -75,7 +75,8 @@ struct MwParams {
   /// prove it.
   net::DeliveryOrder delivery = net::DeliveryOrder::kBySource;
   /// Round tracer (netsim/trace.h), not owned; attached to every network
-  /// the runner builds. Purely observational — a traced run is
+  /// the runner builds (run_mw_greedy_async, whose executor records no
+  /// trace, rejects it). Purely observational — a traced run is
   /// bit-identical to an untraced one. Library callers set this directly
   /// for in-memory traces; harness::run_algorithm owns a Tracer itself
   /// when `trace_path` asks for a file.

@@ -113,30 +113,34 @@ std::string solution_fingerprint(const fl::Instance& inst,
   return os.str();
 }
 
-FaultRunReport run_fault_scenario(const fl::Instance& inst,
-                                  const core::MwParams& params,
-                                  const std::string& name) {
+namespace {
+
+/// Runs `solve` under the fault-free baseline of `params` (same seed,
+/// transport mode and fault_seed, so a boot-crash plan prunes the same
+/// survivors) and then under `params`, and compares the two. A CheckError
+/// in the faulted run is captured into the report without its source
+/// location, not rethrown.
+template <typename Inst, typename Solve, typename Fingerprint>
+FaultRunReport compare_with_fault_free(const Inst& inst,
+                                       const core::MwParams& params,
+                                       const std::string& name,
+                                       const Solve& solve,
+                                       const Fingerprint& fingerprint) {
   FaultRunReport report;
   report.scenario = name;
 
-  // Fault-free baseline with the same seed, transport mode and boot-crash
-  // plan (the pruning stream depends only on fault_seed, so both runs see
-  // the same survivor set).
   core::MwParams baseline_params = params;
   baseline_params.faults = net::FaultPlan::Options{};
   baseline_params.faults.fault_seed = params.faults.fault_seed;
-  const core::MwGreedyOutcome baseline =
-      run_mw_greedy_with_faults(inst, baseline_params);
-  const std::string baseline_fp =
-      solution_fingerprint(inst, baseline.solution);
+  const auto baseline = solve(baseline_params);
+  const std::string baseline_fp = fingerprint(baseline.solution);
   const double baseline_cost = baseline.solution.cost(inst);
 
   try {
-    const core::MwGreedyOutcome out = run_mw_greedy_with_faults(inst, params);
+    const auto out = solve(params);
     report.completed = true;
     report.feasible = out.solution.is_feasible(inst);
-    report.matches_fault_free =
-        solution_fingerprint(inst, out.solution) == baseline_fp;
+    report.matches_fault_free = fingerprint(out.solution) == baseline_fp;
     report.cost = report.feasible ? out.solution.cost(inst) : 0.0;
     report.cost_ratio =
         baseline_cost > 0.0 ? report.cost / baseline_cost
@@ -152,10 +156,26 @@ FaultRunReport run_fault_scenario(const fl::Instance& inst,
     report.crashed = out.metrics.crashed;
     report.retransmissions = out.transport.retransmissions;
     report.duplicates_discarded = out.transport.duplicates_discarded;
+    if constexpr (requires { out.phases; }) report.phases = out.phases;
   } catch (const CheckError& err) {
-    report.diagnostic = err.what();
+    report.diagnostic = without_check_location(err.what());
   }
   return report;
+}
+
+}  // namespace
+
+FaultRunReport run_fault_scenario(const fl::Instance& inst,
+                                  const core::MwParams& params,
+                                  const std::string& name) {
+  return compare_with_fault_free(
+      inst, params, name,
+      [&](const core::MwParams& p) {
+        return run_mw_greedy_with_faults(inst, p);
+      },
+      [&](const fl::IntegralSolution& solution) {
+        return solution_fingerprint(inst, solution);
+      });
 }
 
 FaultRunReport run_ftfp_fault_scenario(const fl::FtfpInstance& inst,
@@ -164,43 +184,12 @@ FaultRunReport run_ftfp_fault_scenario(const fl::FtfpInstance& inst,
   DFLP_CHECK_MSG(params.boot_crash_fraction == 0.0,
                  "boot crashes do not apply to FTFP scenarios; crash opened "
                  "facilities with harness/survive.h instead");
-  FaultRunReport report;
-  report.scenario = name;
-
-  core::MwParams baseline_params = params;
-  baseline_params.faults = net::FaultPlan::Options{};
-  baseline_params.faults.fault_seed = params.faults.fault_seed;
-  const core::FtfpOutcome baseline =
-      core::run_ftfp_greedy(inst, baseline_params);
-  const std::string baseline_fp = baseline.solution.fingerprint(inst);
-  const double baseline_cost = baseline.solution.cost(inst);
-
-  try {
-    const core::FtfpOutcome out = core::run_ftfp_greedy(inst, params);
-    report.completed = true;
-    report.feasible = out.solution.is_feasible(inst);
-    report.matches_fault_free =
-        out.solution.fingerprint(inst) == baseline_fp;
-    report.cost = report.feasible ? out.solution.cost(inst) : 0.0;
-    report.cost_ratio =
-        baseline_cost > 0.0 ? report.cost / baseline_cost
-                            : (report.cost <= 0.0 ? 1.0 : 0.0);
-    report.rounds = out.metrics.rounds;
-    report.round_dilation =
-        baseline.metrics.rounds > 0
-            ? static_cast<double>(out.metrics.rounds) /
-                  static_cast<double>(baseline.metrics.rounds)
-            : 0.0;
-    report.dropped = out.metrics.dropped;
-    report.duplicated = out.metrics.duplicated;
-    report.crashed = out.metrics.crashed;
-    report.retransmissions = out.transport.retransmissions;
-    report.duplicates_discarded = out.transport.duplicates_discarded;
-    report.phases = out.phases;
-  } catch (const CheckError& err) {
-    report.diagnostic = err.what();
-  }
-  return report;
+  return compare_with_fault_free(
+      inst, params, name,
+      [&](const core::MwParams& p) { return core::run_ftfp_greedy(inst, p); },
+      [&](const fl::FtfpSolution& solution) {
+        return solution.fingerprint(inst);
+      });
 }
 
 std::vector<FaultRunReport> run_fault_campaign(

@@ -83,7 +83,9 @@ struct FaultRunReport {
   std::uint64_t retransmissions = 0;
   std::uint64_t duplicates_discarded = 0;
   int phases = 1;                   ///< exclusion phases (1 for plain UFL)
-  std::string diagnostic;           ///< failure message when !completed
+  /// Failure message when !completed, without the ` at <file>:<line>` of
+  /// the failed CHECK (without_check_location), so records are stable.
+  std::string diagnostic;
 };
 
 /// Runs mw-greedy under `params` and under the matching fault-free

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "netsim/trace.h"
 
 namespace dflp::net {
 
@@ -114,52 +113,7 @@ void AsyncNetwork::sink_send(NodeId from, NodeId to, std::uint8_t kind,
   ev.time = now_ + 1 +
             net_rng_.uniform_u64(static_cast<std::uint64_t>(options_.max_delay));
   ev.seq = seq_++;
-  if (options_.tracer != nullptr && kind < Synchronizer::kToken &&
-      ev.tag >= 1) {
-    ++trace_bucket(static_cast<std::uint64_t>(ev.tag) - 1).sent;
-  }
   queue_.push(ev);
-}
-
-AsyncNetwork::RoundAgg& AsyncNetwork::trace_bucket(std::uint64_t round) {
-  if (trace_rounds_.size() <= round)
-    trace_rounds_.resize(static_cast<std::size_t>(round) + 1);
-  return trace_rounds_[static_cast<std::size_t>(round)];
-}
-
-void AsyncNetwork::trace_note_round(std::uint64_t round) {
-  if (options_.tracer != nullptr) ++trace_bucket(round).live;
-}
-
-void AsyncNetwork::trace_note_halt(std::uint64_t round) {
-  if (options_.tracer != nullptr) ++trace_bucket(round).halted;
-}
-
-void AsyncNetwork::flush_trace() {
-  Tracer* const tracer = options_.tracer;
-  if (tracer == nullptr) return;
-  TraceSection info;
-  info.nodes = processes_.size();
-  info.edges = csr_.adj.size() / 2;
-  info.seed = options_.seed;
-  info.bit_budget = options_.bit_budget;
-  tracer->begin_run(info);
-  for (std::size_t r = trace_flushed_; r < trace_rounds_.size(); ++r) {
-    const RoundAgg& agg = trace_rounds_[r];
-    TraceRound record;
-    record.round = static_cast<std::uint64_t>(r);
-    record.live = agg.live;
-    record.sent = agg.sent;
-    record.delivered = agg.delivered;
-    // Payloads still in flight when max_events cut the run short were
-    // never delivered; bill them as drops so the counter identity holds.
-    record.dropped = agg.dropped + (agg.sent - agg.delivered - agg.dropped);
-    record.halted = agg.halted;
-    record.bits = agg.bits;
-    record.max_bits = agg.max_bits;
-    tracer->on_round(std::move(record));
-  }
-  trace_flushed_ = trace_rounds_.size();
 }
 
 AsyncMetrics AsyncNetwork::run(std::uint64_t max_events) {
@@ -192,20 +146,7 @@ AsyncMetrics AsyncNetwork::run(std::uint64_t max_events) {
     metrics_.virtual_time = now_;
 
     const auto dst = static_cast<std::size_t>(ev.msg.dst);
-    const bool traced_payload = options_.tracer != nullptr &&
-                                ev.msg.kind < Synchronizer::kToken &&
-                                ev.tag >= 1;
-    if (halted_[dst]) {  // discarded, like the synchronous world
-      if (traced_payload)
-        ++trace_bucket(static_cast<std::uint64_t>(ev.tag) - 1).dropped;
-      continue;
-    }
-    if (traced_payload) {
-      RoundAgg& agg = trace_bucket(static_cast<std::uint64_t>(ev.tag) - 1);
-      ++agg.delivered;
-      agg.bits += static_cast<std::uint64_t>(ev.msg.bits);
-      agg.max_bits = std::max(agg.max_bits, ev.msg.bits);
-    }
+    if (halted_[dst]) continue;  // discarded, like the synchronous world
     current_incoming_tag_ = ev.tag;
     current_sender_ = ev.msg.dst;  // the receiver may send during handling
     NodeContext ctx(*this, ev.msg.dst, now_, neighbors_of(ev.msg.dst),
@@ -213,7 +154,6 @@ AsyncMetrics AsyncNetwork::run(std::uint64_t max_events) {
     processes_[dst]->on_message(ctx, ev.msg);
     current_sender_ = kNoNode;
   }
-  flush_trace();
   return metrics_;
 }
 
@@ -261,7 +201,6 @@ bool Synchronizer::ready_for_next() const {
 
 void Synchronizer::execute_round(NodeContext& ctx) {
   const auto neighbors = net_->neighbors_of(self_);
-  net_->trace_note_round(round_);
 
   // The inner protocol consumes this round's bucket in place — sorted into
   // the synchronous simulator's canonical delivery order and handed over as
@@ -301,7 +240,6 @@ void Synchronizer::execute_round(NodeContext& ctx) {
 
   if (buffer_.halt_requested()) {
     inner_halted_ = true;
-    net_->trace_note_halt(round_);
     if (!fin_sent_) {
       fin_sent_ = true;
       for (std::size_t i = 0; i < neighbors.size(); ++i) {

@@ -35,8 +35,6 @@
 
 namespace dflp::net {
 
-class Tracer;
-
 struct AsyncMetrics {
   std::uint64_t deliveries = 0;      ///< events processed
   std::uint64_t payload_messages = 0;  ///< wrapped-protocol messages
@@ -69,14 +67,6 @@ class AsyncNetwork final : public MessageSink {
     int bit_budget = 64;   ///< checked per message, tag overhead included
     int max_delay = 16;    ///< >= 1
     std::uint64_t seed = 1;
-    /// Optional round tracer (netsim/trace.h), not owned; must outlive the
-    /// network. Event deliveries have no round structure of their own, so
-    /// the trace is aggregated per *logical* (synchronizer) round: payload
-    /// messages are attributed to the round of their tag, `live` counts the
-    /// nodes whose Synchronizer executed that round, and the records are
-    /// flushed in round order when run() returns. Payloads without a round
-    /// tag (bare AsyncProcess runs) are not traced.
-    Tracer* tracer = nullptr;
   };
 
   AsyncNetwork(std::size_t num_nodes, Options options);
@@ -135,29 +125,10 @@ class AsyncNetwork final : public MessageSink {
   std::int64_t current_incoming_tag_ = 0;
   AsyncMetrics metrics_;
 
-  /// Per-logical-round trace accumulators (only maintained with a tracer).
-  struct RoundAgg {
-    std::uint64_t live = 0;
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped = 0;  ///< discarded at an already-halted receiver
-    std::uint64_t halted = 0;
-    std::uint64_t bits = 0;
-    int max_bits = 0;
-  };
-  std::vector<RoundAgg> trace_rounds_;
-  std::size_t trace_flushed_ = 0;
-
-  RoundAgg& trace_bucket(std::uint64_t round);
-  void flush_trace();
-
   friend class Synchronizer;
   [[nodiscard]] std::int64_t current_incoming_tag() const noexcept {
     return current_incoming_tag_;
   }
-  /// Synchronizer hooks: per-logical-round liveness and halt accounting.
-  void trace_note_round(std::uint64_t round);
-  void trace_note_halt(std::uint64_t round);
 };
 
 /// Alpha-synchronizer adapter: runs a synchronous `Process` on an

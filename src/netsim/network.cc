@@ -487,6 +487,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         TraceRound record;
         record.round = round_;
         record.live = live_nodes_.size();
+        record.path = TracePath::kSkip;
         tracer->on_round(std::move(record));
       }
       run_metrics.rounds += 1;
@@ -752,9 +753,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       record.step_s = seconds_between(t_step0, t_step1);
       record.commit_s = seconds_between(t_step1, t_commit1);
       record.scatter_s = seconds_between(t_commit1, t_scatter1);
-      // One shard: the whole live list, stepped in one pass.
-      if (live_count > 0)
-        record.shards.push_back({0, live_count, record.step_s});
+      record.path = pull ? TracePath::kPull : TracePath::kPush;
       record.phases.reserve(phase_counts.size());
       for (const auto& [phase, count] : phase_counts)
         record.phases.emplace_back(std::string(phase), count);

@@ -30,7 +30,7 @@
 // round, and every round before it is skipped: nothing is stepped, gathered
 // or committed, but each skipped round still counts in NetMetrics::rounds
 // and against `max_rounds`, and a traced run records it (zero counters,
-// zero durations, no shards), so round numbers stay consecutive. A skip
+// zero durations, `path` "skip"), so round numbers stay consecutive. A skip
 // stops at the next scheduled crash round, whose crashes are then applied
 // by an ordinary round, and a run() cut short by `max_rounds` inside a skip
 // resumes it. Only this engine honours the hint: the standalone buffers of
@@ -113,7 +113,7 @@
 // The tally and the layout run as in any round (slice counts still wake
 // sleepers and size each inbox), and the next commit clears the column
 // once the step has consumed it. Mixed, hazard, clique and sparse rounds
-// keep the push scatter.
+// keep the push scatter. A traced round names its path ("pull" or "push").
 //
 // Per-round transport work is O(live nodes + messages), never O(N): the
 // engine iterates an explicit live-node list (halted nodes are compacted
@@ -517,7 +517,8 @@ class Network final {
   }
   /// Instrumentation: cumulative count of rounds the commit delivered by
   /// pull (see the header comment) rather than by the push scatter. Tests
-  /// use it to tell which path ran; it never changes the execution.
+  /// that cannot attach a tracer (the allocation audit) use it to tell
+  /// which path ran; it never changes the execution.
   [[nodiscard]] std::uint64_t pulled_rounds() const noexcept {
     return pulled_rounds_;
   }

@@ -1,6 +1,7 @@
 #include "netsim/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -17,6 +18,10 @@
 namespace dflp::net {
 
 namespace {
+
+/// The `path` values, indexed by TracePath.
+constexpr std::array<std::string_view, 3> kPathNames = {"push", "pull",
+                                                        "skip"};
 
 /// JSON string escaping for the controlled identifiers we emit (section
 /// names, phase labels). Handles the mandatory escapes; non-ASCII bytes
@@ -63,14 +68,7 @@ void write_round_jsonl(std::ostream& out, const TraceRound& r) {
   put_double(out, r.commit_s);
   out << ",\"scatter_s\":";
   put_double(out, r.scatter_s);
-  out << ",\"shards\":[";
-  for (std::size_t i = 0; i < r.shards.size(); ++i) {
-    const TraceShard& s = r.shards[i];
-    out << (i ? "," : "") << '[' << s.begin << ',' << s.end << ',';
-    put_double(out, s.dur_s);
-    out << ']';
-  }
-  out << "],\"phases\":[";
+  out << ",\"path\":\"" << trace_path_name(r.path) << "\",\"phases\":[";
   for (std::size_t i = 0; i < r.phases.size(); ++i) {
     out << (i ? "," : "") << "[\"" << json_escape(r.phases[i].first)
         << "\"," << r.phases[i].second << ']';
@@ -82,8 +80,19 @@ void write_section_jsonl(std::ostream& out, std::size_t id,
                          const TraceSection& s) {
   out << "{\"type\":\"section\",\"id\":" << id << ",\"name\":\""
       << json_escape(s.name) << "\",\"nodes\":" << s.nodes << ",\"edges\":"
-      << s.edges << ",\"threads\":" << s.threads << ",\"seed\":" << s.seed
+      << s.edges << ",\"seed\":" << s.seed
       << ",\"bit_budget\":" << s.bit_budget << "}\n";
+}
+
+/// The one JSONL writer behind Tracer::write_jsonl and write_trace_jsonl.
+void write_jsonl_records(std::ostream& out,
+                         const std::vector<TraceSection>& sections,
+                         const std::vector<TraceRound>& rounds) {
+  out << "{\"schema\":\"dflp-trace\",\"version\":" << kTraceSchemaVersion
+      << "}\n";
+  for (std::size_t i = 0; i < sections.size(); ++i)
+    write_section_jsonl(out, i, sections[i]);
+  for (const TraceRound& r : rounds) write_round_jsonl(out, r);
 }
 
 }  // namespace
@@ -104,6 +113,10 @@ std::string_view trace_format_name(TraceFormat format) noexcept {
   return format == TraceFormat::kJsonl ? "jsonl" : "chrome";
 }
 
+std::string_view trace_path_name(TracePath path) noexcept {
+  return kPathNames[static_cast<std::size_t>(path)];
+}
+
 void Tracer::begin_run(const TraceSection& info) {
   TraceSection next = info;
   next.name = next_section_;
@@ -111,8 +124,8 @@ void Tracer::begin_run(const TraceSection& info) {
     const TraceSection& last = sections_.back();
     // A resumed run() of the same execution continues the open section.
     if (last.name == next.name && last.nodes == next.nodes &&
-        last.edges == next.edges && last.threads == next.threads &&
-        last.seed == next.seed && last.bit_budget == next.bit_budget) {
+        last.edges == next.edges && last.seed == next.seed &&
+        last.bit_budget == next.bit_budget) {
       return;
     }
   }
@@ -126,37 +139,26 @@ void Tracer::on_round(TraceRound&& round) {
 }
 
 void Tracer::write_jsonl(std::ostream& out) const {
-  out << "{\"schema\":\"dflp-trace\",\"version\":" << kTraceSchemaVersion
-      << "}\n";
-  for (std::size_t i = 0; i < sections_.size(); ++i)
-    write_section_jsonl(out, i, sections_[i]);
-  for (const TraceRound& r : rounds_) write_round_jsonl(out, r);
+  write_jsonl_records(out, sections_, rounds_);
 }
 
 void write_trace_jsonl(const ParsedTrace& trace, std::ostream& out) {
-  out << "{\"schema\":\"dflp-trace\",\"version\":" << kTraceSchemaVersion
-      << "}\n";
-  for (std::size_t i = 0; i < trace.sections.size(); ++i)
-    write_section_jsonl(out, i, trace.sections[i]);
-  for (const TraceRound& r : trace.rounds) write_round_jsonl(out, r);
+  write_jsonl_records(out, trace.sections, trace.rounds);
 }
 
 void normalize_trace(ParsedTrace* trace) {
-  for (TraceSection& s : trace->sections) s.threads = 1;
   for (TraceRound& r : trace->rounds) {
     r.step_s = 0.0;
     r.commit_s = 0.0;
     r.scatter_s = 0.0;
-    r.shards.clear();
   }
 }
 
 void Tracer::write_chrome(std::ostream& out) const {
   // Chrome trace_event "JSON object format": timestamps/durations are in
   // microseconds; slices nest by ts/dur containment per (pid, tid). We map
-  // section -> pid, the serial engine timeline -> tid 0, and step shard k
-  // -> tid 1+k, and rebuild a global clock by accumulating the recorded
-  // per-round phase durations.
+  // section -> pid and the serial engine timeline -> tid 0, and rebuild a
+  // global clock by accumulating the recorded per-round phase durations.
   out << "{\"traceEvents\":[";
   bool first = true;
   const auto event = [&](auto&& body) {
@@ -171,20 +173,19 @@ void Tracer::write_chrome(std::ostream& out) const {
     event([&] {
       out << "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << i
           << ",\"tid\":0,\"args\":{\"name\":\"dflp "
-          << json_escape(s.name) << " (n=" << s.nodes << ", threads="
-          << s.threads << ", seed=" << s.seed << ")\"}";
+          << json_escape(s.name) << " (n=" << s.nodes << ", seed=" << s.seed
+          << ")\"}";
     });
     event([&] {
       out << "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << i
           << ",\"tid\":0,\"args\":{\"name\":\"engine\"}";
     });
   }
-  const auto slice = [&](std::size_t pid, int tid, std::string_view name,
-                         double ts_us, double dur_us) {
+  const auto slice = [&](std::size_t pid, std::string_view name, double ts_us,
+                         double dur_us) {
     event([&] {
       out << "\"name\":\"" << json_escape(name)
-          << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-          << ",\"ts\":";
+          << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":0,\"ts\":";
       put_double(out, ts_us);
       out << ",\"dur\":";
       put_double(out, dur_us);
@@ -215,20 +216,14 @@ void Tracer::write_chrome(std::ostream& out) const {
       put_double(out, clock_us);
       out << ",\"dur\":";
       put_double(out, round_us);
-      out << ",\"args\":{\"live\":" << r.live << ",\"sent\":" << r.sent
+      out << ",\"args\":{\"path\":\"" << trace_path_name(r.path)
+          << "\",\"live\":" << r.live << ",\"sent\":" << r.sent
           << ",\"delivered\":" << r.delivered << ",\"dropped\":" << r.dropped
           << ",\"bits\":" << r.bits << '}';
     });
-    slice(pid, 0, "step", clock_us, step_us);
-    slice(pid, 0, "commit", clock_us + step_us, commit_us);
-    slice(pid, 0, "scatter", clock_us + step_us + commit_us, scatter_us);
-    for (std::size_t k = 0; k < r.shards.size(); ++k) {
-      const TraceShard& s = r.shards[k];
-      std::ostringstream shard_label;
-      shard_label << "step [" << s.begin << "," << s.end << ")";
-      slice(pid, 1 + static_cast<int>(k), shard_label.str(), clock_us,
-            s.dur_s * 1e6);
-    }
+    slice(pid, "step", clock_us, step_us);
+    slice(pid, "commit", clock_us + step_us, commit_us);
+    slice(pid, "scatter", clock_us + step_us + commit_us, scatter_us);
     counter(pid, "live nodes", clock_us, r.live);
     counter(pid, "in-flight messages", clock_us, r.arena);
     counter(pid, "messages delivered", clock_us, r.delivered);
@@ -402,30 +397,14 @@ TraceRound parse_round(const std::string& line, int lineno) {
   r.step_s = get_double(line, "step_s", lineno);
   r.commit_s = get_double(line, "commit_s", lineno);
   r.scatter_s = get_double(line, "scatter_s", lineno);
+  const std::string path = get_string(line, "path", lineno);
+  const auto known = std::find(kPathNames.begin(), kPathNames.end(), path);
+  if (known == kPathNames.end())
+    field_fail(lineno, "path",
+               "expected push, pull or skip, got '" + path + "'");
+  r.path = static_cast<TracePath>(known - kPathNames.begin());
 
-  std::size_t at = value_pos(line, "shards");
-  if (at == std::string::npos) parse_fail(lineno, "missing field 'shards'");
-  if (line[at] != '[') parse_fail(lineno, "'shards' is not an array");
-  ++at;
-  while (at < line.size() && line[at] != ']') {
-    if (line[at] == ',') { ++at; continue; }
-    if (line[at] != '[') parse_fail(lineno, "malformed shard entry");
-    TraceShard s;
-    ++at;
-    s.begin = parse_number<std::uint64_t>(line, &at, lineno, "shards");
-    if (line[at] != ',') parse_fail(lineno, "malformed shard entry");
-    ++at;
-    s.end = parse_number<std::uint64_t>(line, &at, lineno, "shards");
-    if (line[at] != ',') parse_fail(lineno, "malformed shard entry");
-    ++at;
-    s.dur_s = parse_number<double>(line, &at, lineno, "shards");
-    if (line[at] != ']') parse_fail(lineno, "malformed shard entry");
-    r.shards.push_back(s);
-    ++at;
-  }
-  if (at >= line.size()) parse_fail(lineno, "unterminated 'shards' array");
-
-  at = value_pos(line, "phases");
+  std::size_t at = value_pos(line, "phases");
   if (at == std::string::npos) parse_fail(lineno, "missing field 'phases'");
   if (line[at] != '[') parse_fail(lineno, "'phases' is not an array");
   ++at;
@@ -460,6 +439,11 @@ ParsedTrace read_trace_jsonl(std::istream& in) {
       if (line.find("\"schema\":\"dflp-trace\"") == std::string::npos)
         parse_fail(lineno, "first line is not a dflp-trace header");
       trace.version = get_int(line, "version", lineno);
+      if (trace.version != kTraceSchemaVersion) {
+        field_fail(lineno, "version",
+                   "schema version " + std::to_string(trace.version) +
+                       " != expected " + std::to_string(kTraceSchemaVersion));
+      }
       saw_header = true;
       continue;
     }
@@ -472,7 +456,6 @@ ParsedTrace read_trace_jsonl(std::istream& in) {
       s.name = get_string(line, "name", lineno);
       s.nodes = get_u64(line, "nodes", lineno);
       s.edges = get_u64(line, "edges", lineno);
-      s.threads = get_int(line, "threads", lineno);
       s.seed = get_u64(line, "seed", lineno);
       s.bit_budget = get_int(line, "bit_budget", lineno);
       trace.sections.push_back(std::move(s));
@@ -496,12 +479,6 @@ bool validate_trace_jsonl(std::istream& in, std::string* why) {
     trace = read_trace_jsonl(in);
   } catch (const CheckError& e) {
     return fail(e.what());
-  }
-  if (trace.version != kTraceSchemaVersion) {
-    std::ostringstream os;
-    os << "schema version " << trace.version << " != expected "
-       << kTraceSchemaVersion;
-    return fail(os.str());
   }
   std::vector<std::uint64_t> last_round(trace.sections.size(), 0);
   std::vector<bool> seen(trace.sections.size(), false);
@@ -530,15 +507,12 @@ bool validate_trace_jsonl(std::istream& in, std::string* why) {
       os << "messages staged with no live nodes";
       return fail(os.str());
     }
-    std::uint64_t prev_end = 0;
-    for (std::size_t k = 0; k < r.shards.size(); ++k) {
-      const TraceShard& s = r.shards[k];
-      if (s.end < s.begin || s.begin < prev_end || s.end > r.live) {
-        os << "shard " << k << " [" << s.begin << "," << s.end
-           << ") is not an ordered partition of [0, live=" << r.live << ")";
-        return fail(os.str());
-      }
-      prev_end = s.end;
+    const bool counted = (r.sent | r.delivered | r.dropped | r.duplicated |
+                          r.crashed | r.halted | r.bits | r.arena) != 0 ||
+                         r.max_bits != 0;
+    if (r.path == TracePath::kSkip && counted) {
+      os << "a skipped round must have zero counters";
+      return fail(os.str());
     }
     for (const auto& [label, count] : r.phases) {
       if (label.empty() || count == 0) {

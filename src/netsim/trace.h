@@ -34,11 +34,13 @@
 //     by tools/trace_report, tools/trace_check, and the tests).
 //   * Chrome trace_event JSON (`write_chrome`) — loadable directly in
 //     chrome://tracing or https://ui.perfetto.dev: rounds and engine phases
-//     as duration slices, the step shard on its own track, live nodes /
-//     in-flight messages / per-phase annotation counts as counter tracks.
+//     as duration slices, live nodes / in-flight messages / per-phase
+//     annotation counts as counter tracks.
 //
-// A Tracer instance belongs to one Network execution at a time, which
-// hands it one record per round; it is not thread-safe.
+// Only the synchronous engine (Network::run) produces records; the
+// asynchronous executor (netsim/async.h) records no trace. A Tracer
+// instance belongs to one Network execution at a time, which hands it one
+// record per round; it is not thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +55,7 @@ namespace dflp::net {
 /// Version of the JSONL schema (the `"version"` field of the header line).
 /// Bump on any backwards-incompatible field change and update
 /// docs/trace-schema.md in the same commit.
-inline constexpr int kTraceSchemaVersion = 1;
+inline constexpr int kTraceSchemaVersion = 2;
 
 /// On-disk export formats.
 enum class TraceFormat : std::uint8_t {
@@ -66,19 +68,20 @@ enum class TraceFormat : std::uint8_t {
                                       TraceFormat* out) noexcept;
 [[nodiscard]] std::string_view trace_format_name(TraceFormat format) noexcept;
 
-/// Wall time of the step phase over a contiguous range of the live-node
-/// list. The engine steps every executed round in one pass, so it records
-/// exactly one shard, [0, live), per executed round with a live node and
-/// none for a skipped one; the schema keeps the list form.
-struct TraceShard {
-  std::uint64_t begin = 0;  ///< first live-list index of the shard
-  std::uint64_t end = 0;    ///< one past the last live-list index
-  double dur_s = 0.0;       ///< wall seconds the shard's step took
+/// How a round's messages reached their receivers (netsim/network.h,
+/// "Pull rounds"), or that the round was skipped.
+enum class TracePath : std::uint8_t {
+  kPush,  ///< executed; the commit scattered copies into slots (or sent none)
+  kPull,  ///< executed; the commit noted each broadcaster for its receivers
+  kSkip,  ///< skipped: every live node slept and nothing was in flight
 };
+
+/// "push" / "pull" / "skip", as written in the JSONL `path` field.
+[[nodiscard]] std::string_view trace_path_name(TracePath path) noexcept;
 
 /// One round, skipped or executed. All counters are round-local (not
 /// cumulative); a skipped round (netsim/network.h, sleeping nodes) has zero
-/// counters, zero durations and no shards.
+/// counters and zero durations.
 struct TraceRound {
   std::uint64_t round = 0;       ///< engine round number (resume-global)
   std::uint64_t live = 0;        ///< non-halted nodes, sleepers included
@@ -101,7 +104,7 @@ struct TraceRound {
   /// (netsim/network.h) there is no scatter, and it covers only noting
   /// each broadcaster's record in the pull column.
   double scatter_s = 0.0;
-  std::vector<TraceShard> shards;  ///< step durations, one per executed round
+  TracePath path = TracePath::kPush;
   /// Per-node phase annotations aggregated for this round: (phase label,
   /// number of nodes that marked it), sorted by label. Empty unless the
   /// tracer was built with capture_phases.
@@ -119,7 +122,6 @@ struct TraceSection {
   std::string name;  ///< runner-chosen label, default "run"
   std::uint64_t nodes = 0;
   std::uint64_t edges = 0;
-  int threads = 1;  ///< always 1: both engines run on one thread
   std::uint64_t seed = 0;
   int bit_budget = 0;
 };
@@ -186,15 +188,16 @@ struct ParsedTrace {
 };
 
 /// Parses a JSONL trace produced by `write_jsonl`. Throws CheckError with a
-/// line number and reason on malformed input. (This is a reader for the
-/// writer above, not a general JSON parser.)
+/// line number and reason on malformed input, including a header whose
+/// version is not kTraceSchemaVersion. (This is a reader for the writer
+/// above, not a general JSON parser.)
 [[nodiscard]] ParsedTrace read_trace_jsonl(std::istream& in);
 
 /// Validates `in` against the documented schema: header first, known record
 /// types, required fields, version match, consecutive per-section round
-/// numbers, and the counter identity delivered == sent - dropped +
-/// duplicated. Returns true when valid; otherwise false with a reason in
-/// `*why`.
+/// numbers, the counter identity delivered == sent - dropped + duplicated,
+/// and zero counters in a skipped round. Returns true when valid; otherwise
+/// false with a reason in `*why`.
 [[nodiscard]] bool validate_trace_jsonl(std::istream& in, std::string* why);
 
 /// Re-emits a parsed trace in the same versioned JSONL schema that
@@ -204,12 +207,11 @@ struct ParsedTrace {
 void write_trace_jsonl(const ParsedTrace& trace, std::ostream& out);
 
 /// Strips everything machine- or run-speed-dependent from a trace, in
-/// place, leaving only the deterministic round shape: wall timings
-/// (step_s/commit_s/scatter_s) are zeroed, step shards dropped, and section
-/// thread counts pinned to 1 (traces written by an engine that ran several
-/// step threads normalize to the same bytes). Two runs of the same solve at the
-/// same seed normalize to byte-identical JSONL, which is what the committed
-/// goldens under tests/goldens/ and CI's trace-regression job diff against.
+/// place, leaving only the deterministic round shape: the wall timings
+/// (step_s/commit_s/scatter_s) are zeroed. Two runs of the same solve at
+/// the same seed normalize to byte-identical JSONL, which is what the
+/// committed goldens under tests/goldens/ and CI's trace-regression job
+/// diff against.
 void normalize_trace(ParsedTrace* trace);
 
 }  // namespace dflp::net

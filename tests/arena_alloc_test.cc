@@ -14,6 +14,11 @@
 //
 // The overrides are process-wide for the whole dflp_tests binary; they
 // only count and forward, so the other suites see identical behaviour.
+// Every form of `operator new` that can hand a block to the replaced
+// `operator delete` is replaced too, the std::nothrow ones included:
+// under ASan a block from the library's allocator freed by this shim is an
+// alloc-dealloc mismatch.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -21,6 +26,7 @@
 #include <new>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,30 +37,50 @@ namespace {
 
 std::atomic<std::uint64_t> g_news{0};
 
-void* counted_alloc(std::size_t size) {
+/// Counts one allocation; nullptr when malloc fails.
+void* counted_alloc(std::size_t size) noexcept {
   g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+  return std::malloc(size ? size : 1);
 }
 
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
+void* counted_aligned_alloc(std::size_t size, std::align_val_t al) noexcept {
   g_news.fetch_add(1, std::memory_order_relaxed);
   // C11 aligned_alloc wants size to be a multiple of the alignment.
+  const auto align = static_cast<std::size_t>(al);
   const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded ? rounded : align))
-    return p;
-  throw std::bad_alloc();
+  return std::aligned_alloc(align, rounded ? rounded : align);
+}
+
+void* or_throw(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
 }
 
 }  // namespace
 
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size) { return or_throw(counted_alloc(size)); }
+void* operator new[](std::size_t size) {
+  return or_throw(counted_alloc(size));
+}
 void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+  return or_throw(counted_aligned_alloc(size, align));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+  return or_throw(counted_aligned_alloc(size, align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -207,6 +233,32 @@ TEST(ArenaAllocTest, CountingShimIsLive) {
   auto* p = new std::uint64_t(42);
   EXPECT_GT(g_news.load(std::memory_order_relaxed), before);
   delete p;
+}
+
+TEST(ArenaAllocTest, NothrowNewPairsWithTheShimsDelete) {
+  // std::stable_sort takes its temporary buffer from nothrow new and gives
+  // it back through operator delete, which the shim replaces.
+  std::vector<std::uint64_t> keys(4096);
+  Rng rng(7);
+  for (std::uint64_t& k : keys) k = rng.uniform_u64(64);
+  const std::uint64_t before_sort = g_news.load(std::memory_order_relaxed);
+  std::stable_sort(keys.begin(), keys.end());
+  EXPECT_GT(g_news.load(std::memory_order_relaxed), before_sort);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+
+  // Explicit nothrow array forms, plain and over-aligned.
+  struct alignas(64) Line {
+    unsigned char bytes[64];
+  };
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  auto* words = new (std::nothrow) std::uint64_t[16];
+  auto* lines = new (std::nothrow) Line[2];
+  ASSERT_NE(words, nullptr);
+  ASSERT_NE(lines, nullptr);
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed), before + 2);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lines) % alignof(Line), 0u);
+  delete[] words;
+  delete[] lines;
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 // threads, so an engine rewrite that shifts any case shows here.
 #include <cstdint>
 #include <map>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -113,8 +112,7 @@ using CaseHashes = std::map<std::string, std::uint64_t>;
 void expect_case_hash(const SweepCase& c, const std::string& trace,
                       const CaseHashes& golden) {
   const std::string name = case_name(testing::TestParamInfo<SweepCase>(c, 0));
-  const std::string located =
-      std::regex_replace(trace, std::regex(R"( at \S+:[0-9]+)"), "");
+  const std::string located = without_check_location(trace);
   EXPECT_EQ(fnv1a(located), golden.at(name)) << name << ": " << located;
 }
 
@@ -376,8 +374,8 @@ TEST_P(EngineEquivalenceTest, FtfpRecoveredMatchesFaultFreePlacement) {
   EXPECT_GT(out.metrics.dropped, 0u);
 }
 
-/// Deterministic trace payload: every field except wall-clock timings, the
-/// step shard and the section's recorded thread count (always 1).
+/// Deterministic trace payload: every field except wall-clock timings and
+/// the delivery path, which the trace goldens and the Network.* cases pin.
 std::string trace_payload_fingerprint(const net::Tracer& tracer) {
   std::ostringstream os;
   for (const net::TraceSection& s : tracer.sections())
@@ -526,7 +524,7 @@ TEST_P(EngineEquivalenceTest, StreamCellSkipsRoundsBitIdentically) {
   expect_case_hash(GetParam(), run(), golden);
 
   if (GetParam().mode != FaultMode::kFaultFree) return;
-  // The skips themselves: a skipped round steps no shard.
+  // The skips themselves, as the trace names them.
   net::Tracer tracer;
   core::MwParams params = sweep_params(GetParam(), /*k=*/4, /*seed=*/3);
   params.pinned_schedule = &pinned;
@@ -534,7 +532,7 @@ TEST_P(EngineEquivalenceTest, StreamCellSkipsRoundsBitIdentically) {
   (void)core::run_mw_greedy(inst, params);
   std::size_t skipped = 0;
   for (const net::TraceRound& r : tracer.rounds())
-    skipped += r.shards.empty() ? 1 : 0;
+    skipped += r.path == net::TracePath::kSkip ? 1 : 0;
   EXPECT_EQ(tracer.rounds().size(), 29u);
   EXPECT_EQ(skipped, 23u);
 }

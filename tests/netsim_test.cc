@@ -994,19 +994,24 @@ TEST(Network, AllAsleepSkipsToTheEarliestWakeRoundAndCountsSkippedRounds) {
   EXPECT_EQ(net->transport_touches(), 3u + 3u + 2u + 1u);
 
   // One record per round, skipped ones included, with sleepers still live.
+  // The stepped rounds send nothing, so they push; none pulls.
   ASSERT_EQ(tracer.rounds().size(), 13u);
   const std::uint64_t live[] = {3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 1, 1, 1};
+  std::uint64_t pull_records = 0;
   for (std::uint64_t r = 0; r < 13; ++r) {
     const TraceRound& rec = tracer.rounds()[r];
     EXPECT_EQ(rec.round, r);
     EXPECT_EQ(rec.live, live[r]) << "round " << r;
     const bool stepped = r == 0 || r == 7 || r == 9 || r == 12;
-    EXPECT_EQ(rec.shards.empty(), !stepped) << "round " << r;
+    EXPECT_EQ(rec.path, stepped ? TracePath::kPush : TracePath::kSkip)
+        << "round " << r;
+    pull_records += rec.path == TracePath::kPull ? 1 : 0;
     if (!stepped) {
       EXPECT_EQ(rec.sent + rec.delivered + rec.halted + rec.crashed, 0u);
       EXPECT_EQ(rec.step_s + rec.commit_s + rec.scatter_s, 0.0);
     }
   }
+  EXPECT_EQ(pull_records, net->pulled_rounds());
   std::ostringstream jsonl;
   tracer.write_jsonl(jsonl);
   std::istringstream in(jsonl.str());
@@ -1298,7 +1303,8 @@ TEST(Network, PullRoundsDeliverEachReceiversBroadcastingNeighbours) {
 /// `unicast`, when set, sends one copy of its sender's payload. Checks
 /// each round-1 inbox against the adjacency — under message hazards each
 /// delivered copy must be one of the wanted ones, in ascending source
-/// order — and returns how many rounds pulled.
+/// order — and the traced path of both rounds, and returns how many
+/// rounds pulled.
 std::uint64_t pulled_in_round0(std::size_t n,
                                const std::vector<std::pair<NodeId, NodeId>>&
                                    edges,
@@ -1306,6 +1312,8 @@ std::uint64_t pulled_in_round0(std::size_t n,
                                std::pair<NodeId, NodeId> unicast,
                                Network::Options o) {
   if (edges.empty()) o.topology = Topology::kClique;
+  Tracer tracer;
+  o.tracer = &tracer;
   Network net(n, o);
   for (const auto& [u, v] : edges) net.add_edge(u, v);
   net.finalize();
@@ -1348,6 +1356,16 @@ std::uint64_t pulled_in_round0(std::size_t n,
       }
     }
   }
+  // Round 0 takes the gate's path; round 1 only halts, so it pushes.
+  EXPECT_EQ(tracer.rounds().size(), 2u);
+  std::uint64_t pull_records = 0;
+  for (const TraceRound& rec : tracer.rounds()) {
+    pull_records += rec.path == TracePath::kPull ? 1 : 0;
+    if (rec.round > 0) {
+      EXPECT_EQ(rec.path, TracePath::kPush) << "round " << rec.round;
+    }
+  }
+  EXPECT_EQ(pull_records, net.pulled_rounds());
   return net.pulled_rounds();
 }
 

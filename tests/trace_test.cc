@@ -5,8 +5,8 @@
 // pinned here by a committed golden — a fixed-seed mw-greedy run must
 // serialize to exactly the committed text once wall-clock timings (the only
 // nondeterministic fields) are masked. The suite also pins the read side
-// (parse round-trip), the validator's rejection diagnostics, and the Chrome
-// exporter's basic shape.
+// (parse round-trip, the reader's and the validator's rejection
+// diagnostics) and the Chrome exporter's basic shape.
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "core/mw_greedy.h"
 #include "netsim/trace.h"
 #include "workload/generators.h"
@@ -21,15 +22,12 @@
 namespace dflp {
 namespace {
 
-/// Masks every timing value (`*_s` fields and the duration slot of shard
-/// triples) with `_`; everything else in a trace is deterministic.
-std::string mask_timings(std::string s) {
-  s = std::regex_replace(
+/// Masks every timing value (the `*_s` fields) with `_`; everything else
+/// in a trace is deterministic.
+std::string mask_timings(const std::string& s) {
+  return std::regex_replace(
       s, std::regex(R"re("(step_s|commit_s|scatter_s)":[0-9.eE+-]+)re"),
       "\"$1\":_");
-  s = std::regex_replace(
-      s, std::regex(R"re(\[([0-9]+),([0-9]+),[0-9.eE+-]+\])re"), "[$1,$2,_]");
-  return s;
 }
 
 /// The fixed-seed run behind the golden: uniform family (24 facilities,
@@ -61,41 +59,41 @@ std::string golden_jsonl() {
 // doubling phases; offers start at round 16 and the run settles in three
 // offer/accept/open/connect waves. Every node steps in round 0 and sleeps
 // until its first possible action, so rounds 1-15 are skipped: they keep
-// their records, with no shards. Any schema change — field added, renamed,
+// their records, with `path` "skip". Any schema change — field added, renamed,
 // reordered, version bumped — must update this text AND docs/trace-schema.md
 // together.
 constexpr char kGoldenJsonl[] =
-    R"({"schema":"dflp-trace","version":1}
-{"type":"section","id":0,"name":"mw-greedy","nodes":28,"edges":96,"threads":1,"seed":11,"bit_budget":36}
-{"type":"round","sec":0,"round":0,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[]}
-{"type":"round","sec":0,"round":1,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":2,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":3,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":4,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":5,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":6,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":7,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":8,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":9,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":10,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":11,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":12,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":13,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":14,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":15,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[],"phases":[]}
-{"type":"round","sec":0,"round":16,"live":28,"sent":25,"delivered":25,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":200,"max_bits":8,"arena":25,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[["offer",3]]}
-{"type":"round","sec":0,"round":17,"live":28,"sent":18,"delivered":18,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":144,"max_bits":8,"arena":18,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[["accept",18]]}
-{"type":"round","sec":0,"round":18,"live":28,"sent":18,"delivered":18,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":144,"max_bits":8,"arena":18,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[["open",3]]}
-{"type":"round","sec":0,"round":19,"live":28,"sent":72,"delivered":72,"dropped":0,"duplicated":0,"crashed":0,"halted":18,"bits":576,"max_bits":8,"arena":72,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,28,_]],"phases":[["connect",18]]}
-{"type":"round","sec":0,"round":20,"live":10,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,10,_]],"phases":[["offer",3]]}
-{"type":"round","sec":0,"round":21,"live":10,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,10,_]],"phases":[["accept",3]]}
-{"type":"round","sec":0,"round":22,"live":10,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,10,_]],"phases":[["open",3]]}
-{"type":"round","sec":0,"round":23,"live":10,"sent":12,"delivered":12,"dropped":0,"duplicated":0,"crashed":0,"halted":3,"bits":96,"max_bits":8,"arena":12,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,10,_]],"phases":[["connect",3]]}
-{"type":"round","sec":0,"round":24,"live":7,"sent":6,"delivered":6,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":48,"max_bits":8,"arena":6,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,7,_]],"phases":[["offer",4]]}
-{"type":"round","sec":0,"round":25,"live":7,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,7,_]],"phases":[["accept",3]]}
-{"type":"round","sec":0,"round":26,"live":7,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,7,_]],"phases":[["open",2]]}
-{"type":"round","sec":0,"round":27,"live":7,"sent":12,"delivered":12,"dropped":0,"duplicated":0,"crashed":0,"halted":3,"bits":96,"max_bits":8,"arena":12,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,7,_]],"phases":[["connect",3]]}
-{"type":"round","sec":0,"round":28,"live":4,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":4,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"shards":[[0,4,_]],"phases":[]}
+    R"({"schema":"dflp-trace","version":2}
+{"type":"section","id":0,"name":"mw-greedy","nodes":28,"edges":96,"seed":11,"bit_budget":36}
+{"type":"round","sec":0,"round":0,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[]}
+{"type":"round","sec":0,"round":1,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":2,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":3,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":4,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":5,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":6,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":7,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":8,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":9,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":10,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":11,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":12,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":13,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":14,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":15,"live":28,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"skip","phases":[]}
+{"type":"round","sec":0,"round":16,"live":28,"sent":25,"delivered":25,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":200,"max_bits":8,"arena":25,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["offer",3]]}
+{"type":"round","sec":0,"round":17,"live":28,"sent":18,"delivered":18,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":144,"max_bits":8,"arena":18,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["accept",18]]}
+{"type":"round","sec":0,"round":18,"live":28,"sent":18,"delivered":18,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":144,"max_bits":8,"arena":18,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["open",3]]}
+{"type":"round","sec":0,"round":19,"live":28,"sent":72,"delivered":72,"dropped":0,"duplicated":0,"crashed":0,"halted":18,"bits":576,"max_bits":8,"arena":72,"step_s":_,"commit_s":_,"scatter_s":_,"path":"pull","phases":[["connect",18]]}
+{"type":"round","sec":0,"round":20,"live":10,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["offer",3]]}
+{"type":"round","sec":0,"round":21,"live":10,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["accept",3]]}
+{"type":"round","sec":0,"round":22,"live":10,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["open",3]]}
+{"type":"round","sec":0,"round":23,"live":10,"sent":12,"delivered":12,"dropped":0,"duplicated":0,"crashed":0,"halted":3,"bits":96,"max_bits":8,"arena":12,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["connect",3]]}
+{"type":"round","sec":0,"round":24,"live":7,"sent":6,"delivered":6,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":48,"max_bits":8,"arena":6,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["offer",4]]}
+{"type":"round","sec":0,"round":25,"live":7,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["accept",3]]}
+{"type":"round","sec":0,"round":26,"live":7,"sent":3,"delivered":3,"dropped":0,"duplicated":0,"crashed":0,"halted":0,"bits":24,"max_bits":8,"arena":3,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["open",2]]}
+{"type":"round","sec":0,"round":27,"live":7,"sent":12,"delivered":12,"dropped":0,"duplicated":0,"crashed":0,"halted":3,"bits":96,"max_bits":8,"arena":12,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[["connect",3]]}
+{"type":"round","sec":0,"round":28,"live":4,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":4,"bits":0,"max_bits":0,"arena":0,"step_s":_,"commit_s":_,"scatter_s":_,"path":"push","phases":[]}
 )";
 
 TEST(TraceGolden, FixedSeedRunMatchesCommittedJsonl) {
@@ -126,7 +124,7 @@ TEST(TraceGolden, JsonlRoundTripsThroughReader) {
     EXPECT_EQ(got.delivered, want.delivered);
     EXPECT_EQ(got.bits, want.bits);
     EXPECT_EQ(got.arena, want.arena);
-    EXPECT_EQ(got.shards.size(), want.shards.size());
+    EXPECT_EQ(got.path, want.path);
     ASSERT_EQ(got.phases.size(), want.phases.size());
     for (std::size_t p = 0; p < got.phases.size(); ++p) {
       EXPECT_EQ(got.phases[p].first, want.phases[p].first);
@@ -148,10 +146,12 @@ std::string normalized_golden_jsonl() {
 
 TEST(TraceNormalize, StripsTimingsAndIsIdempotent) {
   const std::string serial = normalized_golden_jsonl();
-  // No timing survives: every *_s field is exactly 0 and shards are gone.
-  EXPECT_EQ(serial.find("\"shards\":[["), std::string::npos);
+  // No timing survives: every *_s field is exactly 0. The delivery paths
+  // are deterministic, so they stay.
+  EXPECT_FALSE(std::regex_search(serial, std::regex(R"re(_s":(?!0,))re")));
   EXPECT_NE(serial.find("\"step_s\":0,\"commit_s\":0,\"scatter_s\":0"),
             std::string::npos);
+  EXPECT_NE(serial.find("\"path\":\"skip\""), std::string::npos);
   // A second run differs only in its timings, so its normalized bytes are
   // identical, which is what lets CI diff a fresh trace against a
   // committed golden.
@@ -191,7 +191,7 @@ TEST(TraceValidator, AcceptsFreshTrace) {
 }
 
 TEST(TraceValidator, RejectsWrongVersion) {
-  const std::string text = corrupted_golden("\"version\":1", "\"version\":7");
+  const std::string text = corrupted_golden("\"version\":2", "\"version\":7");
   EXPECT_NE(validate(text).find("version"), std::string::npos)
       << validate(text);
 }
@@ -209,10 +209,18 @@ TEST(TraceValidator, RejectsCounterIdentityViolation) {
       << validate(text);
 }
 
-TEST(TraceValidator, RejectsShardOutsideLiveRange) {
-  const std::string text = corrupted_golden("\"shards\":[[0,28,",
-                                            "\"shards\":[[0,29,");
-  EXPECT_NE(validate(text).find("shard"), std::string::npos)
+TEST(TraceValidator, RejectsSkippedRoundWithCounters) {
+  // Round 1 is the first skipped round; give it a halt.
+  const std::string text = corrupted_golden(
+      "\"round\":1,\"live\":28,\"sent\":0,\"delivered\":0,\"dropped\":0,"
+      "\"duplicated\":0,\"crashed\":0,\"halted\":0",
+      "\"round\":1,\"live\":28,\"sent\":0,\"delivered\":0,\"dropped\":0,"
+      "\"duplicated\":0,\"crashed\":0,\"halted\":1");
+  EXPECT_NE(text.find("\"halted\":1,\"bits\":0,\"max_bits\":0,\"arena\":0,"
+                      "\"step_s\":0,\"commit_s\":0,\"scatter_s\":0,"
+                      "\"path\":\"skip\""),
+            std::string::npos);
+  EXPECT_NE(validate(text).find("skipped round"), std::string::npos)
       << validate(text);
 }
 
@@ -231,6 +239,43 @@ TEST(TraceValidator, RejectsNonConsecutiveRounds) {
 
 TEST(TraceValidator, RejectsGarbageLine) {
   EXPECT_NE(validate(golden_jsonl() + "not json\n"), "");
+}
+
+/// The reader's diagnostic for `text` ("" when it parses).
+std::string read_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)net::read_trace_jsonl(in);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceReader, RejectsVersion1Trace) {
+  // A schema-1 trace, as the previous writer produced it.
+  const std::string v1 =
+      R"({"schema":"dflp-trace","version":1}
+{"type":"section","id":0,"name":"mw-greedy","nodes":3,"edges":2,"threads":1,"seed":1,"bit_budget":36}
+{"type":"round","sec":0,"round":0,"live":3,"sent":0,"delivered":0,"dropped":0,"duplicated":0,"crashed":0,"halted":3,"bits":0,"max_bits":0,"arena":0,"step_s":1e-06,"commit_s":1e-06,"scatter_s":1e-06,"shards":[[0,3,1e-06]],"phases":[]}
+)";
+  EXPECT_NE(read_error(v1).find("field 'version': schema version 1"),
+            std::string::npos)
+      << read_error(v1);
+}
+
+TEST(TraceReader, RejectsRoundWithoutPath) {
+  const std::string text = corrupted_golden("\"path\":\"skip\",", "");
+  EXPECT_NE(read_error(text).find("missing field 'path'"), std::string::npos)
+      << read_error(text);
+}
+
+TEST(TraceReader, RejectsUnknownPath) {
+  const std::string text =
+      corrupted_golden("\"path\":\"push\"", "\"path\":\"scatter\"");
+  EXPECT_NE(read_error(text).find("field 'path': expected push, pull or skip"),
+            std::string::npos)
+      << read_error(text);
 }
 
 TEST(TraceChromeExport, HasMetadataSlicesAndCounters) {

@@ -2,18 +2,19 @@
 //
 //   trace_check [--normalize] <trace.jsonl|->
 //
-// Exit 0 when the input is a valid version-1 JSONL trace
+// Exit 0 when the input is a valid version-2 JSONL trace
 // (docs/trace-schema.md): header first, known record types, required
-// fields, dense section ids, consecutive per-section round numbers, and
-// the counter identity delivered == sent - dropped + duplicated. Exit 1
-// with the reason on stderr otherwise. CI's trace-smoke job runs this on a
-// fresh `dflp_cli solve --trace` output.
+// fields, a known delivery `path` per round, dense section ids,
+// consecutive per-section round numbers, the counter identity
+// delivered == sent - dropped + duplicated, and zero counters in a skipped
+// round. Exit 1 with the reason on stderr otherwise. CI's trace-smoke job
+// runs this on a fresh `dflp_cli solve --trace` output.
 //
 // With --normalize, a valid trace is additionally re-emitted on stdout in
-// canonical form — wall timings zeroed, step shards dropped, thread counts
-// pinned (netsim/trace.h normalize_trace) — so the deterministic round
-// shape can be diffed against the committed goldens in tests/goldens/
-// (CI's trace-regression job).
+// canonical form — wall timings zeroed (netsim/trace.h normalize_trace) —
+// so the deterministic round shape, delivery paths included, can be
+// diffed against the committed goldens in tests/goldens/ (CI's
+// trace-regression job).
 #include <fstream>
 #include <iostream>
 #include <sstream>

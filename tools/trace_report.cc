@@ -4,15 +4,15 @@
 //
 // Prints, per trace section (one section per network execution — a
 // pipeline run has one per stage):
-//   * a run summary (nodes, threads, rounds, messages, bits, wall time);
+//   * a run summary (nodes, rounds, messages, bits, wall time);
 //   * the engine-phase fold — where the wall time went between the step,
 //     commit (tally + layout) and scatter phases;
 //   * the algorithm-phase fold — per `NodeContext::annotate` label, how
 //     many node-rounds marked it and over which round window (present only
 //     when the trace was recorded with --trace-phases);
-//   * a per-round table. With more than N rounds (default 30, 0 = all) the
-//     N slowest rounds by wall time are shown instead, flagged in the
-//     heading.
+//   * a per-round table, with each round's delivery path (push, pull or
+//     skip). With more than N rounds (default 30, 0 = all) the N slowest
+//     rounds by wall time are shown instead, flagged in the heading.
 //
 // Input is the versioned JSONL schema (docs/trace-schema.md); Chrome-format
 // exports are for chrome://tracing, not for this tool.
@@ -69,9 +69,8 @@ int report(const ParsedTrace& trace, std::size_t max_rounds) {
     const double wall_s = step_s + commit_s + scatter_s;
 
     std::cout << "\n## section " << s << ": " << sec.name << " (nodes="
-              << sec.nodes << ", edges=" << sec.edges << ", threads="
-              << sec.threads << ", seed=" << sec.seed << ", bit budget="
-              << sec.bit_budget << ")\n\n";
+              << sec.nodes << ", edges=" << sec.edges << ", seed=" << sec.seed
+              << ", bit budget=" << sec.bit_budget << ")\n\n";
     Table summary({"rounds", "delivered", "dropped", "kbits", "arena peak",
                    "wall ms", "rounds/s"});
     summary.row()
@@ -145,8 +144,9 @@ int report(const ParsedTrace& trace, std::size_t max_rounds) {
       std::cout << "### " << shown.size() << " slowest of " << rounds.size()
                 << " rounds (rerun with --rounds 0 for all)\n\n";
     }
-    Table rtab({"round", "live", "sent", "delivered", "dropped", "halted",
-                "bits", "step us", "commit us", "scatter us", "phases"});
+    Table rtab({"round", "path", "live", "sent", "delivered", "dropped",
+                "halted", "bits", "step us", "commit us", "scatter us",
+                "phases"});
     for (const TraceRound* r : shown) {
       std::string phase_cell;
       for (const auto& [label, count] : r->phases) {
@@ -155,6 +155,7 @@ int report(const ParsedTrace& trace, std::size_t max_rounds) {
       }
       rtab.row()
           .cell(r->round)
+          .cell(std::string(dflp::net::trace_path_name(r->path)))
           .cell(r->live)
           .cell(r->sent)
           .cell(r->delivered)
