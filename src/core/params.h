@@ -77,16 +77,9 @@ struct MwParams {
   /// Round tracer (netsim/trace.h), not owned; attached to every network
   /// the runner builds (run_mw_greedy_async, whose executor records no
   /// trace, rejects it). Purely observational — a traced run is
-  /// bit-identical to an untraced one. Library callers set this directly
-  /// for in-memory traces; harness::run_algorithm owns a Tracer itself
-  /// when `trace_path` asks for a file.
+  /// bit-identical to an untraced one. The caller owns the Tracer and
+  /// exports it (`dflp_cli solve --trace` writes it to a file).
   net::Tracer* tracer = nullptr;
-  /// Harness-level export: when non-empty, run_algorithm writes the trace
-  /// here in `trace_format`, capturing per-node phase annotations when
-  /// `trace_phases` is set (see docs/trace-schema.md).
-  std::string trace_path;
-  net::TraceFormat trace_format = net::TraceFormat::kJsonl;
-  bool trace_phases = false;
   /// Warm-start entry point for epoch-batched re-solves (service layer):
   /// when non-null, every runner uses *this* schedule verbatim instead of
   /// re-deriving one from the instance at hand. A service derives the

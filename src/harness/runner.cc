@@ -86,19 +86,6 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
                         const core::MwParams& params, const LowerBound& lb) {
   RunResult result;
   result.algo = algo_name(algo);
-  const bool distributed = algo == Algo::kMwGreedy ||
-                           algo == Algo::kPipeline ||
-                           algo == Algo::kCliqueFl;
-
-  // File-level tracing: the harness owns the Tracer, hands the runners a
-  // pointer via a params copy, and exports after the run. Callers that want
-  // the trace in memory set `params.tracer` themselves and skip trace_path.
-  core::MwParams traced_params = params;
-  net::Tracer tracer(params.trace_phases);
-  if (distributed && !params.trace_path.empty() && params.tracer == nullptr)
-    traced_params.tracer = &tracer;
-  const core::MwParams& run_params = traced_params;
-
   const auto start = std::chrono::steady_clock::now();
 
   fl::IntegralSolution sol;
@@ -106,14 +93,14 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
     case Algo::kMwGreedy: {
       // Routed through the fault harness so boot crashes are honoured;
       // identical to run_mw_greedy when boot_crash_fraction is 0.
-      core::MwGreedyOutcome out = run_mw_greedy_with_faults(inst, run_params);
+      core::MwGreedyOutcome out = run_mw_greedy_with_faults(inst, params);
       sol = std::move(out.solution);
       record_metrics(result, out.metrics);
       result.retransmitted = out.transport.retransmissions;
       break;
     }
     case Algo::kPipeline: {
-      core::PipelineOutcome out = core::run_pipeline(inst, run_params);
+      core::PipelineOutcome out = core::run_pipeline(inst, params);
       sol = std::move(out.solution);
       net::NetMetrics both = out.frac_metrics;
       both.merge(out.round_metrics);
@@ -156,10 +143,10 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
       // requires a complete bipartite (metric) instance and throws
       // otherwise.
       core::CliqueFlParams cp;
-      cp.seed = run_params.seed;
-      cp.delivery = run_params.delivery;
-      cp.faults = run_params.faults;
-      cp.tracer = run_params.tracer;
+      cp.seed = params.seed;
+      cp.delivery = params.delivery;
+      cp.faults = params.faults;
+      cp.tracer = params.tracer;
       core::CliqueFlOutcome out = core::run_clique_fl(inst, cp);
       sol = std::move(out.solution);
       record_metrics(result, out.metrics);
@@ -170,10 +157,6 @@ RunResult run_algorithm(Algo algo, const fl::Instance& inst,
   const auto stop = std::chrono::steady_clock::now();
   result.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
-  if (run_params.tracer == &tracer) {
-    tracer.write_file(params.trace_path, params.trace_format);
-    result.trace_path = params.trace_path;
-  }
   result.feasible = sol.is_feasible(inst);
   DFLP_CHECK_MSG(result.feasible,
                  result.algo << " produced an infeasible solution");

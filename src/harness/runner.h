@@ -62,10 +62,6 @@ struct RunResult {
   /// rounds / fault-free-baseline rounds; 0 when no baseline was run
   /// (fault-free executions, or callers that skip the comparison).
   double round_dilation = 0.0;
-  /// Path the round trace was written to (empty when the run was untraced
-  /// or the algorithm is centralized). See MwParams::trace_path and
-  /// docs/trace-schema.md.
-  std::string trace_path;
 };
 
 /// Runs `algo` on `inst`; `params` applies to the distributed algorithms.

@@ -86,8 +86,8 @@ struct Message {
   TransportHeader hdr;
 };
 static_assert(sizeof(Message) == 80,
-              "the delivery view is billed as 80 bytes per delivery "
-              "(NetMetrics::bytes_moved); `port` sits in alignment padding");
+              "the delivery view a receiver reads stays 80 bytes; `port` "
+              "sits in alignment padding");
 
 /// Flag bits of WireRecord::flags.
 enum WireFlag : std::uint8_t {

@@ -18,12 +18,9 @@ void NetMetrics::merge(const NetMetrics& later) noexcept {
   dropped += later.dropped;
   duplicated += later.duplicated;
   crashed += later.crashed;
-  bytes_moved += later.bytes_moved;
   max_message_bits = std::max(max_message_bits, later.max_message_bits);
   max_messages_in_round =
       std::max(max_messages_in_round, later.max_messages_in_round);
-  arena_peak_messages =
-      std::max(arena_peak_messages, later.arena_peak_messages);
 }
 
 std::string NetMetrics::to_string() const {
@@ -34,9 +31,6 @@ std::string NetMetrics::to_string() const {
   if (dropped > 0) os << " dropped=" << dropped;
   if (duplicated > 0) os << " duplicated=" << duplicated;
   if (crashed > 0) os << " crashed=" << crashed;
-  if (arena_peak_messages > 0)
-    os << " arena_peak=" << arena_peak_messages
-       << " bytes_moved=" << bytes_moved;
   return os.str();
 }
 

@@ -46,20 +46,6 @@ struct NetMetrics {
   std::int32_t first_drop_dst = -1;
   std::uint8_t first_drop_kind = 0;
 
-  /// High-water mark of messages resident in the delivery arena at any
-  /// round boundary — the transport's peak buffering requirement, counted
-  /// in delivered copies (the SoA arena stores them as 8-byte slots over
-  /// shared staged records, but the logical occupancy is what matters for
-  /// cross-engine comparison).
-  std::uint64_t arena_peak_messages = 0;
-
-  /// Logical delivery volume: surviving messages × sizeof(Message), the
-  /// full 80-byte view a receiver reads. Layout-independent by design so
-  /// the number stays comparable across engine generations — the SoA
-  /// transport physically moves far less (8-byte slots at scatter, one
-  /// 40-byte record gather per delivery).
-  std::uint64_t bytes_moved = 0;
-
   /// Folds the metrics of a later part of the same execution (a resumed
   /// run, a pipeline stage, an FTFP phase) into this one: counters sum,
   /// high-water marks take the max, and the first drop of the earliest part

@@ -717,13 +717,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     }
     inflight_messages_ = survivors;
     if (tracer) t_scatter1 = TraceClock::now();
-    // Logical delivery volume: survivors times the full 80-byte Message
-    // view a receiver reads — a layout-independent constant, kept
-    // comparable across engine generations (the SoA transport physically
-    // moves 8-byte slots plus one gather per delivery).
-    run_metrics.bytes_moved += survivors * sizeof(Message);
-    run_metrics.arena_peak_messages =
-        std::max(run_metrics.arena_peak_messages, survivors);
 
     // Commit, pass 4 — halts: apply the requests the log collected and
     // compact the live list, in O(#halts) unless someone halted.

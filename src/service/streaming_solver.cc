@@ -168,7 +168,6 @@ StreamingSolver::SolveResult StreamingSolver::solve_component(
   core::MwParams params = options_.params;
   params.pinned_schedule = &schedule_;
   params.tracer = nullptr;
-  params.trace_path.clear();
   params.seed = derive_stream_seed(
       options_.params.seed,
       static_cast<std::uint64_t>(snap.facility_key(comp.facilities.front())),

@@ -4,7 +4,10 @@
 # argument (and its text or the subcommand).
 #
 #   cmake -DCLI=<dflp_cli> -DWORK=<dir> -DNAME=<test> -DARGS="<args>"
-#         -DEXPECT="<message>" -P cli_rejects_arg.cmake
+#         -DEXPECT="<message>" [-DRUN=<tool>] -P cli_rejects_arg.cmake
+#
+# With RUN, the same check applies to another tool (trace_report,
+# dflp_bench); CLI still generates the inputs.
 #
 # The token `u40.ufl` in ARGS is replaced by a freshly generated 40-client
 # uniform instance (`generate uniform 40 1`), and `m8.ufl` by a metric one
@@ -25,12 +28,15 @@ foreach(input "u40;uniform;40" "m8;metric;8")
   endif()
   list(TRANSFORM argv REPLACE "^${token}\\.ufl$" "${instance}")
 endforeach()
-execute_process(COMMAND "${CLI}" ${argv} RESULT_VARIABLE rc
+if(NOT RUN)
+  set(RUN "${CLI}")
+endif()
+execute_process(COMMAND "${RUN}" ${argv} RESULT_VARIABLE rc
                 OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "dflp_cli ${ARGS}: expected exit 2, got ${rc}\n${err}")
+  message(FATAL_ERROR "${RUN} ${ARGS}: expected exit 2, got ${rc}\n${err}")
 endif()
 string(FIND "${err}" "${EXPECT}" pos)
 if(pos EQUAL -1)
-  message(FATAL_ERROR "dflp_cli ${ARGS}: stderr lacks '${EXPECT}':\n${err}")
+  message(FATAL_ERROR "${RUN} ${ARGS}: stderr lacks '${EXPECT}':\n${err}")
 endif()

@@ -552,9 +552,6 @@ int cmd_solve(int argc, char** argv,
   params.seed = argc > 5 ? parse_number<std::uint64_t>("seed", argv[5]) : 1;
   const fl::Instance inst = load_instance(argv[3]);
   apply_fault_flags(params);
-  params.trace_path = g_trace_path;
-  params.trace_format = g_trace_format;
-  params.trace_phases = g_trace_phases;
   if (g_capacity > 0 && (g_coverage > 1 || g_kill_frac > 0.0)) {
     std::cerr << "--capacity cannot be combined with --coverage/--kill-frac\n";
     return 2;
@@ -563,17 +560,21 @@ int cmd_solve(int argc, char** argv,
   if (g_coverage > 1 || g_kill_frac > 0.0)
     return solve_ftfp(algo_name, inst, params);
   const harness::LowerBound lb = harness::compute_lower_bound(inst);
+  // --trace reaches this point only for a distributed algorithm
+  // (ignored_fault_flags, check_solve_mode_flags).
+  net::Tracer tracer(g_trace_phases);
+  if (!g_trace_path.empty()) params.tracer = &tracer;
   harness::RunResult r = harness::run_algorithm(algo, inst, params, lb);
+  if (!g_trace_path.empty()) tracer.write_file(g_trace_path, g_trace_format);
   // Any fault flag left at this point applies to a distributed algorithm.
   if (fault_flags_active()) {
     // Round dilation against the fault-free baseline sharing the same
     // transport mode and boot-crash pruning (fault_seed preserved).
-    // The baseline is never traced — it must not clobber the trace of
-    // the faulted run.
+    // The baseline is never traced: the trace is the faulted run's.
     core::MwParams clean = params;
     clean.faults = net::FaultPlan::Options{};
     clean.faults.fault_seed = params.faults.fault_seed;
-    clean.trace_path.clear();
+    clean.tracer = nullptr;
     const harness::RunResult base =
         harness::run_algorithm(algo, inst, clean, lb);
     if (base.rounds > 0) {
@@ -585,9 +586,9 @@ int cmd_solve(int argc, char** argv,
                          "lower bound (" + lb.kind + ") = " +
                              format_double(lb.value, 2),
                          harness::results_table({r}));
-  if (!r.trace_path.empty()) {
-    std::cout << "trace (" << net::trace_format_name(params.trace_format)
-              << ") written to " << r.trace_path << "\n";
+  if (!g_trace_path.empty()) {
+    std::cout << "trace (" << net::trace_format_name(g_trace_format)
+              << ") written to " << g_trace_path << "\n";
   }
   return 0;
 }

@@ -17,10 +17,13 @@
 // Input is the versioned JSONL schema (docs/trace-schema.md); Chrome-format
 // exports are for chrome://tracing, not for this tool.
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/check.h"
@@ -180,7 +183,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--rounds" && i + 1 < argc) {
-      max_rounds = static_cast<std::size_t>(std::atoll(argv[++i]));
+      // The whole count, as dflp_cli reads numbers: no prefix, no sign.
+      const std::string_view text = argv[++i];
+      const char* const end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, max_rounds);
+      if (ec != std::errc{} || ptr != end) {
+        std::cerr << "trace_report: --rounds must be a non-negative integer; "
+                     "got '"
+                  << text << "'\n";
+        return 2;
+      }
     } else if (path.empty()) {
       path = arg;
     } else {
