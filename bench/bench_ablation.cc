@@ -110,7 +110,9 @@ void run_boost_table() {
   print_table("rounding-boost sweep (uniform family, k = 9)", table);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_ablation(const Options&) {
   print_header(
       "E8 / Table 5 — ablation of reconstruction choices",
       "Each row disables one pinned choice from DESIGN.md §3. Expected: "
@@ -121,12 +123,7 @@ void run_experiment() {
   run_family(workload::Family::kUniform);
   run_family(workload::Family::kPowerLaw);
   run_boost_table();
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

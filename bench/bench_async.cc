@@ -18,7 +18,9 @@ fl::Instance sized_instance(std::int32_t n, std::uint64_t seed) {
   return workload::uniform_random(p, seed);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_async(const Options&) {
   print_header(
       "E9 / extension — alpha-synchronizer overhead (k = 4)",
       "payload = protocol messages (identical to the synchronous run by "
@@ -62,12 +64,7 @@ void run_experiment() {
         .cell(vtime_ratio.mean(), 2);
   }
   print_table("uniform family, max message delay 16", table);
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

@@ -75,7 +75,9 @@ void run_family(const std::string& name,
   print_table(name + " (m=12, n=60, 5 seeds)", table);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_baselines(const Options&) {
   print_header(
       "E6 / Table 3 — distributed trade-off vs centralized baselines",
       "Expected shape: centralized metric algorithms (JV/MP/JMS) win on the "
@@ -84,12 +86,7 @@ void run_experiment() {
       "methods dominate and mw-greedy(k=64) approaches seq-greedy.");
   run_family("metric (clustered Euclidean)", metric_instance);
   run_family("non-metric (power-law costs)", nonmetric_instance);
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

@@ -18,7 +18,9 @@ fl::Instance uniform_instance(std::int32_t n, std::uint64_t seed) {
   return workload::uniform_random(p, seed);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_congest(const Options&) {
   print_header(
       "E2 / Table 1 — CONGEST compliance across network sizes (k = 4)",
       "budget = simulator's enforced per-message bit budget (4*ceil(log2 "
@@ -73,12 +75,7 @@ void run_experiment() {
         .cell(static_cast<double>(out.metrics.rounds) / k, 2);
   }
   print_table("rounds vs k (n = 200, single seed — deterministic)", ktable);
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

@@ -1,4 +1,4 @@
-// E11 — fault-injection campaign (`bench_faults`).
+// E11 — fault-injection campaign (`dflp_bench faults`).
 //
 // Sweeps the fault grid drop rate × boot-crash fraction × burst length on
 // a uniform bipartite instance, once without and once with the reliable
@@ -13,8 +13,6 @@
 // `BENCH_faults.json` (override with `--out`). `--smoke` shrinks the grid
 // for CI.
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -56,53 +54,10 @@ core::MwParams cell_params(const Cell& c) {
   return p;
 }
 
-void write_json(const std::string& path, const std::string& mode,
-                const std::vector<Cell>& cells,
-                const std::vector<harness::FaultRunReport>& reports) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"faults\",\n  \"mode\": \"" << mode
-      << "\",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const Cell& c = cells[i];
-    const harness::FaultRunReport& r = reports[i];
-    out << "    {\"scenario\": \"" << r.scenario << "\", \"drop\": " << c.drop
-        << ", \"crash_frac\": " << c.crash_frac
-        << ", \"burst_len\": " << c.burst_len
-        << ", \"reliable\": " << (c.reliable ? "true" : "false")
-        << ", \"completed\": " << (r.completed ? "true" : "false")
-        << ", \"feasible\": " << (r.feasible ? "true" : "false")
-        << ", \"matches_fault_free\": "
-        << (r.matches_fault_free ? "true" : "false")
-        << ", \"cost_ratio\": " << r.cost_ratio
-        << ", \"rounds\": " << r.rounds
-        << ", \"round_dilation\": " << r.round_dilation
-        << ", \"dropped\": " << r.dropped
-        << ", \"duplicated\": " << r.duplicated
-        << ", \"crashed\": " << r.crashed
-        << ", \"retransmissions\": " << r.retransmissions
-        << ", \"duplicates_discarded\": " << r.duplicates_discarded;
-    if (!r.completed)
-      out << ", \"diagnostic\": \"" << json_escape(r.diagnostic) << "\"";
-    out << "}" << (i + 1 < reports.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
+}  // namespace
 
-int main_impl(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_faults.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_faults [--smoke] [--out FILE]\n";
-      return 2;
-    }
-  }
-
+int run_faults(const Options& opts) {
+  const bool smoke = opts.smoke;
   // The bipartite generator at a scale where a 10% boot-crash plan is
   // non-empty and the unprotected protocol reliably trips over loss.
   workload::UniformParams gen;
@@ -151,8 +106,30 @@ int main_impl(int argc, char** argv) {
     std::cout.flush();
   }
 
-  write_json(out_path, smoke ? "smoke" : "full", cells, reports);
-  std::cout << "\nwrote " << out_path << "\n";
+  std::vector<Record> rows;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const Cell& c = cells[i];
+    const harness::FaultRunReport& r = reports[i];
+    Record& row = rows.emplace_back();
+    row.add("scenario", r.scenario)
+        .add("drop", c.drop)
+        .add("crash_frac", c.crash_frac)
+        .add("burst_len", c.burst_len)
+        .add("reliable", c.reliable)
+        .add("completed", r.completed)
+        .add("feasible", r.feasible)
+        .add("matches_fault_free", r.matches_fault_free)
+        .add("cost_ratio", r.cost_ratio)
+        .add("rounds", r.rounds)
+        .add("round_dilation", r.round_dilation)
+        .add("dropped", r.dropped)
+        .add("duplicated", r.duplicated)
+        .add("crashed", r.crashed)
+        .add("retransmissions", r.retransmissions)
+        .add("duplicates_discarded", r.duplicates_discarded);
+    if (!r.completed) row.add("diagnostic", r.diagnostic);
+  }
+  bench_record("faults", opts).add("results", rows).write(opts.out);
 
   // Gate: every reliable cell must have recovered the fault-free solution.
   for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -166,9 +143,4 @@ int main_impl(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace dflp::benchx
-
-int main(int argc, char** argv) {
-  return dflp::benchx::main_impl(argc, argv);
-}

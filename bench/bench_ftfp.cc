@@ -1,4 +1,4 @@
-// E14 — redundancy vs recovery (`bench_ftfp`).
+// E14 — redundancy vs recovery (`dflp_bench ftfp`).
 //
 // Sweeps coverage r in {1,2,3} x transport {fault-free bare, lossy bare,
 // lossy reliable} on a uniform bipartite instance, then runs survivability
@@ -25,10 +25,7 @@
 // Results go to stdout as markdown tables and to `BENCH_ftfp.json`
 // (override with `--out`). `--smoke` shrinks the instance for CI.
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -90,66 +87,10 @@ struct SurviveCell {
   harness::SurvivalReport report;
 };
 
-void write_json(const std::string& path, const std::string& mode,
-                const std::string& instance,
-                const std::vector<SolveCell>& solves,
-                const std::vector<SurviveCell>& survives) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"ftfp\",\n  \"mode\": \"" << mode
-      << "\",\n  \"instance\": \"" << json_escape(instance)
-      << "\",\n  \"drop\": " << kDrop << ",\n  \"fault_seed\": " << kFaultSeed
-      << ",\n  \"kill_seed\": " << kKillSeed << ",\n  \"solve\": [\n";
-  for (std::size_t i = 0; i < solves.size(); ++i) {
-    const SolveCell& c = solves[i];
-    out << "    {\"r\": " << c.r << ", \"transport\": \""
-        << transport_name(c.transport)
-        << "\", \"completed\": " << (c.completed ? "true" : "false")
-        << ", \"feasible\": " << (c.feasible ? "true" : "false")
-        << ", \"matches_fault_free\": "
-        << (c.matches_fault_free ? "true" : "false")
-        << ", \"cost\": " << c.cost << ", \"open\": " << c.open
-        << ", \"phases\": " << c.phases << ", \"rounds\": " << c.rounds
-        << ", \"messages\": " << c.messages << ", \"dropped\": " << c.dropped
-        << ", \"retransmissions\": " << c.retransmissions;
-    if (!c.completed)
-      out << ", \"diagnostic\": \"" << json_escape(c.diagnostic) << "\"";
-    out << "}" << (i + 1 < solves.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"survive\": [\n";
-  for (std::size_t i = 0; i < survives.size(); ++i) {
-    const SurviveCell& c = survives[i];
-    const harness::SurvivalReport& r = c.report;
-    out << "    {\"r\": " << c.r << ", \"kill_set\": \""
-        << json_escape(r.kill_set) << "\", \"killed\": " << r.killed
-        << ", \"surviving_open\": " << r.surviving_open
-        << ", \"residual_feasible\": "
-        << (r.residual_feasible ? "true" : "false")
-        << ", \"repaired\": " << (r.repaired ? "true" : "false")
-        << ", \"orphaned\": " << r.orphaned_clients
-        << ", \"rerouted\": " << r.rerouted_clients
-        << ", \"reopened\": " << r.reopened_facilities
-        << ", \"cost_ratio\": " << r.cost_ratio
-        << ", \"reassignment_cost\": " << r.reassignment_cost << "}"
-        << (i + 1 < survives.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
+}  // namespace
 
-int main_impl(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_ftfp.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_ftfp [--smoke] [--out FILE]\n";
-      return 2;
-    }
-  }
-
+int run_ftfp(const Options& opts) {
+  const bool smoke = opts.smoke;
   workload::UniformParams gen;
   gen.num_facilities = smoke ? 20 : 40;
   gen.num_clients = smoke ? 80 : 160;
@@ -340,9 +281,47 @@ int main_impl(int argc, char** argv) {
                    + " crashes orphan clients)")
             << " | yes |\n";
 
-  write_json(out_path, smoke ? "smoke" : "full", base.describe(), solves,
-             survives);
-  std::cout << "\nwrote " << out_path << "\n";
+  std::vector<Record> solve_rows;
+  for (const SolveCell& c : solves) {
+    Record& row = solve_rows.emplace_back();
+    row.add("r", c.r)
+        .add("transport", transport_name(c.transport))
+        .add("completed", c.completed)
+        .add("feasible", c.feasible)
+        .add("matches_fault_free", c.matches_fault_free)
+        .add("cost", c.cost)
+        .add("open", c.open)
+        .add("phases", c.phases)
+        .add("rounds", c.rounds)
+        .add("messages", c.messages)
+        .add("dropped", c.dropped)
+        .add("retransmissions", c.retransmissions);
+    if (!c.completed) row.add("diagnostic", c.diagnostic);
+  }
+  std::vector<Record> survive_rows;
+  for (const SurviveCell& c : survives) {
+    const harness::SurvivalReport& r = c.report;
+    survive_rows.emplace_back()
+        .add("r", c.r)
+        .add("kill_set", r.kill_set)
+        .add("killed", r.killed)
+        .add("surviving_open", r.surviving_open)
+        .add("residual_feasible", r.residual_feasible)
+        .add("repaired", r.repaired)
+        .add("orphaned", r.orphaned_clients)
+        .add("rerouted", r.rerouted_clients)
+        .add("reopened", r.reopened_facilities)
+        .add("cost_ratio", r.cost_ratio)
+        .add("reassignment_cost", r.reassignment_cost);
+  }
+  bench_record("ftfp", opts)
+      .add("instance", base.describe())
+      .add("drop", kDrop)
+      .add("fault_seed", kFaultSeed)
+      .add("kill_seed", kKillSeed)
+      .add("solve", solve_rows)
+      .add("survive", survive_rows)
+      .write(opts.out);
 
   if (failures > 0) {
     std::cerr << "FAIL: " << failures << " gate(s) violated\n";
@@ -351,9 +330,4 @@ int main_impl(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace dflp::benchx
-
-int main(int argc, char** argv) {
-  return dflp::benchx::main_impl(argc, argv);
-}

@@ -1,5 +1,5 @@
 // E15 — metric head-to-head: PODC'05 vs the metric specialists
-// (`bench_metric`).
+// (`dflp_bench metric`).
 //
 // Sweeps planted-cluster complete-bipartite metric instances (fl/metric.h)
 // over facility counts m and runs, on every instance:
@@ -29,11 +29,11 @@
 // (override with `--out`). `--smoke` shrinks the sweep for CI.
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/check.h"
 #include "core/clique_fl.h"
 #include "core/metric_baseline.h"
@@ -73,39 +73,10 @@ double clique_round_cap(std::int32_t m) {
   return 2.0 * (loglog + 2.0) + 2.0 + kChainSlack;
 }
 
-void write_json(const std::string& path, const std::string& mode,
-                const std::vector<Cell>& cells) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"metric\",\n  \"mode\": \"" << mode
-      << "\",\n  \"instance_seed\": " << kInstanceSeed
-      << ",\n  \"engine_seed\": " << kEngineSeed << ",\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    out << "    {\"m\": " << c.m << ", \"n\": " << c.n << ", \"algo\": \""
-        << c.algo << "\", \"cost\": " << c.cost << ", \"ratio_vs_li\": "
-        << c.ratio_vs_li << ", \"rounds\": " << c.rounds << ", \"messages\": "
-        << c.messages << ", \"total_bits\": " << c.total_bits
-        << ", \"iterations\": " << c.iterations << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
+}  // namespace
 
-int main_impl(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_metric.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_metric [--smoke] [--out FILE]\n";
-      return 2;
-    }
-  }
-
+int run_metric(const Options& opts) {
+  const bool smoke = opts.smoke;
   const std::vector<std::int32_t> sizes =
       smoke ? std::vector<std::int32_t>{16, 32}
             : std::vector<std::int32_t>{32, 64, 128, 256};
@@ -219,8 +190,24 @@ int main_impl(int argc, char** argv) {
               << std::log2(static_cast<double>(c.m + c.n)) << " |\n";
   }
 
-  write_json(out_path, smoke ? "smoke" : "full", cells);
-  std::cout << "\nwrote " << out_path << "\n";
+  std::vector<Record> rows;
+  for (const Cell& c : cells) {
+    rows.emplace_back()
+        .add("m", c.m)
+        .add("n", c.n)
+        .add("algo", c.algo)
+        .add("cost", c.cost)
+        .add("ratio_vs_li", c.ratio_vs_li)
+        .add("rounds", c.rounds)
+        .add("messages", c.messages)
+        .add("total_bits", c.total_bits)
+        .add("iterations", c.iterations);
+  }
+  bench_record("metric", opts)
+      .add("instance_seed", kInstanceSeed)
+      .add("engine_seed", kEngineSeed)
+      .add("cells", rows)
+      .write(opts.out);
 
   if (failures > 0) {
     std::cerr << "FAIL: " << failures << " gate(s) violated\n";
@@ -229,9 +216,4 @@ int main_impl(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
 }  // namespace dflp::benchx
-
-int main(int argc, char** argv) {
-  return dflp::benchx::main_impl(argc, argv);
-}

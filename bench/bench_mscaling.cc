@@ -16,7 +16,9 @@ fl::Instance m_instance(std::int32_t m, std::uint64_t seed) {
   return workload::uniform_random(p, seed);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_mscaling(const Options&) {
   print_header(
       "E4 / Figure 3 — ratio and rounds vs facility count m (n = 5m)",
       "Mean over 5 seeds. ratio@k=1 may grow with m; ratio@k=16 should stay "
@@ -44,12 +46,7 @@ void run_experiment() {
         .cell(a4.mean_rounds, 1);
   }
   print_table("uniform family", table);
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

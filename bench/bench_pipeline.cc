@@ -110,7 +110,9 @@ void run_end_to_end_table() {
   print_table("end to end: LP pipeline vs combinatorial variant", table);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_pipeline(const Options&) {
   print_header(
       "E5 / Table 2 — two-stage pipeline: per-stage losses",
       "Stage-1 loss = fractional value over the exact LP optimum. Stage-2 "
@@ -120,12 +122,7 @@ void run_experiment() {
   run_stage1_table();
   run_stage2_table();
   run_end_to_end_table();
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

@@ -21,7 +21,9 @@ fl::Instance big_instance(std::int32_t n, std::uint64_t seed) {
   return workload::uniform_random(p, seed);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_scale(const Options&) {
   print_header(
       "E7 / Table 4 — scaling to 10^5 clients (k = 4, single seed)",
       "rounds should stay ~constant; messages ~linear in edges; wall time "
@@ -49,12 +51,7 @@ void run_experiment() {
         .cell(out.solution.cost(inst) / dual.lower_bound, 3);
   }
   print_table("uniform family, degree 5", table);
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

@@ -17,7 +17,9 @@ fl::Instance spread_instance(double rho, std::uint64_t seed) {
   return workload::power_law_spread(p, seed);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_spread(const Options&) {
   print_header(
       "E3 / Figure 2 — ratio vs cost spread rho, per k",
       "Rows: rho (log-uniform cost spread). Columns: mean ratio vs lower "
@@ -61,12 +63,7 @@ void run_experiment() {
     flat.row().cell(k).cell(lo, 3).cell(hi, 3).cell(hi / lo, 3);
   }
   print_table("spread sensitivity (growth should shrink as k grows)", flat);
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

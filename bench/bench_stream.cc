@@ -1,4 +1,4 @@
-// E13 — streaming epoch re-solve benchmark (`bench_stream`).
+// E13 — streaming epoch re-solve benchmark (`dflp_bench stream`).
 //
 // Two measurements over the cell-structured client stream
 // (workload/stream.h), both against the epoch-batched streaming service
@@ -10,7 +10,7 @@
 //     solution), the other
 //     re-solves every component from scratch. The final solution cost must
 //     match *exactly* on every epoch (the service guarantees it by
-//     construction; this binary exits non-zero if it ever differs), so the
+//     construction; this experiment exits non-zero if it ever differs), so the
 //     reported speedup is a pure wall-clock win, not an accuracy trade.
 //   * throughput — one warm service ingests a long stream (1e6+ events in
 //     full mode) at several epoch sizes; sustained updates/sec counts
@@ -22,24 +22,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "service/streaming_solver.h"
 #include "workload/stream.h"
 
 namespace dflp::benchx {
 namespace {
-
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
 
 struct WarmColdResult {
   std::int32_t n_clients = 0;
@@ -162,46 +154,10 @@ ThroughputResult run_throughput(std::int32_t cells,
   return r;
 }
 
-void write_json(const std::string& path, const std::string& mode,
-                const WarmColdResult& wc,
-                const std::vector<ThroughputResult>& tps) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"stream\",\n  \"mode\": \"" << mode
-      << "\",\n  \"engine\": \"mw-greedy\",\n"
-      << "  \"warm_vs_cold\": {\"n_clients\": " << wc.n_clients
-      << ", \"cells\": " << wc.cells << ", \"epoch_size\": " << wc.epoch_size
-      << ", \"epochs\": " << wc.epochs << ", \"warm_median_ms\": "
-      << wc.warm_median_ms << ", \"cold_median_ms\": " << wc.cold_median_ms
-      << ", \"speedup\": " << wc.speedup << ", \"cost_identical\": "
-      << (wc.cost_identical ? "true" : "false") << "},\n"
-      << "  \"throughput\": [\n";
-  for (std::size_t i = 0; i < tps.size(); ++i) {
-    const ThroughputResult& t = tps[i];
-    out << "    {\"events\": " << t.events << ", \"epoch_size\": "
-        << t.epoch_size << ", \"epochs\": " << t.epochs << ", \"wall_s\": "
-        << t.wall_s << ", \"updates_per_s\": " << t.updates_per_s
-        << ", \"solved_components\": " << t.solved_components
-        << ", \"reused_components\": " << t.reused_components << "}"
-        << (i + 1 < tps.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
+}  // namespace
 
-int main_impl(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_stream.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_stream [--smoke] [--out FILE]\n";
-      return 2;
-    }
-  }
-
+int run_stream(const Options& opts) {
+  const bool smoke = opts.smoke;
   // Warm-vs-cold: epoch = 1% of the initial client population.
   const std::int32_t cells = smoke ? 256 : 10000;
   const std::int32_t initial = smoke ? 2048 : 100000;
@@ -247,14 +203,32 @@ int main_impl(int argc, char** argv) {
     std::cout.flush();
   }
 
-  write_json(out_path, smoke ? "smoke" : "full", wc, tps);
-  std::cout << "\nwrote " << out_path << "\n";
+  Record warm_vs_cold;
+  warm_vs_cold.add("n_clients", wc.n_clients)
+      .add("cells", wc.cells)
+      .add("epoch_size", wc.epoch_size)
+      .add("epochs", wc.epochs)
+      .add("warm_median_ms", wc.warm_median_ms)
+      .add("cold_median_ms", wc.cold_median_ms)
+      .add("speedup", wc.speedup)
+      .add("cost_identical", wc.cost_identical);
+  std::vector<Record> throughput;
+  for (const ThroughputResult& t : tps) {
+    throughput.emplace_back()
+        .add("events", t.events)
+        .add("epoch_size", t.epoch_size)
+        .add("epochs", t.epochs)
+        .add("wall_s", t.wall_s)
+        .add("updates_per_s", t.updates_per_s)
+        .add("solved_components", t.solved_components)
+        .add("reused_components", t.reused_components);
+  }
+  bench_record("stream", opts)
+      .add("engine", "mw-greedy")
+      .add("warm_vs_cold", warm_vs_cold)
+      .add("throughput", throughput)
+      .write(opts.out);
   return 0;
 }
 
-}  // namespace
 }  // namespace dflp::benchx
-
-int main(int argc, char** argv) {
-  return dflp::benchx::main_impl(argc, argv);
-}

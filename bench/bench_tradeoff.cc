@@ -21,7 +21,9 @@ fl::Instance family_instance(workload::Family family, std::uint64_t seed) {
   return workload::make_family_instance(family, kSize, seed);
 }
 
-void run_experiment() {
+}  // namespace
+
+int run_tradeoff(const Options&) {
   print_header("E1 / Figure 1 — approximation vs locality parameter k",
                "Series: mean ratio vs lower bound over 5 seeded instances "
                "per family; rounds and messages are means. Reference row: "
@@ -56,12 +58,7 @@ void run_experiment() {
         .cell("-");
     print_table("family = " + workload::family_name(family), table);
   }
-}
-
-}  // namespace
-}  // namespace dflp::benchx
-
-int main() {
-  dflp::benchx::run_experiment();
   return 0;
 }
+
+}  // namespace dflp::benchx

@@ -1,6 +1,7 @@
-// E10 — raw transport round-throughput microbenchmark (`bench_transport`).
+// E10 — raw transport round-throughput microbenchmark
+// (`dflp_bench transport`).
 //
-// Unlike the E1–E9 binaries this one does not measure any facility-location
+// Unlike E1–E9 this experiment does not measure any facility-location
 // algorithm: it drives the CONGEST simulator itself with trivial node
 // programs so the measured cost is the transport — step dispatch, send
 // staging/validation, fault/commit accounting, delivery ordering and the
@@ -23,8 +24,7 @@
 // the breakdown EXPERIMENTS.md E10 uses to attribute speedups.
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <set>
@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "netsim/network.h"
 #include "netsim/trace.h"
@@ -118,6 +119,8 @@ struct Result {
   double scatter_s = 0.0;
 };
 
+}  // namespace
+
 Network make_network(const std::string& topology, std::size_t n,
                      net::Tracer* tracer) {
   Network::Options o;
@@ -177,6 +180,8 @@ Network make_network(const std::string& topology, std::size_t n,
   return net;
 }
 
+namespace {
+
 Result run_config(const Config& cfg, bool phases) {
   std::unique_ptr<net::Tracer> tracer =
       phases ? std::make_unique<net::Tracer>() : nullptr;
@@ -232,45 +237,10 @@ double prechange_rounds_per_s(const std::string& topology, std::size_t n) {
   return 0.0;
 }
 
-void write_json(const std::string& path, const std::string& mode,
-                const std::vector<Result>& results) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"transport\",\n  \"mode\": \"" << mode
-      << "\",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    out << "    {\"topology\": \"" << r.cfg.topology << "\", \"n\": "
-        << r.cfg.n << ", \"rounds\": " << r.cfg.rounds << ", \"messages\": "
-        << r.messages << ", \"total_bits\": " << r.total_bits
-        << ", \"wall_s\": " << r.wall_s << ", \"rounds_per_s\": "
-        << r.rounds_per_s << ", \"mmsgs_per_s\": " << r.mmsgs_per_s;
-    const double ref = prechange_rounds_per_s(r.cfg.topology, r.cfg.n);
-    if (ref > 0.0)
-      out << ", \"speedup_vs_prechange\": " << r.rounds_per_s / ref;
-    out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
+}  // namespace
 
-int main_impl(int argc, char** argv) {
-  bool smoke = false;
-  bool phases = false;
-  std::string out_path = "BENCH_transport.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--phases") {
-      phases = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_transport [--smoke] [--out FILE] "
-                   "[--phases]\n";
-      return 2;
-    }
-  }
-
+int run_transport(const Options& opts) {
+  const bool smoke = opts.smoke;
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{1000, 10000}
             : std::vector<std::size_t>{1000, 10000, 100000};
@@ -293,7 +263,7 @@ int main_impl(int argc, char** argv) {
       cfg.n = n;
       cfg.rounds = std::max<std::uint64_t>(
           16, target_messages / std::max<std::uint64_t>(1, est_msgs_per_round));
-      const Result r = run_config(cfg, phases);
+      const Result r = run_config(cfg, opts.phases);
       results.push_back(r);
       std::cout << "| " << r.cfg.topology << " | " << r.cfg.n << " | "
                 << r.cfg.rounds << " | " << r.messages << " | " << r.wall_s
@@ -302,7 +272,7 @@ int main_impl(int argc, char** argv) {
       std::cout.flush();
     }
   }
-  if (phases) {
+  if (opts.phases) {
     std::cout << "\n## Engine-phase attribution (traced wall seconds)\n\n";
     std::cout << "| topology | n | step s | commit s | scatter s | step % | "
                  "commit % | scatter % |\n";
@@ -317,14 +287,22 @@ int main_impl(int argc, char** argv) {
                 << 100.0 * r.scatter_s / denom << " |\n";
     }
   }
-  write_json(out_path, smoke ? "smoke" : "full", results);
-  std::cout << "\nwrote " << out_path << "\n";
+  std::vector<Record> rows;
+  for (const Result& r : results) {
+    Record& row = rows.emplace_back();
+    row.add("topology", r.cfg.topology)
+        .add("n", r.cfg.n)
+        .add("rounds", r.cfg.rounds)
+        .add("messages", r.messages)
+        .add("total_bits", r.total_bits)
+        .add("wall_s", r.wall_s)
+        .add("rounds_per_s", r.rounds_per_s)
+        .add("mmsgs_per_s", r.mmsgs_per_s);
+    const double ref = prechange_rounds_per_s(r.cfg.topology, r.cfg.n);
+    if (ref > 0.0) row.add("speedup_vs_prechange", r.rounds_per_s / ref);
+  }
+  bench_record("transport", opts).add("results", rows).write(opts.out);
   return 0;
 }
 
-}  // namespace
 }  // namespace dflp::benchx
-
-int main(int argc, char** argv) {
-  return dflp::benchx::main_impl(argc, argv);
-}

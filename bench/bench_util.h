@@ -1,13 +1,25 @@
-// Shared glue for the experiment binaries (bench/).
+// Shared glue for the experiments of `dflp_bench` (bench/).
 //
-// Each binary regenerates one experiment from DESIGN.md §4: it prints the
-// experiment's table(s) as Markdown — the "rows/series the paper reports",
-// here the paper's *theorem shapes*. Every number except the wall-time
-// columns is produced from seeded runs, so reruns are bit-identical.
+// Each `run_<name>` entry regenerates one experiment from DESIGN.md §4: it
+// prints the experiment's table(s) as Markdown — the "rows/series the paper
+// reports", here the paper's *theorem shapes*. Every number except the
+// wall-time columns is produced from seeded runs, so reruns are
+// bit-identical. E10–E15 also write one JSON record (Record) and exit 1
+// when a gate fails; parse_options is the one command-line parser.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -16,9 +28,74 @@
 #include "core/pipeline.h"
 #include "harness/report.h"
 #include "harness/runner.h"
+#include "netsim/network.h"
 #include "workload/generators.h"
 
 namespace dflp::benchx {
+
+/// Flags an experiment takes besides its name; E1–E9 take none.
+enum Takes : unsigned {
+  kTakesSmokeOut = 1u << 0,   ///< --smoke, --out FILE (E10–E15)
+  kTakesPhases = 1u << 1,     ///< --phases (transport)
+  kTakesReference = 1u << 2,  ///< --reference ROUNDS_PER_S (trace)
+};
+
+/// One experiment run's command line.
+struct Options {
+  bool smoke = false;      ///< shrunken workload for CI
+  bool phases = false;     ///< transport: per-engine-phase attribution
+  std::string out;         ///< record path; BENCH_<name>.json by default
+  double reference = 0.0;  ///< trace: storm rounds/s of an E10 run
+};
+
+/// A command-line error; the message names the offending argument.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses the arguments after experiment `name`, which takes the flags in
+/// `takes`. Throws UsageError on a flag `name` does not take, a flag
+/// without its value, or a --reference that is not a whole non-negative
+/// number (`3x`, `abc` and `nan` are rejected, not read as a prefix or 0).
+inline Options parse_options(std::string_view name, unsigned takes, int argc,
+                             char** argv) {
+  Options opts;
+  opts.out = "BENCH_" + std::string(name) + ".json";
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto take = [&](unsigned flag) {
+      if ((takes & flag) == 0)
+        throw UsageError(arg + " does not apply to " + std::string(name));
+    };
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) throw UsageError(arg + " needs a value");
+      return argv[++i];
+    };
+    if (arg == "--smoke") {
+      take(kTakesSmokeOut);
+      opts.smoke = true;
+    } else if (arg == "--out") {
+      take(kTakesSmokeOut);
+      opts.out = value();
+    } else if (arg == "--phases") {
+      take(kTakesPhases);
+      opts.phases = true;
+    } else if (arg == "--reference") {
+      take(kTakesReference);
+      const std::string text = value();
+      const char* const end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, opts.reference);
+      if (ec != std::errc{} || ptr != end || !std::isfinite(opts.reference) ||
+          opts.reference < 0.0) {
+        throw UsageError("--reference must be a non-negative number; got '" +
+                         text + "'");
+      }
+    } else {
+      throw UsageError("unknown argument '" + arg + "'");
+    }
+  }
+  return opts;
+}
 
 inline core::MwParams make_params(int k, std::uint64_t seed) {
   core::MwParams p;
@@ -85,7 +162,7 @@ inline void print_header(const std::string& experiment_id,
 
 /// Escapes `"`, `\` and newlines for a JSON string value; the records'
 /// strings (scenario names, diagnostics) hold no other control characters.
-inline std::string json_escape(const std::string& s) {
+inline std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char ch : s) {
@@ -98,6 +175,83 @@ inline std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+/// One JSON object of a BENCH_*.json record: fields in insertion order,
+/// numbers in default `ostream` formatting, strings escaped, bools as
+/// true/false. A nested object sits inline on its field's line, and an
+/// array of objects holds one object per line.
+class Record {
+ public:
+  template <typename T>
+  Record& add(std::string_view key, const T& value) {
+    std::ostringstream os;
+    if constexpr (std::is_same_v<T, bool>) {
+      os << (value ? "true" : "false");
+    } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+      os << '"' << json_escape(value) << '"';
+    } else {
+      os << value;
+    }
+    fields_.emplace_back(key, os.str());
+    return *this;
+  }
+  Record& add(std::string_view key, const Record& object) {
+    fields_.emplace_back(key, object.inline_text());
+    return *this;
+  }
+  Record& add(std::string_view key, const std::vector<Record>& rows) {
+    std::string text = "[\n";
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      text += "    " + rows[i].inline_text() +
+              (i + 1 < rows.size() ? ",\n" : "\n");
+    fields_.emplace_back(key, text + "  ]");
+    return *this;
+  }
+
+  /// `{"key": value, ...}` on one line.
+  [[nodiscard]] std::string inline_text() const {
+    std::string text = "{";
+    for (std::size_t i = 0; i < fields_.size(); ++i)
+      text += (i > 0 ? ", \"" : "\"") + fields_[i].first + "\": " +
+              fields_[i].second;
+    return text + "}";
+  }
+
+  /// Writes the record as a top-level object, one field per line, and
+  /// names the file on stdout.
+  void write(const std::string& path) const {
+    std::ofstream out(path);
+    out << "{\n";
+    for (std::size_t i = 0; i < fields_.size(); ++i)
+      out << "  \"" << fields_[i].first << "\": " << fields_[i].second
+          << (i + 1 < fields_.size() ? ",\n" : "\n");
+    out << "}\n";
+    std::cout << "\nwrote " << path << "\n";
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> fields_;
+};
+
+/// The fields every E10–E15 record opens with.
+inline Record bench_record(std::string_view bench, const Options& opts) {
+  Record record;
+  record.add("bench", bench).add("mode", opts.smoke ? "smoke" : "full");
+  return record;
+}
+
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// The E10 transport workloads (bench_transport.cc): "star", "bipartite"
+/// or "storm" on `n` nodes, each node running its topology's never-halting
+/// sender; `tracer` may be null. E12 times the storm one.
+net::Network make_network(const std::string& topology, std::size_t n,
+                          net::Tracer* tracer);
 
 /// Prints the table and a one-line verdict the EXPERIMENTS.md records.
 inline void print_table(const std::string& caption, const Table& table) {
