@@ -1,9 +1,42 @@
 #include "core/bipartite.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 namespace dflp::core {
+
+namespace {
+
+/// Writes K_{m,n}'s rows in slot order: the layout bipartite.h describes,
+/// with each node's cost indices scattered from one pass over its
+/// cost-sorted list.
+void fill_complete(const fl::Instance& inst, net::Adjacency& a,
+                   std::vector<std::int32_t>& cost) {
+  const auto m = static_cast<std::size_t>(inst.num_facilities());
+  const auto n = static_cast<std::size_t>(inst.num_clients());
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t row = i * n;
+    std::iota(a.adj.data() + row, a.adj.data() + row + n,
+              static_cast<net::NodeId>(m));
+    std::fill_n(a.rev.data() + row, n, static_cast<std::int32_t>(i));
+    const auto edges = inst.facility_edges(static_cast<fl::FacilityId>(i));
+    for (std::size_t t = 0; t < n; ++t)
+      cost[row + static_cast<std::size_t>(edges[t].client)] =
+          static_cast<std::int32_t>(t);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t row = m * n + j * m;
+    std::iota(a.adj.data() + row, a.adj.data() + row + m, net::NodeId{0});
+    std::fill_n(a.rev.data() + row, m, static_cast<std::int32_t>(j));
+    const auto edges = inst.client_edges(static_cast<fl::ClientId>(j));
+    for (std::size_t s = 0; s < m; ++s)
+      cost[row + static_cast<std::size_t>(edges[s].facility)] =
+          static_cast<std::int32_t>(s);
+  }
+}
+
+}  // namespace
 
 net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
                                          EdgeTable& table) {
@@ -28,6 +61,14 @@ net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
   a.rev.resize(slots);
   std::vector<std::int32_t>& cost = table.cost_index_;
   cost.resize(slots);
+  table.offset_ = off;
+  // Every pair is an edge exactly when there are m·n of them, since an
+  // instance holds no duplicate edge (InstanceBuilder::build and
+  // fl::apply's splice reject them).
+  if (inst.num_edges() == m * n) {
+    fill_complete(inst, a, cost);
+    return a;
+  }
   std::vector<std::int32_t> cursor(off.begin(), off.end() - 1);
 
   // Pass 1: facilities in ascending id append themselves to their
@@ -74,7 +115,6 @@ net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
           static_cast<std::int32_t>(s);
     }
   }
-  table.offset_ = off;
   return a;
 }
 

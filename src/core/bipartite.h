@@ -65,9 +65,13 @@ class EdgeTable {
 
 /// Builds the bipartite network's sorted CSR adjacency with its
 /// reverse-position column (net::Adjacency) and, beside it, `table`, in
-/// O(N + E) with no sort: the instance's two cost-sorted edge lists are
-/// transposed into ascending neighbour lists, carrying each edge's cost
-/// index along.
+/// O(N + E) with no sort. A complete bipartite instance (m·n edges) is
+/// filled row by row: every facility lists clients m … m+n−1, every client
+/// facilities 0 … m−1, a reverse position is the node's own index on its
+/// side, and a cost index inverts the node's cost-sorted list. Any other
+/// instance's two cost-sorted edge lists are transposed into ascending
+/// neighbour lists, carrying each edge's cost index along. Both paths give
+/// the same bytes.
 [[nodiscard]] net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
                                                        EdgeTable& table);
 

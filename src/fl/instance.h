@@ -123,8 +123,8 @@ class Instance {
     return client_edges_.size();
   }
 
-  /// Connection cost of (i, j), or +inf when not adjacent. Logarithmic in
-  /// the facility degree.
+  /// Connection cost of (i, j), or +inf when not adjacent. Linear in the
+  /// client's degree: it scans j's cost-sorted list for i.
   [[nodiscard]] Cost connection_cost(FacilityId i, ClientId j) const;
 
   [[nodiscard]] int max_facility_degree() const noexcept {

@@ -149,6 +149,27 @@ core::MwParams sweep_params(const SweepCase& c, int k, std::uint64_t seed) {
   return params;
 }
 
+/// mw-greedy's and then the pipeline's fingerprint of one solve of `inst`
+/// each under `params` (or the CheckError each throws).
+std::string greedy_and_pipeline_trace(const fl::Instance& inst,
+                                      const core::MwParams& params) {
+  const std::string greedy = outcome_trace([&] {
+    const core::MwGreedyOutcome out = core::run_mw_greedy(inst, params);
+    return solution_fingerprint(inst, out.solution) + " | " +
+           metrics_fingerprint(out.metrics);
+  });
+  const std::string pipeline = outcome_trace([&] {
+    const core::PipelineOutcome out = core::run_pipeline(inst, params);
+    std::ostringstream os;
+    os << solution_fingerprint(inst, out.solution) << " | frac "
+       << out.fractional_value << " | "
+       << metrics_fingerprint(out.frac_metrics) << " | "
+       << metrics_fingerprint(out.round_metrics);
+    return os.str();
+  });
+  return greedy + " || " + pipeline;
+}
+
 class EngineEquivalenceTest : public testing::TestWithParam<SweepCase> {};
 
 // Committed golden for the MwGreedy sweep configuration (uniform family,
@@ -491,21 +512,7 @@ TEST_P(EngineEquivalenceTest, StreamCellSkipsRoundsBitIdentically) {
   const auto run = [&] {
     core::MwParams params = sweep_params(GetParam(), /*k=*/4, /*seed=*/3);
     params.pinned_schedule = &pinned;
-    const std::string greedy = outcome_trace([&] {
-      const core::MwGreedyOutcome out = core::run_mw_greedy(inst, params);
-      return solution_fingerprint(inst, out.solution) + " | " +
-             metrics_fingerprint(out.metrics);
-    });
-    const std::string pipeline = outcome_trace([&] {
-      const core::PipelineOutcome out = core::run_pipeline(inst, params);
-      std::ostringstream os;
-      os << solution_fingerprint(inst, out.solution) << " | frac "
-         << out.fractional_value << " | "
-         << metrics_fingerprint(out.frac_metrics) << " | "
-         << metrics_fingerprint(out.round_metrics);
-      return os.str();
-    });
-    return greedy + " || " + pipeline;
+    return greedy_and_pipeline_trace(inst, params);
   };
   const CaseHashes golden = {
       {"BySource_Reliable", 16139520221499770484ULL},
@@ -535,6 +542,38 @@ TEST_P(EngineEquivalenceTest, StreamCellSkipsRoundsBitIdentically) {
     skipped += r.path == net::TracePath::kSkip ? 1 : 0;
   EXPECT_EQ(tracer.rounds().size(), 29u);
   EXPECT_EQ(skipped, 23u);
+}
+
+// Complete-bipartite case: a euclidean instance links every client to
+// every facility (8 × 40), so core::build_bipartite_adjacency fills the
+// network's rows directly instead of transposing the cost-sorted edge
+// lists. The hashes were recorded from the transposing builder, so they
+// pin the filled network to the transposed one under every delivery order
+// and fault mode; fault coins are drawn per copy in adjacency order, so a
+// reordered neighbour list would shift the fault streams too.
+TEST_P(EngineEquivalenceTest, CompleteBipartiteMatchesCommittedHash) {
+  const fl::Instance inst =
+      workload::make_family_instance(workload::Family::kEuclidean, 40, 5);
+  ASSERT_EQ(inst.num_edges(),
+            static_cast<std::size_t>(inst.num_facilities()) *
+                static_cast<std::size_t>(inst.num_clients()));
+  const std::string trace = greedy_and_pipeline_trace(
+      inst, sweep_params(GetParam(), /*k=*/4, /*seed=*/7));
+  const CaseHashes golden = {
+      {"BySource_Reliable", 5561620361115318964ULL},
+      {"RandomShuffle_Reliable", 5561620361115318964ULL},
+      {"ReverseSource_Reliable", 5561620361115318964ULL},
+      {"BySource_Drops", 3377693770703231484ULL},
+      {"RandomShuffle_Drops", 6803728355874875347ULL},
+      {"ReverseSource_Drops", 13312967030922082034ULL},
+      {"BySource_BurstCrash", 2531979844339419974ULL},
+      {"RandomShuffle_BurstCrash", 2531979844339419974ULL},
+      {"ReverseSource_BurstCrash", 2531979844339419974ULL},
+      {"BySource_Recovered", 9574534820525358263ULL},
+      {"RandomShuffle_Recovered", 9574534820525358263ULL},
+      {"ReverseSource_Recovered", 9574534820525358263ULL},
+  };
+  expect_case_hash(GetParam(), trace, golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,6 +10,7 @@
 #include "core/frac_lp.h"
 #include "core/pipeline.h"
 #include "core/rand_round.h"
+#include "fl/metric.h"
 #include "lp/ufl_lp.h"
 #include "seq/brute_force.h"
 #include "workload/generators.h"
@@ -24,42 +25,107 @@ MwParams params_k(int k, std::uint64_t seed = 1) {
   return p;
 }
 
+/// Checks the bipartite network of `inst` and its edge table against an
+/// add_edge-built reference: the same neighbour lists, and every port's
+/// cost index names the same peer in the node's cost-sorted slice. A wrong
+/// reverse position throws in Network::finalize(Adjacency). `complete`
+/// says which path the builder takes: the row fill for a complete
+/// bipartite instance, the transposes otherwise.
+void expect_edge_table_matches_reference(const fl::Instance& inst,
+                                         bool complete) {
+  ASSERT_EQ(inst.num_edges() ==
+                static_cast<std::size_t>(inst.num_facilities()) *
+                    static_cast<std::size_t>(inst.num_clients()),
+            complete)
+      << inst.describe();
+  EdgeTable table;
+  const net::Network net =
+      make_bipartite_network(inst, net::Network::Options{}, table);
+  net::Network reference(net.num_nodes(), net::Network::Options{});
+  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
+    for (const fl::FacilityEdge& e : inst.facility_edges(i))
+      reference.add_edge(facility_node(i), client_node(inst, e.client));
+  }
+  reference.finalize();
+  EXPECT_EQ(net.num_edges(), inst.num_edges());
+  for (net::NodeId v = 0; v < static_cast<net::NodeId>(net.num_nodes()); ++v) {
+    const std::span<const net::NodeId> nbrs = net.neighbors_of(v);
+    const std::span<const net::NodeId> want = reference.neighbors_of(v);
+    ASSERT_TRUE(
+        std::equal(nbrs.begin(), nbrs.end(), want.begin(), want.end()))
+        << inst.describe() << " node " << v;
+    const std::span<const std::int32_t> cost = table.cost_index(v);
+    ASSERT_EQ(cost.size(), nbrs.size());
+    for (std::size_t p = 0; p < nbrs.size(); ++p) {
+      const auto t = static_cast<std::size_t>(cost[p]);
+      const net::NodeId peer =
+          v < inst.num_facilities()
+              ? client_node(inst, inst.facility_edges(v)[t].client)
+              : facility_node(
+                    inst.client_edges(node_to_client(inst, v))[t].facility);
+      EXPECT_EQ(peer, nbrs[p])
+          << inst.describe() << " node " << v << " port " << p;
+    }
+  }
+}
+
+/// K_{m,n} with edge costs `cost(i, j)`, connected in descending ids so
+/// the builder, not the call order, sorts every list.
+template <typename CostFn>
+fl::Instance complete_instance(std::int32_t m, std::int32_t n, CostFn cost) {
+  fl::InstanceBuilder b;
+  for (std::int32_t i = 0; i < m; ++i) b.add_facility(1.0 + i);
+  for (std::int32_t j = 0; j < n; ++j) b.add_client();
+  for (std::int32_t j = n - 1; j >= 0; --j) {
+    for (std::int32_t i = m - 1; i >= 0; --i) b.connect(i, j, cost(i, j));
+  }
+  return b.build();
+}
+
 TEST(EdgeTable, MapsEveryPortToItsCostOrderedEdge) {
-  // The transpose-built network equals the add_edge-built one, and every
-  // port's cost index names the same peer in the node's cost-sorted slice.
+  // Sparse inputs: at 60 clients the uniform and power-law families give
+  // each client 8 of the 12 facilities.
   for (const workload::Family family :
        {workload::Family::kUniform, workload::Family::kPowerLaw,
         workload::Family::kStar}) {
-    const fl::Instance inst = workload::make_family_instance(family, 30, 4);
-    EdgeTable table;
-    const net::Network net =
-        make_bipartite_network(inst, net::Network::Options{}, table);
-    net::Network reference(net.num_nodes(), net::Network::Options{});
-    for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-      for (const fl::FacilityEdge& e : inst.facility_edges(i))
-        reference.add_edge(facility_node(i), client_node(inst, e.client));
-    }
-    reference.finalize();
-    EXPECT_EQ(net.num_edges(), inst.num_edges());
-    for (net::NodeId v = 0; v < static_cast<net::NodeId>(net.num_nodes());
-         ++v) {
-      const std::span<const net::NodeId> nbrs = net.neighbors_of(v);
-      const std::span<const net::NodeId> want = reference.neighbors_of(v);
-      ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), want.begin(),
-                             want.end()));
-      const std::span<const std::int32_t> cost = table.cost_index(v);
-      ASSERT_EQ(cost.size(), nbrs.size());
-      for (std::size_t p = 0; p < nbrs.size(); ++p) {
-        const auto t = static_cast<std::size_t>(cost[p]);
-        const net::NodeId peer =
-            v < inst.num_facilities()
-                ? client_node(inst, inst.facility_edges(v)[t].client)
-                : facility_node(
-                      inst.client_edges(node_to_client(inst, v))[t].facility);
-        EXPECT_EQ(peer, nbrs[p]) << "node " << v << " port " << p;
-      }
-    }
+    expect_edge_table_matches_reference(
+        workload::make_family_instance(family, 60, 4), /*complete=*/false);
   }
+  expect_edge_table_matches_reference(
+      workload::make_family_instance(workload::Family::kStar, 30, 4),
+      /*complete=*/false);
+  // Complete inputs: at 30 clients the uniform and power-law families link
+  // every client to all 6 facilities, and the euclidean family and the
+  // metric generator link every pair by default.
+  for (const workload::Family family :
+       {workload::Family::kUniform, workload::Family::kPowerLaw,
+        workload::Family::kEuclidean}) {
+    expect_edge_table_matches_reference(
+        workload::make_family_instance(family, 30, 4), /*complete=*/true);
+  }
+  fl::MetricParams metric;
+  metric.facilities = 16;
+  metric.clients = 48;
+  expect_edge_table_matches_reference(
+      fl::make_metric_instance(metric, 3).instance, /*complete=*/true);
+  // Costs falling with both ids, so every cost order reverses id order.
+  const auto falling = [](std::int32_t i, std::int32_t j) {
+    return 100.0 - 10.0 * i - j;
+  };
+  expect_edge_table_matches_reference(complete_instance(1, 1, falling),
+                                      /*complete=*/true);
+  expect_edge_table_matches_reference(complete_instance(1, 5, falling),
+                                      /*complete=*/true);
+  expect_edge_table_matches_reference(complete_instance(5, 1, falling),
+                                      /*complete=*/true);
+  // Three cost levels over K_{3,4}: ties, broken by peer id, decide much
+  // of every list's order.
+  expect_edge_table_matches_reference(
+      complete_instance(3, 4,
+                        [](std::int32_t i, std::int32_t j) {
+                          return static_cast<double>((i + 2 * j) % 3);
+                        }),
+      /*complete=*/true);
 }
 
 TEST(FracLp, OutputIsFeasibleAndAboveLpOptimum) {
