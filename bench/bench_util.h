@@ -53,6 +53,11 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A record file that could not be written; the message names its path.
+struct WriteError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Parses the arguments after experiment `name`, which takes the flags in
 /// `takes`. Throws UsageError on a flag `name` does not take, a flag
 /// without its value, or a --reference that is not a whole non-negative
@@ -218,7 +223,8 @@ class Record {
   }
 
   /// Writes the record as a top-level object, one field per line, and
-  /// names the file on stdout.
+  /// names the file on stdout. Throws WriteError when the file cannot be
+  /// opened or written.
   void write(const std::string& path) const {
     std::ofstream out(path);
     out << "{\n";
@@ -226,6 +232,8 @@ class Record {
       out << "  \"" << fields_[i].first << "\": " << fields_[i].second
           << (i + 1 < fields_.size() ? ",\n" : "\n");
     out << "}\n";
+    out.close();
+    if (!out) throw WriteError("cannot write '" + path + "'");
     std::cout << "\nwrote " << path << "\n";
   }
 

@@ -7,8 +7,8 @@
 // one JSON record (BENCH_<experiment>.json unless `--out` names another
 // file), shrink their workload under `--smoke`, and exit 1 when a gate
 // fails. `--phases` is transport's, `--reference` is trace's. A flag the
-// experiment does not take, a malformed number or an unknown experiment
-// exits 2 with a message naming it.
+// experiment does not take, a malformed number, an unknown experiment or a
+// record file that cannot be written exits 2 with a message naming it.
 #include <iostream>
 #include <string_view>
 
@@ -82,7 +82,12 @@ int main(int argc, char** argv) {
       std::cerr << "dflp_bench " << name << ": " << err.what() << "\n";
       return 2;
     }
-    return e.run(opts);
+    try {
+      return e.run(opts);
+    } catch (const WriteError& err) {
+      std::cerr << "dflp_bench " << name << ": " << err.what() << "\n";
+      return 2;
+    }
   }
   std::cerr << "dflp_bench: unknown experiment '" << name << "'\n";
   return usage();
