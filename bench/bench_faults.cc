@@ -9,9 +9,15 @@
 // fail loudly once loss is non-trivial — the diagnostic names the first
 // lost message; with it, every cell must return the fault-free solution.
 //
-// Results go to stdout as a markdown table and to a machine-readable
+// Outside the grid, the same instance is solved once bare and once under
+// the reliable channel, both without loss: the channel is an
+// alpha-synchronizer, so the solution must come back bit-identical, and
+// the row prices it in rounds, control frames and bits (E9's claim, see
+// EXPERIMENTS.md).
+//
+// Results go to stdout as markdown tables and to a machine-readable
 // `BENCH_faults.json` (override with `--out`). `--smoke` shrinks the grid
-// for CI.
+// and the instance for CI.
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -106,6 +112,30 @@ int run_faults(const Options& opts) {
     std::cout.flush();
   }
 
+  // Loss-free synchronizer overhead: every figure comes from the two runs'
+  // NetMetrics and the channel's ReliableStats.
+  const core::MwGreedyOutcome bare = core::run_mw_greedy(inst, cell_params({}));
+  const core::MwGreedyOutcome framed =
+      core::run_mw_greedy(inst, cell_params({.reliable = true}));
+  const bool sync_match = harness::solution_fingerprint(inst, bare.solution) ==
+                          harness::solution_fingerprint(inst, framed.solution);
+  const auto payload = static_cast<double>(bare.metrics.messages);
+  const auto frames = static_cast<double>(framed.metrics.messages);
+  const double control_per_payload = (frames - payload) / payload;
+  const double bit_overhead = static_cast<double>(framed.metrics.total_bits) /
+                              static_cast<double>(bare.metrics.total_bits);
+  std::cout << "\n### loss-free synchronizer overhead (bare vs reliable)\n\n"
+            << "| bare rounds | logical / physical rounds | payload msgs | "
+               "channel frames | control/payload | bit overhead | match |\n"
+            << "|---|---|---|---|---|---|---|\n"
+            << "| " << bare.metrics.rounds << " | "
+            << framed.transport.logical_rounds << " / "
+            << framed.transport.physical_rounds << " | "
+            << bare.metrics.messages << " | " << framed.metrics.messages
+            << " | " << format_double(control_per_payload, 2) << " | "
+            << format_double(bit_overhead, 1) << "x | "
+            << (sync_match ? "yes" : "NO") << " |\n";
+
   std::vector<Record> rows;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const Cell& c = cells[i];
@@ -129,8 +159,26 @@ int run_faults(const Options& opts) {
         .add("duplicates_discarded", r.duplicates_discarded);
     if (!r.completed) row.add("diagnostic", r.diagnostic);
   }
-  bench_record("faults", opts).add("results", rows).write(opts.out);
+  Record sync;
+  sync.add("bare_rounds", bare.metrics.rounds)
+      .add("logical_rounds", framed.transport.logical_rounds)
+      .add("physical_rounds", framed.transport.physical_rounds)
+      .add("payload_messages", bare.metrics.messages)
+      .add("channel_frames", framed.metrics.messages)
+      .add("control_per_payload", control_per_payload)
+      .add("bit_overhead", bit_overhead)
+      .add("solutions_match", sync_match);
+  bench_record("faults", opts)
+      .add("results", rows)
+      .add("synchronizer", sync)
+      .write(opts.out);
 
+  // Gate: the loss-free reliable run returns the bare run's solution.
+  if (!sync_match) {
+    std::cerr << "FAIL: the loss-free reliable run did not return the bare "
+                 "run's solution\n";
+    return 1;
+  }
   // Gate: every reliable cell must have recovered the fault-free solution.
   for (std::size_t i = 0; i < reports.size(); ++i) {
     if (cells[i].reliable &&

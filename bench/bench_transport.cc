@@ -1,7 +1,7 @@
 // E10 — raw transport round-throughput microbenchmark
 // (`dflp_bench transport`).
 //
-// Unlike E1–E9 this experiment does not measure any facility-location
+// Unlike E1–E8 this experiment does not measure any facility-location
 // algorithm: it drives the CONGEST simulator itself with trivial node
 // programs so the measured cost is the transport — step dispatch, send
 // staging/validation, fault/commit accounting, delivery ordering and the

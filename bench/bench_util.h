@@ -33,7 +33,7 @@
 
 namespace dflp::benchx {
 
-/// Flags an experiment takes besides its name; E1–E9 take none.
+/// Flags an experiment takes besides its name; E1–E8 take none.
 enum Takes : unsigned {
   kTakesSmokeOut = 1u << 0,   ///< --smoke, --out FILE (E10–E15)
   kTakesPhases = 1u << 1,     ///< --phases (transport)

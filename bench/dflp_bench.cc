@@ -3,7 +3,7 @@
 //   dflp_bench <experiment> [--smoke] [--out FILE] [--phases]
 //              [--reference ROUNDS_PER_S]
 //
-// E1–E9 print their Markdown tables and take no flag. E10–E15 also write
+// E1–E8 print their Markdown tables and take no flag. E10–E15 also write
 // one JSON record (BENCH_<experiment>.json unless `--out` names another
 // file), shrink their workload under `--smoke`, and exit 1 when a gate
 // fails. `--phases` is transport's, `--reference` is trace's. A flag the
@@ -24,7 +24,6 @@ int run_pipeline(const Options&);
 int run_baselines(const Options&);
 int run_scale(const Options&);
 int run_ablation(const Options&);
-int run_async(const Options&);
 int run_transport(const Options&);
 int run_faults(const Options&);
 int run_trace(const Options&);
@@ -49,7 +48,6 @@ constexpr Experiment kExperiments[] = {
     {"baselines", run_baselines, 0},    // E6
     {"scale", run_scale, 0},            // E7
     {"ablation", run_ablation, 0},      // E8
-    {"async", run_async, 0},            // E9
     {"transport", run_transport, kTakesSmokeOut | kTakesPhases},  // E10
     {"faults", run_faults, kTakesSmokeOut},                       // E11
     {"trace", run_trace, kTakesSmokeOut | kTakesReference},       // E12

@@ -76,12 +76,6 @@ std::uint64_t Rng::uniform_u64(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_u64(span));
-}
-
 double Rng::uniform01() noexcept {
   // 53 random bits into the mantissa: uniform over [0,1) with full double
   // resolution.
@@ -105,35 +99,6 @@ double Rng::normal() noexcept {
   const double u2 = uniform01();
   constexpr double two_pi = 6.283185307179586476925286766559;
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(two_pi * u2);
-}
-
-double Rng::exponential(double lambda) noexcept {
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / lambda;
-}
-
-double Rng::pareto(double x_min, double alpha) noexcept {
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return x_min / std::pow(u, 1.0 / alpha);
-}
-
-std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
-  if (n <= 1) return 0;
-  // Inverse-CDF on the continuous zipf envelope, then clamp. This matches
-  // the discrete law asymptotically, which is all workload shaping needs.
-  const double u = uniform01();
-  double r;
-  if (s == 1.0) {
-    r = std::pow(static_cast<double>(n), u) - 1.0;
-  } else {
-    const double nn = std::pow(static_cast<double>(n), 1.0 - s);
-    r = std::pow(u * (nn - 1.0) + 1.0, 1.0 / (1.0 - s)) - 1.0;
-  }
-  auto idx = static_cast<std::uint64_t>(r);
-  if (idx >= n) idx = n - 1;
-  return idx;
 }
 
 }  // namespace dflp

@@ -60,10 +60,6 @@ class Rng {
   /// rejection method: unbiased.
   [[nodiscard]] std::uint64_t uniform_u64(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo,
-                                         std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform01() noexcept;
 
@@ -75,19 +71,6 @@ class Rng {
 
   /// Standard normal via Box–Muller (no state caching; two uniforms/call).
   [[nodiscard]] double normal() noexcept;
-
-  /// Exponential with rate lambda > 0.
-  [[nodiscard]] double exponential(double lambda) noexcept;
-
-  /// Pareto (power-law) sample with scale x_min > 0 and shape alpha > 0.
-  /// Heavy-tailed: used by workloads to control cost spread rho.
-  [[nodiscard]] double pareto(double x_min, double alpha) noexcept;
-
-  /// Zipf-like rank sample in [0, n): probability of rank r proportional to
-  /// 1/(r+1)^s. O(log n) via inverse-CDF on a cached prefix is overkill
-  /// here; uses rejection-free inversion approximation adequate for
-  /// workload shaping.
-  [[nodiscard]] std::uint64_t zipf(std::uint64_t n, double s) noexcept;
 
   /// Fisher–Yates shuffle of a random-access range.
   template <typename RandomIt>

@@ -76,29 +76,6 @@ std::string Table::to_markdown() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  for (std::size_t c = 0; c < headers_.size(); ++c)
-    os << (c ? "," : "") << quote(headers_[c]);
-  os << '\n';
-  for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < headers_.size(); ++c)
-      os << (c ? "," : "") << quote(c < r.size() ? r[c] : std::string());
-    os << '\n';
-  }
-  return os.str();
-}
-
 std::ostream& operator<<(std::ostream& os, const Table& t) {
   return os << t.to_markdown();
 }

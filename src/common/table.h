@@ -1,5 +1,5 @@
 // Minimal tabular reporting: the bench binaries print the experiment rows
-// (the paper's "tables/figures") as aligned Markdown and optionally CSV.
+// (the paper's "tables/figures") as aligned Markdown.
 #pragma once
 
 #include <iosfwd>
@@ -32,9 +32,6 @@ class Table {
 
   /// Renders as aligned Markdown. Incomplete rows are padded with "".
   [[nodiscard]] std::string to_markdown() const;
-
-  /// Renders as CSV (RFC-4180-ish quoting for commas/quotes/newlines).
-  [[nodiscard]] std::string to_csv() const;
 
   /// Convenience: stream the Markdown rendering.
   friend std::ostream& operator<<(std::ostream& os, const Table& t);

@@ -389,89 +389,4 @@ MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
   });
 }
 
-MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
-                                         const MwParams& params,
-                                         int max_delay) {
-  DFLP_CHECK_MSG(params.tracer == nullptr,
-                 "the asynchronous runner records no trace; run "
-                 "run_mw_greedy to trace a solve");
-  auto shared = std::make_unique<Shared>();
-  shared->sched = derive_schedule(inst, params);
-  shared->params = params;
-  shared->scheduled_rounds =
-      4ULL * static_cast<std::uint64_t>(shared->sched.levels) *
-      static_cast<std::uint64_t>(shared->sched.subphases);
-  shared->first_client = client_node(inst, 0);
-
-  net::AsyncNetwork::Options options;
-  // The synchronizer tags every message with its logical round, so the
-  // budget grows by the tag size: O(log rounds) = O(log N) extra bits.
-  options.bit_budget =
-      shared->sched.bit_budget +
-      net::bits_for_value(
-          static_cast<std::int64_t>(shared->scheduled_rounds + 8)) +
-      2;
-  options.max_delay = max_delay;
-  options.seed = params.seed;
-
-  net::AsyncNetwork net(
-      static_cast<std::size_t>(inst.num_facilities() + inst.num_clients()),
-      options);
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    for (const fl::FacilityEdge& e : inst.facility_edges(i))
-      net.add_edge(facility_node(i), client_node(inst, e.client));
-  }
-  net.finalize();
-  // The synchronizer delivers the same ports a synchronous network would
-  // (both sort each neighbour list ascending), so the bipartite edge table
-  // serves as is; its adjacency is not needed here.
-  EdgeTable table;
-  (void)build_bipartite_adjacency(inst, table);
-
-  const Shared* shared_ptr = shared.get();
-  auto make_inner = [&](net::NodeId id) -> std::unique_ptr<net::Process> {
-    if (id < inst.num_facilities()) {
-      const fl::FacilityId i = node_to_facility(id);
-      return std::make_unique<FacilityProc>(
-          shared_ptr, inst.opening_cost(i), inst.facility_edges(i),
-          table.cost_index(id));
-    }
-    const fl::ClientId j = node_to_client(inst, id);
-    return std::make_unique<ClientProc>(shared_ptr, inst.client_edges(j),
-                                        table.cost_index(id));
-  };
-
-  MwGreedyAsyncOutcome outcome{fl::IntegralSolution(inst),
-                               net::run_synchronized(
-                                   net, make_inner,
-                                   /*max_events=*/1ULL << 32),
-                               shared->sched, 0};
-
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    const auto& sync = static_cast<const net::Synchronizer&>(
-        net.process(facility_node(i)));
-    outcome.max_rounds_executed =
-        std::max(outcome.max_rounds_executed, sync.rounds_executed());
-    if (static_cast<const FacilityProc&>(sync.inner()).opened())
-      outcome.solution.open(i);
-  }
-  for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    const auto& sync = static_cast<const net::Synchronizer&>(
-        net.process(client_node(inst, j)));
-    outcome.max_rounds_executed =
-        std::max(outcome.max_rounds_executed, sync.rounds_executed());
-    const auto& proc = static_cast<const ClientProc&>(sync.inner());
-    if (proc.covered()) {
-      outcome.solution.assign(
-          j, node_to_facility(proc.assigned_facility_node()));
-    }
-  }
-  if (params.mopup) {
-    std::string why;
-    DFLP_CHECK_MSG(outcome.solution.is_feasible(inst, &why),
-                   "async mw-greedy with mop-up must be feasible: " << why);
-  }
-  return outcome;
-}
-
 }  // namespace dflp::core

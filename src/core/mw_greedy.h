@@ -27,7 +27,6 @@
 #include "core/params.h"
 #include "fl/instance.h"
 #include "fl/solution.h"
-#include "netsim/async.h"
 #include "netsim/metrics.h"
 #include "netsim/reliable.h"
 
@@ -49,22 +48,5 @@ struct MwGreedyOutcome {
 /// Runs the distributed greedy end-to-end on a simulated CONGEST network.
 [[nodiscard]] MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
                                             const MwParams& params);
-
-struct MwGreedyAsyncOutcome {
-  fl::IntegralSolution solution;
-  net::AsyncMetrics metrics;
-  MwSchedule schedule;
-  /// Largest logical round any node executed under the synchronizer.
-  std::uint64_t max_rounds_executed = 0;
-};
-
-/// Runs the *same* node programs on an asynchronous network under the
-/// alpha-synchronizer (netsim/async.h). With the same seed this produces a
-/// bit-identical solution to run_mw_greedy — the property the async tests
-/// pin down — at the cost of the synchronizer's token/tag overhead, which
-/// the returned AsyncMetrics quantify. It records no trace: a set
-/// `params.tracer` throws CheckError.
-[[nodiscard]] MwGreedyAsyncOutcome run_mw_greedy_async(
-    const fl::Instance& inst, const MwParams& params, int max_delay = 16);
 
 }  // namespace dflp::core

@@ -75,8 +75,7 @@ struct MwParams {
   /// prove it.
   net::DeliveryOrder delivery = net::DeliveryOrder::kBySource;
   /// Round tracer (netsim/trace.h), not owned; attached to every network
-  /// the runner builds (run_mw_greedy_async, whose executor records no
-  /// trace, rejects it). Purely observational — a traced run is
+  /// the runner builds. Purely observational — a traced run is
   /// bit-identical to an untraced one. The caller owns the Tracer and
   /// exports it (`dflp_cli solve --trace` writes it to a file).
   net::Tracer* tracer = nullptr;

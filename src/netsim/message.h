@@ -66,12 +66,12 @@ struct Message {
   NodeId dst = kNoNode;
   /// The link the message arrived on: the index of `src` in the receiver's
   /// `NodeContext::neighbors()`, so `ctx.neighbors()[msg.port] == msg.src`.
-  /// Every transport sets it on every delivery, duplicated copies
-  /// included, and so does every adapter that hands an inner protocol an
-  /// inbox (the synchronizer, the reliable channel); a hand-built inbox
-  /// must set it too. It is the receiver's own knowledge of its incident
-  /// edge, not wire content, so it is never billed. Protocols index
-  /// per-link state by it instead of searching for `src`.
+  /// The engine sets it on every delivery, duplicated copies included,
+  /// and so does the reliable channel on the inbox it hands its inner
+  /// protocol; a hand-built inbox must set it too. It is the receiver's
+  /// own knowledge of its incident edge, not wire content, so it is never
+  /// billed. Protocols index per-link state by it instead of searching for
+  /// `src`.
   std::int32_t port = -1;
   std::uint8_t kind = 0;
   std::array<std::int64_t, 3> field{0, 0, 0};

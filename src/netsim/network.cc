@@ -88,30 +88,33 @@ Adjacency build_sorted_adjacency(
   return out;
 }
 
-void MessageSink::sink_frame(NodeId from, const Message& frame) {
-  DFLP_CHECK_MSG(false, "this transport does not carry reliable-channel "
-                 "frames (node " << from << " -> " << frame.dst << ")");
-}
-
 int congest_bit_budget(std::size_t num_nodes) noexcept {
   return 4 * ceil_log2(static_cast<std::uint64_t>(num_nodes) + 2) + 16;
 }
 
 void NodeContext::send(NodeId to, std::uint8_t kind,
                        std::array<std::int64_t, 3> fields, int bits) {
-  sink_->sink_send(self_, to, kind, fields, bits);
+  buffer_->send(self_, to, kind, fields, bits);
 }
 
 void NodeContext::broadcast(std::uint8_t kind,
                             std::array<std::int64_t, 3> fields, int bits) {
-  sink_->sink_broadcast(self_, neighbors_, kind, fields, bits);
+  buffer_->broadcast(self_, kind, fields, bits);
 }
 
 void NodeContext::send_frame(const Message& frame) {
-  sink_->sink_frame(self_, frame);
+  buffer_->send_frame(self_, frame);
 }
 
-void NodeContext::halt() noexcept { sink_->sink_halt(self_); }
+void NodeContext::halt() noexcept { buffer_->halt(self_); }
+
+void NodeContext::sleep_until(std::uint64_t round) {
+  buffer_->sleep_until(self_, round);
+}
+
+void NodeContext::annotate(std::string_view phase) {
+  buffer_->annotate(self_, phase);
+}
 
 Network::Network(std::size_t num_nodes, Options options)
     : options_(options),

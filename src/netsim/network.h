@@ -33,9 +33,8 @@
 // zero durations, `path` "skip"), so round numbers stay consecutive. A skip
 // stops at the next scheduled crash round, whose crashes are then applied
 // by an ordinary round, and a run() cut short by `max_rounds` inside a skip
-// resumes it. Only this engine honours the hint: the standalone buffers of
-// the synchronizer and the reliable channel, and AsyncNetwork, ignore it,
-// so reliable and asynchronous runs step every round.
+// resumes it. Only this engine honours the hint: the reliable channel's
+// standalone buffer ignores it, so reliable runs step every round.
 //
 // Step/commit architecture
 // ------------------------
@@ -228,6 +227,7 @@
 namespace dflp::net {
 
 class Network;
+class RoundBuffer;
 class Tracer;
 
 /// How the communication graph is declared.
@@ -285,46 +285,6 @@ struct StageLog {
   void reset() noexcept;
 };
 
-/// Transport abstraction NodeContext delegates to. The synchronous Network
-/// hands each stepped node a RoundBuffer implementing it (writing into the
-/// round's StageLog); the alpha-synchronizer (netsim/async.h) stages its
-/// wrapped protocol's sends the same way, so the *same* Process code runs
-/// in both worlds.
-class MessageSink {
- public:
-  virtual ~MessageSink() = default;
-  virtual void sink_send(NodeId from, NodeId to, std::uint8_t kind,
-                         std::array<std::int64_t, 3> fields, int bits) = 0;
-  /// Stage the same payload to every neighbour. The default forwards to
-  /// sink_send per neighbour; RoundBuffer overrides it with a fast path
-  /// that validates the payload once and stages `degree` copies.
-  virtual void sink_broadcast(NodeId from, std::span<const NodeId> neighbors,
-                              std::uint8_t kind,
-                              std::array<std::int64_t, 3> fields, int bits) {
-    for (NodeId nb : neighbors) sink_send(from, nb, kind, fields, bits);
-  }
-  virtual void sink_halt(NodeId node) = 0;
-  /// Record NodeContext::sleep_until. Only the engine's RoundBuffer acts on
-  /// it; the default (every standalone transport) ignores the hint, which
-  /// the sleep contract makes equivalent.
-  virtual void sink_sleep(NodeId node, std::uint64_t round) {
-    (void)node;
-    (void)round;
-  }
-  /// Stage a transport-layer frame (a Message with `has_header` set) as
-  /// built by the reliable channel. Only transports that carry framed
-  /// traffic implement it; the default rejects.
-  virtual void sink_frame(NodeId from, const Message& frame);
-  /// Record an algorithm-phase annotation (netsim/trace.h). Purely
-  /// observational: no message, no bits, no randomness. The default drops
-  /// it; RoundBuffer captures it when the run is traced with
-  /// `Tracer(capture_phases=true)`.
-  virtual void sink_annotate(NodeId node, std::string_view phase) {
-    (void)node;
-    (void)phase;
-  }
-};
-
 /// A frozen undirected topology in CSR form. Node v's neighbours are
 /// adj[offset[v] .. offset[v+1]), ascending, and rev[offset[v] + k] is the
 /// position of v in the neighbour list of adj[offset[v] + k] — the port
@@ -379,24 +339,24 @@ class NodeContext {
   /// It covers only the steps after this one — a step without a hint leaves
   /// the node awake — the last call in a step wins, and a halt wins over
   /// it. A `round` at or before the next round changes nothing.
-  void sleep_until(std::uint64_t round) { sink_->sink_sleep(self_, round); }
+  void sleep_until(std::uint64_t round);
 
   /// Mark an algorithm phase for this (node, round) — e.g. "offer",
-  /// "accept", "open". Free when the run is untraced (a virtual call into a
-  /// no-op); when traced with phase capture the label is aggregated into
+  /// "accept", "open". Free when the run is untraced (one flag test in the
+  /// buffer); when traced with phase capture the label is aggregated into
   /// the round's trace record. `phase` must outlive the step — use string
   /// literals. Never affects messages, metrics, or randomness.
-  void annotate(std::string_view phase) { sink_->sink_annotate(self_, phase); }
+  void annotate(std::string_view phase);
 
-  /// Constructs a context over any transport. Library users normally never
-  /// build one — Network and the synchronizer do.
-  NodeContext(MessageSink& sink, NodeId self, std::uint64_t round,
+  /// Constructs a context over the buffer the step stages into. Library
+  /// users normally never build one — Network and the reliable channel do.
+  NodeContext(RoundBuffer& buffer, NodeId self, std::uint64_t round,
               std::span<const NodeId> neighbors, Rng& rng)
-      : sink_(&sink), self_(self), round_(round), neighbors_(neighbors),
+      : buffer_(&buffer), self_(self), round_(round), neighbors_(neighbors),
         rng_(&rng) {}
 
  private:
-  MessageSink* sink_;
+  RoundBuffer* buffer_;
   NodeId self_;
   std::uint64_t round_;
   std::span<const NodeId> neighbors_;
@@ -672,8 +632,8 @@ class Network final {
 /// [0, num_nodes) and its reverse-position column in O(num_nodes + E).
 /// Endpoints must already be range-checked and distinct; a duplicate edge,
 /// in either orientation, throws CheckError naming both endpoints. `edges`
-/// is released before the adjacency is allocated. Shared by Network and
-/// AsyncNetwork.
+/// is released before the adjacency is allocated. Network::finalize()
+/// builds its topology with it.
 [[nodiscard]] Adjacency build_sorted_adjacency(
     std::size_t num_nodes, std::vector<std::pair<NodeId, NodeId>> edges);
 

@@ -111,18 +111,16 @@ void RoundBuffer::stage_single(const WireRecord& rec, std::int32_t port) {
     limits_.touched->push_back(rec.dst);
 }
 
-void RoundBuffer::sink_send(NodeId from, NodeId to, std::uint8_t kind,
-                            std::array<std::int64_t, 3> fields, int bits) {
+void RoundBuffer::send(NodeId from, NodeId to, std::uint8_t kind,
+                       std::array<std::int64_t, 3> fields, int bits) {
   WireRecord rec = checked_payload(from, kind, fields, bits,
                                    min_payload_bits(fields), limits_.max_kind);
   rec.dst = to;
   stage_single(rec, charge_link(to));
 }
 
-void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
-                                 std::uint8_t kind,
-                                 std::array<std::int64_t, 3> fields,
-                                 int bits) {
+void RoundBuffer::broadcast(NodeId from, std::uint8_t kind,
+                            std::array<std::int64_t, 3> fields, int bits) {
   if (neighbors_.empty()) return;
   WireRecord rec = checked_payload(from, kind, fields, bits,
                                    min_payload_bits(fields), limits_.max_kind);
@@ -152,7 +150,7 @@ void RoundBuffer::sink_broadcast(NodeId from, std::span<const NodeId>,
   log.max_bits = std::max(log.max_bits, static_cast<int>(rec.bits));
 }
 
-void RoundBuffer::sink_frame(NodeId from, const Message& frame) {
+void RoundBuffer::send_frame(NodeId from, const Message& frame) {
   DFLP_CHECK_MSG(frame.src == from,
                  "frame from node " << frame.src << " sent by node " << from);
   // Frames are exempt from the protocol-opcode cap, and a frame declared
@@ -171,7 +169,7 @@ void RoundBuffer::sink_frame(NodeId from, const Message& frame) {
   stage_single(rec, port);
 }
 
-void RoundBuffer::sink_halt(NodeId node) {
+void RoundBuffer::halt(NodeId node) {
   DFLP_CHECK_MSG(node == owner_,
                  "halt for node " << node << " staged into the buffer of node "
                                   << owner_);
@@ -181,7 +179,7 @@ void RoundBuffer::sink_halt(NodeId node) {
   }
 }
 
-void RoundBuffer::sink_sleep(NodeId node, std::uint64_t round) {
+void RoundBuffer::sleep_until(NodeId node, std::uint64_t round) {
   DFLP_CHECK_MSG(node == owner_,
                  "sleep for node " << node << " staged into the buffer of node "
                                    << owner_);
@@ -191,7 +189,7 @@ void RoundBuffer::sink_sleep(NodeId node, std::uint64_t round) {
   }
 }
 
-void RoundBuffer::sink_annotate(NodeId node, std::string_view phase) {
+void RoundBuffer::annotate(NodeId node, std::string_view phase) {
   if (!limits_.capture_annotations) return;
   DFLP_CHECK_MSG(node == owner_,
                  "annotation from node " << node

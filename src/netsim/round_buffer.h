@@ -26,11 +26,12 @@
 // `degree` copies until the final scatter writes their slots, and a pull
 // round (netsim/network.h) leaves them to the receivers' gathers.
 //
-// Both the synchronous `Network` and the alpha-synchronizer (netsim/async.h)
-// stage their wrapped protocol's sends through this one class; standalone
-// consumers (the synchronizer, the reliable channel) omit the log and link
+// NodeContext calls into this one class directly: the engine's `Network`
+// stages every node step through it, and the reliable channel
+// (netsim/reliable.h) stages its wrapped protocol's logical rounds through
+// a standalone one. The standalone consumer omits the log and link
 // arguments of begin() and the buffer uses its own private ones instead.
-// They omit the wake slot too, so the buffer drops NodeContext::sleep_until
+// It omits the wake slot too, so the buffer drops NodeContext::sleep_until
 // hints: only the engine skips sleeping nodes (netsim/network.h).
 #pragma once
 
@@ -44,17 +45,18 @@
 
 namespace dflp::net {
 
-class RoundBuffer final : public MessageSink {
+class RoundBuffer final {
  public:
   /// Legality limits checked at send time, supplied by the transport.
   struct Limits {
     int bit_budget = 64;
-    /// Largest opcode the staged protocol may use (the synchronizer
-    /// reserves 0xFE/0xFF for its control traffic).
+    /// Largest opcode the staged protocol may use (the reliable channel
+    /// reserves the opcodes above ReliableChannel::kMaxProtocolKind for its
+    /// control frames).
     std::uint8_t max_kind = 0xFF;
     /// Record NodeContext::annotate phase labels for the round tracer
-    /// (netsim/trace.h). Off by default: annotations are dropped at the
-    /// sink, so untraced runs pay only the virtual call.
+    /// (netsim/trace.h). Off by default: annotations are dropped by
+    /// annotate(), so untraced runs pay only its flag test.
     bool capture_annotations = false;
     /// The engine's destination tally (netsim/network.h), set when the run
     /// has no message hazards: every staged copy bumps `dst_count[dst]`,
@@ -87,33 +89,33 @@ class RoundBuffer final : public MessageSink {
              Topology topology = Topology::kExplicit,
              std::uint32_t* wake = nullptr);
 
-  // MessageSink: called by NodeContext during the owner's step.
-  void sink_send(NodeId from, NodeId to, std::uint8_t kind,
-                 std::array<std::int64_t, 3> fields, int bits) override;
+  // Called by NodeContext during the owner's step; `from` and `node` name
+  // the stepping node and must be the owner.
+  void send(NodeId from, NodeId to, std::uint8_t kind,
+            std::array<std::int64_t, 3> fields, int bits);
   /// Broadcast fast path: validates the payload once, requires that the
   /// owner has sent nothing yet this step, settles the batched bit
   /// accounting analytically, then stages a single kWireBroadcast record —
   /// the commit expands it over the neighbours only at scatter time, or
   /// the receivers read it in a pull round. A
   /// node with no neighbours broadcasts nothing and uses up nothing.
-  void sink_broadcast(NodeId from, std::span<const NodeId> neighbors,
-                      std::uint8_t kind, std::array<std::int64_t, 3> fields,
-                      int bits) override;
+  void broadcast(NodeId from, std::uint8_t kind,
+                 std::array<std::int64_t, 3> fields, int bits);
   /// Transport-layer frame path used by the reliable channel: the frame
   /// arrives fully formed (header already attached) and is exempt from the
   /// `max_kind` protocol-opcode cap and is raised to its honest size rather
   /// than rejected, but still pays the budget, adjacency and link checks.
   /// The header goes into the log's header column at the record's index,
   /// not into the staged record.
-  void sink_frame(NodeId from, const Message& frame) override;
-  void sink_halt(NodeId node) override;
+  void send_frame(NodeId from, const Message& frame);
+  void halt(NodeId node);
   /// Writes the wake round into the owner's wake slot, if begin() got one,
   /// saturated to 32 bits (an early wake is always allowed).
-  void sink_sleep(NodeId node, std::uint64_t round) override;
+  void sleep_until(NodeId node, std::uint64_t round);
   /// Captures the phase label when `Limits::capture_annotations` is set,
   /// drops it otherwise. Labels are stored as views — callers pass string
   /// literals (see NodeContext::annotate) that outlive the commit drain.
-  void sink_annotate(NodeId node, std::string_view phase) override;
+  void annotate(NodeId node, std::string_view phase);
 
   /// Records staged by the owner since begin(), in send-call order, with
   /// resolved bit sizes (>= the honest minimum). A broadcast appears as one
@@ -147,8 +149,9 @@ class RoundBuffer final : public MessageSink {
   [[nodiscard]] NodeId owner() const noexcept { return owner_; }
 
   /// Whether any message was staged to the neighbour at `neighbor_idx`
-  /// (position in the adjacency list) — the synchronizer's silent-edge
-  /// query for round tokens. A broadcast counts as a send on every link.
+  /// (position in the adjacency list) — the reliable channel's silent-link
+  /// query for end-of-round tokens. A broadcast counts as a send on every
+  /// link.
   [[nodiscard]] bool sent_to(std::size_t neighbor_idx) const {
     return broadcast_ || links_->stamp[neighbor_idx] == links_->epoch;
   }

@@ -37,10 +37,9 @@
 //     as duration slices, live nodes / in-flight messages / per-phase
 //     annotation counts as counter tracks.
 //
-// Only the synchronous engine (Network::run) produces records; the
-// asynchronous executor (netsim/async.h) records no trace. A Tracer
-// instance belongs to one Network execution at a time, which hands it one
-// record per round; it is not thread-safe.
+// The engine (Network::run) produces the records. A Tracer instance
+// belongs to one Network execution at a time, which hands it one record
+// per round; it is not thread-safe.
 #pragma once
 
 #include <cstdint>

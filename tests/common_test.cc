@@ -161,15 +161,6 @@ TEST(Table, MarkdownRendering) {
   EXPECT_NE(md.find("|---"), std::string::npos);
 }
 
-TEST(Table, CsvQuoting) {
-  Table t({"a", "b"});
-  t.row().cell("plain").cell("has,comma");
-  t.row().cell("has\"quote").cell("x");
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, RejectsTooManyCells) {
   Table t({"only"});
   t.row().cell("ok");

@@ -66,7 +66,7 @@ std::string outcome_trace(Body&& body) {
 
 /// Fault/transport configuration of one sweep case.
 enum class FaultMode {
-  kFaultFree,   ///< no faults (legacy suffix "_Reliable")
+  kFaultFree,   ///< no faults, no ReliableChannel
   kDrops,       ///< i.i.d. drops, no recovery: fails loudly, identically
   kBurstCrash,  ///< burst loss + crash schedule, no recovery: deterministic
   kRecovered,   ///< drops + duplication under the ReliableChannel
@@ -85,7 +85,7 @@ std::string case_name(const testing::TestParamInfo<SweepCase>& info) {
     case net::DeliveryOrder::kReverseSource: name = "ReverseSource"; break;
   }
   switch (info.param.mode) {
-    case FaultMode::kFaultFree: name += "_Reliable"; break;
+    case FaultMode::kFaultFree: name += "_FaultFree"; break;
     case FaultMode::kDrops: name += "_Drops"; break;
     case FaultMode::kBurstCrash: name += "_BurstCrash"; break;
     case FaultMode::kRecovered: name += "_Recovered"; break;
@@ -263,9 +263,9 @@ TEST_P(EngineEquivalenceTest, MwGreedyFingerprintMatchesCommittedHash) {
            metrics_fingerprint(out.metrics);
   });
   const CaseHashes golden = {
-      {"BySource_Reliable", 6696572142523782535ULL},
-      {"RandomShuffle_Reliable", 6696572142523782535ULL},
-      {"ReverseSource_Reliable", 6696572142523782535ULL},
+      {"BySource_FaultFree", 6696572142523782535ULL},
+      {"RandomShuffle_FaultFree", 6696572142523782535ULL},
+      {"ReverseSource_FaultFree", 6696572142523782535ULL},
       {"BySource_Drops", 17327247308403368370ULL},
       {"RandomShuffle_Drops", 17327247308403368370ULL},
       {"ReverseSource_Drops", 16878408832201328587ULL},
@@ -293,9 +293,9 @@ TEST_P(EngineEquivalenceTest, PipelineFingerprintMatchesCommittedHash) {
     return os.str();
   });
   const CaseHashes golden = {
-      {"BySource_Reliable", 14376291352770582455ULL},
-      {"RandomShuffle_Reliable", 14376291352770582455ULL},
-      {"ReverseSource_Reliable", 14376291352770582455ULL},
+      {"BySource_FaultFree", 14376291352770582455ULL},
+      {"RandomShuffle_FaultFree", 14376291352770582455ULL},
+      {"ReverseSource_FaultFree", 14376291352770582455ULL},
       {"BySource_Drops", 12986163176569938375ULL},
       {"RandomShuffle_Drops", 12986163176569938375ULL},
       {"ReverseSource_Drops", 12986163176569938375ULL},
@@ -327,9 +327,9 @@ TEST_P(EngineEquivalenceTest, DiscoverBoundsFingerprintMatchesCommittedHash) {
     return os.str();
   });
   const CaseHashes golden = {
-      {"BySource_Reliable", 5258848890422037299ULL},
-      {"RandomShuffle_Reliable", 5258848890422037299ULL},
-      {"ReverseSource_Reliable", 5258848890422037299ULL},
+      {"BySource_FaultFree", 5258848890422037299ULL},
+      {"RandomShuffle_FaultFree", 5258848890422037299ULL},
+      {"ReverseSource_FaultFree", 5258848890422037299ULL},
   };
   expect_case_hash(GetParam(), trace, golden);
 }
@@ -360,9 +360,9 @@ TEST_P(EngineEquivalenceTest, FtfpFingerprintMatchesCommittedHash) {
     EXPECT_NE(trace.find("CheckError"), std::string::npos) << trace;
   }
   const CaseHashes golden = {
-      {"BySource_Reliable", 14486908863044959487ULL},
-      {"RandomShuffle_Reliable", 14486908863044959487ULL},
-      {"ReverseSource_Reliable", 14486908863044959487ULL},
+      {"BySource_FaultFree", 14486908863044959487ULL},
+      {"RandomShuffle_FaultFree", 14486908863044959487ULL},
+      {"ReverseSource_FaultFree", 14486908863044959487ULL},
       {"BySource_Drops", 17327247308403368370ULL},
       {"RandomShuffle_Drops", 17327247308403368370ULL},
       {"ReverseSource_Drops", 16878408832201328587ULL},
@@ -435,9 +435,9 @@ TEST_P(EngineEquivalenceTest, MwGreedyTracingIsPureObservation) {
   net::Tracer tracer(/*capture_phases=*/true);
   EXPECT_EQ(run(&tracer), run(nullptr));
   const CaseHashes golden = {
-      {"BySource_Reliable", 16485266013129012632ULL},
-      {"RandomShuffle_Reliable", 16485266013129012632ULL},
-      {"ReverseSource_Reliable", 16485266013129012632ULL},
+      {"BySource_FaultFree", 16485266013129012632ULL},
+      {"RandomShuffle_FaultFree", 16485266013129012632ULL},
+      {"ReverseSource_FaultFree", 16485266013129012632ULL},
       {"BySource_Drops", 5081501556028055614ULL},
       {"RandomShuffle_Drops", 7034993435186404938ULL},
       {"ReverseSource_Drops", 16937372184924270791ULL},
@@ -473,9 +473,9 @@ TEST_P(EngineEquivalenceTest, PipelineTracingIsPureObservation) {
     EXPECT_EQ(tracer.sections()[1].name, "rand-round");
   }
   const CaseHashes golden = {
-      {"BySource_Reliable", 10903123896570953080ULL},
-      {"RandomShuffle_Reliable", 10903123896570953080ULL},
-      {"ReverseSource_Reliable", 10903123896570953080ULL},
+      {"BySource_FaultFree", 10903123896570953080ULL},
+      {"RandomShuffle_FaultFree", 10903123896570953080ULL},
+      {"ReverseSource_FaultFree", 10903123896570953080ULL},
       {"BySource_Drops", 3350972349813785034ULL},
       {"RandomShuffle_Drops", 3350972349813785034ULL},
       {"ReverseSource_Drops", 3350972349813785034ULL},
@@ -515,9 +515,9 @@ TEST_P(EngineEquivalenceTest, StreamCellSkipsRoundsBitIdentically) {
     return greedy_and_pipeline_trace(inst, params);
   };
   const CaseHashes golden = {
-      {"BySource_Reliable", 16139520221499770484ULL},
-      {"RandomShuffle_Reliable", 16139520221499770484ULL},
-      {"ReverseSource_Reliable", 16139520221499770484ULL},
+      {"BySource_FaultFree", 16139520221499770484ULL},
+      {"RandomShuffle_FaultFree", 16139520221499770484ULL},
+      {"ReverseSource_FaultFree", 16139520221499770484ULL},
       {"BySource_Drops", 17950527811781921894ULL},
       {"RandomShuffle_Drops", 1164272126540461602ULL},
       {"ReverseSource_Drops", 10721923413367433278ULL},
@@ -560,9 +560,9 @@ TEST_P(EngineEquivalenceTest, CompleteBipartiteMatchesCommittedHash) {
   const std::string trace = greedy_and_pipeline_trace(
       inst, sweep_params(GetParam(), /*k=*/4, /*seed=*/7));
   const CaseHashes golden = {
-      {"BySource_Reliable", 5561620361115318964ULL},
-      {"RandomShuffle_Reliable", 5561620361115318964ULL},
-      {"ReverseSource_Reliable", 5561620361115318964ULL},
+      {"BySource_FaultFree", 5561620361115318964ULL},
+      {"RandomShuffle_FaultFree", 5561620361115318964ULL},
+      {"ReverseSource_FaultFree", 5561620361115318964ULL},
       {"BySource_Drops", 3377693770703231484ULL},
       {"RandomShuffle_Drops", 6803728355874875347ULL},
       {"ReverseSource_Drops", 13312967030922082034ULL},

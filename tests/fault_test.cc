@@ -107,14 +107,6 @@ TEST(OptionsValidation, RejectsOutOfRangeRandomCrashFraction) {
       << msg;
 }
 
-Message link_msg(NodeId src, NodeId dst) {
-  Message m;
-  m.src = src;
-  m.dst = dst;
-  m.kind = 1;
-  return m;
-}
-
 TEST(FaultPlan, CrashScheduleSortsAndDeduplicates) {
   FaultPlan::Options o;
   // Node 3 has two events; the earliest round must win. The schedule is
@@ -291,24 +283,6 @@ TEST(NetMetrics, MergeSumsCountersMaxesPeaksKeepsEarliestFirstDrop) {
   EXPECT_EQ(a.first_drop_src, 1);
   EXPECT_EQ(a.first_drop_dst, 2);
   EXPECT_EQ(a.first_drop_kind, 7);
-}
-
-TEST(MessageSink, PlainTransportRejectsFrames) {
-  // Only the RoundBuffer carries transport frames; the base sink refuses
-  // them loudly instead of silently mis-billing header bits.
-  class NullSink final : public MessageSink {
-    void sink_send(NodeId, NodeId, std::uint8_t,
-                   std::array<std::int64_t, 3>, int) override {}
-    void sink_halt(NodeId) override {}
-  };
-  NullSink sink;
-  Message frame = link_msg(0, 1);
-  frame.has_header = true;
-  const std::string msg =
-      rejection_message([&] { sink.sink_frame(0, frame); });
-  EXPECT_NE(msg.find("does not carry reliable-channel frames"),
-            std::string::npos)
-      << msg;
 }
 
 }  // namespace
