@@ -1,8 +1,6 @@
 #include "common/mathx.h"
 
 #include <bit>
-#include <cmath>
-#include <limits>
 
 #include "common/check.h"
 
@@ -11,37 +9,6 @@ namespace dflp {
 int ceil_log2(std::uint64_t x) noexcept {
   if (x <= 1) return 0;
   return 64 - std::countl_zero(x - 1);
-}
-
-int floor_log2(std::uint64_t x) noexcept {
-  if (x <= 1) return 0;
-  return 63 - std::countl_zero(x);
-}
-
-int log_star(double x) noexcept {
-  if (std::isnan(x)) return 0;
-  if (std::isinf(x)) x = std::numeric_limits<double>::max();
-  int it = 0;
-  while (x > 1.0) {
-    x = std::log2(x);
-    ++it;
-  }
-  return it;
-}
-
-double harmonic(std::uint64_t n) noexcept {
-  if (n == 0) return 0.0;
-  // Exact summation below a threshold, asymptotic expansion above: the
-  // benches evaluate H_n for n up to ~1e6 repeatedly.
-  if (n <= 4096) {
-    double h = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i) h += 1.0 / static_cast<double>(i);
-    return h;
-  }
-  constexpr double euler_gamma = 0.57721566490153286060651209;
-  const double nn = static_cast<double>(n);
-  return std::log(nn) + euler_gamma + 1.0 / (2.0 * nn) -
-         1.0 / (12.0 * nn * nn);
 }
 
 std::vector<double> geometric_levels(double lo, double beta, int count) {
@@ -55,18 +22,6 @@ std::vector<double> geometric_levels(double lo, double beta, int count) {
     v *= beta;
   }
   return levels;
-}
-
-bool approx_eq(double a, double b, double tol) noexcept {
-  const double scale = std::fmax(1.0, std::fmax(std::fabs(a), std::fabs(b)));
-  return std::fabs(a - b) <= tol * scale;
-}
-
-double clamp_finite(double x, double lo, double hi) noexcept {
-  if (std::isnan(x)) return lo;
-  if (x < lo) return lo;
-  if (x > hi) return hi;
-  return x;
 }
 
 }  // namespace dflp

@@ -1,101 +1,18 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/check.h"
 
 namespace dflp {
 
 void RunningStat::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::fmin(min_, x);
-    max_ = std::fmax(max_, x);
-  }
+  max_ = n_ == 0 ? x : std::fmax(max_, x);
   ++n_;
-  sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
 
 double RunningStat::mean() const noexcept { return n_ ? mean_ : 0.0; }
 
-double RunningStat::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStat::min() const noexcept { return n_ ? min_ : 0.0; }
-
 double RunningStat::max() const noexcept { return n_ ? max_ : 0.0; }
-
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::fmin(min_, other.min_);
-  max_ = std::fmax(max_, other.max_);
-}
-
-double percentile(std::vector<double> samples, double q) {
-  DFLP_CHECK(!samples.empty());
-  DFLP_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) return samples.front();
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= samples.size()) return samples.back();
-  return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
-}
-
-Summary summarize(std::vector<double> samples) {
-  Summary s;
-  s.count = samples.size();
-  if (samples.empty()) return s;
-  RunningStat rs;
-  for (double x : samples) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  std::sort(samples.begin(), samples.end());
-  auto at = [&](double q) {
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(lo);
-    if (lo + 1 >= samples.size()) return samples.back();
-    return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
-  };
-  s.p25 = at(0.25);
-  s.median = at(0.5);
-  s.p75 = at(0.75);
-  s.p95 = at(0.95);
-  return s;
-}
-
-double geometric_mean(const std::vector<double>& samples) {
-  if (samples.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : samples) {
-    DFLP_CHECK_MSG(x > 0.0, "geometric_mean requires positive samples");
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(samples.size()));
-}
 
 }  // namespace dflp

@@ -1,59 +1,24 @@
-// Streaming and batch summary statistics for experiment reporting.
+// Streaming summary statistics for experiment reporting.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace dflp {
 
-/// Welford single-pass accumulator: numerically stable mean/variance plus
-/// min/max, without storing samples. Suitable for the per-round metrics the
-/// simulator accumulates over millions of messages.
+/// Single-pass accumulator: count, incremental mean and max, without
+/// storing samples.
 class RunningStat {
  public:
   void add(double x) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double variance() const noexcept;  // sample variance (n-1)
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-
-  /// Merge another accumulator (parallel Welford combine).
-  void merge(const RunningStat& other) noexcept;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
-
-/// Batch summary over a stored sample vector; supports exact percentiles.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-  double max = 0.0;
-};
-
-/// Computes a Summary; the input is copied and sorted internally.
-[[nodiscard]] Summary summarize(std::vector<double> samples);
-
-/// Exact percentile (linear interpolation between order statistics),
-/// q in [0,1]. Input must be non-empty; it is copied and sorted.
-[[nodiscard]] double percentile(std::vector<double> samples, double q);
-
-/// Geometric mean of strictly positive samples; 0 if empty.
-[[nodiscard]] double geometric_mean(const std::vector<double>& samples);
 
 }  // namespace dflp

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/mathx.h"
 #include "netsim/network.h"
 
 namespace dflp::core {
-
-std::string MwSchedule::describe() const {
-  std::ostringstream os;
-  os << "schedule(k=" << k << ", levels=" << levels
-     << ", subphases=" << subphases << ", beta=" << beta
-     << ", thresholds=" << thresholds.size() << ", y_scale=" << y_scale
-     << ", rounding_phases=" << rounding_phases << ", budget=" << bit_budget
-     << "b)";
-  return os.str();
-}
 
 std::uint64_t MwSchedule::first_admitting_round(
     std::uint64_t period, std::uint64_t from, double ratio,

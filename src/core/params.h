@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "core/quantize.h"
@@ -107,8 +106,6 @@ struct MwSchedule {
   int y_scale = 1;
   /// Rounding stage: number of randomized phases, Theta(log N).
   int rounding_phases = 1;
-
-  [[nodiscard]] std::string describe() const;
 
   /// Wake arithmetic over the rung ladder for a protocol that acts every
   /// `period` rounds, `subphases` times per rung (rung `level` spans rounds

@@ -32,8 +32,4 @@ double CostCodec::decode(std::int64_t code) const {
                                   static_cast<double>(code - 1));
 }
 
-std::int64_t CostCodec::max_code(double max_value) const {
-  return encode(max_value < min_positive_ ? min_positive_ : max_value);
-}
-
 }  // namespace dflp::core

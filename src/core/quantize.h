@@ -24,9 +24,6 @@ class CostCodec {
   [[nodiscard]] std::int64_t encode(double cost) const;
   [[nodiscard]] double decode(std::int64_t code) const;
 
-  /// Largest code this codec emits for values up to `max_value`.
-  [[nodiscard]] std::int64_t max_code(double max_value) const;
-
   [[nodiscard]] double gamma() const noexcept { return gamma_; }
   [[nodiscard]] double min_positive() const noexcept { return min_positive_; }
 

@@ -55,22 +55,6 @@ Delta Delta::edge_cost_change(NodeKey facility, NodeKey client,
   return d;
 }
 
-std::string delta_kind_name(Delta::Kind kind) {
-  switch (kind) {
-    case Delta::Kind::kClientArrive:
-      return "client-arrive";
-    case Delta::Kind::kClientDepart:
-      return "client-depart";
-    case Delta::Kind::kFacilityOpen:
-      return "facility-open";
-    case Delta::Kind::kFacilityClose:
-      return "facility-close";
-    case Delta::Kind::kEdgeCostChange:
-      return "edge-cost-change";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Binary search in a strictly-increasing key vector; -1 when absent.

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "fl/instance.h"
@@ -73,8 +72,6 @@ struct Delta {
                                 Cost new_cost);
 };
 
-[[nodiscard]] std::string delta_kind_name(Delta::Kind kind);
-
 /// Append-only batch of updates; the streaming service fills one per epoch
 /// and hands it to apply().
 class DeltaLog {
@@ -101,9 +98,9 @@ class InstanceSnapshot {
   /// client j gets key j.
   [[nodiscard]] static InstanceSnapshot initial(Instance inst);
 
-  /// Re-assembles a snapshot from serialized parts. Key vectors must be
-  /// strictly increasing (the invariant apply() maintains) and sized to
-  /// the instance; next-key counters must exceed every present key.
+  /// Re-assembles a snapshot from its parts, as apply() does. Key vectors
+  /// must be strictly increasing (the invariant apply() maintains) and
+  /// sized to the instance; next-key counters must exceed every present key.
   [[nodiscard]] static InstanceSnapshot restore(
       Instance inst, EpochId epoch, std::vector<NodeKey> facility_keys,
       std::vector<NodeKey> client_keys, NodeKey next_facility_key,

@@ -11,16 +11,10 @@
 // trade; E14 commits the numbers).
 //
 // This module holds the problem data (`FtfpInstance`), the coverage-aware
-// solution type (`FtfpSolution`), cost accounting, plain-text
-// serialization, and the demand-replication reduction to UFL: client j
-// becomes r_j unit-demand copies, any UFL solution on the replicated
-// instance maps back with a distinctness repair, and any UFL lower bound
-// on the replicated instance is a valid FTFP lower bound (an FTFP solution
-// assigns the copies of j to its r_j distinct facilities at equal cost).
+// solution type (`FtfpSolution`) and its cost accounting; the distributed
+// solver is core/ftfp_greedy.h.
 #pragma once
 
-#include <functional>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,15 +70,11 @@ class FtfpSolution {
   /// connection cost of *every* assignment.
   [[nodiscard]] Cost cost(const FtfpInstance& inst) const;
 
-  /// Checks: every client has exactly coverage >= r_j, all its assigned
-  /// facilities distinct, open, and adjacent. Fills `why` on failure.
+  /// Checks: every client has coverage >= r_j, and all its assigned
+  /// facilities are open and adjacent (assign() keeps them distinct).
+  /// Fills `why` on failure.
   [[nodiscard]] bool is_feasible(const FtfpInstance& inst,
                                  std::string* why = nullptr) const;
-
-  /// The cheapest assigned facility of every client — the "primary" a
-  /// deployment routes traffic to while the redundant assignments stand
-  /// by. Clients with no assignment keep kNoFacility.
-  [[nodiscard]] IntegralSolution primaries(const FtfpInstance& inst) const;
 
   /// Canonical printable digest (open set + per-client assignment lists in
   /// id order), byte-comparable across runs.
@@ -95,44 +85,5 @@ class FtfpSolution {
   std::vector<std::vector<FacilityId>> assign_;
   int num_open_ = 0;
 };
-
-/// Serialization: the dflp-ftfp v1 format wraps the base instance with the
-/// requirement vector:
-///   dflp-ftfp 1
-///   <embedded dflp-ufl 1 block>
-///   <r_0> ... <r_{n-1}>
-/// The reader follows the grammar and error format in fl/serialize.h and
-/// reads its stream to EOF.
-void write_ftfp_instance(std::ostream& os, const FtfpInstance& inst);
-[[nodiscard]] std::string ftfp_to_text(const FtfpInstance& inst);
-[[nodiscard]] FtfpInstance read_ftfp_instance(std::istream& is);
-[[nodiscard]] FtfpInstance ftfp_from_text(const std::string& text);
-
-/// The demand-replication reduction: client j becomes r_j copies with j's
-/// edges and costs. `copy_owner[jc]` maps a replicated client back to its
-/// original.
-struct ReplicatedUfl {
-  Instance instance;
-  std::vector<ClientId> copy_owner;  ///< size = sum of requirements
-};
-[[nodiscard]] ReplicatedUfl replicate_demands(const FtfpInstance& inst);
-
-/// Maps a UFL solution on the replicated instance back to an FTFP solution
-/// with a distinctness repair: copies of the same client assigned to the
-/// same facility keep one assignment, and the shortfall is covered by the
-/// cheapest adjacent open facilities not yet assigned to the client
-/// (opening the cheapest unused neighbour when none is open). The result
-/// is always feasible.
-[[nodiscard]] FtfpSolution ftfp_from_replicated(
-    const FtfpInstance& inst, const ReplicatedUfl& replicated,
-    const IntegralSolution& ufl_solution);
-
-/// Centralized baseline: solve the replicated UFL instance with any UFL
-/// solver and repair distinctness. If `solve` is an a-approximation for
-/// UFL this stays within a of the replicated optimum before repair; the
-/// repair only pays for shortfalls the solver created.
-[[nodiscard]] FtfpSolution solve_ftfp_by_replication(
-    const FtfpInstance& inst,
-    const std::function<IntegralSolution(const Instance&)>& solve);
 
 }  // namespace dflp::fl

@@ -15,11 +15,6 @@ double metric_distance(MetricPoint a, MetricPoint b) noexcept {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-double MetricInstance::facility_distance(FacilityId i, FacilityId j) const {
-  return metric_distance(facility_pos.at(static_cast<std::size_t>(i)),
-                         facility_pos.at(static_cast<std::size_t>(j)));
-}
-
 MetricInstance make_metric_instance(const MetricParams& params,
                                     std::uint64_t seed) {
   DFLP_CHECK_MSG(params.facilities > 0 && params.clients > 0,

@@ -43,9 +43,6 @@ struct MetricInstance {
   Instance instance;
   std::vector<MetricPoint> facility_pos;  ///< size num_facilities()
   std::vector<MetricPoint> client_pos;    ///< size num_clients()
-
-  /// Exact facility–facility distance, O(1) from the sites.
-  [[nodiscard]] double facility_distance(FacilityId i, FacilityId j) const;
 };
 
 /// Knobs of the clustered-plane generator.

@@ -126,14 +126,6 @@ double FractionalSolution::value(const Instance& inst) const {
   return total;
 }
 
-double FractionalSolution::coverage(const Instance& inst, ClientId j) const {
-  const std::size_t base = inst.client_edge_offset(j);
-  const std::size_t deg = inst.client_edges(j).size();
-  double sum = 0.0;
-  for (std::size_t k = 0; k < deg; ++k) sum += x[base + k];
-  return sum;
-}
-
 bool FractionalSolution::is_feasible(const Instance& inst, double tol,
                                      std::string* why) const {
   auto fail = [&](const std::string& reason) {

@@ -70,9 +70,6 @@ struct FractionalSolution {
   /// LP objective value.
   [[nodiscard]] double value(const Instance& inst) const;
 
-  /// Coverage of client j: sum of its x values.
-  [[nodiscard]] double coverage(const Instance& inst, ClientId j) const;
-
   /// Feasibility within tolerance: coverage >= 1 - tol for all clients,
   /// 0 <= x_ij <= y_i + tol, 0 <= y <= 1 + tol.
   [[nodiscard]] bool is_feasible(const Instance& inst, double tol = 1e-7,

@@ -1,11 +1,9 @@
-// Token scanner shared by the fl text readers (serialize.cc, ftfp.cc).
+// Token scanner of the `.ufl` reader (serialize.cc).
 //
-// Every reader parses one in-memory buffer with one TextScanner: the
-// std::istream entry points slurp their stream with read_all(), and a block
-// embedded in another format (the dflp-ufl block inside a snapshot or an
-// FTFP file) goes through scan_instance() on the same scanner, so all four
-// formats share one token grammar and one error format. Both are specified
-// in fl/serialize.h; numbers are parsed with std::from_chars.
+// The reader slurps its std::istream with read_all() and parses the
+// in-memory buffer with one TextScanner. The token grammar and the error
+// format are specified in fl/serialize.h; numbers are parsed with
+// std::from_chars.
 //
 // Private to src/fl; not part of the public API.
 #pragma once
@@ -14,8 +12,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-
-#include "fl/instance.h"
 
 namespace dflp::fl {
 
@@ -33,9 +29,6 @@ class TextScanner {
 
   /// Next token as a finite, non-negative double.
   [[nodiscard]] double cost(const char* field);
-
-  /// Next token, verbatim.
-  [[nodiscard]] std::string_view word(const char* field);
 
   /// Throws unless the unread bytes can hold `tokens` more tokens (each
   /// takes at least a separator and one character). Readers call it with a
@@ -57,6 +50,8 @@ class TextScanner {
   [[nodiscard]] std::int64_t line() const noexcept { return line_; }
 
  private:
+  /// Next token, verbatim.
+  [[nodiscard]] std::string_view word(const char* field);
   /// Skips whitespace, counting lines.
   void skip_space() noexcept;
   /// Skips whitespace and starts the next token; throws at end of input.
@@ -75,18 +70,5 @@ class TextScanner {
 /// Reads everything left in `is` into memory, in large chunks, and sets the
 /// stream's eofbit.
 [[nodiscard]] std::string read_all(std::istream& is);
-
-/// Parses one `dflp-ufl 1` block (format in serialize.h) and builds it.
-/// Leaves the scanner after the block's last edge. Defined in serialize.cc.
-[[nodiscard]] Instance scan_instance(TextScanner& in);
-
-/// Parses all of `text` with `parse` and requires that nothing follows.
-template <class Parse>
-[[nodiscard]] auto scan_all(std::string_view text, Parse parse) {
-  TextScanner in(text);
-  auto result = parse(in);
-  in.expect_end();
-  return result;
-}
 
 }  // namespace dflp::fl

@@ -113,34 +113,29 @@ std::string solution_fingerprint(const fl::Instance& inst,
   return os.str();
 }
 
-namespace {
-
-/// Runs `solve` under the fault-free baseline of `params` (same seed,
-/// transport mode and fault_seed, so a boot-crash plan prunes the same
-/// survivors) and then under `params`, and compares the two. A CheckError
-/// in the faulted run is captured into the report without its source
-/// location, not rethrown.
-template <typename Inst, typename Solve, typename Fingerprint>
-FaultRunReport compare_with_fault_free(const Inst& inst,
-                                       const core::MwParams& params,
-                                       const std::string& name,
-                                       const Solve& solve,
-                                       const Fingerprint& fingerprint) {
+FaultRunReport run_fault_scenario(const fl::Instance& inst,
+                                  const core::MwParams& params,
+                                  const std::string& name) {
   FaultRunReport report;
   report.scenario = name;
 
+  // The baseline keeps the seed, transport mode and fault_seed, so a
+  // boot-crash plan prunes the same survivors.
   core::MwParams baseline_params = params;
   baseline_params.faults = net::FaultPlan::Options{};
   baseline_params.faults.fault_seed = params.faults.fault_seed;
-  const auto baseline = solve(baseline_params);
-  const std::string baseline_fp = fingerprint(baseline.solution);
+  const core::MwGreedyOutcome baseline =
+      run_mw_greedy_with_faults(inst, baseline_params);
+  const std::string baseline_fp =
+      solution_fingerprint(inst, baseline.solution);
   const double baseline_cost = baseline.solution.cost(inst);
 
   try {
-    const auto out = solve(params);
+    const core::MwGreedyOutcome out = run_mw_greedy_with_faults(inst, params);
     report.completed = true;
     report.feasible = out.solution.is_feasible(inst);
-    report.matches_fault_free = fingerprint(out.solution) == baseline_fp;
+    report.matches_fault_free =
+        solution_fingerprint(inst, out.solution) == baseline_fp;
     report.cost = report.feasible ? out.solution.cost(inst) : 0.0;
     report.cost_ratio =
         baseline_cost > 0.0 ? report.cost / baseline_cost
@@ -156,40 +151,10 @@ FaultRunReport compare_with_fault_free(const Inst& inst,
     report.crashed = out.metrics.crashed;
     report.retransmissions = out.transport.retransmissions;
     report.duplicates_discarded = out.transport.duplicates_discarded;
-    if constexpr (requires { out.phases; }) report.phases = out.phases;
   } catch (const CheckError& err) {
     report.diagnostic = without_check_location(err.what());
   }
   return report;
-}
-
-}  // namespace
-
-FaultRunReport run_fault_scenario(const fl::Instance& inst,
-                                  const core::MwParams& params,
-                                  const std::string& name) {
-  return compare_with_fault_free(
-      inst, params, name,
-      [&](const core::MwParams& p) {
-        return run_mw_greedy_with_faults(inst, p);
-      },
-      [&](const fl::IntegralSolution& solution) {
-        return solution_fingerprint(inst, solution);
-      });
-}
-
-FaultRunReport run_ftfp_fault_scenario(const fl::FtfpInstance& inst,
-                                       const core::MwParams& params,
-                                       const std::string& name) {
-  DFLP_CHECK_MSG(params.boot_crash_fraction == 0.0,
-                 "boot crashes do not apply to FTFP scenarios; crash opened "
-                 "facilities with harness/survive.h instead");
-  return compare_with_fault_free(
-      inst, params, name,
-      [&](const core::MwParams& p) { return core::run_ftfp_greedy(inst, p); },
-      [&](const fl::FtfpSolution& solution) {
-        return solution.fingerprint(inst);
-      });
 }
 
 std::vector<FaultRunReport> run_fault_campaign(

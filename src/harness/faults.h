@@ -23,10 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "core/ftfp_greedy.h"
 #include "core/mw_greedy.h"
 #include "core/params.h"
-#include "fl/ftfp.h"
 #include "fl/instance.h"
 #include "fl/solution.h"
 
@@ -82,7 +80,6 @@ struct FaultRunReport {
   std::uint64_t crashed = 0;        ///< boot-crashed facilities
   std::uint64_t retransmissions = 0;
   std::uint64_t duplicates_discarded = 0;
-  int phases = 1;                   ///< exclusion phases (1 for plain UFL)
   /// Failure message when !completed, without the ` at <file>:<line>` of
   /// the failed CHECK (without_check_location), so records are stable.
   std::string diagnostic;
@@ -95,15 +92,6 @@ struct FaultRunReport {
 [[nodiscard]] FaultRunReport run_fault_scenario(const fl::Instance& inst,
                                                 const core::MwParams& params,
                                                 const std::string& name);
-
-/// FTFP analogue of `run_fault_scenario`: runs the exclusion-phase solver
-/// under `params` and under the matching fault-free baseline with the same
-/// transport mode. Boot crashes do not apply here (post-deployment
-/// facility crashes are the survivability campaign's job — see
-/// harness/survive.h); `params.boot_crash_fraction` must be 0.
-[[nodiscard]] FaultRunReport run_ftfp_fault_scenario(
-    const fl::FtfpInstance& inst, const core::MwParams& params,
-    const std::string& name);
 
 struct FaultScenario {
   std::string name;

@@ -1,6 +1,5 @@
 #include "lp/dual_ascent.h"
 
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -253,24 +252,6 @@ DualAscentResult dual_ascent_bound(const fl::Instance& inst) {
   result.witness = std::move(witness);
   for (double a : result.alpha) result.lower_bound += a;
   return result;
-}
-
-bool is_dual_feasible(const fl::Instance& inst,
-                      const std::vector<double>& alpha, double tol) {
-  if (alpha.size() != static_cast<std::size_t>(inst.num_clients()))
-    return false;
-  for (double a : alpha)
-    if (!(a >= -tol) || !std::isfinite(a)) return false;
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    double paid = 0.0;
-    for (const fl::FacilityEdge& e : inst.facility_edges(i)) {
-      const double beta =
-          alpha[static_cast<std::size_t>(e.client)] - e.cost;
-      if (beta > 0.0) paid += beta;
-    }
-    if (paid > inst.opening_cost(i) + tol) return false;
-  }
-  return true;
 }
 
 double cheapest_connection_bound(const fl::Instance& inst) {

@@ -43,12 +43,6 @@ struct DualAscentResult {
 
 [[nodiscard]] DualAscentResult dual_ascent_bound(const fl::Instance& inst);
 
-/// Verifies that `alpha` satisfies every facility budget within `tol`
-/// (used by tests to certify the bound is genuinely feasible).
-[[nodiscard]] bool is_dual_feasible(const fl::Instance& inst,
-                                    const std::vector<double>& alpha,
-                                    double tol = 1e-7);
-
 /// The weakest always-available lower bound: every client must pay at least
 /// its cheapest connection cost. Used as a fallback denominator on
 /// instances too large even for dual ascent (and in sanity tests).

@@ -304,9 +304,6 @@ class NodeContext {
   [[nodiscard]] std::span<const NodeId> neighbors() const noexcept {
     return neighbors_;
   }
-  [[nodiscard]] int degree() const noexcept {
-    return static_cast<int>(neighbors_.size());
-  }
 
   /// Per-node private randomness (stable across runs with the same seed).
   [[nodiscard]] Rng& rng() noexcept { return *rng_; }

@@ -209,8 +209,8 @@ void write_trace_jsonl(const ParsedTrace& trace, std::ostream& out);
 /// place, leaving only the deterministic round shape: the wall timings
 /// (step_s/commit_s/scatter_s) are zeroed. Two runs of the same solve at
 /// the same seed normalize to byte-identical JSONL, which is what the
-/// committed goldens under tests/goldens/ and CI's trace-regression job
-/// diff against.
+/// committed goldens under tests/goldens/ and the TraceRegression.* ctest
+/// cases diff against.
 void normalize_trace(ParsedTrace* trace);
 
 }  // namespace dflp::net

@@ -194,58 +194,6 @@ fl::Instance star(std::int32_t num_spokes, std::int32_t clients_per_spoke,
   return builder.build();
 }
 
-fl::FtfpInstance tiered_requirement(fl::Instance base,
-                                    const TieredRequirementParams& params,
-                                    std::uint64_t seed) {
-  DFLP_CHECK_MSG(params.base_r >= 1,
-                 "base requirement must be >= 1, got " << params.base_r);
-  DFLP_CHECK_MSG(params.critical_r >= params.base_r,
-                 "critical requirement " << params.critical_r
-                                         << " below base " << params.base_r);
-  DFLP_CHECK_MSG(
-      params.critical_fraction >= 0.0 && params.critical_fraction <= 1.0,
-      "critical fraction must be in [0, 1], got " << params.critical_fraction);
-
-  constexpr std::uint64_t kCriticalSalt = 0xC4171CA1ULL;
-  fl::FtfpInstance inst;
-  inst.requirement.resize(static_cast<std::size_t>(base.num_clients()));
-  for (fl::ClientId j = 0; j < base.num_clients(); ++j) {
-    Rng coin(derive_stream_seed(seed ^ kCriticalSalt,
-                                static_cast<std::uint64_t>(j), 0));
-    const std::int32_t want = coin.bernoulli(params.critical_fraction)
-                                  ? params.critical_r
-                                  : params.base_r;
-    inst.requirement[static_cast<std::size_t>(j)] = std::min(
-        want, static_cast<std::int32_t>(base.client_edges(j).size()));
-  }
-  inst.base = std::move(base);
-  return inst;
-}
-
-fl::SoftCapacitatedInstance capacity_profile(
-    fl::Instance base, const CapacityProfileParams& params,
-    std::uint64_t seed) {
-  DFLP_CHECK_MSG(params.capacity_lo >= 1,
-                 "capacity_lo must be >= 1, got " << params.capacity_lo);
-  DFLP_CHECK_MSG(params.capacity_hi >= params.capacity_lo,
-                 "capacity_hi " << params.capacity_hi << " below capacity_lo "
-                                << params.capacity_lo);
-
-  constexpr std::uint64_t kCapacitySalt = 0xCA9AC117ULL;
-  fl::SoftCapacitatedInstance inst;
-  inst.capacity.resize(static_cast<std::size_t>(base.num_facilities()));
-  const auto span = static_cast<std::uint64_t>(params.capacity_hi -
-                                               params.capacity_lo + 1);
-  for (fl::FacilityId i = 0; i < base.num_facilities(); ++i) {
-    Rng draw(derive_stream_seed(seed ^ kCapacitySalt,
-                                static_cast<std::uint64_t>(i), 0));
-    inst.capacity[static_cast<std::size_t>(i)] =
-        params.capacity_lo + static_cast<std::int32_t>(draw.uniform_u64(span));
-  }
-  inst.base = std::move(base);
-  return inst;
-}
-
 std::string family_name(Family family) {
   switch (family) {
     case Family::kUniform:

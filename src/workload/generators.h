@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "fl/capacitated.h"
-#include "fl/ftfp.h"
 #include "fl/instance.h"
 
 namespace dflp::workload {
@@ -89,32 +87,6 @@ struct PowerLawParams {
 [[nodiscard]] fl::Instance star(std::int32_t num_spokes,
                                 std::int32_t clients_per_spoke,
                                 std::uint64_t seed);
-
-/// Tiered coverage requirements for FTFP workloads: a seeded
-/// `critical_fraction` of clients are "critical" and demand `critical_r`
-/// distinct open facilities; everyone else demands `base_r`. Requirements
-/// are clamped per client to its degree so the instance always validates.
-/// Deterministic in (base topology, params, seed); the criticality stream
-/// is independent of the engine and fault streams.
-struct TieredRequirementParams {
-  std::int32_t base_r = 1;
-  std::int32_t critical_r = 2;
-  double critical_fraction = 0.25;  ///< in [0, 1]
-};
-[[nodiscard]] fl::FtfpInstance tiered_requirement(
-    fl::Instance base, const TieredRequirementParams& params,
-    std::uint64_t seed);
-
-/// Capacity profile for soft-capacitated workloads: every facility draws a
-/// capacity uniformly from [capacity_lo, capacity_hi]. Deterministic in
-/// (base topology, params, seed).
-struct CapacityProfileParams {
-  std::int32_t capacity_lo = 4;
-  std::int32_t capacity_hi = 32;
-};
-[[nodiscard]] fl::SoftCapacitatedInstance capacity_profile(
-    fl::Instance base, const CapacityProfileParams& params,
-    std::uint64_t seed);
 
 /// Named families for sweep-style benches.
 enum class Family : std::uint8_t {

@@ -126,18 +126,17 @@ TEST(Capacitated, TighterCapacityNeverCheapens) {
 }
 
 TEST(Capacitated, CapacityProfileSmokeThroughDistributedSolver) {
-  // The capacity_profile workload end-to-end through the reduction with
-  // the distributed engine as the UFL solver — the path dflp_cli's
-  // --capacity flag exercises.
+  // Mixed capacities end-to-end through the reduction with the
+  // distributed engine as the UFL solver — the path dflp_cli's --capacity
+  // flag exercises.
   workload::UniformParams up;
   up.num_facilities = 8;
   up.num_clients = 40;
   up.client_degree = 4;
-  workload::CapacityProfileParams cp;
-  cp.capacity_lo = 3;
-  cp.capacity_hi = 12;
-  const SoftCapacitatedInstance inst =
-      workload::capacity_profile(workload::uniform_random(up, 6), cp, 13);
+  SoftCapacitatedInstance inst;
+  inst.base = workload::uniform_random(up, 6);
+  for (std::int32_t i = 0; i < up.num_facilities; ++i)
+    inst.capacity.push_back(3 + i * 7 % 10);  // 3 ... 12
 
   core::MwParams params;
   params.k = 4;

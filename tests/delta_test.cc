@@ -1,6 +1,5 @@
 // Tests for the snapshot + delta-log layer: apply() must equal building
-// the mutated instance from scratch in canonical (ascending-key) order,
-// and snapshots/logs must round-trip through the text format.
+// the mutated instance from scratch in canonical (ascending-key) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +14,6 @@
 #include "common/rng.h"
 #include "fl/delta.h"
 #include "fl/instance.h"
-#include "fl/serialize.h"
-#include "respell.h"
 
 namespace dflp::fl {
 namespace {
@@ -422,74 +419,6 @@ TEST(DeltaLog, RandomizedApplyMatchesScratchBuild) {
     EXPECT_EQ(snap.epoch(), epoch + 1);
     expect_same_instance(snap.instance(), model.build());
   }
-}
-
-// ---- Serialization round-trips -----------------------------------------
-
-TEST(Serialize, SnapshotRoundTrip) {
-  const InstanceSnapshot snap = InstanceSnapshot::initial(tiny());
-  DeltaLog log;
-  log.append(Delta::client_arrive(3, {{0, 7.25}, {1, 3.5}}));
-  log.append(Delta::client_depart(0));
-  const InstanceSnapshot next = apply(snap, log);
-
-  const std::string text = snapshot_to_text(next);
-  std::vector<std::string> inputs = respellings(text);
-  inputs.insert(inputs.begin(), text);
-  for (const std::string& input : inputs) {
-    SCOPED_TRACE(input);
-    const InstanceSnapshot parsed = snapshot_from_text(input);
-    EXPECT_EQ(parsed.epoch(), next.epoch());
-    EXPECT_EQ(parsed.next_facility_key(), next.next_facility_key());
-    EXPECT_EQ(parsed.next_client_key(), next.next_client_key());
-    expect_same_instance(parsed.instance(), next.instance());
-    for (FacilityId i = 0; i < next.instance().num_facilities(); ++i)
-      EXPECT_EQ(parsed.facility_key(i), next.facility_key(i));
-    for (ClientId j = 0; j < next.instance().num_clients(); ++j)
-      EXPECT_EQ(parsed.client_key(j), next.client_key(j));
-  }
-}
-
-TEST(Serialize, DeltaLogRoundTripAndReplay) {
-  const InstanceSnapshot snap = InstanceSnapshot::initial(tiny());
-  DeltaLog log;
-  log.append(Delta::client_arrive(3, {{0, 7.0}, {1, 3.0}}));
-  log.append(Delta::facility_open(2, 20.0, {{2, 0.5}}));
-  log.append(Delta::client_depart(1));
-  log.append(Delta::facility_close(2));
-  log.append(Delta::edge_cost_change(1, 2, 9.0));
-
-  const std::string text = delta_log_to_text(log);
-  for (const std::string& respelled : respellings(text))
-    EXPECT_EQ(delta_log_to_text(delta_log_from_text(respelled)), text)
-        << respelled;
-  const DeltaLog parsed = delta_log_from_text(text);
-  ASSERT_EQ(parsed.size(), log.size());
-  for (std::size_t t = 0; t < log.size(); ++t) {
-    const Delta& a = log.deltas()[t];
-    const Delta& b = parsed.deltas()[t];
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.facility, b.facility);
-    EXPECT_EQ(a.client, b.client);
-    EXPECT_EQ(a.cost, b.cost);
-    ASSERT_EQ(a.edges.size(), b.edges.size());
-    for (std::size_t e = 0; e < a.edges.size(); ++e) {
-      EXPECT_EQ(a.edges[e].peer, b.edges[e].peer);
-      EXPECT_EQ(a.edges[e].cost, b.edges[e].cost);
-    }
-  }
-  // Replaying the parsed pair must land on the same epoch-1 instance: the
-  // serialized snapshot+log is a faithful checkpoint of the stream.
-  const InstanceSnapshot a = apply(snap, log);
-  const InstanceSnapshot b =
-      apply(snapshot_from_text(snapshot_to_text(snap)), parsed);
-  expect_same_instance(a.instance(), b.instance());
-}
-
-TEST(Serialize, RejectsMalformedSnapshotAndLog) {
-  EXPECT_THROW((void)snapshot_from_text("dflp-snap 2\n"), CheckError);
-  EXPECT_THROW((void)delta_log_from_text("dflp-delta-log 1\n1\nwobble 3\n"),
-               CheckError);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "core/aggregate.h"
 #include "core/ftfp_greedy.h"
 #include "core/mw_greedy.h"
 #include "core/pipeline.h"
@@ -305,31 +304,6 @@ TEST_P(EngineEquivalenceTest, PipelineFingerprintMatchesCommittedHash) {
       {"BySource_Recovered", 7495639607916384280ULL},
       {"RandomShuffle_Recovered", 7495639607916384280ULL},
       {"ReverseSource_Recovered", 7495639607916384280ULL},
-  };
-  expect_case_hash(GetParam(), trace, golden);
-}
-
-TEST_P(EngineEquivalenceTest, DiscoverBoundsFingerprintMatchesCommittedHash) {
-  // discover_bounds runs on a fault-free network (no fault params); the
-  // sweep still exercises it under every delivery order.
-  if (GetParam().mode != FaultMode::kFaultFree) GTEST_SKIP();
-  const fl::Instance inst =
-      workload::make_family_instance(workload::Family::kGreedyTight, 40, 2);
-  const std::string trace = outcome_trace([&] {
-    const core::DiscoveryOutcome out = core::discover_bounds(
-        inst, /*seed=*/9, /*diameter_bound=*/0, GetParam().delivery);
-    std::ostringstream os;
-    for (const core::ComponentBounds& b : out.bounds) {
-      os << b.root << ':' << b.facility_count << ':' << b.min_positive_cost
-         << ':' << b.max_cost << ':' << b.max_degree << ';';
-    }
-    os << " | " << metrics_fingerprint(out.metrics);
-    return os.str();
-  });
-  const CaseHashes golden = {
-      {"BySource_FaultFree", 5258848890422037299ULL},
-      {"RandomShuffle_FaultFree", 5258848890422037299ULL},
-      {"ReverseSource_FaultFree", 5258848890422037299ULL},
   };
   expect_case_hash(GetParam(), trace, golden);
 }

@@ -174,6 +174,28 @@ TEST(FaultPlan, BurstChainIsQueryOrderIndependent) {
   }
 }
 
+TEST(FaultPlan, PartialBurstLossDropsAboutHalfWhileBad) {
+  // The link turns bad in round 0 and (practically) never recovers, so
+  // each round's message is dropped by the drop_in_bad coin alone.
+  FaultPlan::Options o;
+  o.burst.p_good_to_bad = 1.0;
+  o.burst.p_bad_to_good = 1e-12;
+  o.burst.drop_in_bad = 0.5;
+  o.fault_seed = 5;
+  FaultPlan plan(o, /*network_seed=*/2, /*num_nodes=*/2);
+  FaultPlan again(o, /*network_seed=*/2, /*num_nodes=*/2);
+  int dropped = 0;
+  for (std::uint64_t r = 0; r < 400; ++r) {
+    auto coins = plan.begin_sender(0, r);
+    auto same = again.begin_sender(0, r);
+    const bool lost = plan.fate(coins, 0, 1, r).dropped;
+    EXPECT_EQ(again.fate(same, 0, 1, r).dropped, lost) << "round " << r;
+    dropped += lost ? 1 : 0;
+  }
+  EXPECT_GT(dropped, 150);
+  EXPECT_LT(dropped, 250);
+}
+
 TEST(FaultPlan, PartitionDropsOnlyInsideWindowAndIsSymmetric) {
   FaultPlan::Options o;
   o.partitions = {{2, 5}};

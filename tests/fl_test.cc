@@ -1,13 +1,16 @@
 // Unit tests for the UFL instance model, solutions and serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <istream>
 #include <limits>
+#include <streambuf>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
-#include "fl/ftfp.h"
 #include "fl/instance.h"
 #include "fl/serialize.h"
 #include "fl/solution.h"
@@ -49,7 +52,7 @@ std::string error_of(const std::function<void()>& parse) {
 /// line, field and field name) and `what`.
 void expect_ufl_error(const std::string& text, const std::string& where,
                       const std::string& what) {
-  const std::string msg = error_of([&] { (void)from_text(text); });
+  const std::string msg = error_of([&] { (void)parse_ufl(text); });
   EXPECT_NE(msg.find(where), std::string::npos) << msg;
   EXPECT_NE(msg.find(what), std::string::npos) << msg;
 }
@@ -287,7 +290,6 @@ TEST(FractionalSolution, ValueAndFeasibility) {
   std::string why;
   EXPECT_TRUE(frac.is_feasible(inst, 1e-9, &why)) << why;
   EXPECT_DOUBLE_EQ(frac.value(inst), 15.0 + 1.0 + 2.0 + 1.0);
-  EXPECT_DOUBLE_EQ(frac.coverage(inst, 1), 1.0);
 }
 
 TEST(FractionalSolution, DetectsUndercoverage) {
@@ -320,6 +322,36 @@ TEST(FractionalSolution, HalfAndHalfCoverageIsFeasible) {
   EXPECT_TRUE(frac.is_feasible(inst));
 }
 
+TEST(FractionalSolution, RejectsAShapeOfAnotherInstance) {
+  const Instance inst = tiny();
+  FractionalSolution frac(inst);
+  frac.y = {1.0, 1.0};
+  frac.x = {1.0, 1.0, 0.0};  // one x short
+  std::string why;
+  EXPECT_FALSE(frac.is_feasible(inst, 1e-9, &why));
+  EXPECT_EQ(why, "fractional solution shape does not match instance");
+}
+
+TEST(FractionalSolution, RejectsYOutsideTheUnitInterval) {
+  const Instance inst = tiny();
+  FractionalSolution frac(inst);
+  frac.y = {1.0, 1.5};
+  frac.x = {1.0, 1.0, 0.0, 1.0};
+  std::string why;
+  EXPECT_FALSE(frac.is_feasible(inst, 1e-9, &why));
+  EXPECT_EQ(why, "y[1]=1.5 outside [0,1]");
+}
+
+TEST(FractionalSolution, RejectsNegativeX) {
+  const Instance inst = tiny();
+  FractionalSolution frac(inst);
+  frac.y = {1.0, 1.0};
+  frac.x = {1.0, 1.0, -0.5, 1.0};
+  std::string why;
+  EXPECT_FALSE(frac.is_feasible(inst, 1e-9, &why));
+  EXPECT_EQ(why, "x<0 on client 1");
+}
+
 // ------------------------------------------------------------ serialize --
 
 TEST(Serialize, RoundTripPreservesEverything) {
@@ -329,7 +361,7 @@ TEST(Serialize, RoundTripPreservesEverything) {
   inputs.insert(inputs.begin(), text);
   for (const std::string& input : inputs) {
     SCOPED_TRACE(input);
-    const Instance back = from_text(input);
+    const Instance back = parse_ufl(input);
     EXPECT_EQ(back.num_facilities(), inst.num_facilities());
     EXPECT_EQ(back.num_clients(), inst.num_clients());
     EXPECT_EQ(back.num_edges(), inst.num_edges());
@@ -347,6 +379,46 @@ TEST(Serialize, RoundTripPreservesEverything) {
   }
 }
 
+/// A stream buffer that hands out its text 4 KiB per refill and announces
+/// nothing in advance (in_avail() is 0), as a pipe does.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string text) : text_(std::move(text)) {}
+
+ protected:
+  int_type underflow() override {
+    if (served_ == text_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(4096, text_.size() - served_);
+    char* begin = text_.data() + served_;
+    setg(begin, begin, begin + n);
+    served_ += n;
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string text_;
+  std::size_t served_ = 0;
+};
+
+TEST(Serialize, ReadsAnUnsizedStreamPastTheFirstChunk) {
+  // 2000 clients with three edges each: about 100 KB, past the 64 KiB
+  // first read, so read_all must grow its buffer.
+  InstanceBuilder b;
+  for (int i = 0; i < 50; ++i) (void)b.add_facility(10.0 + i);
+  for (int j = 0; j < 2000; ++j) {
+    const ClientId c = b.add_client();
+    for (int k = 0; k < 3; ++k)
+      b.connect((j + 17 * k) % 50, c, 1.0 + 0.25 * ((j + k) % 7));
+  }
+  const std::string text = to_text(b.build());
+  ASSERT_GT(text.size(), std::size_t{1} << 16);
+  PipeBuf buf(text);
+  std::istream in(&buf);
+  ASSERT_EQ(buf.in_avail(), 0);
+  EXPECT_EQ(to_text(read_instance(in)), text);
+  EXPECT_TRUE(in.eof());
+}
+
 TEST(Serialize, HeaderIsStable) {
   const std::string text = to_text(tiny());
   EXPECT_EQ(text.rfind("dflp-ufl 1\n", 0), 0u);
@@ -354,13 +426,13 @@ TEST(Serialize, HeaderIsStable) {
 }
 
 TEST(Serialize, RejectsGarbage) {
-  EXPECT_THROW(from_text("not an instance"), CheckError);
-  EXPECT_THROW(from_text("dflp-ufl 2\n1 1 0\n1.0\n"), CheckError);
-  EXPECT_THROW(from_text("dflp-ufl 1\n0 1 0\n"), CheckError);
+  EXPECT_THROW(parse_ufl("not an instance"), CheckError);
+  EXPECT_THROW(parse_ufl("dflp-ufl 2\n1 1 0\n1.0\n"), CheckError);
+  EXPECT_THROW(parse_ufl("dflp-ufl 1\n0 1 0\n"), CheckError);
 }
 
 TEST(Serialize, RejectsTruncatedEdges) {
-  EXPECT_THROW(from_text("dflp-ufl 1\n1 1 1\n5.0\n"), CheckError);
+  EXPECT_THROW(parse_ufl("dflp-ufl 1\n1 1 1\n5.0\n"), CheckError);
   expect_ufl_error("dflp-ufl 1\n1 1 1\n5.0\n0 0",
                    "line 4, field 3 (connection cost)",
                    "unexpected end of input");
@@ -391,21 +463,6 @@ TEST(Serialize, RejectsMoreClientsThanEdges) {
 TEST(Serialize, RejectsCountsTheInputCannotHold) {
   expect_ufl_error("dflp-ufl 1\n2000000000 2000000000 2000000000\n1\n",
                    "line 2, field 3 (edge count)", "bytes are left");
-  // Delta logs: neither an edge count past what a vector can hold nor one
-  // past what the input holds may reach the allocation.
-  for (const char* text :
-       {"dflp-delta-log 1\n1\narrive 0 4000000000000000000\n",
-        "dflp-delta-log 1\n1\narrive 0 1000000 0 1\n"}) {
-    const std::string msg =
-        error_of([&] { (void)delta_log_from_text(text); });
-    EXPECT_NE(msg.find("line 3, field 3 (edge count)"), std::string::npos)
-        << msg;
-  }
-  const std::string msg = error_of([] {
-    (void)delta_log_from_text("dflp-delta-log 1\n1000000\ndepart 1\n");
-  });
-  EXPECT_NE(msg.find("line 2, field 1 (delta count)"), std::string::npos)
-      << msg;
 }
 
 TEST(Serialize, RejectsNonFiniteAndNegativeCostsByLocation) {
@@ -436,26 +493,13 @@ TEST(Serialize, RejectsRepeatedEdgesByLine) {
       "dflp-ufl 1\n2 2 3\n1.0 2.0\n0 0 1.0\n1 1 1.0\n0 0 2.0\n";
   expect_ufl_error(ufl, "line 6, field 1 (facility id)",
                    "edge (0, 0) repeats line 4");
-  // The same block inside a snapshot and an FTFP file, where it starts on
-  // line 3 and line 2; one line may hold several edges.
-  std::string msg = error_of([&] {
-    (void)snapshot_from_text("dflp-snap 1\n0 2 2\n" + ufl + "0 1\n0 1\n");
-  });
-  EXPECT_NE(msg.find("line 8, field 1 (facility id): edge (0, 0) repeats "
-                     "line 6"),
-            std::string::npos)
-      << msg;
-  msg = error_of([] {
-    (void)ftfp_from_text(
-        "dflp-ftfp 1\ndflp-ufl 1\n2 2 3\n1 2\n1 1 1 0 0 1 1 1 2\n1 1\n");
-  });
-  EXPECT_NE(msg.find("line 5, field 7 (facility id): edge (1, 1) repeats "
-                     "line 5"),
-            std::string::npos)
-      << msg;
+  // One line may hold several edges.
+  expect_ufl_error("dflp-ufl 1\n2 2 3\n1 2\n1 1 1 0 0 1 1 1 2\n",
+                   "line 4, field 7 (facility id)",
+                   "edge (1, 1) repeats line 4");
   // A client without edges is no one line's fault: build() reports it.
-  msg = error_of([] {
-    (void)from_text("dflp-ufl 1\n2 2 2\n1 1\n0 0 1\n1 0 1\n");
+  const std::string msg = error_of([] {
+    (void)parse_ufl("dflp-ufl 1\n2 2 2\n1 1\n0 0 1\n1 0 1\n");
   });
   EXPECT_NE(msg.find("client 1 has no candidate facility"), std::string::npos)
       << msg;
@@ -465,14 +509,8 @@ TEST(Serialize, RejectsDataAfterTheLastField) {
   const std::string text = to_text(tiny());
   expect_ufl_error(text + "garbage\n", "line 8, field 1 (end of input)",
                    "'garbage' follows the last field");
-  EXPECT_THROW((void)from_text(text + to_text(tiny())), CheckError);
-  EXPECT_THROW(
-      (void)snapshot_from_text(
-          snapshot_to_text(InstanceSnapshot::initial(tiny())) + "7"),
-      CheckError);
-  EXPECT_THROW((void)delta_log_from_text("dflp-delta-log 1\n0\nclose 1\n"),
-               CheckError);
-  EXPECT_NO_THROW((void)from_text(text + " \r\n\t\n"));
+  EXPECT_THROW((void)parse_ufl(text + to_text(tiny())), CheckError);
+  EXPECT_NO_THROW((void)parse_ufl(text + " \r\n\t\n"));
 }
 
 }  // namespace

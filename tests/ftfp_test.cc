@@ -1,9 +1,8 @@
 // Tests for fault-tolerant facility placement: instance validation, the
-// coverage-aware solution type, serialization, the demand-replication
-// reduction, the residual-instance construction, and the exclusion-phase
-// distributed solver — including the property the design pins: with all
-// r_j = 1 the FTFP solver is bit-identical (solution fingerprint AND
-// simulator metrics) to the plain UFL mw-greedy run.
+// coverage-aware solution type, the residual-instance construction, and
+// the exclusion-phase distributed solver — including the property the
+// design pins: with all r_j = 1 the FTFP solver is bit-identical (solution
+// fingerprint AND simulator metrics) to the plain UFL mw-greedy run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +13,6 @@
 #include "core/ftfp_greedy.h"
 #include "core/mw_greedy.h"
 #include "fl/ftfp.h"
-#include "harness/faults.h"
-#include "seq/greedy.h"
 #include "workload/generators.h"
 
 namespace dflp {
@@ -80,6 +77,36 @@ TEST(FtfpSolution, RejectsDuplicateAssignmentsAndChecksFeasibility) {
   EXPECT_FALSE(sol.is_feasible(inst, &why));
 }
 
+TEST(FtfpSolution, RejectsASolutionOfAnotherInstance) {
+  const fl::FtfpInstance inst =
+      fl::with_uniform_requirement(small_instance(), 1);
+  fl::InstanceBuilder b;
+  const auto f0 = b.add_facility(1.0);
+  b.connect(f0, b.add_client(), 1.0);
+  const fl::FtfpSolution other(fl::FtfpInstance{b.build(), {1}});
+  std::string why;
+  EXPECT_FALSE(other.is_feasible(inst, &why));
+  EXPECT_EQ(why, "solution sized for a different instance");
+}
+
+TEST(FtfpSolution, RejectsANonAdjacentAssignment) {
+  fl::InstanceBuilder b;
+  const auto f0 = b.add_facility(1.0);
+  const auto f1 = b.add_facility(1.0);
+  const auto c0 = b.add_client();
+  const auto c1 = b.add_client();
+  b.connect(f0, c0, 1.0);
+  b.connect(f1, c1, 1.0);
+  const fl::FtfpInstance inst{b.build(), {1, 1}};
+  fl::FtfpSolution sol(inst);
+  sol.open(f0);
+  sol.assign(c0, f0);
+  sol.assign(c1, f0);  // c1 reaches only f1
+  std::string why;
+  EXPECT_FALSE(sol.is_feasible(inst, &why));
+  EXPECT_EQ(why, "client 1 assigned to non-adjacent facility 0");
+}
+
 TEST(FtfpSolution, CostCountsOpeningOnceAndEveryConnection) {
   fl::InstanceBuilder b;
   const auto f0 = b.add_facility(5.0);
@@ -97,68 +124,6 @@ TEST(FtfpSolution, CostCountsOpeningOnceAndEveryConnection) {
   EXPECT_TRUE(sol.is_feasible(inst));
   EXPECT_DOUBLE_EQ(sol.cost(inst), 5.0 + 7.0 + 1.0 + 2.0);
   EXPECT_EQ(sol.num_open(), 2);
-  // The primary is the cheapest assigned facility.
-  const fl::IntegralSolution primary = sol.primaries(inst);
-  EXPECT_EQ(primary.assignment(c0), f0);
-}
-
-TEST(FtfpSerialize, RoundTripsInstanceAndRequirements) {
-  workload::TieredRequirementParams tiered;
-  tiered.base_r = 1;
-  tiered.critical_r = 3;
-  tiered.critical_fraction = 0.4;
-  const fl::FtfpInstance inst =
-      workload::tiered_requirement(small_instance(11), tiered, 99);
-  const std::string text = fl::ftfp_to_text(inst);
-  const fl::FtfpInstance back = fl::ftfp_from_text(text);
-  EXPECT_EQ(back.requirement, inst.requirement);
-  EXPECT_EQ(fl::ftfp_to_text(back), text);
-  EXPECT_EQ(back.base.num_edges(), inst.base.num_edges());
-}
-
-TEST(FtfpSerialize, RejectsBadHeaderAndTruncation) {
-  EXPECT_THROW((void)fl::ftfp_from_text("dflp-ufl 1\n"), CheckError);
-  const fl::FtfpInstance inst =
-      fl::with_uniform_requirement(small_instance(), 2);
-  std::string text = fl::ftfp_to_text(inst);
-  text.resize(text.size() - 8);  // chop the requirement tail
-  EXPECT_THROW((void)fl::ftfp_from_text(text), CheckError);
-}
-
-TEST(FtfpReduction, ReplicatesDemandsWithOwnerMap) {
-  const fl::FtfpInstance inst =
-      fl::with_uniform_requirement(small_instance(), 2);
-  const fl::ReplicatedUfl rep = fl::replicate_demands(inst);
-  std::int64_t total = 0;
-  for (const std::int32_t r : inst.requirement) total += r;
-  EXPECT_EQ(rep.instance.num_clients(), total);
-  EXPECT_EQ(rep.instance.num_facilities(), inst.base.num_facilities());
-  EXPECT_EQ(rep.copy_owner.size(), static_cast<std::size_t>(total));
-  // Every copy keeps its owner's edge set.
-  for (fl::ClientId copy = 0; copy < rep.instance.num_clients(); ++copy) {
-    const fl::ClientId owner =
-        rep.copy_owner[static_cast<std::size_t>(copy)];
-    EXPECT_EQ(rep.instance.client_edges(copy).size(),
-              inst.base.client_edges(owner).size());
-  }
-}
-
-TEST(FtfpReduction, ReplicationSolveIsFeasibleAndMatchesUflWhenRIsOne) {
-  const fl::Instance base = small_instance(17);
-  const auto greedy = [](const fl::Instance& i) {
-    return seq::greedy_solve(i).solution;
-  };
-
-  const fl::FtfpInstance r1 = fl::with_uniform_requirement(base, 1);
-  const fl::FtfpSolution sol1 = fl::solve_ftfp_by_replication(r1, greedy);
-  EXPECT_TRUE(sol1.is_feasible(r1));
-  // r_j = 1 replication is the identity reduction: same cost as plain UFL.
-  EXPECT_DOUBLE_EQ(sol1.cost(r1), greedy(base).cost(base));
-
-  const fl::FtfpInstance r2 = fl::with_uniform_requirement(base, 2);
-  const fl::FtfpSolution sol2 = fl::solve_ftfp_by_replication(r2, greedy);
-  EXPECT_TRUE(sol2.is_feasible(r2));
-  EXPECT_GT(sol2.cost(r2), sol1.cost(r1));
 }
 
 TEST(FtfpResidual, PhaseZeroResidualIsTheBaseInstance) {
@@ -268,12 +233,10 @@ TEST(FtfpGreedy, HigherCoverageIsFeasibleAndCostsMore) {
 }
 
 TEST(FtfpGreedy, TieredRequirementsRunPartialPhases) {
-  workload::TieredRequirementParams tiered;
-  tiered.base_r = 1;
-  tiered.critical_r = 2;
-  tiered.critical_fraction = 0.3;
-  const fl::FtfpInstance inst =
-      workload::tiered_requirement(small_instance(31), tiered, 4);
+  // Every third client is critical and needs two distinct facilities.
+  fl::FtfpInstance inst = fl::with_uniform_requirement(small_instance(31), 1);
+  for (std::size_t j = 0; j < inst.requirement.size(); j += 3)
+    inst.requirement[j] = 2;
   core::MwParams params;
   params.k = 4;
   params.seed = 9;
@@ -303,42 +266,6 @@ TEST(FtfpGreedy, RecoveredLossyRunMatchesFaultFree) {
             golden.solution.fingerprint(inst));
   EXPECT_GT(out.metrics.dropped, 0u);
   EXPECT_GT(out.transport.retransmissions, 0u);
-}
-
-TEST(FtfpFaultScenario, ReportsRecoveryAndCapturesBareFailure) {
-  const fl::FtfpInstance inst =
-      fl::with_uniform_requirement(small_instance(45), 2);
-  core::MwParams lossy;
-  lossy.k = 4;
-  lossy.seed = 9;
-  lossy.faults.drop_probability = 0.15;
-  lossy.faults.fault_seed = 31;
-
-  // Bare under loss: captured into the report, diagnostic kept.
-  const harness::FaultRunReport bare =
-      harness::run_ftfp_fault_scenario(inst, lossy, "bare-lossy");
-  EXPECT_EQ(bare.scenario, "bare-lossy");
-  EXPECT_FALSE(bare.completed);
-  EXPECT_FALSE(bare.diagnostic.empty());
-
-  // Reliable under loss: recovers the fault-free placement, both phases.
-  core::MwParams recovered = lossy;
-  recovered.reliable = true;
-  const harness::FaultRunReport rel =
-      harness::run_ftfp_fault_scenario(inst, recovered, "reliable-lossy");
-  EXPECT_TRUE(rel.completed);
-  EXPECT_TRUE(rel.feasible);
-  EXPECT_TRUE(rel.matches_fault_free);
-  EXPECT_DOUBLE_EQ(rel.cost_ratio, 1.0);
-  EXPECT_EQ(rel.phases, 2);
-  EXPECT_GT(rel.round_dilation, 1.0);
-  EXPECT_GT(rel.retransmissions, 0u);
-
-  // Boot crashes are the one-shot campaign's job, not FTFP's.
-  core::MwParams boot = lossy;
-  boot.boot_crash_fraction = 0.1;
-  EXPECT_THROW((void)harness::run_ftfp_fault_scenario(inst, boot, "boot"),
-               CheckError);
 }
 
 }  // namespace

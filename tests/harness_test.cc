@@ -2,6 +2,7 @@
 // execution, suite runs and table rendering.
 #include <gtest/gtest.h>
 
+#include "fl/metric.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "lp/ufl_lp.h"
@@ -39,6 +40,22 @@ TEST(LowerBound, FallsBackToDualAscentOnLargeInstances) {
   EXPECT_GT(lb.value, 0.0);
 }
 
+TEST(LowerBound, FallsBackToCheapestEdgesWhenDualAscentIsZero) {
+  // Free facilities and free edges: the dual ascent proves nothing, and the
+  // LP is not tried (max_lp_edges = 0), so the cheapest-edges sum is used.
+  fl::InstanceBuilder b;
+  const fl::FacilityId f0 = b.add_facility(0.0);
+  const fl::FacilityId f1 = b.add_facility(0.0);
+  for (int j = 0; j < 3; ++j) {
+    const fl::ClientId c = b.add_client();
+    b.connect(f0, c, 0.0);
+    b.connect(f1, c, 0.0);
+  }
+  const LowerBound lb = compute_lower_bound(b.build(), /*max_lp_edges=*/0);
+  EXPECT_EQ(lb.kind, "cheapest-edges");
+  EXPECT_EQ(lb.value, 0.0);
+}
+
 TEST(LowerBound, IsBelowOptimum) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const fl::Instance inst = small(seed);
@@ -50,7 +67,12 @@ TEST(LowerBound, IsBelowOptimum) {
 }
 
 TEST(Runner, EveryAlgorithmRunsFeasiblyWithSaneRatios) {
-  const fl::Instance inst = small(3);
+  // Complete bipartite and metric, the one input every algorithm takes
+  // (clique-fl requires it).
+  fl::MetricParams mp;
+  mp.facilities = 6;
+  mp.clients = 14;
+  const fl::Instance inst = fl::make_metric_instance(mp, 3).instance;
   const LowerBound lb = compute_lower_bound(inst);
   core::MwParams params;
   params.k = 4;
@@ -59,7 +81,7 @@ TEST(Runner, EveryAlgorithmRunsFeasiblyWithSaneRatios) {
        {Algo::kMwGreedy, Algo::kPipeline, Algo::kIdealGreedy,
         Algo::kSeqGreedy, Algo::kJainVazirani, Algo::kMettuPlaxton,
         Algo::kJms, Algo::kLocalSearch, Algo::kOpenAll,
-        Algo::kNearestFacility}) {
+        Algo::kNearestFacility, Algo::kLiJms, Algo::kCliqueFl}) {
     const RunResult r = run_algorithm(algo, inst, params, lb);
     EXPECT_TRUE(r.feasible) << r.algo;
     EXPECT_GE(r.ratio, 1.0 - 1e-9) << r.algo;

@@ -20,6 +20,7 @@
 #include "lp/dual_ascent.h"
 #include "lp/simplex.h"
 #include "lp/ufl_lp.h"
+#include "oracles.h"
 #include "seq/brute_force.h"
 #include "workload/generators.h"
 

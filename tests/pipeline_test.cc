@@ -256,6 +256,19 @@ TEST(RandRound, IntegralYRoundsToExactlyThoseFacilities) {
   }
 }
 
+TEST(RandRound, ZeroBoostServesEveryClientThroughTheFallback) {
+  // rounding_boost = 0 opens nothing in the randomized phases, so every
+  // client asks its cheapest facility to open (kOpenReq) and is granted.
+  const fl::Instance inst =
+      workload::make_family_instance(workload::Family::kUniform, 60, 1);
+  MwParams mw = params_k(4, 1);
+  mw.rounding_boost = 0.0;
+  const PipelineOutcome out = run_pipeline(inst, mw);
+  std::string why;
+  EXPECT_TRUE(out.solution.is_feasible(inst, &why)) << why;
+  EXPECT_EQ(out.round_fallback_clients, inst.num_clients());
+}
+
 TEST(RandRound, LossStaysWithinLogEnvelope) {
   // The analysis gives E[cost] = O(log N) * frac_value; assert a generous
   // deterministic envelope over several seeds to catch gross regressions.

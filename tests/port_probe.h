@@ -29,7 +29,7 @@ class PortProbe final : public Process {
     const std::span<const NodeId> nbrs = ctx.neighbors();
     for (const Message& msg : inbox) {
       ++deliveries_;
-      if (msg.port < 0 || msg.port >= ctx.degree() ||
+      if (msg.port < 0 || msg.port >= static_cast<int>(nbrs.size()) ||
           nbrs[static_cast<std::size_t>(msg.port)] != msg.src ||
           msg.dst != ctx.self())
         ++bad_ports_;

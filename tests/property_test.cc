@@ -8,6 +8,8 @@
 #include "core/mw_greedy.h"
 #include "fl/serialize.h"
 #include "lp/dual_ascent.h"
+#include "oracles.h"
+#include "respell.h"
 #include "seq/greedy.h"
 #include "seq/trivial.h"
 #include "workload/generators.h"
@@ -53,7 +55,7 @@ class FamilySweep : public ::testing::TestWithParam<Case> {
 
 TEST_P(FamilySweep, SerializationRoundTripsExactly) {
   const fl::Instance inst = instance();
-  const fl::Instance back = fl::from_text(fl::to_text(inst));
+  const fl::Instance back = fl::parse_ufl(fl::to_text(inst));
   EXPECT_EQ(fl::to_text(back), fl::to_text(inst));
   EXPECT_EQ(back.num_edges(), inst.num_edges());
   EXPECT_DOUBLE_EQ(back.cost_profile().rho, inst.cost_profile().rho);

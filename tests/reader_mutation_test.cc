@@ -1,70 +1,30 @@
-// Seeded mutation test of the four fl text readers (dflp-ufl, dflp-snap,
-// dflp-ftfp, dflp-delta-log) and of the JSONL trace reader. Every
-// truncation, byte flip or splice of a serialized text must either parse to
-// an object that re-serializes and re-parses to the same text, or throw
-// CheckError. Any other exception (std::bad_alloc, std::length_error, ...)
-// fails the test; crashes, hangs and sanitizer reports fail the run.
+// Seeded mutation test of the `.ufl` reader and of the JSONL trace reader.
+// Every truncation, byte flip or splice of a serialized text must either
+// parse to an object that re-serializes and re-parses to the same text, or
+// throw CheckError. Any other exception (std::bad_alloc, std::length_error,
+// ...) fails the test; crashes, hangs and sanitizer reports fail the run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "fl/delta.h"
-#include "fl/ftfp.h"
 #include "fl/serialize.h"
 #include "netsim/trace.h"
+#include "respell.h"
 #include "workload/generators.h"
 
 namespace dflp::fl {
 namespace {
 
-struct Format {
-  const char* name;
-  /// Parses a text and renders the result back.
-  std::function<std::string(const std::string&)> reserialize;
-};
-
-const std::vector<Format>& formats() {
-  static const std::vector<Format> all = {
-      {"dflp-ufl", [](const std::string& t) { return to_text(from_text(t)); }},
-      {"dflp-snap",
-       [](const std::string& t) {
-         return snapshot_to_text(snapshot_from_text(t));
-       }},
-      {"dflp-ftfp",
-       [](const std::string& t) { return ftfp_to_text(ftfp_from_text(t)); }},
-      {"dflp-delta-log",
-       [](const std::string& t) {
-         return delta_log_to_text(delta_log_from_text(t));
-       }},
-  };
-  return all;
-}
-
-/// One valid text per format, in formats() order, derived from `inst`: the
-/// instance, its snapshot after a log with every delta kind, the instance
-/// with requirement 2, and that log.
-std::vector<std::string> texts_for(const Instance& inst) {
-  const InstanceSnapshot snap = InstanceSnapshot::initial(inst);
-  const NodeKey c = snap.next_client_key();
-  const NodeKey f = snap.next_facility_key();
-  DeltaLog log;
-  log.append(Delta::client_arrive(c, {{0, 1.5}}));
-  log.append(Delta::facility_open(f, 7.25, {{0, 0.5}, {c, 2.0}}));
-  log.append(Delta::facility_open(f + 1, 3.0, {{c, 1.0}}));
-  log.append(Delta::facility_close(f + 1));
-  log.append(Delta::edge_cost_change(0, c, 3.0));
-  log.append(Delta::client_depart(1));
-  return {to_text(inst), snapshot_to_text(apply(snap, log)),
-          ftfp_to_text(with_uniform_requirement(inst, 2)),
-          delta_log_to_text(log)};
+/// Parses a `.ufl` text through read_instance and renders it back.
+std::string reserialize_ufl(const std::string& text) {
+  return to_text(parse_ufl(text));
 }
 
 enum class Mutation { kTruncate, kFlip, kSplice };
@@ -109,34 +69,33 @@ void run_campaign(Mutation kind, std::uint64_t seed) {
   Rng rng(seed);
   int parsed = 0;
   int rejected = 0;
-  for (const workload::Family family :
-       {workload::Family::kUniform, workload::Family::kEuclidean,
-        workload::Family::kPowerLaw, workload::Family::kGreedyTight,
-        workload::Family::kStar}) {
-    const std::vector<std::string> texts =
-        texts_for(workload::make_family_instance(family, 16, 5));
-    for (std::size_t f = 0; f < formats().size(); ++f) {
-      const Format& format = formats()[f];
-      SCOPED_TRACE(workload::family_name(family) + " " + format.name);
-      ASSERT_EQ(format.reserialize(texts[f]), texts[f]);
-      for (int t = 0; t < kMutantsPerText; ++t) {
-        // Splice donors cycle through all four formats.
-        const std::string mutant =
-            mutate(texts[f], texts[(f + t) % texts.size()], kind, rng);
-        std::string once;
-        try {
-          once = format.reserialize(mutant);
-        } catch (const CheckError&) {
-          ++rejected;
-          continue;
-        } catch (const std::exception& e) {
-          ADD_FAILURE() << "non-CheckError exception: " << e.what()
-                        << "\nmutant:\n" << mutant;
-          continue;
-        }
-        ++parsed;
-        EXPECT_EQ(format.reserialize(once), once) << "mutant:\n" << mutant;
+  const std::vector<workload::Family> families = {
+      workload::Family::kUniform, workload::Family::kEuclidean,
+      workload::Family::kPowerLaw, workload::Family::kGreedyTight,
+      workload::Family::kStar};
+  std::vector<std::string> texts;
+  for (const workload::Family family : families)
+    texts.push_back(to_text(workload::make_family_instance(family, 16, 5)));
+  for (std::size_t f = 0; f < texts.size(); ++f) {
+    SCOPED_TRACE(workload::family_name(families[f]));
+    ASSERT_EQ(reserialize_ufl(texts[f]), texts[f]);
+    for (int t = 0; t < kMutantsPerText; ++t) {
+      // Splice donors cycle through the other families' texts.
+      const std::string mutant =
+          mutate(texts[f], texts[(f + t) % texts.size()], kind, rng);
+      std::string once;
+      try {
+        once = reserialize_ufl(mutant);
+      } catch (const CheckError&) {
+        ++rejected;
+        continue;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-CheckError exception: " << e.what()
+                      << "\nmutant:\n" << mutant;
+        continue;
       }
+      ++parsed;
+      EXPECT_EQ(reserialize_ufl(once), once) << "mutant:\n" << mutant;
     }
   }
   // Both outcomes occur, so the campaign reaches past the headers.

@@ -1,11 +1,20 @@
-// Test helper: a serialized text re-spelled in the ways the fl readers
-// accept besides their own output.
+// Test helpers for the `.ufl` text: a string parsed the way dflp_cli reads
+// a file, and re-spellings the reader accepts besides its own output.
 #pragma once
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fl/serialize.h"
+
 namespace dflp::fl {
+
+/// Parses `text` through read_instance on a stream, as dflp_cli does.
+inline Instance parse_ufl(const std::string& text) {
+  std::istringstream in(text);
+  return read_instance(in);
+}
 
 /// `text` with CRLF line ends, with tabs between fields, and with a '+'
 /// in front of every unsigned number.

@@ -5,8 +5,8 @@
 
 #include <cmath>
 
-#include "common/mathx.h"
 #include "lp/dual_ascent.h"
+#include "oracles.h"
 #include "seq/brute_force.h"
 #include "seq/greedy.h"
 #include "seq/jain_vazirani.h"
@@ -79,6 +79,20 @@ TEST(Greedy, FeasibleOnEveryFamily) {
         << workload::family_name(family) << ": " << why;
     EXPECT_GT(g.iterations, 0);
   }
+}
+
+TEST(Harmonic, ExactSmall) {
+  EXPECT_DOUBLE_EQ(harmonic(0), 0.0);
+  EXPECT_DOUBLE_EQ(harmonic(1), 1.0);
+  EXPECT_DOUBLE_EQ(harmonic(2), 1.5);
+  EXPECT_NEAR(harmonic(10), 2.9289682539682538, 1e-12);
+}
+
+TEST(Harmonic, AsymptoticAgreesWithExactAtBoundary) {
+  // Exact sum at 4096 vs asymptotic expansion at 4097: must be within 1e-9.
+  double exact = 0.0;
+  for (int i = 1; i <= 4097; ++i) exact += 1.0 / i;
+  EXPECT_NEAR(harmonic(4097), exact, 1e-9);
 }
 
 TEST(Greedy, WithinHnOfOptimum) {

@@ -278,6 +278,35 @@ TEST(TraceReader, RejectsUnknownPath) {
       << read_error(text);
 }
 
+TEST(TraceReader, EscapedSectionNameRoundTrips) {
+  std::istringstream in(golden_jsonl());
+  net::ParsedTrace trace = net::read_trace_jsonl(in);
+  const std::string name = "q\"b\\s\nn\rr\tt\x01u";
+  trace.sections[0].name = name;
+  std::ostringstream out;
+  net::write_trace_jsonl(trace, out);
+  EXPECT_NE(out.str().find(R"("name":"q\"b\\s\nn\rr\tt\u0001u")"),
+            std::string::npos)
+      << out.str().substr(0, 200);
+  std::istringstream back(out.str());
+  EXPECT_EQ(net::read_trace_jsonl(back).sections[0].name, name);
+}
+
+TEST(TraceReader, RejectsEscapesTheWriterNeverEmits) {
+  // \u0041 spells a printable character, and \q is no JSON escape.
+  const std::string printable =
+      corrupted_golden("\"name\":\"mw-greedy\"", R"("name":"mw\u0041greedy")");
+  EXPECT_NE(read_error(printable).find(
+                "trace line 2: escape \\u other than a control character"),
+            std::string::npos)
+      << read_error(printable);
+  const std::string unknown =
+      corrupted_golden("\"name\":\"mw-greedy\"", R"("name":"mw\qgreedy")");
+  EXPECT_NE(read_error(unknown).find("trace line 2: unknown escape in string"),
+            std::string::npos)
+      << read_error(unknown);
+}
+
 TEST(TraceChromeExport, HasMetadataSlicesAndCounters) {
   net::Tracer tracer(/*capture_phases=*/true);
   traced_golden_run(tracer);

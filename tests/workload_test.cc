@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "common/check.h"
 #include "fl/serialize.h"
 #include "seq/greedy.h"
 #include "seq/brute_force.h"
@@ -201,87 +200,6 @@ TEST(Family, NamesAreDistinct) {
   EXPECT_EQ(family_name(Family::kUniform), "uniform");
   EXPECT_EQ(family_name(Family::kGreedyTight), "greedy-tight");
   EXPECT_NE(family_name(Family::kEuclidean), family_name(Family::kPowerLaw));
-}
-
-TEST(TieredRequirement, SeededDeterministicAndClamped) {
-  UniformParams up;
-  up.num_facilities = 10;
-  up.num_clients = 80;
-  up.client_degree = 3;
-  TieredRequirementParams tp;
-  tp.base_r = 1;
-  tp.critical_r = 4;  // above the degree: must clamp to 3
-  tp.critical_fraction = 0.5;
-
-  const fl::FtfpInstance a =
-      tiered_requirement(uniform_random(up, 2), tp, 7);
-  const fl::FtfpInstance b =
-      tiered_requirement(uniform_random(up, 2), tp, 7);
-  EXPECT_EQ(a.requirement, b.requirement);
-  fl::validate(a);
-
-  int critical = 0;
-  for (const std::int32_t r : a.requirement) {
-    EXPECT_TRUE(r == 1 || r == 3) << r;  // base or clamped critical
-    if (r == 3) ++critical;
-  }
-  // Roughly half the 80 clients; the exact count is pinned by the seed.
-  EXPECT_GT(critical, 20);
-  EXPECT_LT(critical, 60);
-
-  const fl::FtfpInstance c =
-      tiered_requirement(uniform_random(up, 2), tp, 8);
-  EXPECT_NE(c.requirement, a.requirement);  // seed matters
-
-  tp.critical_fraction = 0.0;
-  const fl::FtfpInstance none =
-      tiered_requirement(uniform_random(up, 2), tp, 7);
-  for (const std::int32_t r : none.requirement) EXPECT_EQ(r, 1);
-}
-
-TEST(TieredRequirement, RejectsBadParams) {
-  UniformParams up;
-  up.num_facilities = 4;
-  up.num_clients = 8;
-  TieredRequirementParams tp;
-  tp.base_r = 0;
-  EXPECT_THROW((void)tiered_requirement(uniform_random(up, 1), tp, 1),
-               CheckError);
-  tp.base_r = 2;
-  tp.critical_r = 1;  // below base
-  EXPECT_THROW((void)tiered_requirement(uniform_random(up, 1), tp, 1),
-               CheckError);
-  tp.critical_r = 2;
-  tp.critical_fraction = 1.5;
-  EXPECT_THROW((void)tiered_requirement(uniform_random(up, 1), tp, 1),
-               CheckError);
-}
-
-TEST(CapacityProfile, SeededDeterministicWithinRange) {
-  UniformParams up;
-  up.num_facilities = 30;
-  up.num_clients = 60;
-  CapacityProfileParams cp;
-  cp.capacity_lo = 3;
-  cp.capacity_hi = 9;
-  const fl::SoftCapacitatedInstance a =
-      capacity_profile(uniform_random(up, 4), cp, 21);
-  const fl::SoftCapacitatedInstance b =
-      capacity_profile(uniform_random(up, 4), cp, 21);
-  EXPECT_EQ(a.capacity, b.capacity);
-  fl::validate(a);
-  bool saw_distinct = false;
-  for (const std::int32_t u : a.capacity) {
-    EXPECT_GE(u, 3);
-    EXPECT_LE(u, 9);
-    if (u != a.capacity.front()) saw_distinct = true;
-  }
-  EXPECT_TRUE(saw_distinct);  // actually a profile, not a constant
-
-  CapacityProfileParams bad;
-  bad.capacity_lo = 0;
-  EXPECT_THROW((void)capacity_profile(uniform_random(up, 4), bad, 21),
-               CheckError);
 }
 
 }  // namespace

@@ -7,14 +7,15 @@
 // fields, a known delivery `path` per round, dense section ids,
 // consecutive per-section round numbers, the counter identity
 // delivered == sent - dropped + duplicated, and zero counters in a skipped
-// round. Exit 1 with the reason on stderr otherwise. CI's trace-smoke job
-// runs this on a fresh `dflp_cli solve --trace` output.
+// round. Exit 1 with the reason on stderr otherwise. The ctest case
+// TraceCheck.AcceptsFreshTrace and CI's trace-smoke job run this on a
+// fresh `dflp_cli solve --trace` output.
 //
 // With --normalize, a valid trace is additionally re-emitted on stdout in
 // canonical form — wall timings zeroed (netsim/trace.h normalize_trace) —
 // so the deterministic round shape, delivery paths included, can be
-// diffed against the committed goldens in tests/goldens/ (CI's
-// trace-regression job).
+// diffed against the committed goldens in tests/goldens/ (the
+// TraceRegression.* ctest cases).
 #include <fstream>
 #include <iostream>
 #include <sstream>
