@@ -1,25 +1,27 @@
 // Epoch-batched streaming solver service.
 //
-// A `StreamingSolver` owns the live `fl::InstanceSnapshot`, ingests typed
-// updates into a pending `fl::DeltaLog`, and on `commit_epoch()` applies
-// the batch (snapshot epoch + 1) and re-solves incrementally:
+// A `StreamingSolver` owns the live `fl::InstanceSnapshot`, ingests client
+// arrivals and departures into a pending `fl::DeltaLog`, and on
+// `commit_epoch()` applies the batch (snapshot epoch + 1) and re-solves
+// incrementally over the fixed facility set:
 //
 //   1. The schedule is *pinned*: derived once from the deployment's
 //      declared capacity bounds (`core::derive_schedule_from_bounds`) and
 //      handed to every runner via `MwParams::pinned_schedule`, so a solve
 //      is a pure function of (sub-instance, seed, schedule).
-//   2. A component's *key* is its smallest member facility's stable key,
-//      and its per-solve seed derives from that key alone. Because apply()
-//      renumbers monotonically, an untouched component reproduces the
-//      identical sub-instance epoch after epoch.
+//   2. A component's *key* is its smallest member facility's id, which
+//      never changes, and its per-solve seed derives from that key alone.
+//      Because apply() renumbers clients monotonically, an untouched
+//      component reproduces the identical sub-instance epoch after epoch.
 //   3. Reuse is decided by the epoch's *dirty region*: the components of
-//      the new snapshot that hold a node a delta names and that survives
-//      the batch, or a surviving neighbour of a removed node (a removal is
-//      the only way a component can split). One BFS from those seeds finds
-//      exactly these components, and only they re-run the distributed
-//      solver. Every other component is a component of the previous epoch
-//      with the same members and key; its open flags and assignment carry
-//      over through the old -> new dense-id maps.
+//      the new snapshot that hold a surviving client a delta names, a
+//      facility an arrival names, or a facility of a departed client (a
+//      departure is the only way a component can split). One BFS from
+//      those seeds finds exactly these components, and only they re-run
+//      the distributed solver. Every other component is a component of the
+//      previous epoch with the same members and key; its open flags carry
+//      over as they are and its assignment through the old -> new client
+//      map.
 //
 // The from-scratch baseline is the same machinery with every node marked
 // dirty (`warm_start = false`, and always at epoch 0), so warm and cold
@@ -28,11 +30,11 @@
 // (E13) relies on.
 //
 // Every epoch yields an `EpochReport` with cost, rounds/messages of the
-// solved components, and *recourse*: facility-set churn and the number of
-// surviving clients whose assignment moved, both measured in stable-key
-// space so epoch-to-epoch comparisons are well-defined. Only the dirty
-// region and the removed nodes can differ from the previous epoch, so
-// that is where recourse is counted.
+// solved components, and *recourse*: open-facility churn and the number of
+// surviving clients whose assigned facility changed, clients matched by
+// stable key so epoch-to-epoch comparisons are well-defined. Only the
+// dirty region can differ from the previous epoch, so that is where
+// recourse is counted.
 //
 // A commit that throws (an inconsistent delta, a snapshot outgrowing the
 // declared bounds) drops its batch and leaves the service at its previous
@@ -82,12 +84,12 @@ struct StreamingOptions {
   bool warm_start = true;
 };
 
-/// Facility-set churn and client reassignment between consecutive epochs,
-/// in stable-key space.
+/// Open-facility churn and client reassignment between consecutive epochs;
+/// clients are matched by stable key.
 struct Recourse {
   std::int64_t facilities_opened = 0;  ///< open now, not open last epoch
   std::int64_t facilities_closed = 0;  ///< open last epoch, not open now
-  /// Clients present in both epochs whose assigned facility key changed.
+  /// Clients present in both epochs whose assigned facility changed.
   std::int64_t clients_reassigned = 0;
   std::int64_t clients_arrived = 0;
   std::int64_t clients_departed = 0;
@@ -123,9 +125,6 @@ class StreamingSolver {
 
   /// Queues one update for the next epoch.
   void ingest(fl::Delta delta) { pending_.append(std::move(delta)); }
-  [[nodiscard]] std::size_t pending_events() const noexcept {
-    return pending_.size();
-  }
 
   /// Applies the pending batch as one epoch and re-solves. Valid with an
   /// empty batch (epoch still advances; everything reuses under warm
@@ -154,7 +153,7 @@ class StreamingSolver {
   /// One component of the current snapshot, in key order, with what the
   /// report sums over every component.
   struct ComponentEntry {
-    fl::FacilityId facility = 0;  ///< smallest member (its key), dense
+    fl::FacilityId facility = 0;  ///< smallest member facility (its key)
     double fractional_value = 0.0;  ///< pipeline engine's LP value
   };
 

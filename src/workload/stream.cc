@@ -94,7 +94,7 @@ fl::Delta ClientStream::make_arrival() {
   std::vector<fl::KeyedEdge> edges;
   edges.reserve(slots_.size());
   for (std::int32_t slot : slots_)
-    edges.push_back({static_cast<fl::NodeKey>(cell * fpc + slot),
+    edges.push_back({cell * fpc + slot,
                      rng_.uniform_real(params_.connection_lo,
                                        params_.connection_hi)});
   const fl::NodeKey key = next_client_key_++;

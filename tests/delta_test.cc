@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,47 +87,43 @@ TEST(InstanceBuilder, ReserveIsTransparent) {
 TEST(InstanceSnapshot, InitialAssignsDenseKeys) {
   const InstanceSnapshot snap = InstanceSnapshot::initial(tiny());
   EXPECT_EQ(snap.epoch(), 0);
-  EXPECT_EQ(snap.facility_key(1), 1);
   EXPECT_EQ(snap.client_key(2), 2);
-  EXPECT_EQ(snap.facility_index(0), 0);
   EXPECT_EQ(snap.client_index(2), 2);
-  EXPECT_EQ(snap.facility_index(99), -1);
-  EXPECT_EQ(snap.next_facility_key(), 2);
+  EXPECT_EQ(snap.client_index(99), -1);
   EXPECT_EQ(snap.next_client_key(), 3);
 }
 
 TEST(DeltaLog, ApplyAllKindsMatchesScratchBuild) {
   const InstanceSnapshot snap = InstanceSnapshot::initial(tiny());
   DeltaLog log;
-  log.append(Delta::client_arrive(3, {{0, 7.0}, {1, 3.0}}));
-  log.append(Delta::facility_open(2, 20.0, {{2, 0.5}, {3, 6.0}}));
+  log.append(Delta::client_arrive(3, {{1, 3.0}, {0, 7.0}}));
   log.append(Delta::client_depart(1));
-  log.append(Delta::edge_cost_change(1, 2, 9.0));
+  log.append(Delta::client_arrive(4, {{1, 0.5}}));
 
   const InstanceSnapshot next = apply(snap, log);
   EXPECT_EQ(next.epoch(), 1);
-  EXPECT_EQ(next.next_facility_key(), 3);
-  EXPECT_EQ(next.next_client_key(), 4);
+  EXPECT_EQ(next.next_client_key(), 5);
 
-  // Scratch build in canonical order: survivors (ascending key), then
-  // arrivals (log order). Final clients: keys 0, 2, 3; facilities 0, 1, 2.
+  // Scratch build in canonical order: facilities as they were, surviving
+  // clients (ascending key), then arrivals (log order). Final clients:
+  // keys 0, 2, 3, 4. Client 1 was the only one facilities 0 and 1 shared,
+  // so arrival 3 bridges the two components its departure leaves.
   InstanceBuilder b;
-  (void)b.add_facility(10.0);  // key 0
-  (void)b.add_facility(5.0);   // key 1
-  (void)b.add_facility(20.0);  // key 2 (opened)
-  (void)b.add_client();        // key 0 -> dense 0
-  (void)b.add_client();        // key 2 -> dense 1
-  (void)b.add_client();        // key 3 -> dense 2 (arrived)
-  b.connect(0, 0, 1.0);        // survivor edge
-  b.connect(1, 1, 9.0);        // survivor edge, repriced (was 1.0)
-  b.connect(0, 2, 7.0);        // arrival edges
+  (void)b.add_facility(10.0);
+  (void)b.add_facility(5.0);
+  (void)b.add_client();  // key 0 -> dense 0
+  (void)b.add_client();  // key 2 -> dense 1
+  (void)b.add_client();  // key 3 -> dense 2 (arrived)
+  (void)b.add_client();  // key 4 -> dense 3 (arrived)
+  b.connect(0, 0, 1.0);  // survivor edges
+  b.connect(1, 1, 1.0);
+  b.connect(0, 2, 7.0);  // arrival edges
   b.connect(1, 2, 3.0);
-  b.connect(2, 1, 0.5);        // opened-facility edges
-  b.connect(2, 2, 6.0);
+  b.connect(1, 3, 0.5);
   expect_same_instance(next.instance(), b.build());
 
-  EXPECT_EQ(next.facility_key(2), 2);
   EXPECT_EQ(next.client_key(1), 2);
+  EXPECT_EQ(next.client_key(3), 4);
   EXPECT_EQ(next.client_index(1), -1);  // departed key
 }
 
@@ -159,58 +154,57 @@ TEST(DeltaLog, RejectsInconsistentDeltas) {
   {
     DeltaLog log;  // stale arrival key
     log.append(Delta::client_arrive(1, {{0, 1.0}}));
-    EXPECT_THROW((void)apply(snap, log), CheckError);
+    expect_rejected(snap, log, "client arrival key 1 not fresh (next is 3)");
   }
   {
     DeltaLog log;  // unknown departure
     log.append(Delta::client_depart(77));
-    EXPECT_THROW((void)apply(snap, log), CheckError);
+    expect_rejected(snap, log, "client departure for absent key 77");
   }
   {
-    DeltaLog log;  // closing facility 1 orphans client 2
-    log.append(Delta::facility_close(1));
-    EXPECT_THROW((void)apply(snap, log), CheckError);
-  }
-  {
-    DeltaLog log;  // repricing a non-edge
-    log.append(Delta::edge_cost_change(1, 0, 2.0));
-    EXPECT_THROW((void)apply(snap, log), CheckError);
+    DeltaLog log;  // a key departed twice in one log
+    log.append(Delta::client_depart(1));
+    log.append(Delta::client_depart(1));
+    expect_rejected(snap, log, "client departure for absent key 1");
   }
   {
     DeltaLog log;  // arrival referencing an absent facility
     log.append(Delta::client_arrive(3, {{9, 1.0}}));
-    EXPECT_THROW((void)apply(snap, log), CheckError);
+    expect_rejected(snap, log,
+                    "client arrival 3 references facility key 9 absent from "
+                    "the epoch");
+  }
+  {
+    DeltaLog log;  // arrival referencing a negative facility id
+    log.append(Delta::client_arrive(3, {{0, 1.0}, {-1, 1.0}}));
+    expect_rejected(snap, log,
+                    "client arrival 3 references facility key -1 absent "
+                    "from the epoch");
   }
   {
     DeltaLog log;  // arrivals must carry an edge
     log.append(Delta::client_arrive(3, {}));
-    EXPECT_THROW((void)apply(snap, log), CheckError);
+    expect_rejected(snap, log, "client arrival 3 must carry at least one edge");
   }
-  for (const bool facility : {false, true}) {
+  {
     DeltaLog log;  // the largest key would leave no next key
     const NodeKey last = std::numeric_limits<NodeKey>::max();
-    log.append(facility ? Delta::facility_open(last, 1.0, {{0, 1.0}})
-                        : Delta::client_arrive(last, {{0, 1.0}}));
-    EXPECT_THROW((void)apply(snap, log), CheckError);
+    log.append(Delta::client_arrive(last, {{0, 1.0}}));
+    expect_rejected(snap, log,
+                    "client arrival key " + std::to_string(last) +
+                        " leaves no next key");
+  }
+  {
+    DeltaLog log;  // every client leaves
+    for (const NodeKey key : {0, 1, 2}) log.append(Delta::client_depart(key));
+    expect_rejected(snap, log, "instance has no clients");
   }
   // Dense ids in the messages are the next epoch's: tiny()'s clients 0-2
-  // survive, so an arriving client is 3 and an opened facility is 2.
-  const Cost inf = std::numeric_limits<Cost>::infinity();
+  // survive, so an arriving client is 3.
   {
     DeltaLog log;  // one arrival names a facility twice
     log.append(Delta::client_arrive(3, {{0, 1.0}, {1, 2.0}, {0, 3.0}}));
     expect_rejected(snap, log, "duplicate edge (facility=0, client=3)");
-  }
-  {
-    DeltaLog log;  // one open names a client twice
-    log.append(Delta::facility_open(2, 5.0, {{1, 1.0}, {1, 2.0}}));
-    expect_rejected(snap, log, "duplicate edge (facility=2, client=1)");
-  }
-  {
-    DeltaLog log;  // an open and an arrival both declare the same edge
-    log.append(Delta::facility_open(2, 5.0, {{0, 1.0}, {3, 1.0}}));
-    log.append(Delta::client_arrive(3, {{2, 2.0}}));
-    expect_rejected(snap, log, "duplicate edge (facility=2, client=3)");
   }
   {
     DeltaLog log;  // negative arrival edge
@@ -220,25 +214,12 @@ TEST(DeltaLog, RejectsInconsistentDeltas) {
                     "got -1");
   }
   {
-    DeltaLog log;  // non-finite open edge
-    log.append(Delta::facility_open(2, 5.0, {{0, inf}}));
+    DeltaLog log;  // non-finite arrival edge
+    log.append(Delta::client_arrive(
+        3, {{0, std::numeric_limits<Cost>::infinity()}}));
     expect_rejected(snap, log,
                     "connection cost must be finite and non-negative, "
                     "got inf");
-  }
-  {
-    DeltaLog log;  // non-finite re-pricing of a surviving edge
-    log.append(Delta::edge_cost_change(
-        1, 1, std::numeric_limits<Cost>::quiet_NaN()));
-    expect_rejected(snap, log,
-                    "connection cost must be finite and non-negative, "
-                    "got nan");
-  }
-  {
-    DeltaLog log;  // negative opening cost
-    log.append(Delta::facility_open(2, -3.0, {{0, 1.0}}));
-    expect_rejected(snap, log,
-                    "opening cost must be finite and non-negative, got -3");
   }
 }
 
@@ -246,45 +227,48 @@ TEST(DeltaLog, RejectsInconsistentDeltas) {
 
 struct Model {
   // Ascending-key maps mirror the canonical snapshot ordering.
-  std::map<NodeKey, Cost> facilities;
+  std::vector<Cost> facilities;
   std::map<NodeKey, bool> clients;
-  std::map<std::pair<NodeKey, NodeKey>, Cost> edges;  // (fkey, ckey)
-  NodeKey next_f = 0;
+  std::map<std::pair<FacilityId, NodeKey>, Cost> edges;  // (facility, ckey)
   NodeKey next_c = 0;
 
   [[nodiscard]] Instance build() const {
     InstanceBuilder b;
-    std::map<NodeKey, FacilityId> fid;
     std::map<NodeKey, ClientId> cid;
-    for (const auto& [key, cost] : facilities)
-      fid[key] = b.add_facility(cost);
+    for (const Cost cost : facilities) (void)b.add_facility(cost);
     for (const auto& [key, alive] : clients) cid[key] = b.add_client();
     for (const auto& [edge, cost] : edges)
-      b.connect(fid.at(edge.first), cid.at(edge.second), cost);
+      b.connect(edge.first, cid.at(edge.second), cost);
     return b.build();
   }
 };
 
 TEST(DeltaLog, RandomizedApplyMatchesScratchBuild) {
+  constexpr int kFacilities = 8;
   Rng rng(0xD317A5EEDULL);
   Model model;
   InstanceBuilder seed_builder;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kFacilities; ++i) {
     const Cost opening = rng.uniform_real(1.0, 50.0);
     seed_builder.add_facility(opening);
-    model.facilities[model.next_f++] = opening;
+    model.facilities.push_back(opening);
   }
-  for (int j = 0; j < 24; ++j) {
-    const ClientId cj = seed_builder.add_client();
-    model.clients[model.next_c] = true;
+  // Draws 1-3 distinct facilities anywhere, so an arrival often joins
+  // facilities that no client shares yet.
+  const auto pick_facilities = [&rng] {
     const int deg = 1 + static_cast<int>(rng.uniform_u64(3));
-    std::vector<std::int32_t> picks;
+    std::vector<FacilityId> picks;
     while (static_cast<int>(picks.size()) < deg) {
-      const auto f = static_cast<std::int32_t>(rng.uniform_u64(8));
+      const auto f = static_cast<FacilityId>(rng.uniform_u64(kFacilities));
       if (std::find(picks.begin(), picks.end(), f) == picks.end())
         picks.push_back(f);
     }
-    for (std::int32_t f : picks) {
+    return picks;
+  };
+  for (int j = 0; j < 24; ++j) {
+    const ClientId cj = seed_builder.add_client();
+    model.clients[model.next_c] = true;
+    for (FacilityId f : pick_facilities()) {
       const Cost c = rng.uniform_real(0.5, 20.0);
       seed_builder.connect(f, cj, c);
       model.edges[{f, model.next_c}] = c;
@@ -295,43 +279,16 @@ TEST(DeltaLog, RandomizedApplyMatchesScratchBuild) {
 
   for (int epoch = 0; epoch < 6; ++epoch) {
     DeltaLog log;
-    // Opens and reprices are validated against the *final* topology of the
-    // log, so collect them during generation and append them at the end,
-    // restricted to edges that survive the epoch's churn.
-    const NodeKey epoch_f0 = model.next_f;
-    std::set<NodeKey> arrival_facilities;
-    std::vector<std::pair<NodeKey, Cost>> pending_opens;
-    std::vector<std::pair<std::pair<NodeKey, NodeKey>, Cost>> reprices;
     for (int t = 0; t < 25; ++t) {
-      const auto dice = rng.uniform_u64(100);
-      if (dice < 40) {  // client arrives
+      if (rng.uniform_u64(100) < 60) {  // client arrives
         std::vector<KeyedEdge> edges;
-        std::vector<NodeKey> fkeys;
-        // Only pre-epoch facilities: edges to a same-epoch open are
-        // declared by the (deferred) open itself, and declaring them here
-        // too would duplicate the edge.
-        for (const auto& [key, cost] : model.facilities) {
-          if (key < epoch_f0) fkeys.push_back(key);
-        }
-        const int deg = 1 + static_cast<int>(rng.uniform_u64(
-                                std::min<std::uint64_t>(3, fkeys.size())));
-        for (int d = 0; d < deg; ++d) {
-          const NodeKey f =
-              fkeys[rng.uniform_u64(fkeys.size())];
-          bool dup = false;
-          for (const KeyedEdge& e : edges) dup |= e.peer == f;
-          if (dup) continue;
+        for (FacilityId f : pick_facilities())
           edges.push_back({f, rng.uniform_real(0.5, 20.0)});
-        }
-        if (edges.empty()) continue;
         const NodeKey key = model.next_c++;
-        for (const KeyedEdge& e : edges) {
-          model.edges[{e.peer, key}] = e.cost;
-          arrival_facilities.insert(e.peer);
-        }
+        for (const KeyedEdge& e : edges) model.edges[{e.peer, key}] = e.cost;
         model.clients[key] = true;
         log.append(Delta::client_arrive(key, edges));
-      } else if (dice < 60) {  // client departs
+      } else {  // client departs, possibly one that arrived this epoch
         if (model.clients.size() <= 2) continue;
         auto it = model.clients.begin();
         std::advance(it, static_cast<long>(
@@ -345,75 +302,7 @@ TEST(DeltaLog, RandomizedApplyMatchesScratchBuild) {
             ++e;
         }
         log.append(Delta::client_depart(key));
-      } else if (dice < 75) {  // facility opens
-        const NodeKey key = model.next_f++;
-        const Cost opening = rng.uniform_real(1.0, 50.0);
-        std::vector<KeyedEdge> edges;
-        for (const auto& [ckey, alive] : model.clients) {
-          if (rng.uniform_u64(4) == 0)
-            edges.push_back({ckey, rng.uniform_real(0.5, 20.0)});
-        }
-        model.facilities[key] = opening;
-        for (const KeyedEdge& e : edges)
-          model.edges[{key, e.peer}] = e.cost;
-        pending_opens.push_back({key, opening});
-      } else if (dice < 85) {  // facility closes (skip if it orphans)
-        if (model.facilities.size() <= 2) continue;
-        auto it = model.facilities.begin();
-        std::advance(it, static_cast<long>(
-                             rng.uniform_u64(model.facilities.size())));
-        const NodeKey key = it->first;
-        // Deferred opens are appended after any close, so closing one
-        // would reorder open/close for the same key; skip those. Likewise
-        // skip facilities an in-epoch arrival references — arrival edges
-        // are validated against the final topology.
-        if (key >= epoch_f0) continue;
-        if (arrival_facilities.count(key) != 0) continue;
-        bool orphans = false;
-        for (const auto& [ckey, alive] : model.clients) {
-          int other = 0;
-          bool uses = false;
-          for (const auto& [edge, cost] : model.edges) {
-            if (edge.second != ckey) continue;
-            if (edge.first == key)
-              uses = true;
-            else
-              ++other;
-          }
-          if (uses && other == 0) {
-            orphans = true;
-            break;
-          }
-        }
-        if (orphans) continue;
-        model.facilities.erase(it);
-        for (auto e = model.edges.begin(); e != model.edges.end();) {
-          if (e->first.first == key)
-            e = model.edges.erase(e);
-          else
-            ++e;
-        }
-        log.append(Delta::facility_close(key));
-      } else {  // reprice an existing edge
-        if (model.edges.empty()) continue;
-        auto it = model.edges.begin();
-        std::advance(it, static_cast<long>(
-                             rng.uniform_u64(model.edges.size())));
-        const Cost c = rng.uniform_real(0.5, 20.0);
-        it->second = c;
-        reprices.push_back({it->first, c});
       }
-    }
-    for (const auto& [key, opening] : pending_opens) {
-      std::vector<KeyedEdge> edges;
-      for (const auto& [edge, cost] : model.edges) {
-        if (edge.first == key) edges.push_back({edge.second, cost});
-      }
-      log.append(Delta::facility_open(key, opening, edges));
-    }
-    for (const auto& [edge, cost] : reprices) {
-      if (model.edges.count(edge) != 0)
-        log.append(Delta::edge_cost_change(edge.first, edge.second, cost));
     }
     snap = apply(snap, log);
     EXPECT_EQ(snap.epoch(), epoch + 1);

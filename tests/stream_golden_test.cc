@@ -1,8 +1,10 @@
 // Per-epoch goldens for the streaming service (E13).
 //
-// The lines below were committed from the service that rebuilt every
-// epoch's snapshot through InstanceBuilder and re-partitioned it with a
-// union-find over all nodes. Each line pins one warm-started epoch: the
+// The ClientStream lines were committed from the service that rebuilt
+// every epoch's snapshot through InstanceBuilder and re-partitioned it with
+// a union-find over all nodes; the BridgingArrivals lines from the service
+// that still carried facility opens, closes and edge re-pricing, fed the
+// same arrivals and departures. Each line pins one warm-started epoch: the
 // bits of its cost and of its LP value, rounds and messages, the component
 // counts (all / solved / reused), the five recourse counts (facilities
 // opened / closed, clients reassigned / arrived / departed) and an FNV-1a
@@ -93,9 +95,9 @@ std::vector<std::string> run_client_stream(SolveEngine engine) {
   return lines;
 }
 
-/// 6 epochs of 12 MixedStream deltas (all five kinds) over a sparse
-/// 12-cell start.
-std::vector<std::string> run_mixed(SolveEngine engine) {
+/// 6 epochs of 12 MixedStream deltas (arrivals that often bridge two
+/// components, and departures) over a sparse 12-cell start.
+std::vector<std::string> run_bridging(SolveEngine engine) {
   workload::StreamParams sp;
   sp.num_cells = 12;
   sp.facilities_per_cell = 3;
@@ -103,17 +105,8 @@ std::vector<std::string> run_mixed(SolveEngine engine) {
   sp.client_degree = 2;
   const workload::ClientStream start(sp, 5);
   const fl::InstanceSnapshot& snap = start.initial_snapshot();
-  constexpr std::int32_t kEvents = 6 * 12;
-  core::InstanceBounds bounds;
-  bounds.max_facilities = snap.instance().num_facilities() + kEvents;
-  bounds.max_network_nodes = snap.instance().num_facilities() +
-                             snap.instance().num_clients() + kEvents;
-  bounds.min_positive_cost = fl::MixedStream::kConnectionLo;
-  bounds.max_cost = fl::MixedStream::kOpeningHi;
-  bounds.max_facility_degree = snap.instance().num_clients() + kEvents;
-
   fl::MixedStream mixed(snap, 0x5EED);
-  StreamingSolver s(snap, golden_options(bounds, engine));
+  StreamingSolver s(snap, golden_options(stream_bounds(sp, 6 * 12), engine));
   std::vector<std::string> lines{epoch_line(s)};
   for (int e = 0; e < 6; ++e) {
     fl::DeltaLog batch;
@@ -154,27 +147,27 @@ TEST(StreamGolden, ClientStreamPipeline) {
   });
 }
 
-TEST(StreamGolden, MixedKindsMwGreedy) {
-  expect_lines(run_mixed(SolveEngine::kMwGreedy), {
-      "e0 cost=40ac16b3daa6aaef frac=0 rounds=21 msgs=237 comps=13/13/0 recourse=28/0/0/40/0 sol=592709c18d25d94d",
-      "e1 cost=40ab4385343ee47d frac=0 rounds=21 msgs=187 comps=10/6/4 recourse=4/4/5/4/1 sol=4cc51ad2103e99af",
-      "e2 cost=40aa3d018f12cc4a frac=0 rounds=21 msgs=175 comps=12/8/4 recourse=2/2/3/2/5 sol=460b7392a03c0b5e",
-      "e3 cost=40a9e6708f3a2fd0 frac=0 rounds=21 msgs=191 comps=12/6/6 recourse=0/1/2/1/2 sol=8249d46020c9e6fe",
-      "e4 cost=40abe40d8e111a7a frac=0 rounds=29 msgs=197 comps=8/2/6 recourse=5/2/2/4/2 sol=496680a6d9a5a9b3",
-      "e5 cost=40ab72c50b50d2dd frac=0 rounds=29 msgs=206 comps=11/7/4 recourse=2/4/2/3/4 sol=201245730473ae55",
-      "e6 cost=40aa78a13ee95bcc frac=0 rounds=21 msgs=201 comps=12/7/5 recourse=4/4/4/3/3 sol=54e2f61e159fa8ce",
+TEST(StreamGolden, BridgingArrivalsMwGreedy) {
+  expect_lines(run_bridging(SolveEngine::kMwGreedy), {
+      "e0 cost=40a2e685b162037a frac=0 rounds=29 msgs=217 comps=13/13/0 recourse=20/0/0/40/0 sol=6763f7b06071e98c",
+      "e1 cost=40a4d02569cd4879 frac=0 rounds=29 msgs=127 comps=12/7/5 recourse=6/3/5/6/4 sol=42417871afcf41de",
+      "e2 cost=40a57fc8fdd8f5ab frac=0 rounds=29 msgs=142 comps=13/9/4 recourse=2/2/0/6/6 sol=e13266031104810b",
+      "e3 cost=40a68e645d04d693 frac=0 rounds=29 msgs=119 comps=14/8/6 recourse=1/1/1/6/4 sol=68587153c0d12e52",
+      "e4 cost=40a8f9fc4dd47ce3 frac=0 rounds=29 msgs=116 comps=16/7/9 recourse=3/1/2/7/5 sol=d8ef5a542b87e0c",
+      "e5 cost=40a7e2708842de1b frac=0 rounds=29 msgs=163 comps=16/8/8 recourse=1/2/0/9/3 sol=574782a472830069",
+      "e6 cost=40a6e5f7c7381dca frac=0 rounds=29 msgs=160 comps=17/10/7 recourse=0/1/1/5/5 sol=45f988e2b2fcf6a4",
   });
 }
 
-TEST(StreamGolden, MixedKindsPipeline) {
-  expect_lines(run_mixed(SolveEngine::kPipeline), {
-      "e0 cost=40af6841ed2c0504 frac=40af684b02ce9e63 rounds=55 msgs=394 comps=13/13/0 recourse=33/0/0/40/0 sol=5bb94c7888b4663c",
-      "e1 cost=40b11b4a12c70a55 frac=40b11b4ea1a9cd43 rounds=55 msgs=312 comps=10/6/4 recourse=4/1/5/4/1 sol=429c1af3239df99f",
-      "e2 cost=40b17d7822ec83e1 frac=40b17d7a779c1dae rounds=55 msgs=297 comps=12/8/4 recourse=2/1/3/2/5 sol=952a3b9e1cf1900f",
-      "e3 cost=40b1fa80f3981bee frac=40b1fa834847b5bb rounds=55 msgs=322 comps=12/6/6 recourse=2/1/2/1/2 sol=330ec4beb19023ef",
-      "e4 cost=40b272d24df47e8f frac=40b272d4a2a4185d rounds=55 msgs=342 comps=8/2/6 recourse=3/1/2/4/2 sol=d985f809442b5753",
-      "e5 cost=40b1314f5d6c184e frac=40b1314f5d6c184e rounds=55 msgs=340 comps=11/7/4 recourse=1/4/2/3/4 sol=e2ba5f10d44a05b4",
-      "e6 cost=40b0ab5ee742a03d frac=40b0ab6116aad5d5 rounds=55 msgs=327 comps=12/7/5 recourse=2/3/4/3/3 sol=ccc2848a62c7df3e",
+TEST(StreamGolden, BridgingArrivalsPipeline) {
+  expect_lines(run_bridging(SolveEngine::kPipeline), {
+      "e0 cost=40a4d2078dc633fe frac=40a4d2832bc70297 rounds=59 msgs=420 comps=13/13/0 recourse=23/0/0/40/0 sol=d6c4f347d8b13c3c",
+      "e1 cost=40a85a9a2fbf3e56 frac=40a85af23dd787d9 rounds=59 msgs=240 comps=12/7/5 recourse=5/1/4/6/4 sol=b005ab99f687872d",
+      "e2 cost=40aa65759aa0ae4e frac=40aa65c069a0f452 rounds=59 msgs=267 comps=13/9/4 recourse=2/1/0/6/6 sol=ac7d54d6d09b1949",
+      "e3 cost=40ab7410f9cc8f36 frac=40ab744e63a7533c rounds=59 msgs=222 comps=14/8/6 recourse=1/1/1/6/4 sol=4d71a908570eaa60",
+      "e4 cost=40adddc71b982c92 frac=40addde7219a790f rounds=59 msgs=207 comps=16/7/9 recourse=3/1/3/7/5 sol=d5098a83ecdf42cf",
+      "e5 cost=40a9fde69cac9f36 frac=40a9fe212560132e rounds=59 msgs=294 comps=16/8/8 recourse=1/4/1/9/3 sol=426d9b56a4d3deb",
+      "e6 cost=40a8fe716ca3d97d frac=40a8fe9eee9a2d49 rounds=59 msgs=291 comps=17/10/7 recourse=0/1/0/5/5 sol=d154153e8580466f",
   });
 }
 
