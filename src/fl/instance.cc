@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -11,7 +12,15 @@ namespace dflp::fl {
 void InstanceBuilder::reserve(std::int32_t num_facilities,
                               std::int32_t num_clients,
                               std::size_t num_edges) {
-  DFLP_CHECK(num_facilities >= 0 && num_clients >= 0);
+  DFLP_CHECK_MSG(num_facilities >= 0 && num_clients >= 0,
+                 "reserve needs non-negative counts; got "
+                     << num_facilities << " facilities, " << num_clients
+                     << " clients");
+  constexpr auto kMaxEdges =
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+  DFLP_CHECK_MSG(num_edges <= kMaxEdges,
+                 num_edges << " edges pass the " << kMaxEdges
+                           << " that an instance's int32 offsets hold");
   opening_.reserve(opening_.size() + static_cast<std::size_t>(num_facilities));
   edges_.reserve(edges_.size() + num_edges);
   // Clients are just a counter today; the parameter keeps the hint

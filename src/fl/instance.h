@@ -59,8 +59,10 @@ class InstanceBuilder {
  public:
   /// Size hints for the coming instance: pre-allocates the facility and
   /// edge staging vectors so large builds are not dominated by vector
-  /// regrowth. Purely an allocation hint — over- or under-shooting is
-  /// harmless.
+  /// regrowth. An allocation hint — over- or under-shooting is harmless —
+  /// except that it throws dflp::CheckError, naming the count, before
+  /// allocating when the edges would pass the 2^31 - 1 that an instance's
+  /// int32 offsets hold.
   void reserve(std::int32_t num_facilities, std::int32_t num_clients,
                std::size_t num_edges);
 

@@ -98,6 +98,15 @@ enum class Family : std::uint8_t {
 };
 [[nodiscard]] std::string family_name(Family family);
 
+/// Facility and client counts of make_family_instance(family, size, ·), in
+/// 64 bits, so that a caller can check a size against the int32 node limit
+/// before anything is built.
+struct FamilyShape {
+  std::int64_t facilities = 0;
+  std::int64_t clients = 0;
+};
+[[nodiscard]] FamilyShape family_shape(Family family, std::int64_t size);
+
 /// Builds a representative instance of `family` scaled so that the client
 /// count is ~`size` (facility count scales as ~size/5).
 [[nodiscard]] fl::Instance make_family_instance(Family family,

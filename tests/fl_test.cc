@@ -201,6 +201,25 @@ TEST(InstanceBuilder, RejectsEmptySides) {
   }
 }
 
+TEST(InstanceBuilder, RejectsMoreEdgesThanItsOffsetsHold) {
+  // The check comes before any allocation, so these reservations cost
+  // nothing; reserving the limit itself would allocate 32 GiB.
+  InstanceBuilder b;
+  std::string msg = error_of([&] { b.reserve(1, 1, std::size_t{1} << 31); });
+  EXPECT_NE(msg.find("2147483648 edges pass the 2147483647 that an "
+                     "instance's int32 offsets hold"),
+            std::string::npos)
+      << msg;
+  msg = error_of(
+      [&] { b.reserve(1, 1, std::numeric_limits<std::size_t>::max()); });
+  EXPECT_NE(msg.find("18446744073709551615 edges pass"), std::string::npos)
+      << msg;
+  // A rejected hint leaves the builder as it was.
+  b.reserve(1, 1, 1);
+  b.connect(b.add_facility(1.0), b.add_client(), 1.0);
+  EXPECT_EQ(b.build().num_edges(), 1u);
+}
+
 // ------------------------------------------------------------- solution --
 
 TEST(IntegralSolution, CostAndFeasibility) {

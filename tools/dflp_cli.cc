@@ -234,6 +234,10 @@ void check_flags_apply(const std::vector<std::string_view>& flags,
   }
 }
 
+/// Node ids are int32, so an instance has at most this many facilities
+/// and clients together.
+constexpr std::int64_t kNodeLimit = std::numeric_limits<std::int32_t>::max();
+
 /// Parses all of `text` as a T in [lo, hi] with std::from_chars: no
 /// locale, no leading whitespace or '+', no numeric prefix of a longer
 /// word, and no NaN (it fails every range test). `name` is the flag or
@@ -356,13 +360,25 @@ int cmd_generate(int argc, char** argv) {
   const std::string family_name = argv[2];
   const auto size = parse_number<std::int32_t>("size", argv[3], 4);
   const auto seed = parse_number<std::uint64_t>("seed", argv[4]);
+  // Node ids are int32: size the instance in 64 bits before building
+  // anything, and name `size` when it takes the instance past the limit.
+  const auto check_nodes = [&](std::int64_t facilities, std::int64_t clients) {
+    if (facilities + clients <= kNodeLimit) return;
+    std::ostringstream os;
+    os << "size " << size << " takes the " << family_name
+       << " instance past the int32 node limit " << kNodeLimit << " ("
+       << facilities << " facilities + " << clients << " clients)";
+    throw UsageError(os.str());
+  };
   if (family_name == "metric") {
     // Planted-cluster complete-bipartite metric instances (fl/metric.h):
     // <size> facilities, 3x<size> clients. check_metric holds by
     // construction; clique-fl and li-jms are the intended consumers.
+    const std::int64_t clients = 3 * std::int64_t{size};
+    check_nodes(size, clients);
     fl::MetricParams mp;
     mp.facilities = size;
-    mp.clients = 3 * size;
+    mp.clients = static_cast<std::int32_t>(clients);
     mp.clusters = std::max<std::int32_t>(2, size / 8);
     fl::write_instance(std::cout,
                        fl::make_metric_instance(mp, seed).instance);
@@ -384,6 +400,8 @@ int cmd_generate(int argc, char** argv) {
     std::cerr << "unknown family '" << family_name << "'\n";
     return 2;
   }
+  const workload::FamilyShape shape = workload::family_shape(family, size);
+  check_nodes(shape.facilities, shape.clients);
   fl::write_instance(std::cout,
                      workload::make_family_instance(family, size, seed));
   return 0;
@@ -636,7 +654,6 @@ int cmd_stream(int argc, char** argv) {
   const std::int64_t total = g_stream_events;
   // Node ids are int32: size the stream in 64 bits before building
   // anything, and name the flag that takes it past the limit.
-  constexpr std::int64_t kNodeLimit = std::numeric_limits<std::int32_t>::max();
   const std::int64_t facilities =
       std::int64_t{sp.num_cells} * sp.facilities_per_cell;
   const auto past_limit = [&](std::string_view flag, std::int64_t value,
