@@ -33,11 +33,6 @@ namespace dflp::core {
   return v;
 }
 
-[[nodiscard]] inline fl::ClientId node_to_client(const fl::Instance& inst,
-                                                 net::NodeId v) noexcept {
-  return v - inst.num_facilities();
-}
-
 /// The per-run edge table of a bipartite network. Node v's port p is its
 /// p-th neighbour in the network's ascending adjacency — the
 /// `Message::port` of a delivery from that neighbour — and

@@ -123,9 +123,6 @@ class ReliableChannel final : public Process {
   [[nodiscard]] Process& inner() noexcept { return *inner_; }
   [[nodiscard]] const Process& inner() const noexcept { return *inner_; }
   [[nodiscard]] bool inner_halted() const noexcept { return inner_halted_; }
-  [[nodiscard]] std::uint64_t logical_rounds() const noexcept {
-    return stats_.logical_rounds;
-  }
   [[nodiscard]] const ReliableStats& stats() const noexcept { return stats_; }
 
  private:

@@ -62,7 +62,7 @@ void expect_edge_table_matches_reference(const fl::Instance& inst,
           v < inst.num_facilities()
               ? client_node(inst, inst.facility_edges(v)[t].client)
               : facility_node(
-                    inst.client_edges(node_to_client(inst, v))[t].facility);
+                    inst.client_edges(v - inst.num_facilities())[t].facility);
       EXPECT_EQ(peer, nbrs[p])
           << inst.describe() << " node " << v << " port " << p;
     }

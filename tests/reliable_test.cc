@@ -304,7 +304,7 @@ TEST(ReliableChannel, InnerSleepHintsAreDropped) {
   ASSERT_TRUE(net.all_halted());
   EXPECT_EQ(steps[0], 6u);
   EXPECT_EQ(steps[1], 6u);
-  EXPECT_EQ(channel_of(net, 0).logical_rounds(), 6u);
+  EXPECT_EQ(channel_of(net, 0).stats().logical_rounds, 6u);
 }
 
 TEST(ReliableChannel, IsolatedNodeHaltsWithItsInner) {
@@ -369,7 +369,7 @@ TEST(ReliableChannel, HaltedInnerIsNeverSteppedAgain) {
   ASSERT_TRUE(net.all_halted());
   EXPECT_EQ(steps_after_halt, 0u);
   EXPECT_EQ(sender_steps, 6u);
-  EXPECT_EQ(channel_of(net, 1).logical_rounds(), 2u);
+  EXPECT_EQ(channel_of(net, 1).stats().logical_rounds, 2u);
   // Node 0's five items and its FIN all reached node 1's channel.
   EXPECT_EQ(channel_of(net, 0).stats().items_sent, 6u);
 }

@@ -2,22 +2,25 @@
 """Lists src/ code that only tests reach.
 
 Builds the main tree and perfbench/'s tree without optimisation or
-inlining, every function and object in its own section, and links every
-shipped binary with --gc-sections: dflp_cli, dflp_bench, trace_check,
-trace_report, the four examples and perfbench_driver. A `T`/`W` symbol in
-the `dflp::` namespace that a src/ library defines and that no binary
-keeps is reached by tests alone, or by nothing. Inlining cannot hide a
-caller, because nothing is inlined. perfbench's tree also defines NDEBUG
-and __OPTIMIZE__, since its driver compiles its workloads only then.
+inlining, with debug info, every function and object in its own section,
+and links every shipped binary with --gc-sections: dflp_cli, dflp_bench,
+trace_check, trace_report, the four examples and perfbench_driver. It
+also links dflp_tests. A `T`/`W` symbol in the `dflp::` namespace is src/
+code when a src/ library defines it, or when dflp_tests defines it at a
+source line under src/ (`nm -l`): a function defined in a src/ header (an
+inline member, a template, a defaulted special member) is emitted
+wherever it is called, so dflp_tests holds the ones that tests call. Such
+a symbol that no binary keeps is reached by tests alone, or by nothing.
+Inlining cannot hide a caller, because nothing is inlined. perfbench's
+tree also defines NDEBUG and __OPTIMIZE__, since its driver compiles its
+workloads only then.
 
 Exits 1 when such a symbol is not in tools/test_only_allowlist.txt, and
-when an allowlist entry no longer exists or a binary now reaches it.
-Each allowlist line is one demangled symbol, then `# reason`.
+when an allowlist entry no longer exists in src/ or a binary now reaches
+it. Each allowlist line is one demangled symbol, then `# reason`.
 
-It covers the dflp:: functions and objects that src/ libraries emit. A
-function defined in a src/ header (an inline member, a constexpr function,
-a template) that no src/ source file calls emits no symbol there, so the
-audit cannot see it.
+A header function that nothing calls at all, tests included, emits no
+symbol anywhere, so the audit cannot see it.
 
 Run it from the repository root:
 
@@ -37,7 +40,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALLOWLIST = ROOT / "tools" / "test_only_allowlist.txt"
 BUILD_DIR = ROOT / "build-audit"
 JOBS = os.cpu_count() or 1
-FLAGS = "-O0 -fno-inline -ffunction-sections -fdata-sections"
+FLAGS = "-O0 -fno-inline -g -ffunction-sections -fdata-sections"
 # perfbench_driver compiles its workloads only in an optimised NDEBUG build
 # (it refuses to time any other), so its tree also gets the two macros that
 # such a build defines; without them it would keep no dflp:: code at all.
@@ -87,15 +90,23 @@ def build(source, build_dir, targets, flags=FLAGS):
                          f"see {log_path}")
 
 
-def defined(path, kinds):
-    """Demangled names of the symbols of `kinds` that `path` defines."""
-    out = subprocess.run(["nm", "--defined-only", "-C", str(path)],
-                         capture_output=True, text=True, check=True).stdout
+def defined(path, kinds, under=None):
+    """Demangled names of the symbols of `kinds` that `path` defines; with
+    `under`, only those whose source line (`nm -l`) lies in that
+    directory."""
+    command = ["nm", "--defined-only", "-C", str(path)]
+    if under is not None:
+        command.insert(1, "-l")
+    out = subprocess.run(command, capture_output=True, text=True,
+                         check=True).stdout
     names = set()
     for line in out.splitlines():
         parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[1] in kinds:
-            names.add(parts[2])
+        if len(parts) != 3 or parts[1] not in kinds:
+            continue
+        name, _, source = parts[2].partition("\t")
+        if under is None or pathlib.Path(source).is_relative_to(under):
+            names.add(name)
     return names
 
 
@@ -136,30 +147,31 @@ def main():
     libraries = src_libraries()
     main_tree = BUILD_DIR / "main"
     bench_tree = BUILD_DIR / "perfbench"
-    build(ROOT, main_tree, list(libraries) + list(MAIN_BINARIES.values()))
+    build(ROOT, main_tree,
+          list(libraries) + list(MAIN_BINARIES.values()) + ["dflp_tests"])
     build(ROOT / "perfbench", bench_tree, ["perfbench_driver"],
           PERFBENCH_FLAGS)
 
-    in_libraries = set()
+    in_src = defined(main_tree / "tests" / "dflp_tests", "TW",
+                     under=ROOT / "src")
     for archive in libraries.values():
-        in_libraries |= defined(main_tree / archive, "TW")
-    in_libraries = {s for s in in_libraries
-                    if qualified_name(s).startswith("dflp::")}
+        in_src |= defined(main_tree / archive, "TW")
+    in_src = {s for s in in_src if qualified_name(s).startswith("dflp::")}
     kept = set()
     for path in [main_tree / p for p in MAIN_BINARIES] + \
             [bench_tree / "perfbench_driver"]:
         kept |= defined(path, "TWtw")
 
-    unreached = in_libraries - kept
+    unreached = in_src - kept
     allowed = read_allowlist()
     failures = 0
     for symbol in sorted(unreached - allowed.keys()):
         print(f"test-only: {symbol}")
         failures += 1
     for symbol, number in sorted(allowed.items(), key=lambda e: e[1]):
-        if symbol not in in_libraries:
-            print(f"{ALLOWLIST.name}:{number}: stale, no src/ library "
-                  f"defines {symbol}")
+        if symbol not in in_src:
+            print(f"{ALLOWLIST.name}:{number}: stale, src/ does not "
+                  f"define {symbol}")
             failures += 1
         elif symbol in kept:
             print(f"{ALLOWLIST.name}:{number}: stale, a binary reaches "
@@ -170,7 +182,7 @@ def main():
               "symbol a user, move it into tests/ or delete it, or allowlist "
               f"it with a reason in {ALLOWLIST.relative_to(ROOT)}")
         return 1
-    print(f"test_only_audit: {len(in_libraries)} dflp:: symbols in src/, "
+    print(f"test_only_audit: {len(in_src)} dflp:: symbols in src/, "
           f"{len(unreached)} reached only by tests, all allowlisted")
     return 0
 
