@@ -4,12 +4,14 @@
 #   cmake -DCLI=<dflp_cli> -DWORK=<dir> -DNAME=<test> -DARGS="<args>"
 #         -DEXPECT="<text>" [-DRUN=<tool>] [-DEXIT=<code>]
 #         [-DSTREAM=stdout|stderr] [-DSTDIN=<file>] [-DSETUP="<args>"]
-#         [-DGOLDEN=<file>] -P cli_case.cmake
+#         [-DGOLDEN=<file>] [-DJSON=<file>] -P cli_case.cmake
 #
 # The test passes when RUN (dflp_cli unless given) exits EXIT (default 2)
 # and its STREAM (default stderr) holds EXPECT, which for a rejected
 # argument names the argument and its text or the subcommand. With GOLDEN,
-# the stream must instead equal that file byte for byte.
+# the stream must instead equal that file byte for byte. With JSON, the
+# command must also have written that file in the work directory as a JSON
+# document with a non-empty `traceEvents` array (a Chrome trace export).
 #
 # The command runs in WORK/NAME, a directory private to the test, so files
 # a tool writes there (a trace, an example's output) stay apart. It holds
@@ -74,5 +76,16 @@ else()
   if(pos EQUAL -1)
     message(FATAL_ERROR "${RUN} ${ARGS}: ${STREAM} lacks '${EXPECT}':\n"
                         "${text}")
+  endif()
+endif()
+if(JSON)
+  file(READ "${dir}/${JSON}" doc)
+  string(JSON events ERROR_VARIABLE err LENGTH "${doc}" traceEvents)
+  if(err)
+    message(FATAL_ERROR "${RUN} ${ARGS}: ${JSON} is not a JSON document "
+                        "with a traceEvents array: ${err}")
+  endif()
+  if(events EQUAL 0)
+    message(FATAL_ERROR "${RUN} ${ARGS}: ${JSON} has no traceEvents")
   endif()
 endif()
