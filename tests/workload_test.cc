@@ -193,6 +193,10 @@ TEST(Family, AllFamiliesProduceValidInstancesOfRequestedScale) {
     const fl::Instance inst = make_family_instance(f, 60, 3);
     EXPECT_GE(inst.num_clients(), 30) << family_name(f);
     EXPECT_GE(inst.num_facilities(), 2) << family_name(f);
+    // dflp_cli generate checks a size against the node limit by this shape.
+    const FamilyShape shape = family_shape(f, 60);
+    EXPECT_EQ(inst.num_facilities(), shape.facilities) << family_name(f);
+    EXPECT_EQ(inst.num_clients(), shape.clients) << family_name(f);
   }
 }
 
