@@ -17,8 +17,8 @@
 //     everything: delta generation, ingest, snapshot apply, re-solve.
 //
 // Results go to stdout as Markdown and to a machine-readable
-// `BENCH_stream.json` (override with `--out`) so CI can track the perf
-// trajectory per commit; `--smoke` shrinks the workload for CI.
+// `BENCH_stream.json` (override with `--out`); `--smoke` shrinks the
+// workload for CI, where ctest's DflpBench.stream gates on the exit code.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

@@ -16,8 +16,9 @@
 //                  the broadcast path and the commit scatter.
 //
 // Each configuration reports rounds/s and Mmsg/s and everything is written
-// to a machine-readable `BENCH_transport.json` so CI can accumulate a perf
-// trajectory per commit. `--smoke` shrinks the workload for CI; `--out`
+// to a machine-readable `BENCH_transport.json`, which CI's
+// bench-transport-regression job compares with the committed one.
+// `--smoke` shrinks the workload for CI; `--out`
 // overrides the JSON path; `--phases` attaches a Tracer to every measured
 // run and appends a
 // per-engine-phase wall-time attribution table (step / commit / scatter),

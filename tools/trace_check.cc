@@ -8,8 +8,8 @@
 // consecutive per-section round numbers, the counter identity
 // delivered == sent - dropped + duplicated, and zero counters in a skipped
 // round. Exit 1 with the reason on stderr otherwise. The ctest case
-// TraceCheck.AcceptsFreshTrace and CI's trace-smoke job run this on a
-// fresh `dflp_cli solve --trace` output.
+// TraceCheck.AcceptsFreshTrace runs this on a fresh `dflp_cli solve
+// --trace` output.
 //
 // With --normalize, a valid trace is additionally re-emitted on stdout in
 // canonical form — wall timings zeroed (netsim/trace.h normalize_trace) —
