@@ -23,12 +23,12 @@
 // run and appends a
 // per-engine-phase wall-time attribution table (step / commit / scatter),
 // the breakdown EXPERIMENTS.md E10 uses to attribute speedups.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -128,55 +128,59 @@ Network make_network(const std::string& topology, std::size_t n,
   o.bit_budget = 64;
   o.seed = 1;
   o.tracer = tracer;
-  Network net(n, o);
 
   Rng topo_rng(0xBE7C417ULL);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::unique_ptr<Process> (*make_process)(NodeId) = nullptr;
   if (topology == "star") {
     for (std::size_t v = 1; v < n; ++v)
-      net.add_edge(0, static_cast<NodeId>(v));
-    net.finalize();
-    net.set_process(0, std::make_unique<Consume>());
-    for (std::size_t v = 1; v < n; ++v)
-      net.set_process(static_cast<NodeId>(v), std::make_unique<SendFixed>(0));
+      edges.emplace_back(0, static_cast<NodeId>(v));
+    make_process = [](NodeId v) -> std::unique_ptr<Process> {
+      if (v == 0) return std::make_unique<Consume>();
+      return std::make_unique<SendFixed>(0);
+    };
   } else if (topology == "bipartite") {
     // Left half connects to 4 random right-half nodes each.
     const std::size_t half = n / 2;
-    std::set<std::pair<NodeId, NodeId>> edges;
     for (std::size_t l = 0; l < half; ++l) {
       for (int d = 0; d < 4; ++d) {
         const auto r =
             static_cast<NodeId>(half + topo_rng.uniform_u64(n - half));
-        edges.emplace(static_cast<NodeId>(l), r);
+        edges.emplace_back(static_cast<NodeId>(l), r);
       }
     }
-    for (auto [u, v] : edges) net.add_edge(u, v);
-    net.finalize();
-    for (std::size_t v = 0; v < n; ++v)
-      net.set_process(static_cast<NodeId>(v),
-                      std::make_unique<SendRandomNeighbor>());
+    make_process = [](NodeId) -> std::unique_ptr<Process> {
+      return std::make_unique<SendRandomNeighbor>();
+    };
   } else if (topology == "storm") {
     // Ring plus 3 random chords per node: degree ~8, all-out broadcast.
-    std::set<std::pair<NodeId, NodeId>> edges;
     auto norm = [](NodeId a, NodeId b) {
       return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
     };
     for (std::size_t v = 0; v < n; ++v)
-      edges.insert(norm(static_cast<NodeId>(v),
-                        static_cast<NodeId>((v + 1) % n)));
+      edges.push_back(norm(static_cast<NodeId>(v),
+                           static_cast<NodeId>((v + 1) % n)));
     for (std::size_t v = 0; v < n; ++v) {
       for (int c = 0; c < 3; ++c) {
         const auto w = static_cast<NodeId>(topo_rng.uniform_u64(n));
         if (w == static_cast<NodeId>(v)) continue;
-        edges.insert(norm(static_cast<NodeId>(v), w));
+        edges.push_back(norm(static_cast<NodeId>(v), w));
       }
     }
-    for (auto [u, v] : edges) net.add_edge(u, v);
-    net.finalize();
-    for (std::size_t v = 0; v < n; ++v)
-      net.set_process(static_cast<NodeId>(v), std::make_unique<Storm>());
+    make_process = [](NodeId) -> std::unique_ptr<Process> {
+      return std::make_unique<Storm>();
+    };
   } else {
     std::cerr << "unknown topology " << topology << "\n";
     std::exit(2);
+  }
+  // The random picks repeat edges; keep one copy of each.
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  Network net(net::build_sorted_adjacency(n, std::move(edges)), o);
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto id = static_cast<NodeId>(v);
+    net.set_process(id, make_process(id));
   }
   return net;
 }

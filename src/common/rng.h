@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 
 namespace dflp {
 
@@ -32,21 +31,15 @@ namespace dflp {
                                                std::uint64_t a,
                                                std::uint64_t b) noexcept;
 
-/// xoshiro256++ pseudo-random generator. Satisfies the essentials of
-/// UniformRandomBitGenerator so it can be used with <random> distributions,
-/// though DFLP's own helpers below are preferred (they are portable across
-/// standard libraries, unlike std distributions).
+/// xoshiro256++ pseudo-random generator. Draw through its own helpers
+/// below, which are portable across standard libraries, unlike std
+/// distributions.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
   /// Seeds via SplitMix64 expansion of `seed`.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept;
-
-  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
-  [[nodiscard]] static constexpr result_type max() noexcept {
-    return std::numeric_limits<result_type>::max();
-  }
 
   /// Next raw 64-bit value.
   result_type operator()() noexcept;

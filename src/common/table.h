@@ -26,9 +26,6 @@ class Table {
   Table& cell(int value);
 
   [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t num_cols() const noexcept {
-    return headers_.size();
-  }
 
   /// Renders as aligned Markdown. Incomplete rows are padded with "".
   [[nodiscard]] std::string to_markdown() const;

@@ -121,11 +121,7 @@ net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
 net::Network make_bipartite_network(const fl::Instance& inst,
                                     net::Network::Options options,
                                     EdgeTable& table) {
-  net::Network net(static_cast<std::size_t>(inst.num_facilities() +
-                                             inst.num_clients()),
-                   options);
-  net.finalize(build_bipartite_adjacency(inst, table));
-  return net;
+  return net::Network(build_bipartite_adjacency(inst, table), options);
 }
 
 net::Network make_bipartite_network(const fl::Instance& inst,

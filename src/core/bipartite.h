@@ -70,7 +70,7 @@ class EdgeTable {
 [[nodiscard]] net::Adjacency build_bipartite_adjacency(const fl::Instance& inst,
                                                        EdgeTable& table);
 
-/// The finalized, process-less bipartite communication network of `inst`
+/// The built, process-less bipartite communication network of `inst`
 /// with the given options, and its edge table.
 [[nodiscard]] net::Network make_bipartite_network(
     const fl::Instance& inst, net::Network::Options options, EdgeTable& table);

@@ -21,6 +21,11 @@ constexpr std::uint8_t kCandidate = 1;
 constexpr std::uint8_t kOpen = 2;
 constexpr std::uint8_t kRetire = 3;
 
+// Hard stop for the protocol, which always terminates without loss: a run
+// that reaches it has stalled, and throws naming the undecided nodes.
+// Stalled nodes sleep, so a lossy run reaches it in milliseconds.
+constexpr std::uint64_t kMaxRounds = 10000;
+
 // Facility–facility distances: O(1) from generator sites when available,
 // otherwise the precomputed bipartite closure row.
 struct FacilityDistances {
@@ -225,15 +230,13 @@ CliqueFlOutcome run_impl(const fl::Instance& inst, FacilityDistances dist,
 
   const std::size_t num_nodes = static_cast<std::size_t>(m + n);
   net::Network::Options options;
-  options.topology = net::Topology::kClique;
   options.bit_budget = net::congest_bit_budget(num_nodes);
   options.seed = params.seed;
   options.delivery = params.delivery;
   options.faults = params.faults;
   options.tracer = params.tracer;
   if (params.tracer != nullptr) params.tracer->set_section("clique-fl");
-  net::Network net(num_nodes, options);
-  net.finalize();
+  net::Network net = net::Network::clique(num_nodes, options);
 
   std::vector<FacilityProcess*> facilities;
   facilities.reserve(static_cast<std::size_t>(m));
@@ -253,7 +256,7 @@ CliqueFlOutcome run_impl(const fl::Instance& inst, FacilityDistances dist,
   }
 
   CliqueFlOutcome out;
-  out.metrics = net.run(params.max_rounds);
+  out.metrics = net.run(kMaxRounds);
   DFLP_CHECK_MSG(net.all_halted(),
                  "clique-fl stalled: " << net.live_node_count()
                                        << " nodes still undecided after "

@@ -1,7 +1,7 @@
 // Super-fast facility location in the congested clique, after
 // Berns–Hegeman–Pemmaraju (arXiv:1308.2473): an O(log log n)-round-style
 // O(1)-approximation for *metric* UFL when every pair of nodes can exchange
-// one O(log n)-bit message per round (netsim Topology::kClique).
+// one O(log n)-bit message per round (netsim Network::clique).
 //
 // Reconstruction. Facilities and clients are network nodes (core/bipartite
 // layout) on the clique. Each facility i locally computes its Mettu–Plaxton
@@ -48,8 +48,6 @@ struct CliqueFlParams {
   /// Fault injection forwarded to the network (tests only; the protocol
   /// detects undeliverable progress and throws).
   net::FaultPlan::Options faults;
-  /// Hard stop for the (loss-free, always-terminating) protocol.
-  std::uint64_t max_rounds = 10000;
   /// Optional round tracer (netsim/trace.h), not owned.
   net::Tracer* tracer = nullptr;
 };

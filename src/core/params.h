@@ -51,10 +51,10 @@ struct MwParams {
   /// Rounding stage: multiplier on the per-phase opening probability.
   double rounding_boost = 1.0;
   /// Fault injection plan for the simulator (netsim/fault.h): i.i.d. and
-  /// burst message loss, bipartition windows, duplication, crash-stop
-  /// failures. The paper's model is reliable (default: no faults); faulted
-  /// runs either fail *loudly* (CheckError naming the first lost message)
-  /// or opt into the recovery layer below.
+  /// burst message loss, duplication, crash-stop failures. The paper's
+  /// model is reliable (default: no faults); faulted runs either fail
+  /// *loudly* (CheckError naming the first lost message) or opt into the
+  /// recovery layer below.
   net::FaultPlan::Options faults;
   /// Run every process under the ReliableChannel adapter
   /// (netsim/reliable.h): acks + retransmissions recover message loss, so

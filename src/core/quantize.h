@@ -24,9 +24,6 @@ class CostCodec {
   [[nodiscard]] std::int64_t encode(double cost) const;
   [[nodiscard]] double decode(std::int64_t code) const;
 
-  [[nodiscard]] double gamma() const noexcept { return gamma_; }
-  [[nodiscard]] double min_positive() const noexcept { return min_positive_; }
-
  private:
   double min_positive_ = 1.0;
   double gamma_ = 0.25;

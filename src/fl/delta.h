@@ -71,7 +71,6 @@ class DeltaLog {
     return deltas_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return deltas_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return deltas_.empty(); }
   /// Drops every entry (the only non-append mutation; used to recycle the
   /// batch buffer between epochs).
   void clear() { deltas_.clear(); }

@@ -62,11 +62,6 @@ struct FractionalSolution {
       : y(static_cast<std::size_t>(inst.num_facilities()), 0.0),
         x(inst.total_client_edges(), 0.0) {}
 
-  [[nodiscard]] double x_at(const Instance& inst, ClientId j,
-                            std::size_t edge_index) const {
-    return x[inst.client_edge_offset(j) + edge_index];
-  }
-
   /// LP objective value.
   [[nodiscard]] double value(const Instance& inst) const;
 

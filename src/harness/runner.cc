@@ -50,9 +50,8 @@ std::string algo_name(Algo algo) {
   return "unknown";
 }
 
-LowerBound compute_lower_bound(const fl::Instance& inst,
-                               std::size_t max_lp_edges) {
-  if (inst.num_edges() <= max_lp_edges) {
+LowerBound compute_lower_bound(const fl::Instance& inst) {
+  if (inst.num_edges() <= kMaxLpEdges) {
     if (const auto lp = lp::solve_ufl_lp(inst)) {
       return {lp->optimum, "lp-optimum"};
     }

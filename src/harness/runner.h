@@ -36,12 +36,15 @@ struct LowerBound {
   std::string kind;  ///< "lp-optimum", "dual-ascent", or "cheapest-edges"
 };
 
+/// Most edges an instance may have for its exact LP to be solved by the
+/// dense simplex as a lower bound; `dflp_cli bounds` applies it too.
+inline constexpr std::size_t kMaxLpEdges = 400;
+
 /// Strongest affordable lower bound: exact LP via simplex when the model
-/// stays under `max_lp_edges` edges, else event-driven dual ascent, else
+/// has at most kMaxLpEdges edges, else event-driven dual ascent, else
 /// (never in practice) the cheapest-connection sum. The returned value is
 /// always a valid lower bound on OPT.
-[[nodiscard]] LowerBound compute_lower_bound(const fl::Instance& inst,
-                                             std::size_t max_lp_edges = 400);
+[[nodiscard]] LowerBound compute_lower_bound(const fl::Instance& inst);
 
 struct RunResult {
   std::string algo;

@@ -17,8 +17,6 @@ namespace {
 constexpr std::uint64_t kIidDropSalt = 0xD20BB4B1D20BB4B3ULL;
 constexpr std::uint64_t kDuplicateSalt = 0xD0B1E5EBD0B1E5EDULL;
 constexpr std::uint64_t kBurstChainSalt = 0xB4257C4A12D7E9A1ULL;
-constexpr std::uint64_t kBurstDropSalt = 0xB4257D20FF00AA55ULL;
-constexpr std::uint64_t kPartitionSalt = 0x9A27177109A27173ULL;
 constexpr std::uint64_t kCrashSalt = 0xC4A54057C4A54059ULL;
 
 [[nodiscard]] std::uint64_t link_key(NodeId src, NodeId dst) noexcept {
@@ -38,16 +36,10 @@ void validate_fault_options(const FaultPlan::Options& options) {
   check_probability(options.duplicate_probability, "duplicate_probability");
   check_probability(options.burst.p_good_to_bad, "burst.p_good_to_bad");
   check_probability(options.burst.p_bad_to_good, "burst.p_bad_to_good");
-  check_probability(options.burst.drop_in_bad, "burst.drop_in_bad");
   DFLP_CHECK_MSG(!options.burst.enabled() || options.burst.p_bad_to_good > 0.0,
                  "FaultPlan: burst.p_bad_to_good must be > 0 when burst loss "
                  "is enabled (a link would stay bad forever)");
   check_probability(options.random_crash_fraction, "random_crash_fraction");
-  for (const PartitionWindow& w : options.partitions) {
-    DFLP_CHECK_MSG(w.begin < w.end,
-                   "FaultPlan: partition window [" << w.begin << ", " << w.end
-                                                   << ") is empty");
-  }
 }
 
 FaultPlan::FaultPlan(Options options, std::uint64_t network_seed,
@@ -101,24 +93,6 @@ FaultPlan::SenderCoins FaultPlan::begin_sender(NodeId sender,
       Rng(derive_stream_seed(plan_seed_ ^ kDuplicateSalt, s, round))};
 }
 
-bool FaultPlan::partitioned(NodeId src, NodeId dst,
-                            std::uint64_t round) const {
-  bool inside = false;
-  for (const PartitionWindow& w : options_.partitions) {
-    if (round >= w.begin && round < w.end) {
-      inside = true;
-      break;
-    }
-  }
-  if (!inside) return false;
-  const auto side = [&](NodeId v) {
-    return derive_stream_seed(plan_seed_ ^ kPartitionSalt,
-                              static_cast<std::uint64_t>(v), 0) &
-           1ULL;
-  };
-  return side(src) != side(dst);
-}
-
 bool FaultPlan::link_bad(NodeId src, NodeId dst, std::uint64_t round) {
   const std::uint64_t key = link_key(src, dst);
   auto [it, inserted] = burst_state_.try_emplace(key);
@@ -147,16 +121,8 @@ FaultPlan::Fate FaultPlan::fate(SenderCoins& coins, NodeId src, NodeId dst,
       coins.iid.bernoulli(options_.drop_probability)) {
     f.dropped = true;
   }
-  if (!f.dropped && partitioned(src, dst, round)) f.dropped = true;
-  if (!f.dropped && options_.burst.enabled() && link_bad(src, dst, round)) {
-    if (options_.burst.drop_in_bad >= 1.0) {
-      f.dropped = true;
-    } else {
-      Rng rng(derive_stream_seed(plan_seed_ ^ kBurstDropSalt,
-                                 link_key(src, dst), round));
-      if (rng.bernoulli(options_.burst.drop_in_bad)) f.dropped = true;
-    }
-  }
+  if (!f.dropped && options_.burst.enabled() && link_bad(src, dst, round))
+    f.dropped = true;
   if (!f.dropped && options_.duplicate_probability > 0.0 &&
       coins.dup.bernoulli(options_.duplicate_probability)) {
     f.duplicated = true;

@@ -5,11 +5,8 @@
 //                                fixed probability (the legacy knob);
 //   * burst loss               — per directed link, a Gilbert–Elliott
 //                                good/bad chain: while a link is "bad",
-//                                messages on it are dropped, so losses
+//                                every message on it is dropped, so losses
 //                                arrive in bursts rather than independently;
-//   * bipartition windows      — during configured round windows the node
-//                                set is split in two seeded halves and every
-//                                cross-side message is dropped;
 //   * message duplication      — a surviving message is delivered twice;
 //   * crash-stop failures      — a node is removed (as if halted, but
 //                                involuntarily) at a scheduled round, or at
@@ -45,21 +42,12 @@ namespace dflp::net {
 
 /// Gilbert–Elliott two-state loss chain, evaluated per directed link. Each
 /// round the link flips good->bad with `p_good_to_bad` and bad->good with
-/// `p_bad_to_good`; while bad, each message is dropped with `drop_in_bad`.
-/// Mean burst length is 1 / p_bad_to_good rounds.
+/// `p_bad_to_good`; while bad, every message on it is dropped. Mean burst
+/// length is 1 / p_bad_to_good rounds.
 struct BurstLossOptions {
   double p_good_to_bad = 0.0;
   double p_bad_to_good = 1.0;
-  double drop_in_bad = 1.0;
   [[nodiscard]] bool enabled() const noexcept { return p_good_to_bad > 0.0; }
-};
-
-/// Half-open window [begin, end) of rounds during which the network is
-/// bipartitioned: nodes are assigned to one of two seeded sides and every
-/// message crossing sides is dropped.
-struct PartitionWindow {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
 };
 
 /// Crash-stop event: the node is removed before stepping `round`; it never
@@ -78,8 +66,6 @@ class FaultPlan {
     double duplicate_probability = 0.0;
     /// Per-link burst loss (off unless p_good_to_bad > 0).
     BurstLossOptions burst;
-    /// Temporary bipartition windows (may be empty).
-    std::vector<PartitionWindow> partitions;
     /// Scheduled crash-stop events.
     std::vector<CrashEvent> crashes;
     /// Additionally crash a seeded random subset of nodes: each node
@@ -95,10 +81,7 @@ class FaultPlan {
 
     [[nodiscard]] bool any_message_hazard() const noexcept {
       return drop_probability > 0.0 || duplicate_probability > 0.0 ||
-             burst.enabled() || !partitions.empty();
-    }
-    [[nodiscard]] bool any_crash() const noexcept {
-      return !crashes.empty() || random_crash_fraction > 0.0;
+             burst.enabled();
     }
   };
 
@@ -125,12 +108,8 @@ class FaultPlan {
   FaultPlan(Options options, std::uint64_t network_seed,
             std::size_t num_nodes);
 
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
   [[nodiscard]] bool message_hazards() const noexcept {
     return options_.any_message_hazard();
-  }
-  [[nodiscard]] bool has_crashes() const noexcept {
-    return !crash_schedule_.empty();
   }
 
   /// Crash events sorted by (round, node) — scheduled plus sampled random
@@ -160,9 +139,6 @@ class FaultPlan {
   /// returns whether the link is in the bad state.
   [[nodiscard]] bool link_bad(NodeId src, NodeId dst, std::uint64_t round);
 
-  [[nodiscard]] bool partitioned(NodeId src, NodeId dst,
-                                 std::uint64_t round) const;
-
   Options options_;
   std::uint64_t network_seed_ = 0;
   /// Mixed base seed for the non-legacy streams.
@@ -176,8 +152,8 @@ class FaultPlan {
   std::unordered_map<std::uint64_t, LinkState> burst_state_;
 };
 
-/// Validates fault options standalone (probabilities in [0, 1], burst and
-/// partition parameters sane). Node-range checks for crash events need the
+/// Validates fault options standalone (probabilities in [0, 1], burst
+/// parameters sane). Node-range checks for crash events need the
 /// network size and happen in the FaultPlan constructor instead.
 void validate_fault_options(const FaultPlan::Options& options);
 

@@ -30,7 +30,7 @@ struct NetMetrics {
   std::uint64_t max_messages_in_round = 0;
 
   /// Messages dropped by fault injection (0 unless enabled) — the sum over
-  /// every loss hazard (i.i.d., burst, partition).
+  /// every loss hazard (i.i.d., burst).
   std::uint64_t dropped = 0;
 
   /// Extra copies delivered by fault-injected duplication.

@@ -30,6 +30,14 @@ constexpr std::uint64_t kShuffleSalt = 0x5AFEC0DE5AFEC0DFULL;
 constexpr std::size_t kGatherPrefetch = 32;
 constexpr std::size_t kScatterPrefetch = 16;
 
+// The node count an adjacency describes: one fewer than its offsets.
+std::size_t adjacency_nodes(const Adjacency& a) {
+  DFLP_CHECK_MSG(a.offset.size() >= 2,
+                 "adjacency describes no node: an N-node adjacency has N + 1 "
+                 "offsets, got " << a.offset.size());
+  return a.offset.size() - 1;
+}
+
 }  // namespace
 
 Adjacency build_sorted_adjacency(
@@ -38,7 +46,11 @@ Adjacency build_sorted_adjacency(
   std::vector<std::int32_t>& offset = out.offset;
   std::vector<NodeId>& adj = out.adj;
   offset.assign(num_nodes + 1, 0);
+  const auto n = static_cast<std::int64_t>(num_nodes);
   for (const auto& [u, v] : edges) {
+    DFLP_CHECK_MSG(u >= 0 && u < n && v >= 0 && v < n,
+                   "edge (" << u << "," << v << ") out of range, n=" << n);
+    DFLP_CHECK_MSG(u != v, "self loop at node " << u);
     ++offset[static_cast<std::size_t>(u) + 1];
     ++offset[static_cast<std::size_t>(v) + 1];
   }
@@ -120,65 +132,25 @@ Network::Network(std::size_t num_nodes, Options options)
     : options_(options),
       processes_(num_nodes),
       halted_(num_nodes, 0) {
-  DFLP_CHECK_MSG(num_nodes > 0, "empty network");
   live_nodes_.reserve(num_nodes);
   for (std::size_t i = 0; i < num_nodes; ++i)
     live_nodes_.push_back(static_cast<NodeId>(i));
 }
 
-Network::Network(Network&&) noexcept = default;
-Network& Network::operator=(Network&&) noexcept = default;
-Network::~Network() = default;
-
-void Network::add_edge(NodeId u, NodeId v) {
-  DFLP_CHECK_MSG(!finalized_, "add_edge after finalize");
-  DFLP_CHECK_MSG(options_.topology != Topology::kClique,
-                 "add_edge (" << u << "," << v
-                              << ") under Topology::kClique — the clique's "
-                                 "edges are implicit");
-  const auto n = static_cast<NodeId>(processes_.size());
-  DFLP_CHECK_MSG(u >= 0 && u < n && v >= 0 && v < n,
-                 "edge (" << u << "," << v << ") out of range, n=" << n);
-  DFLP_CHECK_MSG(u != v, "self loop at node " << u);
-  edge_buffer_.emplace_back(u, v);
-}
-
-void Network::finalize() {
-  DFLP_CHECK_MSG(!finalized_, "finalize called twice");
-  const std::size_t n = processes_.size();
-  clique_ = options_.topology == Topology::kClique;
-  if (clique_) {
-    // Implicit all-to-all adjacency: the rotation array clique_adj_[k] =
-    // k mod n gives every node its N-1 neighbour span in O(n) total
-    // storage; no CSR.
-    DFLP_CHECK_MSG(n >= 2, "Topology::kClique needs >= 2 nodes; got " << n);
-    clique_adj_.resize(2 * n - 1);
-    for (std::size_t k = 0; k < clique_adj_.size(); ++k)
-      clique_adj_[k] = static_cast<NodeId>(k < n ? k : k - n);
-    num_edges_ = n * (n - 1) / 2;
-  } else {
-    num_edges_ = edge_buffer_.size();
-    csr_ = build_sorted_adjacency(n, std::move(edge_buffer_));
-  }
-  bind_options();
-  finalized_ = true;
-}
-
-void Network::finalize(Adjacency adjacency) {
-  DFLP_CHECK_MSG(!finalized_, "finalize called twice");
-  DFLP_CHECK_MSG(options_.topology == Topology::kExplicit,
-                 "a prebuilt adjacency needs Topology::kExplicit");
-  DFLP_CHECK_MSG(edge_buffer_.empty(),
-                 "finalize(Adjacency) after add_edge: pass one topology");
+Network::Network(Adjacency adjacency, Options options)
+    : Network(adjacency_nodes(adjacency), options) {
   const std::size_t n = processes_.size();
   const Adjacency& a = adjacency;
-  DFLP_CHECK_MSG(a.offset.size() == n + 1 && a.offset[0] == 0 &&
+  DFLP_CHECK_MSG(a.offset[0] == 0 &&
                      static_cast<std::size_t>(a.offset[n]) == a.adj.size() &&
                      a.rev.size() == a.adj.size() && a.adj.size() % 2 == 0,
-                 "prebuilt adjacency does not describe " << n << " nodes");
+                 "adjacency does not describe " << n << " nodes: offsets "
+                     << a.offset[0] << ".." << a.offset[n] << ", "
+                     << a.adj.size() << " neighbour ids, " << a.rev.size()
+                     << " reverse positions");
   for (std::size_t u = 0; u < n; ++u) {
     DFLP_CHECK_MSG(a.offset[u] <= a.offset[u + 1],
-                   "prebuilt adjacency: offsets of node " << u << " decrease");
+                   "adjacency: offsets of node " << u << " decrease");
   }
   for (std::size_t u = 0; u < n; ++u) {
     const auto begin = static_cast<std::size_t>(a.offset[u]);
@@ -188,28 +160,44 @@ void Network::finalize(Adjacency adjacency) {
       DFLP_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < n &&
                          static_cast<std::size_t>(v) != u &&
                          (e == begin || a.adj[e - 1] < v),
-                     "prebuilt adjacency: neighbours of node "
+                     "adjacency: neighbours of node "
                          << u << " are not sorted, distinct and in range");
       const auto vb = static_cast<std::size_t>(a.offset[v]);
       const auto vdeg = static_cast<std::size_t>(a.offset[v + 1]) - vb;
       const auto r = static_cast<std::size_t>(a.rev[e]);
       DFLP_CHECK_MSG(a.rev[e] >= 0 && r < vdeg &&
                          a.adj[vb + r] == static_cast<NodeId>(u),
-                     "prebuilt adjacency: reverse position of node "
+                     "adjacency: reverse position of node "
                          << u << " in node " << v << "'s list is wrong");
     }
   }
-  clique_ = false;
   num_edges_ = a.adj.size() / 2;
   csr_ = std::move(adjacency);
   bind_options();
-  finalized_ = true;
 }
 
+Network Network::clique(std::size_t num_nodes, Options options) {
+  DFLP_CHECK_MSG(num_nodes >= 2,
+                 "Network::clique needs >= 2 nodes; got " << num_nodes);
+  Network net(num_nodes, options);
+  // Implicit all-to-all adjacency: the rotation array clique_adj_[k] =
+  // k mod n gives every node its N-1 neighbour span in O(n) total storage;
+  // no CSR.
+  net.clique_ = true;
+  net.clique_adj_.resize(2 * num_nodes - 1);
+  for (std::size_t k = 0; k < net.clique_adj_.size(); ++k)
+    net.clique_adj_[k] =
+        static_cast<NodeId>(k < num_nodes ? k : k - num_nodes);
+  net.num_edges_ = num_nodes * (num_nodes - 1) / 2;
+  net.bind_options();
+  return net;
+}
+
+Network::Network(Network&&) noexcept = default;
+Network& Network::operator=(Network&&) noexcept = default;
+Network::~Network() = default;
+
 void Network::restart(Options options) {
-  DFLP_CHECK_MSG(finalized_, "restart before finalize");
-  DFLP_CHECK_MSG(options.topology == options_.topology,
-                 "restart cannot change the topology kind");
   const std::size_t n = processes_.size();
   options_ = options;
   for (auto& p : processes_) p.reset();
@@ -261,7 +249,6 @@ void Network::bind_options() {
 }
 
 void Network::set_process(NodeId id, std::unique_ptr<Process> process) {
-  DFLP_CHECK_MSG(finalized_, "set_process before finalize");
   DFLP_CHECK(process != nullptr);
   auto& slot = processes_.at(static_cast<std::size_t>(id));
   DFLP_CHECK_MSG(slot == nullptr, "process already set for node " << id);
@@ -269,7 +256,6 @@ void Network::set_process(NodeId id, std::unique_ptr<Process> process) {
 }
 
 std::span<const NodeId> Network::neighbors_of(NodeId id) const {
-  DFLP_CHECK(finalized_);
   const auto i = static_cast<std::size_t>(id);
   DFLP_CHECK(i < processes_.size());
   return neighbors_unchecked(i);
@@ -373,7 +359,6 @@ void Network::order_inbox(std::span<Message> inbox, NodeId node) const {
 }
 
 NetMetrics Network::run(std::uint64_t max_rounds) {
-  DFLP_CHECK_MSG(finalized_, "run before finalize");
   for (std::size_t i = 0; i < processes_.size(); ++i)
     DFLP_CHECK_MSG(processes_[i] != nullptr, "node " << i << " has no process");
   const std::size_t n = processes_.size();
@@ -518,8 +503,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       const std::span<Message> inbox = gather_inbox(i, inbound);
       order_inbox(inbox, id);
       const std::span<const NodeId> nbrs = neighbors_unchecked(i);
-      buffer.begin(id, round_, nbrs, limits, &log, &link_stamps_,
-                   options_.topology, &wake_[i]);
+      buffer.begin(id, round_, nbrs, limits, &log, &link_stamps_, clique_,
+                   &wake_[i]);
       NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
       processes_[i]->on_round(ctx, std::span<const Message>(inbox));
       if (wake_[i] <= round_ + 1 && !buffer.halt_requested()) ++log.awake;

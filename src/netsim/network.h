@@ -144,17 +144,14 @@
 // canonical order), `kReverseSource` is a cheap adversary for
 // order-sensitivity tests.
 //
-// Topology build
-// --------------
-// `finalize()` builds the sorted CSR adjacency in O(N + E) with no sort:
-// the edges are bucketed into unsorted per-node lists, which are then
-// transposed in ascending source order (`build_sorted_adjacency`). Next to
-// the CSR it builds the reverse-position column in one more O(E) pass:
-// `rev[offset[u] + k]` is the position of u in the neighbour list of its
-// k-th neighbour, i.e. the port under which that neighbour hears u. A
-// caller that already holds the CSR and the column (core's bipartite
-// builder derives both from an instance's cost-sorted edge lists) hands
-// them to `finalize(Adjacency)` instead, which checks them in O(N + E).
+// Construction
+// ------------
+// A network is built finished, on one of two topologies. `Network(Adjacency,
+// Options)` takes an explicit graph as a sorted CSR adjacency with its
+// reverse-position column (the `Adjacency` struct below) and checks it in
+// O(N + E); `build_sorted_adjacency` turns an edge list into one, and core's
+// bipartite builder derives one from an instance's cost-sorted edge lists.
+// `Network::clique(N, options)` declares the congested clique (below).
 //
 // Resume semantics
 // ----------------
@@ -172,15 +169,15 @@
 // topology: round 0, no processes, nothing in flight, fresh cumulative
 // metrics, node RNG streams re-derived from `options.seed`, and the fault
 // plan re-bound from `options.faults` — exactly the state a network built
-// and finalized with `options` would be in, so the run is bit-identical to
-// one on a fresh network. Only the topology must match. A multi-stage
-// pipeline whose stages each start at round 0 with their own seed, bit
-// budget and trace section (core::run_pipeline) reruns one network instead
-// of building the CSR per stage.
+// with `options` would be in, so the run is bit-identical to one on a
+// fresh network over the same topology. A multi-stage pipeline whose
+// stages each start at round 0 with their own seed, bit budget and trace
+// section (core::run_pipeline) reruns one network instead of building the
+// CSR per stage.
 //
 // Congested-clique topology
 // -------------------------
-// `Options::topology = Topology::kClique` declares the complete graph on N
+// `Network::clique(N, options)` declares the complete graph on N
 // nodes without materializing it: no O(N^2) edge list, no CSR adjacency.
 // Adjacency is answered from one shared rotation array of 2N-1 node ids
 // (`clique_adj_[k] = k mod N`), so node i's neighbour span is the N-1 ids
@@ -196,14 +193,14 @@
 // RoundBuffer maps a destination to its rotation position arithmetically
 // instead of searching a sorted list, and a broadcast is still ONE staged
 // record whose N-1 per-link bills (messages, bits) are settled analytically
-// at stage time. add_edge() is rejected; everything else (faults, delivery
-// orders, tracing) composes unchanged.
+// at stage time. Everything else (faults, delivery orders, tracing)
+// composes unchanged.
 //
 // Fault injection
 // ---------------
 // `Options::faults` configures a seeded, deterministic FaultPlan
 // (netsim/fault.h): i.i.d. and burst (Gilbert–Elliott) message loss,
-// bipartition windows, message duplication, and crash-stop node failures.
+// message duplication, and crash-stop node failures.
 // Message hazards are applied by the commit tally in canonical sender
 // order; crash events remove nodes at the start of their scheduled round.
 // The paper's model is reliable — algorithms that must survive loss opt
@@ -229,15 +226,6 @@ namespace dflp::net {
 class Network;
 class RoundBuffer;
 class Tracer;
-
-/// How the communication graph is declared.
-enum class Topology : std::uint8_t {
-  /// Explicit edge list via add_edge(); CSR adjacency built at finalize().
-  kExplicit,
-  /// Congested clique: every pair of nodes is adjacent, represented
-  /// implicitly (see the header comment). add_edge() is rejected.
-  kClique,
-};
 
 /// Link scratch for the one-message-per-link rule, owned by the engine and
 /// by each standalone RoundBuffer: `stamp[k]` is the epoch in which the
@@ -385,15 +373,12 @@ enum class DeliveryOrder : std::uint8_t {
 class Network final {
  public:
   struct Options {
-    /// Communication graph declaration: explicit edge list (default) or
-    /// the implicit congested clique (see the header comment).
-    Topology topology = Topology::kExplicit;
     /// Per-message budget in bits. The canonical CONGEST budget for an
     /// N-node network is `congest_bit_budget(N)`.
     int bit_budget = 64;
     DeliveryOrder delivery = DeliveryOrder::kBySource;
     /// Fault injection plan (default: no faults — the paper's reliable
-    /// model). Validated at finalize().
+    /// model). Validated by the constructors and restart().
     FaultPlan::Options faults;
     /// Seed for node RNG streams, delivery shuffles and fault injection.
     std::uint64_t seed = 1;
@@ -404,39 +389,31 @@ class Network final {
     Tracer* tracer = nullptr;
   };
 
-  Network(std::size_t num_nodes, Options options);
+  /// Builds a network over the explicit topology `adjacency`, which must
+  /// describe at least one node, with sorted, duplicate-free, symmetric
+  /// neighbour lists and a matching reverse-position column. Checked in
+  /// O(N + E): a violation throws CheckError naming the node. Then
+  /// validates the options (budget, fault plan — throwing CheckError with
+  /// the offending value), binds the fault plan, derives per-node RNGs and
+  /// allocates the arena columns.
+  Network(Adjacency adjacency, Options options);
+
+  /// The congested clique on `num_nodes` (at least 2) nodes, declared
+  /// implicitly (see the header comment); options as in the constructor.
+  [[nodiscard]] static Network clique(std::size_t num_nodes, Options options);
+
   Network(Network&&) noexcept;
   Network& operator=(Network&&) noexcept;
   ~Network();
 
-  /// Adds an undirected edge. Must be called before finalize(). Self loops
-  /// and duplicate edges are rejected, as is any call under
-  /// Topology::kClique (the clique's edges are implicit).
-  void add_edge(NodeId u, NodeId v);
-
-  /// Freezes the topology (builds the sorted adjacency and its
-  /// reverse-position column in O(N + E)), validates the options (budget,
-  /// fault plan — throwing CheckError with the offending value), binds the
-  /// fault plan, derives per-node RNGs and allocates the arena columns.
-  /// Must be called exactly once, before set_process()/run().
-  void finalize();
-
-  /// finalize() over a prebuilt explicit topology instead of the add_edge()
-  /// list (which must be empty): `adjacency` must describe num_nodes()
-  /// nodes with sorted, duplicate-free, symmetric neighbour lists and a
-  /// matching reverse-position column. Checked in O(N + E); a violation
-  /// throws CheckError naming the node.
-  void finalize(Adjacency adjacency);
-
-  /// Begins a new execution on the finalized topology under `options`
-  /// (see the header comment's stage rerun semantics): round 0, every
-  /// process uninstalled, nothing in flight, fresh metrics, node RNGs
-  /// re-derived and the fault plan re-bound. `options.topology` must match
-  /// the network's; everything else may change and is validated as in
-  /// finalize().
+  /// Begins a new execution on the same topology under `options` (see the
+  /// header comment's stage rerun semantics): round 0, every process
+  /// uninstalled, nothing in flight, fresh metrics, node RNGs re-derived
+  /// and the fault plan re-bound. The options are validated as by the
+  /// constructors.
   void restart(Options options);
 
-  /// Installs the program for node `id` (finalize() first).
+  /// Installs the program for node `id`.
   void set_process(NodeId id, std::unique_ptr<Process> process);
 
   /// Runs until quiescence (all nodes halted, no messages in flight) or
@@ -482,16 +459,18 @@ class Network final {
   [[nodiscard]] const NetMetrics& cumulative_metrics() const noexcept {
     return cumulative_;
   }
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
 
   /// Access to an installed process, e.g. to read out results after run().
   [[nodiscard]] Process& process(NodeId id);
   [[nodiscard]] const Process& process(NodeId id) const;
 
  private:
-  /// Adjacency lookup without the public accessor's finalize/range checks;
-  /// run() validates `finalized_` once, so the per-node step loop skips
-  /// per-call checking.
+  /// The sizing step both constructors share: `num_nodes` (at least 1)
+  /// nodes, no process installed, every node live, no topology yet.
+  Network(std::size_t num_nodes, Options options);
+
+  /// Adjacency lookup without the public accessor's range check, for the
+  /// per-node step loop.
   [[nodiscard]] std::span<const NodeId> neighbors_unchecked(
       std::size_t i) const noexcept {
     if (clique_)
@@ -511,8 +490,8 @@ class Network final {
   }
 
   /// Validates the options and derives everything that depends on them
-  /// (fault plan, node RNGs, staging slabs); shared by finalize() and
-  /// restart().
+  /// (fault plan, node RNGs, staging slabs); shared by the constructors
+  /// and restart().
   void bind_options();
 
   /// Materializes node i's inbox into inbox_scratch_ (grown as needed,
@@ -531,13 +510,11 @@ class Network final {
   void order_inbox(std::span<Message> inbox, NodeId node) const;
 
   Options options_;
-  bool finalized_ = false;
   std::size_t num_edges_ = 0;
 
   // CSR adjacency (sorted neighbour lists) with its reverse-position
-  // column. Unused under Topology::kClique, where adjacency is the shared
-  // rotation array below and ports are arithmetic.
-  std::vector<std::pair<NodeId, NodeId>> edge_buffer_;  // pre-finalize
+  // column. Unused on the clique, where adjacency is the shared rotation
+  // array below and ports are arithmetic.
   Adjacency csr_;
 
   // Clique topology: clique_adj_[k] = k mod N over 2N-1 entries, so node
@@ -595,7 +572,7 @@ class Network final {
   std::vector<const WireRecord*> pull_rec_;
   bool pulled_ = false;
 
-  // Fault injection, bound at finalize(); crash_cursor_ walks the sorted
+  // Fault injection, bound by bind_options(); crash_cursor_ walks the sorted
   // crash schedule as rounds advance.
   FaultPlan fault_plan_;
   std::size_t crash_cursor_ = 0;
@@ -626,11 +603,12 @@ class Network final {
 [[nodiscard]] int congest_bit_budget(std::size_t num_nodes) noexcept;
 
 /// Builds the sorted CSR adjacency of an undirected edge list over nodes
-/// [0, num_nodes) and its reverse-position column in O(num_nodes + E).
-/// Endpoints must already be range-checked and distinct; a duplicate edge,
-/// in either orientation, throws CheckError naming both endpoints. `edges`
-/// is released before the adjacency is allocated. Network::finalize()
-/// builds its topology with it.
+/// [0, num_nodes) and its reverse-position column in O(num_nodes + E), with
+/// no sort: the edges are bucketed into unsorted per-node lists, which are
+/// then transposed in ascending source order. An endpoint out of range, a
+/// self loop or a duplicate edge, in either orientation, throws CheckError
+/// naming the endpoints. `edges` is released before the adjacency is
+/// allocated. This is how an edge list becomes a Network's topology.
 [[nodiscard]] Adjacency build_sorted_adjacency(
     std::size_t num_nodes, std::vector<std::pair<NodeId, NodeId>> edges);
 

@@ -120,7 +120,6 @@ class ReliableChannel final : public Process {
 
   void on_round(NodeContext& ctx, std::span<const Message> inbox) override;
 
-  [[nodiscard]] Process& inner() noexcept { return *inner_; }
   [[nodiscard]] const Process& inner() const noexcept { return *inner_; }
   [[nodiscard]] bool inner_halted() const noexcept { return inner_halted_; }
   [[nodiscard]] const ReliableStats& stats() const noexcept { return stats_; }

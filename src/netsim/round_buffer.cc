@@ -23,7 +23,7 @@ void StageLog::reset() noexcept {
 void RoundBuffer::begin(NodeId node, std::uint64_t round,
                         std::span<const NodeId> neighbors,
                         const Limits& limits, StageLog* log,
-                        LinkStamps* links, Topology topology,
+                        LinkStamps* links, bool clique,
                         std::uint32_t* wake) {
   owner_ = node;
   round_ = round;
@@ -41,7 +41,7 @@ void RoundBuffer::begin(NodeId node, std::uint64_t round,
   if (links_->stamp.size() < neighbors.size())
     links_->stamp.resize(neighbors.size(), 0);
   ++links_->epoch;  // every earlier stamp now reads as an unused link
-  clique_ = topology == Topology::kClique;
+  clique_ = clique;
   broadcast_ = false;
   halt_ = false;
   wake_ = wake;

@@ -73,9 +73,9 @@ class RoundBuffer final {
   /// Re-arms the buffer for one (node, round) step. `neighbors` must be the
   /// node's adjacency and must outlive the step: sorted on explicit graphs,
   /// the engine's rotation (all nodes but the owner, starting after it) when
-  /// `topology` is Topology::kClique — a destination's position in the
-  /// rotation is then computed, not searched. `log` receives the staged
-  /// records/halts/annotations; nullptr (the standalone default) selects the
+  /// `clique` is set — a destination's position in the rotation is then
+  /// computed, not searched. `log` receives the staged records, halts and
+  /// annotations; nullptr (the standalone default) selects the
   /// buffer's private log, which is cleared here — capacity is retained
   /// across rounds. `links` is the engine's link-stamp column; nullptr
   /// selects the buffer's own. Either is grown to the degree if needed and
@@ -86,8 +86,7 @@ class RoundBuffer final {
   void begin(NodeId node, std::uint64_t round,
              std::span<const NodeId> neighbors, const Limits& limits,
              StageLog* log = nullptr, LinkStamps* links = nullptr,
-             Topology topology = Topology::kExplicit,
-             std::uint32_t* wake = nullptr);
+             bool clique = false, std::uint32_t* wake = nullptr);
 
   // Called by NodeContext during the owner's step; `from` and `node` name
   // the stepping node and must be the owner.
@@ -146,7 +145,6 @@ class RoundBuffer final {
   }
 
   [[nodiscard]] bool halt_requested() const noexcept { return halt_; }
-  [[nodiscard]] NodeId owner() const noexcept { return owner_; }
 
   /// Whether any message was staged to the neighbour at `neighbor_idx`
   /// (position in the adjacency list) — the reliable channel's silent-link

@@ -142,12 +142,6 @@ class StreamingSolver {
   [[nodiscard]] const EpochReport& last_report() const noexcept {
     return last_report_;
   }
-  [[nodiscard]] const core::MwSchedule& schedule() const noexcept {
-    return schedule_;
-  }
-  [[nodiscard]] const StreamingOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   /// One component of the current snapshot, in key order, with what the

@@ -105,7 +105,6 @@ fl::Delta ClientStream::make_arrival() {
 void ClientStream::fill_epoch(std::int32_t count, fl::DeltaLog& log) {
   DFLP_CHECK(count >= 0);
   for (std::int32_t t = 0; t < count; ++t) {
-    ++events_emitted_;
     const bool arrive =
         alive_.size() <= 1 || rng_.bernoulli(params_.arrival_fraction);
     if (arrive) {

@@ -48,10 +48,6 @@ class ClientStream {
  public:
   ClientStream(const StreamParams& params, std::uint64_t seed);
 
-  [[nodiscard]] const StreamParams& params() const noexcept {
-    return params_;
-  }
-
   /// The epoch-0 snapshot the stream starts from.
   [[nodiscard]] const fl::InstanceSnapshot& initial_snapshot() const noexcept {
     return initial_;
@@ -59,15 +55,6 @@ class ClientStream {
 
   /// Appends `count` events to `log` and advances the stream state.
   void fill_epoch(std::int32_t count, fl::DeltaLog& log);
-
-  /// Clients currently alive (after all events emitted so far).
-  [[nodiscard]] std::int64_t alive_clients() const noexcept {
-    return static_cast<std::int64_t>(alive_.size());
-  }
-
-  [[nodiscard]] std::int64_t events_emitted() const noexcept {
-    return events_emitted_;
-  }
 
  private:
   struct AliveClient {
@@ -82,7 +69,6 @@ class ClientStream {
   fl::InstanceSnapshot initial_;
   std::vector<AliveClient> alive_;
   fl::NodeKey next_client_key_ = 0;
-  std::int64_t events_emitted_ = 0;
   std::vector<std::int32_t> scratch_;  // sampling workspace
   std::vector<std::int32_t> slots_;
 };

@@ -150,7 +150,6 @@ std::unique_ptr<net::Network> make_chorded_ring(std::size_t n) {
   net::Network::Options o;
   o.bit_budget = 64;
   o.seed = 1;
-  auto net = std::make_unique<net::Network>(n, o);
   Rng topo_rng(0xBE7C417ULL);
   std::set<std::pair<net::NodeId, net::NodeId>> edges;
   const auto norm = [](net::NodeId a, net::NodeId b) {
@@ -165,8 +164,8 @@ std::unique_ptr<net::Network> make_chorded_ring(std::size_t n) {
       if (w == static_cast<net::NodeId>(v)) continue;
       edges.insert(norm(static_cast<net::NodeId>(v), w));
     }
-  for (const auto& [u, v] : edges) net->add_edge(u, v);
-  net->finalize();
+  auto net = std::make_unique<net::Network>(
+      net::build_sorted_adjacency(n, {edges.begin(), edges.end()}), o);
   for (std::size_t v = 0; v < n; ++v)
     net->set_process(static_cast<net::NodeId>(v), std::make_unique<Proc>());
   return net;
@@ -176,11 +175,9 @@ std::unique_ptr<net::Network> make_chorded_ring(std::size_t n) {
 template <typename Proc>
 std::unique_ptr<net::Network> make_clique(std::size_t n) {
   net::Network::Options o;
-  o.topology = net::Topology::kClique;
   o.bit_budget = 64;
   o.seed = 1;
-  auto net = std::make_unique<net::Network>(n, o);
-  net->finalize();
+  auto net = std::make_unique<net::Network>(net::Network::clique(n, o));
   for (std::size_t v = 0; v < n; ++v)
     net->set_process(static_cast<net::NodeId>(v), std::make_unique<Proc>());
   return net;

@@ -1,4 +1,4 @@
-// Tests for the congested-clique topology mode (Topology::kClique):
+// Tests for the congested-clique topology (Network::clique):
 // implicit rotation adjacency, the one-message-per-link rule (including a
 // unicast or second broadcast beside a broadcast), analytic broadcast
 // accounting, and determinism of clique rounds across thread counts and
@@ -41,17 +41,15 @@ void fill_idle(Network& net, const std::vector<NodeId>& skip = {}) {
   }
 }
 
-Network::Options clique_opts() {
+Network::Options opts() {
   Network::Options o;
-  o.topology = Topology::kClique;
   o.bit_budget = 64;
   o.seed = 1;
   return o;
 }
 
 TEST(Clique, NeighborsAreTheRotationOfAllOtherNodes) {
-  Network net(5, clique_opts());
-  net.finalize();
+  Network net = Network::clique(5, opts());
   // Node i sees the other n-1 nodes as the rotation i+1, ..., n-1, 0, ...,
   // i-1 — deliberately unsorted, but a permutation of everyone else.
   const auto nbrs_of = [&](NodeId i) {
@@ -64,16 +62,13 @@ TEST(Clique, NeighborsAreTheRotationOfAllOtherNodes) {
   EXPECT_EQ(net.num_edges(), 10u);  // n(n-1)/2 implicit edges
 }
 
-TEST(Clique, AddEdgeRejectedAndTinyCliqueRejected) {
-  Network net(4, clique_opts());
-  EXPECT_THROW(net.add_edge(0, 1), CheckError);
-  Network tiny(1, clique_opts());
-  EXPECT_THROW(tiny.finalize(), CheckError);  // a 1-clique has no links
+TEST(Clique, TinyCliqueRejected) {
+  // A 1-clique has no links.
+  EXPECT_THROW((void)Network::clique(1, opts()), CheckError);
 }
 
 TEST(Clique, MessageDeliveredNextRoundIntact) {
-  Network net(3, clique_opts());
-  net.finalize();
+  Network net = Network::clique(3, opts());
   std::vector<Message> got;
   net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
     if (ctx.round() == 0) ctx.send(2, /*kind=*/7, {11, -22, 33});
@@ -97,8 +92,7 @@ TEST(Clique, MessageDeliveredNextRoundIntact) {
 
 TEST(Clique, SelfSendAndOutOfRangeThrow) {
   for (const NodeId target : {NodeId{1}, NodeId{3}}) {
-    Network net(3, clique_opts());
-    net.finalize();
+    Network net = Network::clique(3, opts());
     net.set_process(1, std::make_unique<Script>([target](NodeContext& ctx,
                                                          auto) {
       ctx.send(target, 1);  // self (1) or out of range (3)
@@ -109,8 +103,7 @@ TEST(Clique, SelfSendAndOutOfRangeThrow) {
 }
 
 TEST(Clique, SecondUnicastToSameDestinationThrows) {
-  Network net(4, clique_opts());
-  net.finalize();
+  Network net = Network::clique(4, opts());
   net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
     ctx.send(2, 1);
     ctx.send(2, 1);  // exceeds the per-link allowance of 1
@@ -122,8 +115,7 @@ TEST(Clique, SecondUnicastToSameDestinationThrows) {
 TEST(Clique, UnicastsToDistinctDestinationsAreAllAllowed) {
   // The whole point of the clique model: one message per link per round,
   // so a node may unicast to every other node in the same round.
-  Network net(6, clique_opts());
-  net.finalize();
+  Network net = Network::clique(6, opts());
   std::size_t delivered = 0;
   net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
     if (ctx.round() == 0)
@@ -155,8 +147,7 @@ TEST(Clique, UnicastPlusBroadcastThrows) {
   for (const Pattern pattern :
        {Pattern::kUnicastFirst, Pattern::kBroadcastFirst,
         Pattern::kTwoBroadcasts, Pattern::kTwoFrames}) {
-    Network net(4, clique_opts());
-    net.finalize();
+    Network net = Network::clique(4, opts());
     net.set_process(0, std::make_unique<Script>(
                            [pattern](NodeContext& ctx, auto) {
                              switch (pattern) {
@@ -202,8 +193,7 @@ TEST(Clique, BroadcastAccountingIsAnalyticFanOut) {
   // One broadcast on an n-clique bills n-1 messages and (n-1) * honest
   // bits without materializing per-destination records at send time.
   const std::size_t n = 64;
-  Network net(n, clique_opts());
-  net.finalize();
+  Network net = Network::clique(n, opts());
   net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
     if (ctx.round() == 0) ctx.broadcast(1, {3, 0, 0});  // 8+3 = 11 bits
     ctx.halt();
@@ -218,8 +208,7 @@ TEST(Clique, BroadcastAccountingIsAnalyticFanOut) {
 
 TEST(Clique, BroadcastReachesEveryOtherNodeExactlyOnce) {
   const std::size_t n = 9;
-  Network net(n, clique_opts());
-  net.finalize();
+  Network net = Network::clique(n, opts());
   std::vector<int> copies(n, 0);
   net.set_process(4, std::make_unique<Script>([](NodeContext& ctx, auto) {
     if (ctx.round() == 0) ctx.broadcast(5);
@@ -246,13 +235,12 @@ TEST(Clique, BroadcastReachesEveryOtherNodeExactlyOnce) {
 std::string run_echo(std::size_t n, DeliveryOrder delivery,
                      double drop_probability = 0.0,
                      double duplicate_probability = 0.0) {
-  auto o = clique_opts();
+  auto o = opts();
   o.delivery = delivery;
   o.faults.drop_probability = drop_probability;
   o.faults.duplicate_probability = duplicate_probability;
   o.faults.fault_seed = 23;
-  Network net(n, o);
-  net.finalize();
+  Network net = Network::clique(n, o);
   std::vector<std::int64_t> sums(n, 0);
   for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
     net.set_process(v, std::make_unique<Script>(
@@ -308,10 +296,9 @@ TEST(Clique, DroppedBroadcastCopiesAreCountedPerLink) {
   // fan-out must still be charged at the sender and then drained by the
   // per-copy hazard coins.
   const std::size_t n = 8;
-  auto o = clique_opts();
+  auto o = opts();
   o.faults.drop_probability = 1.0;
-  Network net(n, o);
-  net.finalize();
+  Network net = Network::clique(n, o);
   std::size_t delivered = 0;
   net.set_process(0, std::make_unique<Script>([](NodeContext& ctx, auto) {
     if (ctx.round() == 0) ctx.broadcast(1);
@@ -334,10 +321,9 @@ TEST(Clique, DroppedBroadcastCopiesAreCountedPerLink) {
 
 TEST(Clique, LargeCliqueConstructionStaysImplicit) {
   // 4096 nodes would need ~8.4M explicit undirected edges; the implicit
-  // topology finalizes instantly and still reports the right counts.
+  // topology is built instantly and still reports the right counts.
   const std::size_t n = 4096;
-  Network net(n, clique_opts());
-  net.finalize();
+  Network net = Network::clique(n, opts());
   EXPECT_EQ(net.num_edges(), n * (n - 1) / 2);
   EXPECT_EQ(net.neighbors_of(0).size(), n - 1);
   EXPECT_EQ(net.neighbors_of(static_cast<NodeId>(n - 1)).size(), n - 1);
@@ -350,7 +336,7 @@ TEST(Clique, LargeCliqueConstructionStaysImplicit) {
 TEST(Clique, PortIsTheSendersRotationPosition) {
   // The clique's ports are arithmetic, never stored: the same sweep as on
   // explicit graphs.
-  expect_ports_hold(Topology::kClique, 12);
+  expect_ports_hold(/*clique=*/true, 12);
 }
 
 }  // namespace

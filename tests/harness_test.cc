@@ -40,18 +40,37 @@ TEST(LowerBound, FallsBackToDualAscentOnLargeInstances) {
   EXPECT_GT(lb.value, 0.0);
 }
 
+TEST(LowerBound, ExactLpUpToTheEdgeLimitOnly) {
+  // The dense simplex runs on every instance up to kMaxLpEdges edges and
+  // on none past it.
+  workload::UniformParams p;
+  p.num_facilities = 10;
+  p.num_clients = 50;
+  p.client_degree = 8;
+  const fl::Instance at_limit = workload::uniform_random(p, 1);
+  ASSERT_EQ(at_limit.num_edges(), kMaxLpEdges);
+  EXPECT_EQ(compute_lower_bound(at_limit).kind, "lp-optimum");
+  p.num_clients = 51;
+  const fl::Instance past_limit = workload::uniform_random(p, 1);
+  ASSERT_EQ(past_limit.num_edges(), kMaxLpEdges + 8);
+  EXPECT_EQ(compute_lower_bound(past_limit).kind, "dual-ascent");
+}
+
 TEST(LowerBound, FallsBackToCheapestEdgesWhenDualAscentIsZero) {
-  // Free facilities and free edges: the dual ascent proves nothing, and the
-  // LP is not tried (max_lp_edges = 0), so the cheapest-edges sum is used.
+  // Free facilities and free edges on more than kMaxLpEdges edges: the LP
+  // is not tried and the dual ascent proves nothing, so the cheapest-edges
+  // sum is used.
   fl::InstanceBuilder b;
   const fl::FacilityId f0 = b.add_facility(0.0);
   const fl::FacilityId f1 = b.add_facility(0.0);
-  for (int j = 0; j < 3; ++j) {
+  for (std::size_t j = 0; j <= kMaxLpEdges / 2; ++j) {
     const fl::ClientId c = b.add_client();
     b.connect(f0, c, 0.0);
     b.connect(f1, c, 0.0);
   }
-  const LowerBound lb = compute_lower_bound(b.build(), /*max_lp_edges=*/0);
+  const fl::Instance inst = b.build();
+  ASSERT_GT(inst.num_edges(), kMaxLpEdges);
+  const LowerBound lb = compute_lower_bound(inst);
   EXPECT_EQ(lb.kind, "cheapest-edges");
   EXPECT_EQ(lb.value, 0.0);
 }

@@ -274,7 +274,6 @@ TEST(CliqueFl, MessageLossFailsLoudlyAndIdentically) {
     params.delivery = delivery;
     params.faults.drop_probability = 0.3;
     params.faults.fault_seed = 23;
-    params.max_rounds = 64;
     try {
       (void)core::run_clique_fl(minst, params);
       return "completed";
@@ -286,6 +285,8 @@ TEST(CliqueFl, MessageLossFailsLoudlyAndIdentically) {
   // Dropped OPEN/RETIRE announcements can never be re-learned, so the run
   // must stall and throw the named diagnostic...
   EXPECT_NE(baseline.find("clique-fl stalled"), std::string::npos)
+      << baseline;
+  EXPECT_NE(baseline.find("after 10000 rounds"), std::string::npos)
       << baseline;
   // ...identically under every delivery order: the drop coins are drawn
   // per sender, not per inbox.

@@ -25,12 +25,13 @@ MwParams params_k(int k, std::uint64_t seed = 1) {
   return p;
 }
 
-/// Checks the bipartite network of `inst` and its edge table against an
-/// add_edge-built reference: the same neighbour lists, and every port's
-/// cost index names the same peer in the node's cost-sorted slice. A wrong
-/// reverse position throws in Network::finalize(Adjacency). `complete`
-/// says which path the builder takes: the row fill for a complete
-/// bipartite instance, the transposes otherwise.
+/// Checks the bipartite network of `inst` and its edge table against a
+/// reference built from the instance's edge list by build_sorted_adjacency:
+/// the same neighbour lists, and every port's cost index names the same
+/// peer in the node's cost-sorted slice. A wrong reverse position throws in
+/// the Network constructor. `complete` says which path the builder takes:
+/// the row fill for a complete bipartite instance, the transposes
+/// otherwise.
 void expect_edge_table_matches_reference(const fl::Instance& inst,
                                          bool complete) {
   ASSERT_EQ(inst.num_edges() ==
@@ -41,12 +42,14 @@ void expect_edge_table_matches_reference(const fl::Instance& inst,
   EdgeTable table;
   const net::Network net =
       make_bipartite_network(inst, net::Network::Options{}, table);
-  net::Network reference(net.num_nodes(), net::Network::Options{});
+  std::vector<std::pair<net::NodeId, net::NodeId>> edges;
   for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
     for (const fl::FacilityEdge& e : inst.facility_edges(i))
-      reference.add_edge(facility_node(i), client_node(inst, e.client));
+      edges.emplace_back(facility_node(i), client_node(inst, e.client));
   }
-  reference.finalize();
+  const net::Network reference(
+      net::build_sorted_adjacency(net.num_nodes(), std::move(edges)),
+      net::Network::Options{});
   EXPECT_EQ(net.num_edges(), inst.num_edges());
   for (net::NodeId v = 0; v < static_cast<net::NodeId>(net.num_nodes()); ++v) {
     const std::span<const net::NodeId> nbrs = net.neighbors_of(v);

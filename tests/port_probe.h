@@ -98,21 +98,18 @@ struct ProbeRun {
   NetMetrics metrics;
 };
 
-/// Runs a 6-round probe on `probe_graph(n, 0.15, 11)` or on the n-clique.
-inline ProbeRun run_port_probe(Topology topology, std::size_t n,
+/// Runs a 6-round probe on the n-clique or on `probe_graph(n, 0.15, 11)`.
+inline ProbeRun run_port_probe(bool clique, std::size_t n,
                                DeliveryOrder delivery,
                                const FaultPlan::Options& faults) {
   Network::Options o;
-  o.topology = topology;
   o.bit_budget = 64;
   o.seed = 7;
   o.delivery = delivery;
   o.faults = faults;
-  Network net(n, o);
-  if (topology == Topology::kExplicit) {
-    for (const auto& [u, v] : probe_graph(n, 0.15, 11)) net.add_edge(u, v);
-  }
-  net.finalize();
+  Network net =
+      clique ? Network::clique(n, o)
+             : Network(build_sorted_adjacency(n, probe_graph(n, 0.15, 11)), o);
   for (std::size_t v = 0; v < n; ++v)
     net.set_process(static_cast<NodeId>(v), std::make_unique<PortProbe>(6));
   ProbeRun run;
@@ -134,12 +131,12 @@ inline std::vector<FaultPlan::Options> probe_fault_modes() {
 /// Every delivery order x fault mode: no delivery breaks the port
 /// contract, every survivor is delivered, and the hazards did fire where
 /// enabled.
-inline void expect_ports_hold(Topology topology, std::size_t n) {
+inline void expect_ports_hold(bool clique, std::size_t n) {
   for (const DeliveryOrder delivery :
        {DeliveryOrder::kBySource, DeliveryOrder::kRandomShuffle,
         DeliveryOrder::kReverseSource}) {
     for (const FaultPlan::Options& faults : probe_fault_modes()) {
-      const ProbeRun run = run_port_probe(topology, n, delivery, faults);
+      const ProbeRun run = run_port_probe(clique, n, delivery, faults);
       SCOPED_TRACE(::testing::Message()
                    << "delivery=" << static_cast<int>(delivery)
                    << " dup=" << faults.duplicate_probability

@@ -25,6 +25,7 @@
 #include "netsim/network.h"
 #include "netsim/reliable.h"
 #include "port_probe.h"
+#include "rejection.h"
 #include "workload/generators.h"
 
 namespace dflp {
@@ -77,26 +78,12 @@ class Script final : public net::Process {
   Fn fn_;
 };
 
-/// Runs `body` and returns the CheckError message it must throw.
-template <typename Body>
-std::string rejection_message(Body&& body) {
-  try {
-    body();
-  } catch (const CheckError& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "expected a CheckError";
-  return {};
-}
-
 /// A 2-node network (edge 0-1) whose nodes run `inner(v)` under the
 /// channel with an inner budget of `inner_budget` bits.
 template <typename InnerOf>
 net::Network channel_pair(const net::Network::Options& o, int inner_budget,
                           InnerOf&& inner) {
-  net::Network net(2, o);
-  net.add_edge(0, 1);
-  net.finalize();
+  net::Network net(net::build_sorted_adjacency(2, {{0, 1}}), o);
   for (net::NodeId v : {0, 1}) {
     net.set_process(v, std::make_unique<net::ReliableChannel>(inner(v),
                                                               inner_budget));
@@ -132,10 +119,9 @@ ChannelProbeRun run_probe_under_channel(const net::FaultPlan::Options& faults) {
   o.bit_budget = net::reliable_bit_budget(kInnerBudget, 16);
   o.seed = 7;
   o.faults = faults;
-  net::Network net(kNodes, o);
-  for (const auto& [u, v] : net::probe_graph(kNodes, 0.15, 11))
-    net.add_edge(u, v);
-  net.finalize();
+  net::Network net(
+      net::build_sorted_adjacency(kNodes, net::probe_graph(kNodes, 0.15, 11)),
+      o);
   for (net::NodeId v = 0; v < static_cast<net::NodeId>(kNodes); ++v) {
     net.set_process(v, std::make_unique<net::ReliableChannel>(
                            std::make_unique<net::PortProbe>(6), kInnerBudget));
@@ -172,7 +158,7 @@ TEST(ReliableChannel, LossFreeLinksNeverRetransmit) {
   // frame is a first transmission or an ack, and the inner protocol runs
   // the direct run's rounds and sees its deliveries.
   const net::ProbeRun direct = net::run_port_probe(
-      net::Topology::kExplicit, 30, net::DeliveryOrder::kBySource, {});
+      /*clique=*/false, 30, net::DeliveryOrder::kBySource, {});
   const ChannelProbeRun run = run_probe_under_channel({});
   ASSERT_TRUE(run.all_halted);
   EXPECT_EQ(run.stats.retransmissions, 0u);
@@ -255,9 +241,7 @@ TEST(ReliableChannel, FloodKeepsTheDirectRunsRoundsUnderLoss) {
         reliable ? net::reliable_bit_budget(kInnerBudget, 64) : kInnerBudget;
     o.seed = 3;
     o.faults = faults;
-    net::Network net(kNodes, o);
-    for (const auto& [u, v] : edges) net.add_edge(u, v);
-    net.finalize();
+    net::Network net(net::build_sorted_adjacency(kNodes, edges), o);
     for (net::NodeId v = 0; v < static_cast<net::NodeId>(kNodes); ++v) {
       auto inner = std::make_unique<Script>(flood(heard));
       if (reliable) {
@@ -312,9 +296,7 @@ TEST(ReliableChannel, IsolatedNodeHaltsWithItsInner) {
   // physical round and halts in the round its inner protocol halts.
   net::Network::Options o;
   o.bit_budget = net::reliable_bit_budget(64, 16);
-  net::Network net(3, o);
-  net.add_edge(0, 1);
-  net.finalize();
+  net::Network net(net::build_sorted_adjacency(3, {{0, 1}}), o);
   for (net::NodeId v : {0, 1, 2}) {
     net.set_process(v, std::make_unique<net::ReliableChannel>(
                            std::make_unique<Script>(
@@ -450,10 +432,7 @@ TEST(ReliableChannel, InnerInboxesCarryPortsUnderLoss) {
     o.bit_budget = budget;
     o.seed = 7;
     o.faults = faults;
-    net::Network net(kNodes, o);
-    for (const auto& [u, v] : edges) net.add_edge(u, v);
-    net.finalize();
-    return net;
+    return net::Network(net::build_sorted_adjacency(kNodes, edges), o);
   };
 
   net::Network direct = build({}, kInnerBudget);
@@ -515,9 +494,7 @@ TEST(ReliableChannel, SecondSendOnOneLinkInALogicalRoundThrows) {
   for (const auto& [name, sends] : inputs) {
     net::Network::Options o;
     o.bit_budget = net::reliable_bit_budget(64, 16);
-    net::Network net(2, o);
-    net.add_edge(0, 1);
-    net.finalize();
+    net::Network net(net::build_sorted_adjacency(2, {{0, 1}}), o);
     for (net::NodeId v : {0, 1}) {
       net.set_process(
           v, std::make_unique<net::ReliableChannel>(
@@ -550,9 +527,7 @@ TEST(ReliableChannel, RejectsReservedOpcodes) {
     for (const bool broadcast : {false, true}) {
       net::Network::Options o;
       o.bit_budget = net::reliable_bit_budget(64, 16);
-      net::Network net(2, o);
-      net.add_edge(0, 1);
-      net.finalize();
+      net::Network net(net::build_sorted_adjacency(2, {{0, 1}}), o);
       for (net::NodeId v : {0, 1}) {
         net.set_process(
             v, std::make_unique<net::ReliableChannel>(
@@ -592,9 +567,7 @@ TEST(ReliableChannel, DeliversInOrderUnderHeavyLossAndDuplication) {
   o.faults.drop_probability = 0.3;
   o.faults.duplicate_probability = 0.2;
   o.faults.fault_seed = 7;
-  net::Network net(2, o);
-  net.add_edge(0, 1);
-  net.finalize();
+  net::Network net(net::build_sorted_adjacency(2, {{0, 1}}), o);
 
   auto received = std::make_shared<std::vector<std::int64_t>>();
   net.set_process(
@@ -651,9 +624,7 @@ TEST(ReliableChannel, BoundedRetransmitsNameTheDeadLink) {
   o.bit_budget = net::reliable_bit_budget(64, 16);
   o.seed = 42;
   o.faults.crashes = {{1, 3}};
-  net::Network net(2, o);
-  net.add_edge(0, 1);
-  net.finalize();
+  net::Network net(net::build_sorted_adjacency(2, {{0, 1}}), o);
 
   net.set_process(
       0, std::make_unique<net::ReliableChannel>(
@@ -689,9 +660,7 @@ TEST(ReliableChannel, RetransmitBoundDoesNotTripOnHeavyLoss) {
   o.seed = 9;
   o.faults.drop_probability = 0.3;
   o.faults.fault_seed = 3;
-  net::Network net(2, o);
-  net.add_edge(0, 1);
-  net.finalize();
+  net::Network net(net::build_sorted_adjacency(2, {{0, 1}}), o);
 
   auto received = std::make_shared<std::vector<std::int64_t>>();
   net.set_process(

@@ -16,21 +16,10 @@
 #include "netsim/message.h"
 #include "netsim/network.h"
 #include "netsim/round_buffer.h"
+#include "rejection.h"
 
 namespace dflp::net {
 namespace {
-
-/// Runs `body` and returns the CheckError message it must throw.
-template <typename Body>
-std::string rejection_message(Body&& body) {
-  try {
-    body();
-  } catch (const CheckError& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "expected a CheckError";
-  return {};
-}
 
 // The owner has neighbours 2, 5 and 9, on ports 0, 1 and 2.
 constexpr NodeId kOwner = 4;
@@ -243,7 +232,7 @@ TEST(RoundBuffer, SleepHintsFillTheWakeSlotSaturatedOrAreDropped) {
   RoundBuffer buf;
   std::uint32_t wake = 77;
   buf.begin(kOwner, 1, kNeighbors, limits(), nullptr, nullptr,
-            Topology::kExplicit, &wake);
+            /*clique=*/false, &wake);
   EXPECT_EQ(wake, 0u);  // a step without a hint stays awake
   buf.sleep_until(kOwner, 10);
   EXPECT_EQ(wake, 10u);

@@ -15,16 +15,18 @@
 #
 # The command runs in WORK/NAME, a directory private to the test, so files
 # a tool writes there (a trace, an example's output) stay apart. It holds
-# two freshly generated inputs: u40.ufl (`generate uniform 40 1`) and m8.ufl
-# (`generate metric 8 1`, the input clique-fl needs), so a CLI that misreads
-# a number or ignores a flag goes on to solve a real input and exits 0.
+# three freshly generated inputs: u40.ufl (`generate uniform 40 1`), u60.ufl
+# (`generate uniform 60 1`, whose 480 edges are past the exact-LP limit of
+# `bounds`) and m8.ufl (`generate metric 8 1`, the input clique-fl needs),
+# so a CLI that misreads a number or ignores a flag goes on to solve a real
+# input and exits 0.
 # SETUP, when given, is a dflp_cli command run there first, which must exit
 # 0 (e.g. a traced solve whose trace the test then reads). STDIN names a
 # file there that is fed to the command's standard input.
 set(dir "${WORK}/${NAME}")
 file(REMOVE_RECURSE "${dir}")
 file(MAKE_DIRECTORY "${dir}")
-foreach(input "u40;uniform;40" "m8;metric;8")
+foreach(input "u40;uniform;40" "u60;uniform;60" "m8;metric;8")
   list(GET input 0 token)
   list(GET input 1 family)
   list(GET input 2 size)

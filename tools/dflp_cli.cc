@@ -41,6 +41,8 @@
 // argument instead of being read as its numeric prefix or as 0. Each flag
 // applies only to the subcommands `--help` names for it (kFlagCommands);
 // any other subcommand rejects it with exit 2 instead of ignoring it.
+// Every subcommand likewise rejects an unknown `--` flag and a positional
+// argument past its last one.
 //
 // `-` reads the instance from stdin. Families: uniform, euclidean,
 // powerlaw, greedy-tight, star, plus the complete-bipartite `metric`
@@ -165,7 +167,8 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
          "                         default 1024)\n"
          "         --cold         (stream only: from-scratch baseline,\n"
          "                         no warm starting)\n"
-         "         A flag given to a subcommand it does not name exits 2.\n"
+         "         A flag given to a subcommand it does not name exits 2,\n"
+         "         and so does an unknown flag or a surplus argument.\n"
          "families: uniform euclidean powerlaw greedy-tight star metric\n"
          "          (metric: planted-cluster complete-bipartite Euclidean\n"
          "           instances — the workload clique-fl requires)\n"
@@ -180,6 +183,15 @@ int usage(std::ostream& out = std::cerr, int code = 2) {
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// Throws UsageError naming the first positional argument past the
+/// `count` a subcommand takes (argv[0] and the subcommand included).
+void reject_surplus_args(int argc, char** argv, int count) {
+  if (argc > count) {
+    throw UsageError(std::string("unexpected argument '") + argv[count] +
+                     "' for " + argv[1]);
+  }
+}
 
 /// The subcommands, as bits, and the ones each option flag applies to; a
 /// flag given to any other subcommand is rejected, not silently ignored.
@@ -357,6 +369,7 @@ std::vector<std::pair<std::string, harness::Algo>> algo_registry() {
 
 int cmd_generate(int argc, char** argv) {
   if (argc < 5) return usage();
+  reject_surplus_args(argc, argv, 5);
   const std::string family_name = argv[2];
   const auto size = parse_number<std::int32_t>("size", argv[3], 4);
   const auto seed = parse_number<std::uint64_t>("seed", argv[4]);
@@ -409,6 +422,7 @@ int cmd_generate(int argc, char** argv) {
 
 int cmd_info(int argc, char** argv) {
   if (argc < 3) return usage();
+  reject_surplus_args(argc, argv, 3);
   const fl::Instance inst = load_instance(argv[2]);
   std::cout << inst.describe() << "\n"
             << "total opening cost    = "
@@ -421,10 +435,11 @@ int cmd_info(int argc, char** argv) {
 
 int cmd_bounds(int argc, char** argv) {
   if (argc < 3) return usage();
+  reject_surplus_args(argc, argv, 3);
   const fl::Instance inst = load_instance(argv[2]);
   const lp::DualAscentResult dual = lp::dual_ascent_bound(inst);
   std::cout << "dual-ascent lower bound = " << dual.lower_bound << "\n";
-  if (inst.num_edges() <= 400) {
+  if (inst.num_edges() <= harness::kMaxLpEdges) {
     if (const auto lp_opt = lp::solve_ufl_lp(inst)) {
       std::cout << "exact LP optimum        = " << lp_opt->optimum << "\n";
     }
@@ -544,6 +559,7 @@ int solve_ftfp(const std::string& algo_name, const fl::Instance& inst,
 int cmd_solve(int argc, char** argv,
               const std::vector<std::string_view>& flags) {
   if (argc < 4) return usage();
+  reject_surplus_args(argc, argv, 6);
   if (g_threads != 1) {
     throw UsageError("--threads must be 1 (the simulator is serial); got " +
                      std::to_string(g_threads));
@@ -613,6 +629,7 @@ int cmd_solve(int argc, char** argv,
 
 int cmd_sweep(int argc, char** argv) {
   if (argc < 3) return usage();
+  reject_surplus_args(argc, argv, 4);
   const std::uint64_t seed =
       argc > 3 ? parse_number<std::uint64_t>("seed", argv[3]) : 1;
   const fl::Instance inst = load_instance(argv[2]);
@@ -637,6 +654,7 @@ int cmd_sweep(int argc, char** argv) {
 
 int cmd_stream(int argc, char** argv) {
   if (argc < 3) return usage();
+  reject_surplus_args(argc, argv, 5);
   const std::string engine_arg = argv[2];
   service::SolveEngine engine;
   if (engine_arg == "mw-greedy") {
@@ -708,7 +726,7 @@ int cmd_stream(int argc, char** argv) {
 /// Strips the position-independent option flags into the globals, listing
 /// each in `flags`, and returns the remaining (positional) arguments,
 /// argv[0] first — or nothing after --help, which has already printed the
-/// usage.
+/// usage. An unknown `--` flag throws UsageError naming it.
 std::optional<std::vector<char*>> parse_flags(
     int argc, char** argv, std::vector<std::string_view>& flags) {
   std::vector<char*> args;
@@ -760,6 +778,8 @@ std::optional<std::vector<char*>> parse_flags(
     } else if (arg == "--help" || arg == "-h") {
       usage(std::cout, 0);
       return std::nullopt;
+    } else if (arg.starts_with("--")) {
+      throw UsageError("unknown flag " + std::string(arg));
     } else {
       args.push_back(argv[i]);
     }
